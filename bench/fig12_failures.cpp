@@ -70,6 +70,7 @@ int main() {
       m.gauge(point + "gap")
           .set(mega.windowed_satisfied - nc.windowed_satisfied);
       m.gauge(point + "megate_outage_s").set(mega.outage_s);
+      m.gauge(point + "megate_repair_s").set(mega.repair_s);
       m.gauge(point + "ncflow_outage_s").set(nc.outage_s);
     }
     t.print(std::cout);

@@ -145,6 +145,11 @@ ASAN_FILTER+=':Packing.*:PackingInvariants.*'
 # over preallocated trees is ASan territory.
 ASAN_FILTER+=':TunnelBudgetProperty.*:KspDeterminism.*'
 ASAN_FILTER+=':CentralityBackend.*:TunnelStats.*'
+# Parallel tunnel builder (tests/tunnel_parallel_test.cpp): Yen runs on
+# reused flat workspaces with epoch-stamped ban arrays indexed by raw
+# node/link ids, and workers write per-pair slots merged afterwards — a
+# stale index or a slot overrun is ASan territory.
+ASAN_FILTER+=':TunnelParallel.*'
 # Online intra-interval TE (tests/online_test.cpp): DemandStream appends
 # flows at recorded tail indices and the allocator patches index-aligned
 # reservation vectors in place while snapshots copy them — stale-index
@@ -202,6 +207,12 @@ TSAN_FILTER+=':OnlineConcurrency.*'
 # the read accessors from a third thread, all serialized on the internal
 # mutex — plus the repair kernel's parallel phases on real pool workers.
 TSAN_FILTER+=':LearnedConcurrency.*:RepairKernel.*'
+# Tunnel build/repair fan source groups out over a transient pool:
+# workers claim chunks from a shared atomic cursor and write disjoint
+# per-pair slots that the caller merges after the join — these suites
+# drive every build and repair path on real pool workers.
+TSAN_FILTER+=':TunnelParallel.*:Tunnels.*:KspDeterminism.*'
+TSAN_FILTER+=':TunnelBudgetProperty.*'
 
 run_tsan() {
   cmake -S . -B build-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -32,7 +32,10 @@ struct FailureOutcome {
   /// Time-averaged satisfied ratio over the window: traffic on dead
   /// tunnels is lost during the outage, then follows the new allocation.
   double windowed_satisfied = 0.0;
-  double recompute_s = 0.0;             ///< measured solver runtime
+  /// Fault-to-plan time: tunnel repair plus the re-solve, both measured
+  /// (or the caller's override, which replaces both).
+  double recompute_s = 0.0;
+  double repair_s = 0.0;  ///< measured repair_tunnels time (always)
 };
 
 /// Runs the scenario for `solver`: solve, fail links, re-solve on the

@@ -1,6 +1,9 @@
 #pragma once
-// Latency-weighted shortest paths over the site graph (Dijkstra), used by
-// the tunnel builder (Yen's algorithm) and by the simulator.
+// Latency-weighted shortest paths over the site graph (Dijkstra). The
+// tunnel builder runs these exact rules (relaxation, equal-distance parent
+// tie-break, pop order) on reusable per-worker buffers in tunnels.cpp;
+// shortest_path is the one-shot form and the reference its tests compare
+// that builder against.
 
 #include <optional>
 #include <unordered_set>
@@ -19,8 +22,8 @@ struct Path {
   std::size_t hops() const noexcept { return links.size(); }
 };
 
-/// Options restricting the search; used by Yen's spur computation and by
-/// failure-aware recomputation.
+/// Options restricting the search (Yen-style spur computation,
+/// failure-aware recomputation).
 struct PathConstraints {
   /// Links that must not be used (in addition to links that are down).
   const std::unordered_set<EdgeId>* banned_links = nullptr;

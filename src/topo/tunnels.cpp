@@ -1,13 +1,18 @@
 #include "megate/topo/tunnels.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstddef>
+#include <functional>
 #include <limits>
-#include <queue>
+#include <optional>
 #include <set>
-#include <unordered_set>
+#include <thread>
 
 #include "megate/obs/metrics.h"
+#include "megate/obs/span.h"
+#include "megate/util/thread_pool.h"
 
 namespace megate::topo {
 
@@ -36,6 +41,153 @@ std::size_t TunnelSet::total_tunnels() const noexcept {
 
 namespace {
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+struct QueueItem {
+  double dist;
+  NodeId node;
+  // Ties broken on node id so pop order never depends on heap internals.
+  bool operator>(const QueueItem& o) const noexcept {
+    if (dist != o.dist) return dist > o.dist;
+    return node > o.node;
+  }
+};
+
+/// Epoch-stamped membership over a dense id range: an id is marked iff
+/// its stamp equals the current epoch, so clear() is one increment
+/// instead of a pass over the array (or a hash-set rebuild).
+class Marks {
+ public:
+  explicit Marks(std::size_t n) : stamp_(n, 0) {}
+
+  void clear() {
+    if (++epoch_ == 0) {  // wrapped: stale stamps could alias, reset them
+      std::fill(stamp_.begin(), stamp_.end(), 0);
+      epoch_ = 1;
+    }
+  }
+  void mark(std::uint32_t id) { stamp_[id] = epoch_; }
+  bool marked(std::uint32_t id) const { return stamp_[id] == epoch_; }
+
+ private:
+  std::vector<std::uint32_t> stamp_;
+  std::uint32_t epoch_ = 1;
+};
+
+/// Distances and canonical parent edges left by one Dijkstra run.
+struct SearchTree {
+  std::vector<double> dist;
+  std::vector<EdgeId> parent;
+
+  bool reaches(NodeId v) const { return dist[v] != kInf; }
+
+  /// Appends the links of the reached `dst`'s path from the search source
+  /// `src` to `out`; returns its searched distance.
+  double append_path(const Graph& g, NodeId src, NodeId dst,
+                     std::vector<EdgeId>& out) const {
+    const std::size_t base = out.size();
+    for (NodeId v = dst; v != src;) {
+      const EdgeId e = parent[v];
+      out.push_back(e);
+      v = g.link(e).src;
+    }
+    std::reverse(out.begin() + static_cast<std::ptrdiff_t>(base), out.end());
+    return dist[dst];
+  }
+};
+
+/// Per-task Dijkstra state reused across every search the task runs: flat
+/// dist/parent arrays, one heap vector, and epoch-stamped node/link bans.
+/// search() is shortest_path's exact rule set — relax on <, smallest
+/// parent edge on equal distance, (dist, node) pop order, early exit when
+/// dst pops — so its paths and latencies are bitwise those of
+/// shortest_path under the same bans. With dst == kInvalidNode it runs to
+/// completion and leaves the canonical full tree; because a run only
+/// differs from an early-exit one after dst pops, a full tree's path to
+/// any dst is bitwise the early-exit search's.
+class Workspace {
+ public:
+  explicit Workspace(const Graph& g)
+      : banned_nodes(g.num_nodes()), banned_links(g.num_links()), g_(g) {
+    for (SearchTree* t : {&last_, &source_}) {
+      t->dist.resize(g.num_nodes());
+      t->parent.resize(g.num_nodes());
+    }
+  }
+
+  Marks banned_nodes;  ///< never entered (the search source exempt)
+  Marks banned_links;  ///< never traversed
+
+  /// Lifts every ban.
+  void clear_bans() {
+    banned_nodes.clear();
+    banned_links.clear();
+  }
+
+  /// Dijkstra from src over up, unbanned links into last(). `hop_metric`
+  /// weighs every link 1.0 instead of its latency. Returns whether dst
+  /// was reached.
+  bool search(NodeId src, NodeId dst, bool hop_metric = false) {
+    ++searches_;
+    std::vector<double>& dist = last_.dist;
+    std::vector<EdgeId>& parent = last_.parent;
+    std::fill(dist.begin(), dist.end(), kInf);
+    std::fill(parent.begin(), parent.end(), kInvalidEdge);
+    heap_.clear();
+    dist[src] = 0.0;
+    heap_.push_back({0.0, src});
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+      const auto [d, v] = heap_.back();
+      heap_.pop_back();
+      if (d > dist[v]) continue;  // stale entry
+      if (v == dst) break;
+      for (EdgeId e : g_.out_edges(v)) {
+        const Link& l = g_.link(e);
+        if (!l.up || banned_links.marked(e)) continue;
+        if (l.dst != dst && banned_nodes.marked(l.dst)) continue;
+        const double nd = d + (hop_metric ? 1.0 : l.latency_ms);
+        if (nd < dist[l.dst]) {
+          dist[l.dst] = nd;
+          parent[l.dst] = e;
+          heap_.push_back({nd, l.dst});
+          std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+        } else if (nd == dist[l.dst] && d < dist[l.dst] &&
+                   e < parent[l.dst]) {
+          // Equal distance: canonical (smallest) parent edge. The d < dist
+          // guard (false only for zero-latency links) keeps parent chains
+          // strictly decreasing, i.e. acyclic.
+          parent[l.dst] = e;
+        }
+      }
+    }
+    return dst == kInvalidNode || last_.reaches(dst);
+  }
+
+  /// Result of the latest search().
+  const SearchTree& last() const noexcept { return last_; }
+
+  /// Full unbanned latency tree from `src`, kept in source() across
+  /// later searches: Yen's first path for every pair of `src`.
+  void seed_source(NodeId src) {
+    clear_bans();
+    search(src, kInvalidNode);
+    std::swap(last_, source_);
+  }
+  const SearchTree& source() const noexcept { return source_; }
+
+  const Graph& graph() const noexcept { return g_; }
+  /// Searches run so far (the topo.tunnels.dijkstra_calls unit).
+  std::uint64_t searches() const noexcept { return searches_; }
+
+ private:
+  const Graph& g_;
+  SearchTree last_;
+  SearchTree source_;
+  std::vector<QueueItem> heap_;
+  std::uint64_t searches_ = 0;
+};
+
 /// Deterministic total order on candidate paths: latency first (Yen's
 /// correctness needs ascending latency), then hop count, then the link-id
 /// sequence. The two tie levels make candidate order — and therefore
@@ -53,23 +205,24 @@ bool fits_budget(const Path& p, std::uint32_t max_hops) {
   return max_hops == 0 || p.links.size() <= max_hops;
 }
 
-/// Yen's core. `filtered_out`, when non-null, receives the number of
+/// Yen's core on the task's workspace, whose source() must be seeded
+/// for `src`. `filtered_out`, when non-null, receives the number of
 /// generated loopless paths that were discarded by the hop budget.
-std::vector<Path> yen_paths(const Graph& g, NodeId src, NodeId dst,
+std::vector<Path> yen_paths(Workspace& ws, NodeId src, NodeId dst,
                             std::uint32_t k, std::uint32_t max_candidates,
                             std::uint32_t max_hops,
                             std::size_t* filtered_out) {
   std::vector<Path> admissible;
-  if (k == 0 || src == dst) return admissible;
-  auto first = shortest_path(g, src, dst);
-  if (!first) return admissible;
+  const Graph& g = ws.graph();
+  if (k == 0 || src == dst || !ws.source().reaches(dst)) return admissible;
 
   // `generated` is Yen's A-list (every accepted loopless path, ascending
   // latency); `admissible` is the subset within the hop budget. Spurs
   // must come off *generated* paths even when they are over budget —
   // admissible alternatives often branch off inadmissible prefixes.
-  std::vector<Path> generated;
-  generated.push_back(std::move(*first));
+  std::vector<Path> generated(1);
+  generated.front().latency_ms =
+      ws.source().append_path(g, src, dst, generated.front().links);
   if (fits_budget(generated.front(), max_hops)) {
     admissible.push_back(generated.front());
   }
@@ -86,49 +239,39 @@ std::vector<Path> yen_paths(const Graph& g, NodeId src, NodeId dst,
 
   while (admissible.size() < k && generated.size() < gen_cap) {
     const Path& prev = generated.back();
-    // Spur from every node of the previous path.
-    std::unordered_set<NodeId> banned_nodes;
+    // Spur from every node of the previous path; root nodes stay banned
+    // for the rest of this spur sweep (loopless requirement).
+    ws.banned_nodes.clear();
     NodeId spur_node = src;
-    Path root;  // prefix of prev up to (not including) the spur link
+    double root_latency = 0.0;  // prev's prefix up to the spur node
     for (std::size_t i = 0; i < prev.links.size(); ++i) {
-      std::unordered_set<EdgeId> banned_links;
       // Ban the i-th link of every accepted path sharing this root.
+      ws.banned_links.clear();
       for (const Path& p : generated) {
-        if (p.links.size() <= i) continue;
-        bool same_root = true;
-        for (std::size_t j = 0; j < i; ++j) {
-          if (p.links[j] != root.links[j]) {
-            same_root = false;
-            break;
-          }
-        }
-        if (same_root) banned_links.insert(p.links[i]);
-      }
-      PathConstraints constraints;
-      constraints.banned_links = &banned_links;
-      constraints.banned_nodes = &banned_nodes;
-      if (auto spur = shortest_path(g, spur_node, dst, constraints)) {
-        Path total = root;
-        total.links.insert(total.links.end(), spur->links.begin(),
-                           spur->links.end());
-        total.latency_ms = root.latency_ms + spur->latency_ms;
-        if (candidates.size() < max_candidates) {
-          candidates.insert(std::move(total));
+        if (p.links.size() > i &&
+            std::equal(p.links.begin(), p.links.begin() + i,
+                       prev.links.begin())) {
+          ws.banned_links.mark(p.links[i]);
         }
       }
-      // Extend the root by the spur link and ban the spur node for the
-      // remaining iterations (loopless requirement).
-      banned_nodes.insert(spur_node);
+      if (ws.search(spur_node, dst) &&
+          candidates.size() < max_candidates) {
+        Path total;
+        total.links.assign(prev.links.begin(), prev.links.begin() + i);
+        total.latency_ms =
+            root_latency +
+            ws.last().append_path(g, spur_node, dst, total.links);
+        candidates.insert(std::move(total));
+      }
+      ws.banned_nodes.mark(spur_node);
       const Link& l = g.link(prev.links[i]);
-      root.links.push_back(prev.links[i]);
-      root.latency_ms += l.latency_ms;
+      root_latency += l.latency_ms;
       spur_node = l.dst;
     }
     // Pull the best unseen candidate.
     bool advanced = false;
     while (!candidates.empty()) {
-      Path best = *candidates.begin();
-      candidates.erase(candidates.begin());
+      Path best = std::move(candidates.extract(candidates.begin()).value());
       const bool duplicate =
           std::any_of(generated.begin(), generated.end(),
                       [&](const Path& p) { return p.links == best.links; });
@@ -146,56 +289,6 @@ std::vector<Path> yen_paths(const Graph& g, NodeId src, NodeId dst,
     *filtered_out += generated.size() - admissible.size();
   }
   return admissible;
-}
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-struct TreeQueueItem {
-  double dist;
-  NodeId node;
-  // Ties broken on node id so pop order never depends on heap internals.
-  bool operator>(const TreeQueueItem& o) const noexcept {
-    if (dist != o.dist) return dist > o.dist;
-    return node > o.node;
-  }
-};
-
-/// Full shortest-path tree from `src` over up links: parent edge per
-/// node (kInvalidEdge = unreachable / the source). At equal distance the
-/// smallest parent edge id wins, giving a canonical tree. `hop_metric`
-/// weighs every link 1.0 (hop-shortest tree — the minimum possible SR hop
-/// count per destination) instead of its latency.
-std::vector<EdgeId> dijkstra_tree(const Graph& g, NodeId src,
-                                  bool hop_metric = false) {
-  const std::size_t n = g.num_nodes();
-  std::vector<double> dist(n, kInf);
-  std::vector<EdgeId> parent(n, kInvalidEdge);
-  std::priority_queue<TreeQueueItem, std::vector<TreeQueueItem>,
-                      std::greater<>>
-      pq;
-  dist[src] = 0.0;
-  pq.push({0.0, src});
-  while (!pq.empty()) {
-    auto [d, v] = pq.top();
-    pq.pop();
-    if (d > dist[v]) continue;  // stale entry
-    for (EdgeId e : g.out_edges(v)) {
-      const Link& l = g.link(e);
-      if (!l.up) continue;
-      const double nd = d + (hop_metric ? 1.0 : l.latency_ms);
-      if (nd < dist[l.dst]) {
-        dist[l.dst] = nd;
-        parent[l.dst] = e;
-        pq.push({nd, l.dst});
-      } else if (nd == dist[l.dst] && d < dist[l.dst] &&
-                 e < parent[l.dst]) {
-        // Same distance: canonical (smallest) parent edge. The d < dist
-        // guard keeps parent chains acyclic under zero-latency links.
-        parent[l.dst] = e;
-      }
-    }
-  }
-  return parent;
 }
 
 /// Reconstructs src -> dst from src's parent tree, or an empty path if
@@ -249,6 +342,35 @@ std::vector<Tunnel> paths_to_tunnels(const std::vector<Path>& paths) {
   return tunnels;
 }
 
+/// Runs task(ws, i) for every i in [0, n), each on a workspace owned by
+/// the thread running it. Tasks are claimed in chunks (~8 per worker)
+/// from a shared cursor by a transient pool of hardware-concurrency
+/// workers; a single chunk (or a single core) runs the same loop inline.
+/// Tasks must write only their own output slots, so results never depend
+/// on the schedule.
+template <typename Task>
+void for_each_task(const Graph& g, std::size_t n, const Task& task) {
+  const std::size_t workers =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  const std::size_t chunk = std::max<std::size_t>(1, n / (workers * 8));
+  const std::size_t chunks = (n + chunk - 1) / chunk;
+  std::atomic<std::size_t> cursor{0};
+  const auto drain = [&] {
+    Workspace ws(g);
+    for (std::size_t c = cursor.fetch_add(1); c < chunks;
+         c = cursor.fetch_add(1)) {
+      const std::size_t end = std::min(n, (c + 1) * chunk);
+      for (std::size_t i = c * chunk; i < end; ++i) task(ws, i);
+    }
+  };
+  if (chunks <= 1 || workers == 1) {
+    drain();
+    return;
+  }
+  util::ThreadPool pool(std::min(workers, chunks));
+  pool.parallel_for(pool.size(), [&](std::size_t) { drain(); });
+}
+
 std::uint32_t auto_middlepoint_count(std::size_t sites) {
   const auto root = static_cast<std::uint32_t>(
       std::ceil(std::sqrt(static_cast<double>(sites))));
@@ -267,6 +389,29 @@ struct CentralityContext {
   std::vector<std::vector<EdgeId>> hop_trees;  ///< hop-count parent trees
   std::vector<NodeId> middlepoints;
 };
+
+/// Canonical latency parent trees (and, with `hop_trees`, hop-count
+/// trees: the minimum possible SR hop count per destination) from every
+/// source over up links, fanned out over sources. Parent edge per node,
+/// kInvalidEdge = unreachable / the source; at equal distance the
+/// smallest parent edge id wins.
+std::vector<std::vector<EdgeId>> all_source_trees(
+    const Graph& g, std::vector<std::vector<EdgeId>>* hop_trees = nullptr) {
+  const std::size_t n = g.num_nodes();
+  std::vector<std::vector<EdgeId>> trees(n);
+  if (hop_trees != nullptr) hop_trees->assign(n, {});
+  for_each_task(g, n, [&](Workspace& ws, std::size_t s) {
+    const auto src = static_cast<NodeId>(s);
+    ws.clear_bans();
+    ws.search(src, kInvalidNode);
+    trees[s] = ws.last().parent;
+    if (hop_trees != nullptr) {
+      ws.search(src, kInvalidNode, /*hop_metric=*/true);
+      (*hop_trees)[s] = ws.last().parent;
+    }
+  });
+  return trees;
+}
 
 std::vector<NodeId> pick_middlepoints(
     const Graph& g, const std::vector<std::vector<EdgeId>>& trees,
@@ -333,13 +478,7 @@ std::vector<NodeId> pick_middlepoints(
 CentralityContext make_centrality_context(const Graph& g,
                                           const TunnelOptions& options) {
   CentralityContext ctx;
-  const auto n = static_cast<NodeId>(g.num_nodes());
-  ctx.trees.reserve(n);
-  ctx.hop_trees.reserve(n);
-  for (NodeId s = 0; s < n; ++s) {
-    ctx.trees.push_back(dijkstra_tree(g, s));
-    ctx.hop_trees.push_back(dijkstra_tree(g, s, /*hop_metric=*/true));
-  }
+  ctx.trees = all_source_trees(g, &ctx.hop_trees);
   // Middlepoints are selected on the latency trees: group betweenness of
   // the preference metric, matching the paper's centrality definition.
   ctx.middlepoints =
@@ -349,16 +488,21 @@ CentralityContext make_centrality_context(const Graph& g,
 
 /// Concatenates two tree paths src->m->dst into one loop-free path, or an
 /// empty path when a segment is missing or the node sequence repeats.
-Path compose_segments(const Graph& g, NodeId src, const Path& seg1,
+/// Visited nodes are tracked in the workspace's node marks.
+Path compose_segments(Workspace& ws, NodeId src, const Path& seg1,
                       const Path& seg2) {
   if (seg1.empty() || seg2.empty()) return Path{};
+  const Graph& g = ws.graph();
   Path total;
   total.links.reserve(seg1.links.size() + seg2.links.size());
-  std::unordered_set<NodeId> seen;
-  seen.insert(src);
+  Marks& seen = ws.banned_nodes;
+  seen.clear();
+  seen.mark(src);
   for (const Path* seg : {&seg1, &seg2}) {
     for (EdgeId e : seg->links) {
-      if (!seen.insert(g.link(e).dst).second) return Path{};
+      const NodeId v = g.link(e).dst;
+      if (seen.marked(v)) return Path{};
+      seen.mark(v);
       total.links.push_back(e);
     }
   }
@@ -373,12 +517,13 @@ Path compose_segments(const Graph& g, NodeId src, const Path& seg1,
 /// Because the hop-shortest direct path has the minimum possible hop
 /// count, a pair is budget-excluded here exactly when NO loop-free path
 /// fits the budget — the same coverage Yen's enumeration reaches.
-std::vector<Path> centrality_paths(const Graph& g,
+std::vector<Path> centrality_paths(Workspace& ws,
                                    const CentralityContext& ctx,
                                    NodeId src, NodeId dst,
                                    const TunnelOptions& options,
                                    bool* reachable,
                                    std::size_t* filtered_out) {
+  const Graph& g = ws.graph();
   std::vector<Path> candidates;
   const auto consider = [&](Path p) {
     if (p.empty()) return;
@@ -399,10 +544,10 @@ std::vector<Path> centrality_paths(const Graph& g,
     if (m == src || m == dst) continue;
     // Compose within one metric at a time: latency segments give the
     // low-latency alternates, hop segments the budget-tight ones.
-    consider(compose_segments(g, src,
+    consider(compose_segments(ws, src,
                               tree_path(g, ctx.trees[src], src, m),
                               tree_path(g, ctx.trees[m], m, dst)));
-    consider(compose_segments(g, src,
+    consider(compose_segments(ws, src,
                               tree_path(g, ctx.hop_trees[src], src, m),
                               tree_path(g, ctx.hop_trees[m], m, dst)));
   }
@@ -419,15 +564,28 @@ std::vector<Path> centrality_paths(const Graph& g,
   return candidates;
 }
 
-/// Builds one pair with the configured backend; updates `stats`.
-std::vector<Path> build_pair_paths(const Graph& g, NodeId s, NodeId d,
-                                   const TunnelOptions& options,
-                                   const CentralityContext* ctx,
-                                   TunnelBuildStats& stats) {
+/// One pair's output slot: written by exactly one task, merged serially.
+/// It holds paths, not tunnels: the merge materializes the tunnels on the
+/// calling thread, so the long-lived TunnelSet is allocated in (src, dst)
+/// order in the caller's heap rather than scattered over worker arenas.
+struct PairSlot {
   std::vector<Path> paths;
+  TunnelBuildStats stats;  ///< this pair's delta
+  /// Searches this pair ran; a source's first pair also carries the
+  /// source tree its pairs share.
+  std::uint64_t dijkstra_calls = 0;
+};
+
+/// Builds one pair with the configured backend into `slot`. Under kKsp
+/// the workspace's source() must be seeded for `s`.
+void build_pair(Workspace& ws, NodeId s, NodeId d,
+                const TunnelOptions& options, const CentralityContext& ctx,
+                PairSlot& slot) {
+  TunnelBuildStats& stats = slot.stats;
+  std::vector<Path>& paths = slot.paths;
   if (options.selection == TunnelSelection::kCentrality) {
     bool reachable = false;
-    paths = centrality_paths(g, *ctx, s, d, options, &reachable,
+    paths = centrality_paths(ws, ctx, s, d, options, &reachable,
                              &stats.paths_budget_filtered);
     if (paths.empty()) {
       if (reachable) {
@@ -435,31 +593,71 @@ std::vector<Path> build_pair_paths(const Graph& g, NodeId s, NodeId d,
       } else {
         ++stats.pairs_unreachable;
       }
-      return paths;
     }
   } else {
-    paths = yen_paths(g, s, d, options.tunnels_per_pair,
+    paths = yen_paths(ws, s, d, options.tunnels_per_pair,
                       options.max_candidates, options.max_sr_hops,
                       &stats.paths_budget_filtered);
     if (paths.empty()) {
       // Attribute the emptiness: partitioned graph vs hop budget.
-      if (options.max_sr_hops > 0 && shortest_path(g, s, d).has_value()) {
+      if (options.max_sr_hops > 0 && ws.source().reaches(d)) {
         ++stats.pairs_budget_excluded;
       } else {
         ++stats.pairs_unreachable;
       }
-      return paths;
     }
   }
-  ++stats.pairs_built;
-  return paths;
+  if (!paths.empty()) ++stats.pairs_built;
+}
+
+/// Builds `pairs` (sorted by source) into one slot each, fanning the
+/// sources out over for_each_task, then sums the slots' stats and
+/// Dijkstra counts in pair order.
+std::vector<PairSlot> build_pairs(const Graph& g,
+                                  const std::vector<SitePair>& pairs,
+                                  const TunnelOptions& options,
+                                  TunnelBuildStats& delta,
+                                  std::uint64_t& dijkstra_calls) {
+  CentralityContext ctx;
+  if (options.selection == TunnelSelection::kCentrality) {
+    ctx = make_centrality_context(g, options);
+    delta.middlepoints = ctx.middlepoints.size();
+    dijkstra_calls += 2 * g.num_nodes();
+  }
+  // One task per source: [starts[t], starts[t + 1]) share pairs[].src.
+  std::vector<std::size_t> starts;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (i == 0 || pairs[i].src != pairs[i - 1].src) starts.push_back(i);
+  }
+  starts.push_back(pairs.size());
+  std::vector<PairSlot> slots(pairs.size());
+  for_each_task(g, starts.size() - 1, [&](Workspace& ws, std::size_t t) {
+    std::uint64_t searches = ws.searches();
+    if (options.selection == TunnelSelection::kKsp) {
+      ws.seed_source(pairs[starts[t]].src);
+    }
+    for (std::size_t i = starts[t]; i < starts[t + 1]; ++i) {
+      build_pair(ws, pairs[i].src, pairs[i].dst, options, ctx, slots[i]);
+      slots[i].dijkstra_calls = ws.searches() - searches;
+      searches = ws.searches();
+    }
+  });
+  for (const PairSlot& slot : slots) {
+    delta.pairs_built += slot.stats.pairs_built;
+    delta.pairs_unreachable += slot.stats.pairs_unreachable;
+    delta.pairs_budget_excluded += slot.stats.pairs_budget_excluded;
+    delta.paths_budget_filtered += slot.stats.paths_budget_filtered;
+    dijkstra_calls += slot.dijkstra_calls;
+  }
+  return slots;
 }
 
 /// Publishes a build/repair delta to the optional registry. These are
 /// plain cumulative counters — one per build/repair event class — so the
 /// chaos loop's repeated repairs show up as growth, not resets.
 void publish_stats_delta(obs::MetricsRegistry* metrics,
-                         const TunnelBuildStats& delta) {
+                         const TunnelBuildStats& delta,
+                         std::uint64_t dijkstra_calls) {
   if (metrics == nullptr) return;
   metrics->counter("topo.tunnels.pairs_built").inc(delta.pairs_built);
   metrics->counter("topo.tunnels.pairs_unreachable")
@@ -468,6 +666,7 @@ void publish_stats_delta(obs::MetricsRegistry* metrics,
       .inc(delta.pairs_budget_excluded);
   metrics->counter("topo.tunnels.paths_budget_filtered")
       .inc(delta.paths_budget_filtered);
+  metrics->counter("topo.tunnels.dijkstra_calls").inc(dijkstra_calls);
 }
 
 void accumulate_stats(TunnelBuildStats& total, const TunnelBuildStats& d) {
@@ -484,41 +683,50 @@ std::vector<Path> k_shortest_paths(const Graph& g, NodeId src, NodeId dst,
                                    std::uint32_t k,
                                    std::uint32_t max_candidates,
                                    std::uint32_t max_hops) {
-  return yen_paths(g, src, dst, k, max_candidates, max_hops, nullptr);
+  Workspace ws(g);
+  ws.seed_source(src);
+  return yen_paths(ws, src, dst, k, max_candidates, max_hops, nullptr);
 }
 
 std::vector<NodeId> select_middlepoints(const Graph& g,
                                         std::uint32_t count) {
-  const auto n = static_cast<NodeId>(g.num_nodes());
-  std::vector<std::vector<EdgeId>> trees;
-  trees.reserve(n);
-  for (NodeId s = 0; s < n; ++s) trees.push_back(dijkstra_tree(g, s));
-  return pick_middlepoints(g, trees, count);
+  return pick_middlepoints(g, all_source_trees(g), count);
 }
 
 TunnelSet build_tunnels(const Graph& g, const TunnelOptions& options) {
-  TunnelSet set;
-  const auto n = static_cast<NodeId>(g.num_nodes());
-  CentralityContext ctx;
-  TunnelBuildStats delta;
-  if (options.selection == TunnelSelection::kCentrality) {
-    ctx = make_centrality_context(g, options);
-    delta.middlepoints = ctx.middlepoints.size();
+  std::optional<obs::Span> span;
+  if (options.metrics != nullptr) {
+    span.emplace(*options.metrics, "topo.tunnels.build");
   }
+  const auto n = static_cast<NodeId>(g.num_nodes());
+  std::vector<SitePair> pairs;
+  pairs.reserve(static_cast<std::size_t>(n) * (n > 0 ? n - 1 : 0));
   for (NodeId s = 0; s < n; ++s) {
     for (NodeId d = 0; d < n; ++d) {
-      if (s == d) continue;
-      auto paths = build_pair_paths(g, s, d, options, &ctx, delta);
-      if (!paths.empty()) set.set_tunnels(s, d, paths_to_tunnels(paths));
+      if (s != d) pairs.push_back(SitePair{s, d});
+    }
+  }
+  TunnelBuildStats delta;
+  std::uint64_t dijkstra_calls = 0;
+  auto slots = build_pairs(g, pairs, options, delta, dijkstra_calls);
+  TunnelSet set;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (!slots[i].paths.empty()) {
+      set.set_tunnels(pairs[i].src, pairs[i].dst,
+                      paths_to_tunnels(slots[i].paths));
     }
   }
   accumulate_stats(set.mutable_stats(), delta);
-  publish_stats_delta(options.metrics, delta);
+  publish_stats_delta(options.metrics, delta, dijkstra_calls);
   return set;
 }
 
 void repair_tunnels(const Graph& g, TunnelSet& tunnels,
                     const TunnelOptions& options) {
+  std::optional<obs::Span> span;
+  if (options.metrics != nullptr) {
+    span.emplace(*options.metrics, "topo.tunnels.repair");
+  }
   std::vector<SitePair> to_fix;
   for (const auto& [pair, ts] : tunnels.all()) {
     const bool any_dead = std::any_of(
@@ -532,21 +740,17 @@ void repair_tunnels(const Graph& g, TunnelSet& tunnels,
               if (a.src != b.src) return a.src < b.src;
               return a.dst < b.dst;
             });
-  CentralityContext ctx;
+  // Under kCentrality, middlepoints are re-selected on the degraded graph
+  // so repaired tunnels keep the backend's invariants (and the hop budget).
   TunnelBuildStats delta;
-  if (options.selection == TunnelSelection::kCentrality) {
-    // Middlepoints are re-selected on the degraded graph so repaired
-    // tunnels keep the backend's invariants (and the hop budget).
-    ctx = make_centrality_context(g, options);
-    delta.middlepoints = ctx.middlepoints.size();
-  }
-  for (const SitePair& pair : to_fix) {
-    auto paths =
-        build_pair_paths(g, pair.src, pair.dst, options, &ctx, delta);
-    tunnels.set_tunnels(pair.src, pair.dst, paths_to_tunnels(paths));
+  std::uint64_t dijkstra_calls = 0;
+  auto slots = build_pairs(g, to_fix, options, delta, dijkstra_calls);
+  for (std::size_t i = 0; i < to_fix.size(); ++i) {
+    tunnels.set_tunnels(to_fix[i].src, to_fix[i].dst,
+                        paths_to_tunnels(slots[i].paths));
   }
   accumulate_stats(tunnels.mutable_stats(), delta);
-  publish_stats_delta(options.metrics, delta);
+  publish_stats_delta(options.metrics, delta, dijkstra_calls);
 }
 
 }  // namespace megate::topo

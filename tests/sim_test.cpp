@@ -102,6 +102,24 @@ TEST(FailureSim, WindowedBetweenZeroAndPre) {
   EXPECT_GT(out.recompute_s, 0.0);
 }
 
+TEST(FailureSim, RecomputeIncludesTunnelRepair) {
+  auto s = make_scenario(10, 18, 20, 0.5, 4);
+  te::MegaTeSolver megate;
+  FailureScenarioOptions opt;
+  opt.num_failures = 3;
+  const FailureOutcome out =
+      run_failure_scenario(s->graph, s->tunnels, s->traffic, megate, opt);
+  EXPECT_GT(out.repair_s, 0.0);
+  EXPECT_GT(out.recompute_s, out.repair_s);  // repair, then the re-solve
+  EXPECT_DOUBLE_EQ(out.outage_s, out.recompute_s + opt.sync_delay_s);
+  // An override replaces the whole fault-to-plan time; repair is still
+  // measured.
+  const FailureOutcome fixed = run_failure_scenario(
+      s->graph, s->tunnels, s->traffic, megate, opt, 42.0);
+  EXPECT_EQ(fixed.recompute_s, 42.0);
+  EXPECT_GT(fixed.repair_s, 0.0);
+}
+
 TEST(FailureSim, MoreFailuresNoBetter) {
   auto s = make_scenario(10, 18, 20, 0.5, 8);
   te::MegaTeSolver megate;
