@@ -219,10 +219,18 @@ TEST(Tunnels, RepairReplacesDeadTunnels) {
 // --- generators ------------------------------------------------------------
 
 struct TopoCase {
+  const char* name;
   TopologyKind kind;
   std::size_t sites;
   std::size_t duplex_links;
 };
+
+// Without this gtest prints the case as a raw byte dump, padding included,
+// so the test's listed name changed from run to run.
+void PrintTo(const TopoCase& c, std::ostream* os) {
+  *os << c.name << " " << c.sites << " sites " << c.duplex_links
+      << " duplex links";
+}
 
 class GeneratorSuite : public ::testing::TestWithParam<TopoCase> {};
 
@@ -244,10 +252,10 @@ TEST_P(GeneratorSuite, MatchesPublishedScale) {
 
 INSTANTIATE_TEST_SUITE_P(
     PaperTopologies, GeneratorSuite,
-    ::testing::Values(TopoCase{TopologyKind::kB4, 12, 19},
-                      TopoCase{TopologyKind::kDeltacom, 113, 161},
-                      TopoCase{TopologyKind::kCogentco, 197, 245},
-                      TopoCase{TopologyKind::kTwan, 100, 400}));
+    ::testing::Values(TopoCase{"B4", TopologyKind::kB4, 12, 19},
+                      TopoCase{"Deltacom", TopologyKind::kDeltacom, 113, 161},
+                      TopoCase{"Cogentco", TopologyKind::kCogentco, 197, 245},
+                      TopoCase{"TWAN", TopologyKind::kTwan, 100, 400}));
 
 TEST(Generators, DeterministicInSeed) {
   GeneratorOptions opt;
