@@ -28,15 +28,39 @@ struct SweepSpec {
   std::vector<std::uint64_t> endpoint_scales;
 };
 
-std::string run_solver(te::Solver& solver, const te::TeProblem& problem,
-                       double budget_s, double* seconds_out) {
+/// Runs past this wall-clock budget are marked "(over budget)".
+constexpr double kBudgetS = 600.0;
+
+struct Run {
+  bool solved = false;
+  double seconds = 0.0;
+};
+
+Run run_solver(te::Solver& solver, const te::TeProblem& problem) {
   util::Stopwatch sw;
-  te::TeSolution sol = solver.solve(problem);
-  const double s = sw.elapsed_seconds();
-  if (seconds_out) *seconds_out = s;
-  if (!sol.solved) return "OOM/DNF";
-  if (s > budget_s) return util::Table::num(s, 2) + " (over budget)";
-  return util::Table::num(s, 2);
+  const te::TeSolution sol = solver.solve(problem);
+  return Run{sol.solved, sw.elapsed_seconds()};
+}
+
+/// Table cell for one solver run: its time, or OOM/DNF when it declined.
+std::string runtime_cell(const Run& r) {
+  if (!r.solved) return "OOM/DNF";
+  if (r.seconds > kBudgetS) {
+    return util::Table::num(r.seconds, 2) + " (over budget)";
+  }
+  return util::Table::num(r.seconds, 2);
+}
+
+/// Exports one solver's runtime at a sweep point. A run that did not solve
+/// gets `<key>_dnf = 1` and no `<key>_seconds`: the time it took to decline
+/// is not a runtime.
+void export_runtime(obs::MetricsRegistry& m, const std::string& point,
+                    const std::string& key, const Run& r) {
+  if (r.solved) {
+    m.gauge(point + key + "_seconds").set(r.seconds);
+  } else {
+    m.gauge(point + key + "_dnf").set(1.0);
+  }
 }
 
 }  // namespace
@@ -94,24 +118,19 @@ int main() {
       mega_opt.metrics = &report.metrics();  // stage/QoS timing histograms
       te::MegaTeSolver megate(mega_opt);
 
-      double lp_s = 0, nc_s = 0, teal_s = 0;
-      const std::string lp_cell = run_solver(lp_all, problem, 600, &lp_s);
-      const std::string nc_cell = run_solver(ncflow, problem, 600, &nc_s);
-      const std::string teal_cell = run_solver(teal, problem, 600, &teal_s);
+      const Run lp = run_solver(lp_all, problem);
+      const Run nc = run_solver(ncflow, problem);
+      const Run tl = run_solver(teal, problem);
 
       util::Stopwatch mega_sw;
       const te::SolveReport mega_report =
           megate.solve(problem, te::SolveContext{});
-      const double mega_s = mega_sw.elapsed_seconds();
-      const std::string mega_cell =
-          !mega_report.solution.solved
-              ? std::string("OOM/DNF")
-              : (mega_s > 600 ? util::Table::num(mega_s, 2) + " (over budget)"
-                              : util::Table::num(mega_s, 2));
+      const Run mega{mega_report.solution.solved, mega_sw.elapsed_seconds()};
 
       t.add_row({util::Table::with_commas(eps),
-                 util::Table::with_commas(flows), lp_cell, nc_cell,
-                 teal_cell, mega_cell,
+                 util::Table::with_commas(flows),
+                 runtime_cell(lp), runtime_cell(nc), runtime_cell(tl),
+                 runtime_cell(mega),
                  util::Table::num(mega_report.stage1_seconds, 2) + "/" +
                      util::Table::num(mega_report.stage2_seconds, 2)});
 
@@ -120,12 +139,16 @@ int main() {
                                 std::to_string(eps) + ".";
       auto& m = report.metrics();
       m.gauge(point + "flows").set(static_cast<double>(flows));
-      m.gauge(point + "lp_all_seconds").set(lp_s);
-      m.gauge(point + "ncflow_seconds").set(nc_s);
-      m.gauge(point + "teal_seconds").set(teal_s);
-      m.gauge(point + "megate_seconds").set(mega_s);
-      m.gauge(point + "megate_stage1_seconds").set(mega_report.stage1_seconds);
-      m.gauge(point + "megate_stage2_seconds").set(mega_report.stage2_seconds);
+      export_runtime(m, point, "lp_all", lp);
+      export_runtime(m, point, "ncflow", nc);
+      export_runtime(m, point, "teal", tl);
+      export_runtime(m, point, "megate", mega);
+      if (mega.solved) {
+        m.gauge(point + "megate_stage1_seconds")
+            .set(mega_report.stage1_seconds);
+        m.gauge(point + "megate_stage2_seconds")
+            .set(mega_report.stage2_seconds);
+      }
     }
     t.print(std::cout);
     std::cout << '\n';

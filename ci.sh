@@ -166,6 +166,11 @@ ASAN_FILTER+=':OnlineDifferential.*:PeriodSimChurnTest.*:ChaosChurnTest.*'
 ASAN_FILTER+=':TealRepairParity.*:RepairKernel.*:LearnedGate.*'
 ASAN_FILTER+=':FlowPredictorDeterminism.*:FlowPredictorEdgeCases.*'
 ASAN_FILTER+=':LearnedConcurrency.*'
+# Stage-1 presolve (tests/site_lp_presolve_test.cpp): the presolve walks
+# flat per-pair/per-link CSR slices and stamp arrays indexed by raw link
+# ids before the reduced model is built — an off-by-one slice bound is
+# ASan territory, and the differential sweep drives every path.
+ASAN_FILTER+=':SiteLpPresolve.*'
 
 run_asan() {
   cmake -S . -B build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -213,6 +218,9 @@ TSAN_FILTER+=':LearnedConcurrency.*:RepairKernel.*'
 # drive every build and repair path on real pool workers.
 TSAN_FILTER+=':TunnelParallel.*:Tunnels.*:KspDeterminism.*'
 TSAN_FILTER+=':TunnelBudgetProperty.*'
+# Clustered stage 1 submits one pool task per bucket (largest first) and
+# the presolve suite solves the same buckets on 1/2/4-thread pools.
+TSAN_FILTER+=':SiteLpPresolve.*'
 
 run_tsan() {
   cmake -S . -B build-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \

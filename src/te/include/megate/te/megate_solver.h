@@ -70,7 +70,8 @@ struct MegaTeOptions {
   /// the solve path). When set, each solve emits the "te.solve" span with
   /// nested "stage1"/"stage2" children, per-QoS-round stage timing
   /// histograms (te.stage1.q<N>.seconds, ...), a per-pair stage-2
-  /// duration histogram, and stage-2 memo hit/miss counters.
+  /// duration histogram, stage-2 memo hit/miss counters, and the stage-1
+  /// presolve counters te.stage1.presolve.{pairs_fixed,rows_dropped}.
   obs::MetricsRegistry* metrics = nullptr;
 };
 

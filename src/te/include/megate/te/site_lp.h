@@ -8,6 +8,12 @@
 //
 // Solved either exactly (dense simplex; small instances, tests) or by the
 // approximate packing solver (hyper-scale). kAuto picks by tableau size.
+//
+// An exact presolve runs before either backend (DESIGN.md §16): a link
+// row whose reachable demand fits its capacity is implied by the demand
+// rows and is not emitted, and a pair whose best tunnel crosses only such
+// rows is fixed at its full demand on that tunnel. The backend then sees
+// only the remaining pairs and rows.
 
 #include <unordered_map>
 #include <vector>
@@ -36,7 +42,8 @@ struct SiteLpOptions {
   /// reaches the solve (1 = inline serial, 0 = hardware concurrency).
   /// Results are bit-identical for every value.
   std::size_t packing_threads = 1;
-  /// kAuto picks the simplex while (rows+1)*(rows+vars+1) stays below this.
+  /// kAuto picks the simplex while (rows+1)*(rows+vars+1) of the presolved
+  /// LP stays below this.
   std::size_t max_simplex_cells = 4'000'000;
   /// Maximum SR hops (= tunnel link count) a column may represent; 0 =
   /// unlimited. Tunnels over the budget never become LP variables, so
@@ -53,10 +60,21 @@ struct SiteLpResult {
   std::unordered_map<topo::SitePair, std::vector<double>, topo::SitePairHash>
       alloc;
   double objective = 0.0;
+  /// Upper bound on the LP optimum of a kOptimal result: the objective
+  /// itself on the simplex backend, the packing solver's dual bound plus
+  /// the presolve-fixed objective on the packing backend.
+  double dual_bound = 0.0;
   lp::Status status = lp::Status::kInvalidModel;
   std::size_t iterations = 0;
+  /// Size of the LP the backend actually solved, after the presolve.
   std::size_t num_variables = 0;
   std::size_t num_constraints = 0;
+  /// Pairs the presolve fixed at full demand on their best tunnel (they
+  /// have no LP columns).
+  std::size_t pairs_fixed = 0;
+  /// Live link rows the presolve left out because the demand rows imply
+  /// them (including links no usable column crosses).
+  std::size_t rows_dropped = 0;
   bool used_simplex = false;
   /// True when the simplex backend reused a prior basis with zero pivots.
   bool warm_start_used = false;

@@ -453,6 +453,8 @@ TeSolution MegaTeSolver::solve_impl(const TeProblem& problem,
     if (reg != nullptr) {
       reg->histogram("te.stage1." + qos_label + ".seconds")
           .observe(s1_elapsed);
+      reg->counter("te.stage1.presolve.pairs_fixed").inc(lp.pairs_fixed);
+      reg->counter("te.stage1.presolve.rows_dropped").inc(lp.rows_dropped);
     }
     sol.iterations += lp.iterations;
     if (incremental) {
