@@ -82,25 +82,6 @@ void BM_PackingLargeOnly(benchmark::State& state) {
 BENCHMARK(BM_PackingLargeOnly)->Arg(2000)->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 
-void BM_PackingThreads(benchmark::State& state) {
-  // Batched-kernel thread sweep (Arg = worker threads, 0 = the serial
-  // reference loop) on the large instance. The contract is bit-identity
-  // across the sweep, so the only thing that may vary here is time.
-  auto model = site_shaped_model(2000, 160, 11);
-  lp::PackingOptions opt;
-  opt.epsilon = 0.1;
-  const std::size_t threads = static_cast<std::size_t>(state.range(0));
-  opt.threads = threads == 0 ? 1 : threads;
-  for (auto _ : state) {
-    lp::PackingSolver solver(opt);
-    auto sol = threads == 0 ? solver.solve_reference(model)
-                            : solver.solve(model);
-    benchmark::DoNotOptimize(sol);
-  }
-}
-BENCHMARK(BM_PackingThreads)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -131,30 +112,6 @@ int main(int argc, char** argv) {
     m.gauge("micro_lp.packing_objective").set(sol.objective);
     m.gauge("micro_lp.packing_gap")
         .set(exact > 0.0 ? 1.0 - sol.objective / exact : 0.0);
-  }
-  {
-    // Thread sweep on the large instance, with the bit-identity contract
-    // checked against the serial reference (1 = identical x vectors).
-    auto big = site_shaped_model(2000, 160, 11);
-    lp::PackingOptions opt;
-    opt.epsilon = 0.1;
-    megate::util::Stopwatch sw;
-    const auto ref = lp::PackingSolver(opt).solve_reference(big);
-    m.gauge("micro_lp.packing_threads.reference_seconds")
-        .set(sw.elapsed_seconds());
-    bool identical = true;
-    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-      lp::PackingOptions popt = opt;
-      popt.threads = threads;
-      sw.reset();
-      const auto got = lp::PackingSolver(popt).solve(big);
-      m.gauge("micro_lp.packing_threads.threads" +
-              std::to_string(threads) + "_seconds")
-          .set(sw.elapsed_seconds());
-      identical = identical && got.x == ref.x;
-    }
-    m.gauge("micro_lp.packing_threads.bit_identical")
-        .set(identical ? 1.0 : 0.0);
   }
   return report.write() ? 0 : 1;
 }

@@ -110,8 +110,8 @@ struct ChaosOptions {
   bool incremental_solve = false;
   /// Stage-1 LP backend knobs forwarded to the solver. The defaults keep
   /// the golden fingerprints on the historical auto/simplex path; the
-  /// stage-1 differential suite flips backend/packing_threads and asserts
-  /// the report fingerprint is invariant (DESIGN.md §12).
+  /// stage-1 determinism suite forces the packing backend and asserts the
+  /// report fingerprint repeats bit for bit (DESIGN.md §12).
   te::SiteLpOptions site_lp;
 
   // --- demand churn (ISSUE 9) ---------------------------------------------

@@ -14,8 +14,8 @@
 // shared arena (parallel row-index / coefficient arrays) and a column is
 // a contiguous [begin, begin+count) slice of it. Hyper-scale MaxSiteFlow
 // instances have O(100k) columns of ~5 entries each; one arena replaces
-// one heap allocation per column and hands the packing solver's batched
-// kernels flat, cache-linear arrays to sweep (DESIGN.md §12).
+// one heap allocation per column and hands the packing solver flat,
+// cache-linear arrays to sweep (DESIGN.md §12).
 
 #include <cstddef>
 #include <cstdint>

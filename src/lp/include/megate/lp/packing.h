@@ -13,14 +13,8 @@
 // solver would exhaust memory (the paper uses Gurobi on a 24-thread Xeon;
 // see DESIGN.md for the substitution argument).
 //
-// `solve` runs the GATE-style batched data-parallel formulation: each
-// Fleischer phase is a read-only column-scoring kernel (tiled across a
-// util::ThreadPool) followed by a serial in-index-order routing pass over
-// the flagged columns, and the final feasibility clamp accumulates edge
-// loads with a row-sharded gather kernel. Results are bit-identical to
-// `solve_reference` (the original single-threaded scalar loop, retained
-// as the differential-test oracle) for every thread count — see
-// DESIGN.md §12 for the determinism argument.
+// `solve` is one serial loop and is deterministic: the same model and
+// options give the same bits on every run (DESIGN.md §12).
 
 #include <cstddef>
 #include <limits>
@@ -29,9 +23,6 @@
 
 namespace megate::obs {
 class MetricsRegistry;
-}
-namespace megate::util {
-class ThreadPool;
 }
 
 namespace megate::lp {
@@ -49,16 +40,10 @@ struct PackingOptions {
   /// budget can never make progress — returning an all-zero "solution"
   /// as kOptimal would be a silent lie).
   std::size_t max_iterations = kAutoIterations;
-  /// Worker threads for the batched kernels when the caller does not pass
-  /// a pool to solve(): 1 = run the kernels inline (serial, the default),
-  /// 0 = hardware concurrency, N = a transient N-worker pool per solve.
-  /// Results are bit-identical for every value (DESIGN.md §12); callers
-  /// that solve repeatedly should pass a long-lived pool instead.
-  std::size_t threads = 1;
-  /// Optional PR-3 observability registry: the solver emits the
+  /// Optional observability registry: the solver emits the
   /// "lp.packing" span (children: flatten/phases/clamp/refill) plus
-  /// lp.packing.* counters for steps, routed and fast-forwarded phases,
-  /// and columns rescored. Null = zero overhead.
+  /// the lp.packing.{solves,steps,phases_routed} counters. Null = zero
+  /// overhead.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -66,16 +51,7 @@ class PackingSolver {
  public:
   explicit PackingSolver(PackingOptions options = {}) : options_(options) {}
 
-  /// Batched data-parallel solve. When `pool` is non-null its workers run
-  /// the tiled kernels (options_.threads is ignored); otherwise the
-  /// kernels run inline for threads == 1 or on a transient pool.
-  Solution solve(const Model& model,
-                 util::ThreadPool* pool = nullptr) const;
-
-  /// The pre-batching single-threaded scalar Garg–Könemann loop, kept as
-  /// the oracle for tests/stage1_parallel_test.cpp's differential suite:
-  /// solve() must reproduce it bit-for-bit at every thread count.
-  Solution solve_reference(const Model& model) const;
+  Solution solve(const Model& model) const;
 
   /// Upper bound on OPT derived from the final dual lengths; valid for any
   /// run that returned kOptimal. Exposed for the LP ablation bench.

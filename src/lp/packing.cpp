@@ -3,15 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "megate/obs/metrics.h"
 #include "megate/obs/span.h"
-#include "megate/util/thread_pool.h"
 
 namespace megate::lp {
 namespace {
@@ -22,8 +19,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// columns (positive profit, no zero-capacity row) as a CSR slab whose
 /// coefficients are divided by the column's profit, so every column has
 /// unit profit and the classic GK threshold-1 stopping rule applies
-/// uniformly. Both solve paths build this with the identical loop, so the
-/// normalized values are bitwise equal between them.
+/// uniformly.
 struct Flat {
   std::size_t nc = 0;                  ///< kept columns
   std::vector<double> profit;          ///< [nc] original objective coef
@@ -32,11 +28,6 @@ struct Flat {
   std::vector<std::uint32_t> rows;     ///< [nnz]
   std::vector<double> coefs;           ///< [nnz] a_ij / c_j
   bool unbounded = false;  ///< positive profit with an empty column
-  /// Every kept normalized coefficient is positive and finite — the
-  /// precondition for the certified fast column sums in solve(): with
-  /// all-positive terms the running sum bounds the absolute sum, so a
-  /// relative error margin is sound.
-  bool positive = true;
 };
 
 Flat flatten(const Model& model) {
@@ -62,10 +53,8 @@ Flat flatten(const Model& model) {
     f.profit.push_back(profit);
     f.id.push_back(static_cast<std::uint32_t>(j));
     for (std::size_t p = 0; p < col.size(); ++p) {
-      const double v = col.coef(p) / profit;
-      if (!(v > 0.0) || !std::isfinite(v)) f.positive = false;
       f.rows.push_back(static_cast<std::uint32_t>(col.row(p)));
-      f.coefs.push_back(v);
+      f.coefs.push_back(col.coef(p) / profit);
     }
     f.col_ptr.push_back(static_cast<std::uint32_t>(f.rows.size()));
   }
@@ -73,8 +62,7 @@ Flat flatten(const Model& model) {
   return f;
 }
 
-/// True when the options violate a solver precondition; shared by both
-/// solve paths so the guards cannot drift apart.
+/// True when the options violate a solver precondition.
 bool options_invalid(const PackingOptions& o) noexcept {
   // !(eps > 0) also catches NaN; eps >= 0.5 breaks the (1-3eps) bound.
   if (!(o.epsilon > 0.0) || o.epsilon >= 0.5) return true;
@@ -97,43 +85,9 @@ std::size_t step_cap(const PackingOptions& o, double md,
   return std::max<std::size_t>(theory, 1u << 20);
 }
 
-/// Relative half-width of the certainty window around a phase threshold
-/// for the strided (latency-breaking) column sums in solve(). A strided
-/// 4-accumulator sum of n positive terms differs from the reference's
-/// sequential sum by at most ~(n/4 + 4) ulps relatively; kSumMargin*(n+8)
-/// over-covers that by an order of magnitude, so whenever the fast sum
-/// lands outside the window the reference's comparison outcome is certain.
-/// Inside the window (astronomically rare) the sum is recomputed in exact
-/// reference order.
-constexpr double kSumMargin = 1e-15;
-
-/// Fixed column/row tile width for the batched kernels. Tiling is a
-/// function of the problem only — never of the worker count — so the
-/// slices each task writes are identical for every thread count.
-constexpr std::size_t kTile = 1024;
-
-/// Runs `body(tile, begin, end)` over [0, count) in kTile-wide slices,
-/// inline when no pool is given. Each tile owns a disjoint index range,
-/// so scheduling order cannot affect the result.
-void for_tiles(util::ThreadPool* pool, std::size_t count,
-               const std::function<void(std::size_t, std::size_t,
-                                        std::size_t)>& body) {
-  const std::size_t tiles = (count + kTile - 1) / kTile;
-  if (pool == nullptr || tiles <= 1) {
-    for (std::size_t t = 0; t < tiles; ++t) {
-      body(t, t * kTile, std::min(count, (t + 1) * kTile));
-    }
-    return;
-  }
-  pool->parallel_for(tiles, [&](std::size_t t) {
-    body(t, t * kTile, std::min(count, (t + 1) * kTile));
-  });
-}
-
 }  // namespace
 
-Solution PackingSolver::solve(const Model& model,
-                              util::ThreadPool* pool) const {
+Solution PackingSolver::solve(const Model& model) const {
   Solution sol;
   const std::size_t n = model.num_variables();
   const std::size_t m = model.num_constraints();
@@ -163,15 +117,6 @@ Solution PackingSolver::solve(const Model& model,
     return sol;
   }
 
-  // Kernel execution: a caller-provided pool wins; otherwise honor the
-  // threads knob (1 = inline). A transient pool per solve is fine for
-  // benches; repeat solvers (te::MegaTeSolver) pass their own.
-  std::unique_ptr<util::ThreadPool> owned;
-  if (pool == nullptr && options_.threads != 1) {
-    owned = std::make_unique<util::ThreadPool>(options_.threads);
-    pool = owned.get();
-  }
-
   const double md = static_cast<double>(m);
   const double delta = (1.0 + eps) * std::pow((1.0 + eps) * md, -1.0 / eps);
   const std::size_t max_steps = step_cap(options_, md, delta);
@@ -188,396 +133,6 @@ Solution PackingSolver::solve(const Model& model,
   const std::uint32_t* rw = f.rows.data();
   const double* cf = f.coefs.data();
 
-  // Scalar column length, used by the serial routing pass. Sums entries
-  // in CSR order — the same order as the scoring kernel and the serial
-  // reference, so all three agree bitwise.
-  auto length_of = [&](std::uint32_t c) {
-    double len = 0.0;
-    for (std::uint32_t p = cp[c]; p < cp[c + 1]; ++p) {
-      len += cf[p] * y[rw[p]];
-    }
-    return len;
-  };
-
-  // --- Batched Fleischer phases -----------------------------------------
-  // Three facts keep this path bitwise equal to solve_reference while
-  // skipping almost all of its per-phase work (see DESIGN.md §12):
-  //
-  //  1. The per-step bottleneck amount min_i b_i / a'_ij and the per-entry
-  //     dual multipliers 1 + eps * (a'_ij * amt / b_i) do not depend on
-  //     the duals; the reference recomputes the identical bits on every
-  //     routing step. Hoisting them into one parallel precompute (same
-  //     expressions, same scan order) changes no operation.
-  //  2. A column's rows are distinct (Model dedups coefficients), so the
-  //     dual update and the follow-up length recomputation fuse into one
-  //     ascending pass: each y_i reaches its final value at its own
-  //     update, and the ascending summation order is unchanged.
-  //  3. y only ever grows, so a stored length is a monotone lower bound
-  //     on the current one. A column — or a whole tile, via its cached
-  //     minimum — whose stored bound clears the threshold cannot need
-  //     routing; every candidate that survives the bound is re-checked
-  //     against its *current* length before routing, so the sequence of
-  //     float operations touching y and raw is exactly the reference's.
-  //
-  // The one-shot kernels (precompute, initial scoring, clamp, refill,
-  // final rescore) carry the thread parallelism; the phase loop itself
-  // runs on the monotone bounds and never pays a per-phase pool dispatch.
-  if (reg != nullptr) section.emplace(*reg, "phases");
-  std::uint64_t cols_rescored = 0;
-  std::vector<double> col_amt(f.nc);     // min_i b_i / a'_ij per column
-  std::vector<double> mult(f.rows.size());  // per-entry dual multiplier
-  for_tiles(pool, f.nc, [&](std::size_t, std::size_t b, std::size_t e) {
-    for (std::size_t c = b; c < e; ++c) {
-      double amt = kInf;
-      for (std::uint32_t p = cp[c]; p < cp[c + 1]; ++p) {
-        amt = std::min(amt, 1.0 / (cf[p] * inv_b[rw[p]]));
-      }
-      col_amt[c] = amt;
-      for (std::uint32_t p = cp[c]; p < cp[c + 1]; ++p) {
-        mult[p] = 1.0 + eps * (cf[p] * amt * inv_b[rw[p]]);
-      }
-    }
-  });
-
-  // Initial scoring: exact lengths under the uniform start duals.
-  std::vector<double> len(f.nc, 0.0);
-  for_tiles(pool, f.nc, [&](std::size_t, std::size_t b, std::size_t e) {
-    for (std::size_t c = b; c < e; ++c) {
-      len[c] = length_of(static_cast<std::uint32_t>(c));
-    }
-  });
-
-  // Frontier index: fixed-width column tiles of stored bounds with cached
-  // per-tile minima, so an empty phase costs one compare per tile and a
-  // sparse phase only walks the tiles that can still hold work. Geometry
-  // is a function of the problem, never of the thread count.
-  constexpr std::size_t kMinTile = 64;
-  const std::size_t ntiles = (f.nc + kMinTile - 1) / kMinTile;
-  std::vector<double> tile_min(ntiles, kInf);
-  auto refresh_tile = [&](std::size_t t) {
-    const std::size_t e = std::min(f.nc, (t + 1) * kMinTile);
-    double mn = kInf;
-    for (std::size_t c = t * kMinTile; c < e; ++c) mn = std::min(mn, len[c]);
-    tile_min[t] = mn;
-  };
-  for (std::size_t t = 0; t < ntiles; ++t) refresh_tile(t);
-  // The stored lengths are exact here, so this minimum equals the
-  // reference's ascending initial min scan (min is order-insensitive).
-  double global_min = kInf;
-  for (double v : tile_min) global_min = std::min(global_min, v);
-
-  double alpha = global_min;
-  std::size_t steps = 0;
-  std::uint64_t phases_routed = 0;
-  std::uint64_t phases_skipped = 0;
-  bool hit_limit = false;
-
-  // Fact 4 (the big serial win): phase-loop lengths feed *comparisons
-  // only* — they never enter the arithmetic that produces y, raw, or the
-  // dual bound. Bit-identical output therefore needs identical comparison
-  // OUTCOMES, not identical length bits. With all-positive terms
-  // (f.positive) the sum is computed with four strided accumulators —
-  // breaking the sequential-addition latency chain that dominates the
-  // rescan cost — and compared through a certified error window
-  // (kSumMargin): outside the window the reference's outcome is forced;
-  // inside it the sum is redone in exact reference order. Stored bounds
-  // are deflated by the margin so they stay true lower bounds.
-  const bool fastsum = f.positive;
-  auto fast_len = [&](std::uint32_t pb, std::uint32_t pe) {
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-    std::uint32_t p = pb;
-    for (; p + 4 <= pe; p += 4) {
-      s0 += cf[p] * y[rw[p]];
-      s1 += cf[p + 1] * y[rw[p + 1]];
-      s2 += cf[p + 2] * y[rw[p + 2]];
-      s3 += cf[p + 3] * y[rw[p + 3]];
-    }
-    for (; p < pe; ++p) s0 += cf[p] * y[rw[p]];
-    return (s0 + s1) + (s2 + s3);
-  };
-
-  while (alpha < 1.0 && !hit_limit) {
-    const double threshold = std::min(1.0, alpha * (1.0 + eps));
-    // Sound fast-forward: stored <= current, so a clearing stored minimum
-    // proves the reference's full scan of this phase would route nothing;
-    // the alpha multiply chain is the identical repeated product.
-    if (global_min >= threshold) {
-      alpha *= 1.0 + eps;
-      ++phases_skipped;
-      continue;
-    }
-    for (std::size_t t = 0; t < ntiles && !hit_limit; ++t) {
-      if (tile_min[t] >= threshold) continue;
-      const std::size_t e = std::min(f.nc, (t + 1) * kMinTile);
-      double mn = kInf;
-      for (std::size_t c = t * kMinTile; c < e; ++c) {
-        if (len[c] >= threshold) {  // bound already clears it
-          mn = std::min(mn, len[c]);
-          continue;
-        }
-        ++cols_rescored;
-        const double amt = col_amt[c];
-        const std::uint32_t pb = cp[c];
-        const std::uint32_t pe = cp[c + 1];
-        const double rel = kSumMargin * static_cast<double>(pe - pb + 8);
-        double s = fastsum ? fast_len(pb, pe)
-                           : length_of(static_cast<std::uint32_t>(c));
-        for (;;) {
-          bool below;
-          double bound;
-          if (fastsum) {
-            const double m = s * rel;
-            if (s + m < threshold) {
-              below = true;
-              bound = s - m;
-            } else if (s - m >= threshold) {
-              below = false;
-              bound = s - m;
-            } else {
-              // Ambiguous (or non-finite): settle with the exact order.
-              bound = length_of(static_cast<std::uint32_t>(c));
-              below = bound < threshold;
-            }
-          } else {
-            below = s < threshold;
-            bound = s;
-          }
-          if (!below) {
-            len[c] = bound;
-            break;
-          }
-          // The reference's routing step verbatim: the y multiplies hit
-          // distinct rows in ascending entry order with the precomputed
-          // (bit-equal) multipliers; the interleaved sum is read-only.
-          raw[f.id[c]] += amt;
-          if (fastsum) {
-            double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-            std::uint32_t p = pb;
-            for (; p + 4 <= pe; p += 4) {
-              y[rw[p]] *= mult[p];
-              s0 += cf[p] * y[rw[p]];
-              y[rw[p + 1]] *= mult[p + 1];
-              s1 += cf[p + 1] * y[rw[p + 1]];
-              y[rw[p + 2]] *= mult[p + 2];
-              s2 += cf[p + 2] * y[rw[p + 2]];
-              y[rw[p + 3]] *= mult[p + 3];
-              s3 += cf[p + 3] * y[rw[p + 3]];
-            }
-            for (; p < pe; ++p) {
-              y[rw[p]] *= mult[p];
-              s0 += cf[p] * y[rw[p]];
-            }
-            s = (s0 + s1) + (s2 + s3);
-          } else {
-            s = 0.0;
-            for (std::uint32_t p = pb; p < pe; ++p) {
-              y[rw[p]] *= mult[p];  // fused update + re-sum (facts 1+2)
-              s += cf[p] * y[rw[p]];
-            }
-          }
-          if (++steps >= max_steps) {
-            hit_limit = true;
-            len[c] = 0.0;  // trivially sound; the solve exits right away
-            break;
-          }
-        }
-        mn = std::min(mn, len[c]);
-        if (hit_limit) break;
-      }
-      // Single-walk cache refresh; on hit_limit the stale value is still
-      // a valid lower bound and the loop exits anyway.
-      if (!hit_limit) tile_min[t] = mn;
-    }
-    ++phases_routed;
-    alpha *= 1.0 + eps;
-    global_min = kInf;
-    for (double v : tile_min) global_min = std::min(global_min, v);
-  }
-  section.reset();
-
-  // --- Make the raw iterate exactly feasible ---------------------------
-  // The GK analysis scales raw flows by log_{1+eps}(1/delta); in practice
-  // the tight uniform clamp (divide by the worst row-overload ratio) is
-  // never worse and usually much better, and it is *exact*: the returned
-  // solution satisfies Ax <= b up to floating-point rounding.
-  //
-  // Edge-load accumulation is row-sharded: a CSR transpose whose per-row
-  // entries are in ascending column order lets each row's usage be
-  // gathered independently — the per-row addition order matches the
-  // reference's column-ascending scatter exactly, which a column-sharded
-  // scatter with per-thread partials could not offer (FP addition is not
-  // associative across partial merges). See DESIGN.md §12.
-  if (reg != nullptr) section.emplace(*reg, "clamp");
-  const std::size_t nnz = f.rows.size();
-  std::vector<std::uint32_t> row_ptr(m + 1, 0);
-  for (std::size_t p = 0; p < nnz; ++p) ++row_ptr[f.rows[p] + 1];
-  for (std::size_t i = 0; i < m; ++i) row_ptr[i + 1] += row_ptr[i];
-  std::vector<std::uint32_t> tcol(nnz);
-  std::vector<double> tcoef(nnz);
-  {
-    std::vector<std::uint32_t> fill(row_ptr.begin(), row_ptr.end() - 1);
-    for (std::size_t c = 0; c < f.nc; ++c) {
-      for (std::uint32_t p = cp[c]; p < cp[c + 1]; ++p) {
-        const std::uint32_t i = rw[p];
-        tcol[fill[i]] = static_cast<std::uint32_t>(c);
-        tcoef[fill[i]] = cf[p];
-        ++fill[i];
-      }
-    }
-  }
-
-  std::vector<double> usage(m, 0.0);
-  const std::size_t row_tiles = (m + kTile - 1) / kTile;
-  std::vector<double> tile_worst(row_tiles, 1.0);
-  for_tiles(pool, m, [&](std::size_t t, std::size_t b, std::size_t e) {
-    double worst = 1.0;
-    for (std::size_t i = b; i < e; ++i) {
-      double u = 0.0;
-      for (std::uint32_t q = row_ptr[i]; q < row_ptr[i + 1]; ++q) {
-        u += tcoef[q] * raw[f.id[tcol[q]]];
-      }
-      usage[i] = u;
-      if (u > model.rhs(i)) worst = std::max(worst, u * inv_b[i]);
-    }
-    tile_worst[t] = worst;
-  });
-  double worst_ratio = 1.0;
-  for (double v : tile_worst) worst_ratio = std::max(worst_ratio, v);
-  const double shrink = 1.0 / worst_ratio;
-  for_tiles(pool, m, [&](std::size_t, std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) usage[i] *= shrink;
-  });
-  for_tiles(pool, f.nc, [&](std::size_t, std::size_t b, std::size_t e) {
-    for (std::size_t c = b; c < e; ++c) raw[f.id[c]] *= shrink;
-  });
-  section.reset();
-
-  // --- Greedy refill ----------------------------------------------------
-  // The uniform clamp can leave slack on rows away from the global
-  // bottleneck; a single density-ordered pass tops columns up against the
-  // residual capacities. This only ever increases the objective and keeps
-  // feasibility by construction. Densities are precomputed in parallel
-  // (per-column sums in CSR order, bit-equal to the reference's on-the-fly
-  // comparator); the refill walk itself is a sequential residual chain.
-  if (reg != nullptr) section.emplace(*reg, "refill");
-  std::vector<double> weight(f.nc, 0.0);
-  for_tiles(pool, f.nc, [&](std::size_t, std::size_t b, std::size_t e) {
-    for (std::size_t c = b; c < e; ++c) {
-      // Density: profit per unit of normalized capacity consumed.
-      double w = 0.0;
-      for (std::uint32_t p = cp[c]; p < cp[c + 1]; ++p) {
-        w += cf[p] * inv_b[rw[p]];
-      }
-      weight[c] = w;
-    }
-  });
-  std::vector<std::size_t> order(f.nc);
-  for (std::size_t c = 0; c < f.nc; ++c) order[c] = c;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return weight[a] < weight[b];
-  });
-  constexpr double kSlackTol = 1e-12;
-  for (std::size_t c : order) {
-    double room = kInf;
-    for (std::uint32_t p = cp[c]; p < cp[c + 1]; ++p) {
-      const double residual = model.rhs(rw[p]) - usage[rw[p]];
-      room = std::min(room, residual / cf[p]);
-    }
-    if (room > kSlackTol) {
-      raw[f.id[c]] += room;
-      for (std::uint32_t p = cp[c]; p < cp[c + 1]; ++p) {
-        usage[rw[p]] += cf[p] * room;
-      }
-    }
-  }
-  section.reset();
-
-  // raw is in unit-profit coordinates (x'_j = c_j * x_j effectively folded
-  // into the normalized coefficients), so x_j = raw_j directly: we divided
-  // a_ij by c_j, meaning raw counts "profit units"; convert back.
-  for (std::size_t c = 0; c < f.nc; ++c) {
-    sol.x[f.id[c]] = raw[f.id[c]] / f.profit[c];
-  }
-
-  // Dual bound: for packing duality, OPT <= D(y) / min_j length_j once the
-  // algorithm stopped (min length ~ 1). Exposed for the ablation bench.
-  double dual_value = 0.0;
-  for (std::size_t i = 0; i < m; ++i) dual_value += model.rhs(i) * y[i];
-  const std::size_t fin_tiles = (f.nc + kTile - 1) / kTile;
-  tile_min.assign(fin_tiles, kInf);
-  for_tiles(pool, f.nc, [&](std::size_t t, std::size_t b, std::size_t e) {
-    double mn = kInf;
-    for (std::size_t c = b; c < e; ++c) {
-      double L = 0.0;
-      for (std::uint32_t p = cp[c]; p < cp[c + 1]; ++p) {
-        L += cf[p] * y[rw[p]];
-      }
-      mn = std::min(mn, L);
-    }
-    tile_min[t] = mn;
-  });
-  double min_len = kInf;
-  for (double v : tile_min) min_len = std::min(min_len, v);
-  last_dual_bound_ = dual_value / std::max(min_len, 1e-300);
-
-  if (reg != nullptr) {
-    reg->counter("lp.packing.solves").inc();
-    reg->counter("lp.packing.steps").inc(steps);
-    reg->counter("lp.packing.phases_routed").inc(phases_routed);
-    reg->counter("lp.packing.phases_fast_forwarded").inc(phases_skipped);
-    reg->counter("lp.packing.cols_rescored").inc(cols_rescored);
-  }
-
-  sol.objective = model.objective_value(sol.x);
-  sol.iterations = steps;
-  sol.status = hit_limit ? Status::kIterLimit : Status::kOptimal;
-  return sol;
-}
-
-// ---------------------------------------------------------------------------
-// Serial reference: the pre-batching scalar loop, preserved verbatim (its
-// float operations, not its data layout) as the differential-suite oracle.
-// ---------------------------------------------------------------------------
-
-Solution PackingSolver::solve_reference(const Model& model) const {
-  Solution sol;
-  const std::size_t n = model.num_variables();
-  const std::size_t m = model.num_constraints();
-  sol.x.assign(n, 0.0);
-  last_dual_bound_ = 0.0;
-
-  const double eps = options_.epsilon;
-  if (options_invalid(options_)) {
-    sol.status = Status::kInvalidModel;
-    return sol;
-  }
-
-  const Flat f = flatten(model);
-  if (f.unbounded) {
-    sol.status = Status::kUnbounded;
-    return sol;
-  }
-  if (f.nc == 0) {
-    sol.status = Status::kOptimal;
-    return sol;
-  }
-
-  const double md = static_cast<double>(m);
-  const double delta = (1.0 + eps) * std::pow((1.0 + eps) * md, -1.0 / eps);
-  const std::size_t max_steps = step_cap(options_, md, delta);
-
-  std::vector<double> y(m);
-  std::vector<double> inv_b(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    inv_b[i] = 1.0 / model.rhs(i);
-    y[i] = delta * inv_b[i];
-  }
-  std::vector<double> raw(n, 0.0);
-
-  const std::uint32_t* cp = f.col_ptr.data();
-  const std::uint32_t* rw = f.rows.data();
-  const double* cf = f.coefs.data();
-
   auto length_of = [&](std::size_t c) {
     double len = 0.0;
     for (std::uint32_t p = cp[c]; p < cp[c + 1]; ++p) {
@@ -586,13 +141,17 @@ Solution PackingSolver::solve_reference(const Model& model) const {
     return len;
   };
 
-  // Fleischer phases, scanned in full every time: every column's length
-  // is recomputed each phase whether or not it can still be routed.
+  // --- Fleischer phases --------------------------------------------------
+  // Phase threshold alpha*(1+eps); each phase walks the columns in index
+  // order and routes a column's bottleneck amount while its length stays
+  // under the threshold.
+  if (reg != nullptr) section.emplace(*reg, "phases");
   double alpha = kInf;
   for (std::size_t c = 0; c < f.nc; ++c) {
     alpha = std::min(alpha, length_of(c));
   }
   std::size_t steps = 0;
+  std::uint64_t phases = 0;
   bool hit_limit = false;
 
   while (alpha < 1.0 && !hit_limit) {
@@ -616,10 +175,17 @@ Solution PackingSolver::solve_reference(const Model& model) const {
       }
       if (hit_limit) break;
     }
+    ++phases;
     alpha *= 1.0 + eps;
   }
+  section.reset();
 
-  // Feasibility clamp: column-ascending scatter accumulation.
+  // --- Make the raw iterate exactly feasible ---------------------------
+  // The GK analysis scales raw flows by log_{1+eps}(1/delta); in practice
+  // the tight uniform clamp (divide by the worst row-overload ratio) is
+  // never worse and usually much better, and it is *exact*: the returned
+  // solution satisfies Ax <= b up to floating-point rounding.
+  if (reg != nullptr) section.emplace(*reg, "clamp");
   std::vector<double> usage(m, 0.0);
   auto accumulate_usage = [&](std::size_t c, double amount) {
     for (std::uint32_t p = cp[c]; p < cp[c + 1]; ++p) {
@@ -636,11 +202,18 @@ Solution PackingSolver::solve_reference(const Model& model) const {
   const double shrink = 1.0 / worst_ratio;
   for (std::size_t i = 0; i < m; ++i) usage[i] *= shrink;
   for (std::size_t c = 0; c < f.nc; ++c) raw[f.id[c]] *= shrink;
+  section.reset();
 
-  // Greedy refill, density order (weights computed inside the comparator).
+  // --- Greedy refill ----------------------------------------------------
+  // The uniform clamp can leave slack on rows away from the global
+  // bottleneck; a single density-ordered pass tops columns up against the
+  // residual capacities. This only ever increases the objective and keeps
+  // feasibility by construction.
+  if (reg != nullptr) section.emplace(*reg, "refill");
   std::vector<std::size_t> order(f.nc);
   for (std::size_t c = 0; c < f.nc; ++c) order[c] = c;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    // Density: profit per unit of normalized capacity consumed.
     auto weight = [&](std::size_t c) {
       double w = 0.0;
       for (std::uint32_t p = cp[c]; p < cp[c + 1]; ++p) {
@@ -662,11 +235,15 @@ Solution PackingSolver::solve_reference(const Model& model) const {
       accumulate_usage(c, room);
     }
   }
+  section.reset();
 
+  // raw counts "profit units" (a_ij was divided by c_j); convert back.
   for (std::size_t c = 0; c < f.nc; ++c) {
     sol.x[f.id[c]] = raw[f.id[c]] / f.profit[c];
   }
 
+  // Dual bound: for packing duality, OPT <= D(y) / min_j length_j once the
+  // algorithm stopped (min length ~ 1).
   double dual_value = 0.0;
   for (std::size_t i = 0; i < m; ++i) dual_value += model.rhs(i) * y[i];
   double min_len = kInf;
@@ -674,6 +251,12 @@ Solution PackingSolver::solve_reference(const Model& model) const {
     min_len = std::min(min_len, length_of(c));
   }
   last_dual_bound_ = dual_value / std::max(min_len, 1e-300);
+
+  if (reg != nullptr) {
+    reg->counter("lp.packing.solves").inc();
+    reg->counter("lp.packing.steps").inc(steps);
+    reg->counter("lp.packing.phases_routed").inc(phases);
+  }
 
   sol.objective = model.objective_value(sol.x);
   sol.iterations = steps;

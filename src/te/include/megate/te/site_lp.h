@@ -30,18 +30,12 @@ class ThreadPool;
 namespace megate::te {
 
 struct SiteLpOptions {
-  /// kPackingReference forces the packing solver's serial reference loop
-  /// (lp::PackingSolver::solve_reference); it exists for the stage-1
-  /// differential suite and speedup benches — production callers use
-  /// kAuto/kPacking, which are bit-identical to it anyway (DESIGN.md §12).
-  enum class Backend { kAuto, kSimplex, kPacking, kPackingReference };
+  /// kAuto picks the simplex or the packing solver by the presolved LP's
+  /// tableau size (max_simplex_cells below).
+  enum class Backend { kAuto, kSimplex, kPacking };
   Backend backend = Backend::kAuto;
   /// Approximation parameter for the packing backend.
   double packing_epsilon = 0.07;
-  /// Worker threads for the packing backend's batched kernels when no pool
-  /// reaches the solve (1 = inline serial, 0 = hardware concurrency).
-  /// Results are bit-identical for every value.
-  std::size_t packing_threads = 1;
   /// kAuto picks the simplex while (rows+1)*(rows+vars+1) of the presolved
   /// LP stays below this.
   std::size_t max_simplex_cells = 4'000'000;
@@ -91,10 +85,6 @@ struct SiteLpResult {
 /// demands) moves, so the prior basis often stays optimal and the LP
 /// resolves with zero pivots. Ignored by the packing backend, which clears
 /// `warm_out` so a stale basis is never replayed against it.
-///
-/// `pool`, when non-null, runs the packing backend's batched kernels
-/// (options.packing_threads is then ignored; the simplex backend never
-/// uses it). Must NOT be the pool this call itself runs on.
 SiteLpResult solve_max_site_flow(
     const topo::Graph& g, const topo::TunnelSet& tunnels,
     const std::unordered_map<topo::SitePair, double, topo::SitePairHash>&
@@ -102,8 +92,7 @@ SiteLpResult solve_max_site_flow(
     const std::vector<double>& capacity_override, double epsilon,
     const SiteLpOptions& options = {},
     const lp::SimplexWarmState* warm = nullptr,
-    lp::SimplexWarmState* warm_out = nullptr,
-    util::ThreadPool* pool = nullptr);
+    lp::SimplexWarmState* warm_out = nullptr);
 
 /// §8 extension ("Accelerating MaxSiteFlow solving"): NCFlow-style
 /// contraction applied to the *first stage only*. Sites are grouped into

@@ -446,7 +446,7 @@ TeSolution MegaTeSolver::solve_impl(const TeProblem& problem,
                   options_.threads, &pool)
             : solve_max_site_flow(g, tunnels, d_k, residual,
                                   problem.epsilon, options_.site_lp,
-                                  warm_in, warm_out, &pool);
+                                  warm_in, warm_out);
     s1_span.reset();
     const double s1_elapsed = s1.elapsed_seconds();
     stage1_s_ += s1_elapsed;

@@ -39,7 +39,7 @@ SiteLpResult solve_max_site_flow(
         site_demands,
     const std::vector<double>& capacity_override, double epsilon,
     const SiteLpOptions& options, const lp::SimplexWarmState* warm,
-    lp::SimplexWarmState* warm_out, util::ThreadPool* pool) {
+    lp::SimplexWarmState* warm_out) {
   if (!capacity_override.empty() &&
       capacity_override.size() != g.num_links()) {
     throw std::invalid_argument(
@@ -270,11 +270,8 @@ SiteLpResult solve_max_site_flow(
   } else {
     lp::PackingOptions popt;
     popt.epsilon = options.packing_epsilon;
-    popt.threads = options.packing_threads;
     lp::PackingSolver solver(popt);
-    lp_sol = options.backend == SiteLpOptions::Backend::kPackingReference
-                 ? solver.solve_reference(model)
-                 : solver.solve(model, pool);
+    lp_sol = solver.solve(model);
     lp_bound = solver.last_dual_bound();
     if (warm_out != nullptr) warm_out->clear();
   }
@@ -305,14 +302,8 @@ SiteLpResult solve_max_site_flow_clustered(
     std::size_t threads, util::ThreadPool* pool) {
   if (clusters < 2) {
     return solve_max_site_flow(g, tunnels, site_demands, capacity_override,
-                               epsilon, options, nullptr, nullptr, pool);
+                               epsilon, options);
   }
-  // The buckets below run *on* the pool, so the nested packing solves must
-  // stay inline: handing them the same pool would deadlock (a pool task
-  // blocking on sibling tasks), and a transient pool per bucket would
-  // oversubscribe. Parallelism comes from the bucket fan-out instead.
-  SiteLpOptions bucket_options = options;
-  bucket_options.packing_threads = 1;
   const std::vector<std::uint32_t> cluster =
       topo::cluster_sites(g, clusters);
 
@@ -384,7 +375,7 @@ SiteLpResult solve_max_site_flow_clustered(
       }
     }
     partial[i] = solve_max_site_flow(g, tunnels, b.demands, caps, epsilon,
-                                     bucket_options);
+                                     options);
   };
   // One pool task per bucket, largest first, so the biggest sub-LP starts
   // at once instead of queueing behind a chunk of small ones. The merge

@@ -342,16 +342,12 @@ TEST(Packing, RejectsBadEpsilon) {
   PackingOptions opt;
   opt.epsilon = 0.9;
   EXPECT_EQ(PackingSolver(opt).solve(m).status, Status::kInvalidModel);
-  EXPECT_EQ(PackingSolver(opt).solve_reference(m).status,
-            Status::kInvalidModel);
   opt.epsilon = 0.0;
   EXPECT_EQ(PackingSolver(opt).solve(m).status, Status::kInvalidModel);
-  EXPECT_EQ(PackingSolver(opt).solve_reference(m).status,
-            Status::kInvalidModel);
 }
 
 TEST(Packing, RejectsZeroIterationBudget) {
-  // max_iterations == 0 can never route anything; both paths must refuse
+  // max_iterations == 0 can never route anything; the solver must refuse
   // instead of returning the all-zero iterate labelled kOptimal.
   Model m;
   const auto x = m.add_variable(1.0);
@@ -359,8 +355,6 @@ TEST(Packing, RejectsZeroIterationBudget) {
   PackingOptions opt;
   opt.max_iterations = 0;
   EXPECT_EQ(PackingSolver(opt).solve(m).status, Status::kInvalidModel);
-  EXPECT_EQ(PackingSolver(opt).solve_reference(m).status,
-            Status::kInvalidModel);
   // The sentinel (and any positive cap) stays accepted.
   opt.max_iterations = PackingOptions::kAutoIterations;
   EXPECT_EQ(PackingSolver(opt).solve(m).status, Status::kOptimal);
@@ -380,7 +374,7 @@ TEST(Packing, DualBoundsOptimum) {
   EXPECT_GE(solver.last_dual_bound() + 1e-6, s.objective);
 }
 
-// --- Packing invariants on both solve paths --------------------------------
+// --- Packing invariants ----------------------------------------------------
 
 namespace {
 
@@ -405,8 +399,7 @@ Model random_packing_model(std::uint64_t seed, int nrows, int ncols) {
 
 }  // namespace
 
-// Property sweep over both the batched solve (serial and 4-thread) and
-// the reference loop: the primal iterate is feasible to within rounding,
+// Property sweep: the primal iterate is feasible to within rounding,
 // bounded above by the exposed dual bound, and — cross-checked against
 // the exact simplex — the dual bound really is an upper bound on OPT
 // while the primal stays a (1 - 3 eps)-approximation.
@@ -418,63 +411,47 @@ TEST(PackingInvariants, FeasibleAndDualBoundedOnAllPaths) {
     const Solution exact = SimplexSolver().solve(m);
     ASSERT_EQ(exact.status, Status::kOptimal) << "seed " << seed;
 
-    for (const std::size_t threads : {1u, 4u}) {
-      PackingOptions opt;
-      opt.epsilon = eps;
-      opt.threads = threads;
-      for (const bool reference : {false, true}) {
-        if (reference && threads != 1) continue;  // no threads knob there
-        PackingSolver solver(opt);
-        const Solution s =
-            reference ? solver.solve_reference(m) : solver.solve(m);
-        const std::string label = (reference ? "reference" : "batched") +
-                                  std::string(" threads=") +
-                                  std::to_string(threads) + " seed=" +
-                                  std::to_string(seed);
-        ASSERT_EQ(s.status, Status::kOptimal) << label;
-        // Primal feasibility: no row exceeds its rhs beyond rounding.
-        EXPECT_LE(m.max_violation(s.x), 1e-6) << label;
-        for (double v : s.x) EXPECT_GE(v, 0.0) << label;
-        // Weak duality, both against the solver's own bound and OPT.
-        const double dual = solver.last_dual_bound();
-        EXPECT_LE(s.objective, dual + 1e-6) << label;
-        EXPECT_GE(dual, exact.objective - 1e-6) << label;
-        // Approximation guarantee.
-        EXPECT_GE(s.objective, (1.0 - 3.0 * eps) * exact.objective - 1e-6)
-            << label;
-        EXPECT_LE(s.objective, exact.objective + 1e-6) << label;
-      }
-    }
+    PackingOptions opt;
+    opt.epsilon = eps;
+    PackingSolver solver(opt);
+    const Solution s = solver.solve(m);
+    const std::string label = "seed=" + std::to_string(seed);
+    ASSERT_EQ(s.status, Status::kOptimal) << label;
+    // Primal feasibility: no row exceeds its rhs beyond rounding.
+    EXPECT_LE(m.max_violation(s.x), 1e-6) << label;
+    for (double v : s.x) EXPECT_GE(v, 0.0) << label;
+    // Weak duality, both against the solver's own bound and OPT.
+    const double dual = solver.last_dual_bound();
+    EXPECT_LE(s.objective, dual + 1e-6) << label;
+    EXPECT_GE(dual, exact.objective - 1e-6) << label;
+    // Approximation guarantee.
+    EXPECT_GE(s.objective, (1.0 - 3.0 * eps) * exact.objective - 1e-6)
+        << label;
+    EXPECT_LE(s.objective, exact.objective + 1e-6) << label;
   }
 }
 
-// Degenerate shapes must behave identically on the batched and reference
-// paths: zero-capacity rows pin their columns, empty models and dead
-// columns are kOptimal at zero, a lone unconstrained profitable column is
-// unbounded.
+// Degenerate shapes: zero-capacity rows pin their columns, empty models
+// and dead columns are kOptimal at zero, a lone unconstrained profitable
+// column is unbounded — and a repeat solve returns the same answer.
 TEST(PackingInvariants, DegenerateModelsOnBothPaths) {
-  PackingOptions par;
-  par.threads = 4;
-  const auto both = [&](const Model& m) {
+  const auto solve_twice = [&](const Model& m) {
     const Solution a = PackingSolver().solve(m);
-    const Solution b = PackingSolver(par).solve(m);
-    const Solution c = PackingSolver().solve_reference(m);
+    const Solution c = PackingSolver().solve(m);
     EXPECT_EQ(a.status, c.status);
-    EXPECT_EQ(b.status, c.status);
     EXPECT_EQ(a.x, c.x);
-    EXPECT_EQ(b.x, c.x);
     return c;
   };
 
   {
     Model m;  // empty
-    EXPECT_EQ(both(m).status, Status::kOptimal);
+    EXPECT_EQ(solve_twice(m).status, Status::kOptimal);
   }
   {
     Model m;  // single column, single row
     const auto x = m.add_variable(2.0);
     m.add_coefficient(m.add_constraint(4.0), x, 1.0);
-    const Solution s = both(m);
+    const Solution s = solve_twice(m);
     EXPECT_EQ(s.status, Status::kOptimal);
     EXPECT_GT(s.x[x], 0.0);
     EXPECT_LE(m.max_violation(s.x), 1e-9);
@@ -483,7 +460,7 @@ TEST(PackingInvariants, DegenerateModelsOnBothPaths) {
     Model m;  // every column dead on a zero-capacity row
     const auto r = m.add_constraint(0.0);
     for (int j = 0; j < 3; ++j) m.add_coefficient(r, m.add_variable(1.0), 1.0);
-    const Solution s = both(m);
+    const Solution s = solve_twice(m);
     EXPECT_EQ(s.status, Status::kOptimal);
     for (double v : s.x) EXPECT_EQ(v, 0.0);
   }
@@ -495,7 +472,7 @@ TEST(PackingInvariants, DegenerateModelsOnBothPaths) {
     m.add_coefficient(dead_row, xd, 1.0);
     const auto xl = m.add_variable(1.0);
     m.add_coefficient(live_row, xl, 1.0);
-    const Solution s = both(m);
+    const Solution s = solve_twice(m);
     EXPECT_EQ(s.status, Status::kOptimal);
     EXPECT_EQ(s.x[xd], 0.0);
     EXPECT_GT(s.x[xl], 0.0);
@@ -505,13 +482,13 @@ TEST(PackingInvariants, DegenerateModelsOnBothPaths) {
     m.add_variable(-1.0);
     m.add_variable(0.0);
     m.add_constraint(3.0);
-    EXPECT_EQ(both(m).status, Status::kOptimal);
+    EXPECT_EQ(solve_twice(m).status, Status::kOptimal);
   }
   {
     Model m;  // profitable column with no rows at all
     m.add_variable(1.0);
     m.add_constraint(1.0);
-    EXPECT_EQ(both(m).status, Status::kUnbounded);
+    EXPECT_EQ(solve_twice(m).status, Status::kUnbounded);
   }
 }
 

@@ -21,12 +21,13 @@
 namespace {
 
 /// Contract check beyond the generic schema: BENCH_ablation_stage1.json
-/// must carry the full stage-1 packing thread sweep — per topology, the
-/// serial-reference time plus seconds/speedup at 1/2/4/8 threads, and
-/// the bit_identical gauge at exactly 1 (the batched solver's results
-/// matched the reference byte-for-byte at every thread count). Returns
-/// the violations found (empty == valid).
-std::vector<std::string> check_stage1_sweep(const megate::obs::Json& doc) {
+/// must carry, per topology, the joint LP's objective, dual bound and
+/// certified gap (1 - objective / dual_bound), with 0 <= gap <= 0.07 —
+/// the default te::SiteLpOptions::packing_epsilon. The gap is
+/// deterministic, so this contract cannot flake on timing. Returns the
+/// violations found (empty == valid).
+std::vector<std::string> check_stage1_gap(const megate::obs::Json& doc) {
+  constexpr double kMaxGap = 0.07;
   std::vector<std::string> violations;
   const auto* gauges = doc.find("gauges");
   if (gauges == nullptr || !gauges->is_object()) {
@@ -37,47 +38,41 @@ std::vector<std::string> check_stage1_sweep(const megate::obs::Json& doc) {
     const auto* g = gauges->find(name);
     return (g != nullptr && g->is_number()) ? g : nullptr;
   };
-  // Topologies are discovered from the reference gauge rather than
+  // Topologies are discovered from the objective gauge rather than
   // hard-coded, so adding a topology to the bench cannot silently skip
-  // the sweep contract.
-  const std::string ref_suffix = ".packing.reference_seconds";
+  // the gap contract.
+  const std::string suffix = ".joint_objective";
   std::size_t topologies = 0;
   for (const auto& [name, value] : gauges->members()) {
-    if (name.size() <= ref_suffix.size() ||
-        name.compare(name.size() - ref_suffix.size(), ref_suffix.size(),
-                     ref_suffix) != 0) {
+    if (name.size() <= suffix.size() ||
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) !=
+            0) {
       continue;
     }
     ++topologies;
-    const std::string prefix =
-        name.substr(0, name.size() - ref_suffix.size()) + ".packing.";
+    const std::string prefix = name.substr(0, name.size() - suffix.size());
     if (!value.is_number() || value.as_number() <= 0.0) {
       violations.push_back(name + " must be a positive number");
     }
-    for (const char* t : {"1", "2", "4", "8"}) {
-      for (const char* field : {"seconds", "speedup"}) {
-        const std::string key =
-            prefix + "threads" + t + "." + field;
-        const auto* g = gauge(key);
-        if (g == nullptr) {
-          violations.push_back("missing gauge " + key);
-        } else if (g->as_number() <= 0.0) {
-          violations.push_back(key + " must be positive");
-        }
-      }
+    const std::string bound_key = prefix + ".joint_dual_bound";
+    if (gauge(bound_key) == nullptr) {
+      violations.push_back("missing gauge " + bound_key);
     }
-    const std::string bk = prefix + "bit_identical";
-    const auto* bit = gauge(bk);
-    if (bit == nullptr) {
-      violations.push_back("missing gauge " + bk);
-    } else if (bit->as_number() != 1.0) {
-      violations.push_back(bk + " must be 1 (parallel results diverged "
-                                "from the serial reference)");
+    const std::string gap_key = prefix + ".joint_gap";
+    const auto* gap = gauge(gap_key);
+    if (gap == nullptr) {
+      violations.push_back("missing gauge " + gap_key);
+    } else if (!(gap->as_number() >= 0.0 && gap->as_number() <= kMaxGap)) {
+      violations.push_back(gap_key + " = " +
+                           std::to_string(gap->as_number()) +
+                           " outside [0, 0.07] (the objective exceeds its "
+                           "dual bound, or the certified gap is wider than "
+                           "the packing epsilon)");
     }
   }
   if (topologies == 0) {
-    violations.push_back("no <topo>.packing.reference_seconds gauges — "
-                         "stage-1 thread sweep missing");
+    violations.push_back("no <topo>.joint_objective gauges — stage-1 gap "
+                         "contract missing");
   }
   return violations;
 }
@@ -351,7 +346,7 @@ int main(int argc, char** argv) {
     const auto* source = doc->find("source");
     if (violations.empty() && source != nullptr && source->is_string()) {
       if (source->as_string() == "bench/ablation_stage1") {
-        violations = check_stage1_sweep(*doc);
+        violations = check_stage1_gap(*doc);
       } else if (source->as_string() == "bench/ablation_tunnels") {
         violations = check_ablation_tunnels(*doc);
       } else if (source->as_string() == "bench/online_churn") {
