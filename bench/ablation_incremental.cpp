@@ -1,8 +1,8 @@
-// Incremental warm-start ablation (ISSUE satellite): 20 TE intervals of a
+// Incremental-solve ablation: 20 TE intervals of a
 // low-churn workload (~10% of site pairs change demand per interval),
 // solved twice per interval — cold (MegaTeSolver::solve, the deployed
-// baseline) and incrementally (SolveContext::incremental: stage-2 memo + stage-1
-// basis warm start). The workload is endpoint-heavy so per-pair FastSSP
+// baseline) and incrementally (SolveContext::incremental: the stage-2
+// memo). The workload is endpoint-heavy so per-pair FastSSP
 // dominates, which is exactly where the memo pays: clean pairs replay
 // their cached assignment instead of re-running clustering + DP.
 //
@@ -60,10 +60,10 @@ double median(std::vector<double> v) {
 
 int main() {
   bench::print_header(
-      "Ablation: incremental warm-start solving across TE intervals",
+      "Ablation: incremental solving across TE intervals",
       "§5.2 'the TE system updates the TE decisions every few minutes' — "
       "consecutive intervals share most of their demand, so most per-pair "
-      "FastSSP work and the stage-1 optimal basis can be reused");
+      "FastSSP work can be reused");
 
   bench::BenchReport report("ablation_incremental");
   const std::size_t kIntervals = 20;
@@ -82,7 +82,7 @@ int main() {
   std::vector<double> cold_s, inc_s, dirty_frac, hit_rate;
   util::Table t("cold vs incremental per interval");
   t.header({"interval", "dirty pairs", "cold (ms)", "incr (ms)", "speedup",
-            "memo hit rate", "warm rounds"});
+            "memo hit rate"});
 
   for (std::size_t interval = 0; interval < kIntervals; ++interval) {
     if (interval > 0) {
@@ -135,8 +135,7 @@ int main() {
                    std::to_string(classified),
                util::Table::num(tc * 1e3, 1), util::Table::num(ti * 1e3, 1),
                util::Table::num(ti > 0.0 ? tc / ti : 0.0, 2) + "x",
-               util::Table::num(100.0 * hits, 1) + "%",
-               std::to_string(st.warm_start_rounds)});
+               util::Table::num(100.0 * hits, 1) + "%"});
   }
   t.print(std::cout);
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point. Three stages:
 #
-#   1. default build  + the full ctest suite
+#   1. default build  + the full ctest suite + metrics/header checks +
+#      the control-loop benchmark's toy-scale smoke test
 #   2. ASan+UBSan build of megate_tests, running every test in it
 #   3. TSan build of megate_tests, running every test in it
 #
@@ -35,6 +36,15 @@ run_default() {
   ctest --test-dir build --output-on-failure
   run_metrics_json_check
   run_header_check
+  run_loopbench_smoke
+}
+
+# The control-loop benchmark (loopbench/) reads the solver's public
+# report types; its toy-scale smoke test checks that every workload still
+# runs correct with failed == 0, prints exactly the declared metrics, and
+# keeps its plan fingerprint with tracing on and off.
+run_loopbench_smoke() {
+  python3 loopbench/smoke_test.py
 }
 
 # Every public header must compile standalone (self-contained includes):

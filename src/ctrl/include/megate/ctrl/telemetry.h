@@ -49,7 +49,6 @@ struct ControlCounters {
   std::uint64_t incremental_cache_hits = 0;    ///< stage-2 memo replays
   std::uint64_t incremental_cache_misses = 0;  ///< stage-2 recomputes
   std::uint64_t incremental_dirty_pairs = 0;   ///< pairs with changed demand
-  std::uint64_t incremental_warm_start_rounds = 0;  ///< 0-pivot stage-1 LPs
   std::uint64_t incremental_invalidations = 0;  ///< topology-forced drops
 };
 

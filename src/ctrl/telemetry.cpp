@@ -56,8 +56,6 @@ constexpr CounterField kCounterFields[] = {
     {"incremental_cache_hits", &ControlCounters::incremental_cache_hits},
     {"incremental_cache_misses", &ControlCounters::incremental_cache_misses},
     {"incremental_dirty_pairs", &ControlCounters::incremental_dirty_pairs},
-    {"incremental_warm_start_rounds",
-     &ControlCounters::incremental_warm_start_rounds},
     {"incremental_invalidations",
      &ControlCounters::incremental_invalidations},
 };

@@ -417,7 +417,6 @@ ChaosReport run_chaos(const ChaosOptions& options) {
       report.counters.incremental_cache_hits += is.ssp_cache_hits;
       report.counters.incremental_cache_misses += is.ssp_cache_misses;
       report.counters.incremental_dirty_pairs += is.dirty_pairs;
-      report.counters.incremental_warm_start_rounds += is.warm_start_rounds;
       report.counters.incremental_invalidations += is.cache_invalidations;
     }
     te::CheckOptions copt;

@@ -46,9 +46,6 @@ struct Solution {
   double objective = 0.0;
   std::vector<double> x;        ///< one value per variable
   std::size_t iterations = 0;   ///< pivots (simplex) / routings (packing)
-  /// True when the solve was answered from a prior basis (warm start)
-  /// instead of pivoting from scratch.
-  bool warm_start_used = false;
 };
 
 /// Column-wise packing-LP builder over an entry arena.
@@ -128,14 +125,6 @@ class Model {
   /// Largest constraint violation max_i (A x - b)_i, clamped at 0;
   /// used by tests and the packing solver's final feasibility clamp.
   double max_violation(const std::vector<double>& x) const;
-
-  /// Bitwise hash of the model's *structure*: dimensions, objective
-  /// coefficients and constraint matrix entries — everything except the
-  /// right-hand sides. Two models with equal hashes describe the same
-  /// polytope family up to rhs, which is exactly the invariance a simplex
-  /// warm start needs (the optimal basis stays dual-feasible when only b
-  /// changes).
-  std::uint64_t structural_hash() const noexcept;
 
  private:
   /// One column's slice of the arena.

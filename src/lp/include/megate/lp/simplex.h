@@ -12,8 +12,6 @@
 // against it on instances small enough for a dense tableau.
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 #include "megate/lp/model.h"
 
@@ -30,58 +28,12 @@ struct SimplexOptions {
   std::size_t max_tableau_doubles = 64ull * 1000 * 1000;
 };
 
-/// Snapshot of an optimal solve, sufficient to answer a later solve of a
-/// *structurally identical* model (same A and c, only b changed) without
-/// pivoting: the optimal basis stays dual-feasible under rhs changes, so if
-/// x_B = B^-1 b' is still non-negative the old basis is optimal for the new
-/// model too. `binv` is B^-1 (the final tableau's slack columns), row-major
-/// m x m. Produced by SimplexSolver::solve via `warm_out`; consumed via
-/// `warm`. Invalid (empty) states are ignored.
-///
-/// The state also carries the producing solve's rhs hash and solution
-/// vector: when the new model's rhs is *bitwise* identical too, the stored
-/// solution is returned verbatim. This matters beyond speed — recomputing
-/// x_B = B^-1 b by matvec is mathematically but not bitwise equal to the
-/// pivoted tableau values, and downstream consumers (FastSSP budgets, the
-/// chaos report fingerprint) are sensitive to the exact bits.
-struct SimplexWarmState {
-  std::uint64_t model_hash = 0;  ///< Model::structural_hash of the producer
-  std::uint64_t rhs_hash = 0;    ///< bitwise FNV over the producer's rhs
-  std::size_t rows = 0;
-  std::size_t cols = 0;
-  std::vector<std::size_t> basis;  ///< basic column per row (size == rows)
-  std::vector<double> binv;        ///< rows x rows, row-major
-  std::vector<double> x;           ///< the producer's optimal solution
-  double objective = 0.0;
-
-  bool valid() const noexcept {
-    return !basis.empty() && basis.size() == rows &&
-           binv.size() == rows * rows;
-  }
-  void clear() {
-    model_hash = 0;
-    rhs_hash = 0;
-    rows = cols = 0;
-    basis.clear();
-    binv.clear();
-    x.clear();
-    objective = 0.0;
-  }
-};
-
 class SimplexSolver {
  public:
   explicit SimplexSolver(SimplexOptions options = {}) : options_(options) {}
 
-  /// Solves the model. When `warm` is a valid state whose model hash
-  /// matches and whose basis is still primal-feasible for the new rhs, the
-  /// solution is reconstructed from the stored basis in O(m^2) with zero
-  /// pivots (Solution::warm_start_used = true); otherwise the solver falls
-  /// back to the cold all-slack start transparently. When `warm_out` is
-  /// non-null and the solve ends optimal, it is filled with the final
-  /// basis so the *next* interval can warm-start.
-  Solution solve(const Model& model, const SimplexWarmState* warm = nullptr,
-                 SimplexWarmState* warm_out = nullptr) const;
+  /// Solves the model from the all-slack basis.
+  Solution solve(const Model& model) const;
 
  private:
   SimplexOptions options_;

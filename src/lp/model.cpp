@@ -1,7 +1,6 @@
 #include "megate/lp/model.h"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 namespace megate::lp {
@@ -76,39 +75,6 @@ double Model::objective_value(const std::vector<double>& x) const {
   const std::size_t n = std::min(x.size(), obj_.size());
   for (std::size_t j = 0; j < n; ++j) v += obj_[j] * x[j];
   return v;
-}
-
-namespace {
-
-inline std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
-inline std::uint64_t fnv1a_double(std::uint64_t h, double v) noexcept {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return fnv1a_u64(h, bits);
-}
-
-}  // namespace
-
-std::uint64_t Model::structural_hash() const noexcept {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  h = fnv1a_u64(h, obj_.size());
-  h = fnv1a_u64(h, rhs_.size());
-  for (std::size_t j = 0; j < obj_.size(); ++j) {
-    h = fnv1a_double(h, obj_[j]);
-    const ColumnView col = column(j);
-    for (std::size_t p = 0; p < col.size(); ++p) {
-      h = fnv1a_u64(h, col.row(p));
-      h = fnv1a_double(h, col.coef(p));
-    }
-  }
-  return h;
 }
 
 double Model::max_violation(const std::vector<double>& x) const {

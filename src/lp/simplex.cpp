@@ -1,101 +1,18 @@
 #include "megate/lp/simplex.h"
 
-#include <cmath>
-#include <cstring>
+#include <algorithm>
 #include <limits>
 #include <vector>
 
 namespace megate::lp {
-namespace {
 
-/// Bitwise FNV-1a over the model's rhs vector.
-std::uint64_t rhs_fingerprint(const Model& model) noexcept {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  const std::size_t m = model.num_constraints();
-  for (std::size_t i = 0; i < m; ++i) {
-    std::uint64_t bits;
-    const double v = model.rhs(i);
-    std::memcpy(&bits, &v, sizeof(bits));
-    for (std::size_t b = 0; b < sizeof(bits); ++b) {
-      h ^= (bits >> (8 * b)) & 0xFF;
-      h *= 0x100000001B3ULL;
-    }
-  }
-  return h;
-}
-
-/// Tries to answer the solve from a previous optimal basis: with A and c
-/// unchanged the old basis stays dual-feasible, so it is optimal for the
-/// new rhs iff x_B = B^-1 b' is non-negative. Returns true and fills `sol`
-/// on success; returns false (basis primal-infeasible or stale) so the
-/// caller can fall back to a cold solve.
-bool try_warm_solve(const Model& model, const SimplexWarmState& warm,
-                    double tol, Solution& sol) {
-  const std::size_t n = model.num_variables();
-  const std::size_t m = model.num_constraints();
-  if (!warm.valid() || warm.rows != m || warm.cols != n) return false;
-  if (warm.model_hash != model.structural_hash()) return false;
-  for (std::size_t i = 0; i < m; ++i) {
-    if (warm.basis[i] >= n + m) return false;
-  }
-
-  // Bitwise-identical rhs: hand back the stored solution verbatim. The
-  // matvec below would agree only up to rounding, and exact bits matter
-  // to the incremental TE layer's memo keys.
-  if (warm.x.size() == n && warm.rhs_hash == rhs_fingerprint(model)) {
-    sol.x = warm.x;
-    sol.status = Status::kOptimal;
-    sol.iterations = 0;
-    sol.warm_start_used = true;
-    sol.objective = warm.objective;
-    return true;
-  }
-
-  std::vector<double> xb(m, 0.0);
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* row = warm.binv.data() + i * m;
-    double v = 0.0;
-    for (std::size_t j = 0; j < m; ++j) v += row[j] * model.rhs(j);
-    if (v < -tol) return false;  // basis infeasible for the new rhs
-    xb[i] = v;
-  }
-
-  sol.x.assign(n, 0.0);
-  for (std::size_t i = 0; i < m; ++i) {
-    if (warm.basis[i] < n) sol.x[warm.basis[i]] = std::max(0.0, xb[i]);
-  }
-  sol.status = Status::kOptimal;
-  sol.iterations = 0;
-  sol.warm_start_used = true;
-  sol.objective = model.objective_value(sol.x);
-  return true;
-}
-
-}  // namespace
-
-Solution SimplexSolver::solve(const Model& model,
-                              const SimplexWarmState* warm,
-                              SimplexWarmState* warm_out) const {
+Solution SimplexSolver::solve(const Model& model) const {
   Solution sol;
   const std::size_t n = model.num_variables();
   const std::size_t m = model.num_constraints();
   sol.x.assign(n, 0.0);
   if (n == 0) {
     sol.status = Status::kOptimal;
-    return sol;
-  }
-
-  if (warm != nullptr && try_warm_solve(model, *warm, options_.tolerance,
-                                        sol)) {
-    // The basis did not move; the next interval can reuse the same state.
-    // Refreshing the stored rhs/solution keeps the bitwise-exact reuse
-    // branch live across a chain of rhs-only changes.
-    if (warm_out != nullptr) {
-      if (warm_out != warm) *warm_out = *warm;
-      warm_out->rhs_hash = rhs_fingerprint(model);
-      warm_out->x = sol.x;
-      warm_out->objective = sol.objective;
-    }
     return sol;
   }
 
@@ -199,23 +116,6 @@ Solution SimplexSolver::solve(const Model& model,
     if (basis[i] < n) sol.x[basis[i]] = std::max(0.0, at(i, n + m));
   }
   sol.objective = model.objective_value(sol.x);
-
-  if (warm_out != nullptr && sol.status == Status::kOptimal) {
-    // The final tableau's slack columns are B^-1 (rows = B^-1 [A I | b]).
-    warm_out->model_hash = model.structural_hash();
-    warm_out->rhs_hash = rhs_fingerprint(model);
-    warm_out->rows = m;
-    warm_out->cols = n;
-    warm_out->basis = basis;
-    warm_out->binv.resize(m * m);
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < m; ++j) {
-        warm_out->binv[i * m + j] = at(i, n + j);
-      }
-    }
-    warm_out->x = sol.x;
-    warm_out->objective = sol.objective;
-  }
   return sol;
 }
 

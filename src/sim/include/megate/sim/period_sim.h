@@ -25,9 +25,8 @@
 // churned truth.
 //
 // API note: there is one entry point, taking a mutable graph (faults
-// strike it in place and it is restored before returning). The const
-// overload is a thin compat shim for fault-free callers and throws when
-// options request graph mutation.
+// strike it in place and it is restored before returning). Fault-free
+// runs never mutate it.
 
 #include <cstdint>
 #include <string>
@@ -70,8 +69,8 @@ struct PeriodSimOptions {
   /// Mid-simulation link failures (empty = the classic fault-free run).
   std::vector<PeriodLinkFault> link_faults;
   /// Solve each period incrementally (SolveContext::incremental) instead
-  /// of cold. Allocations stay equivalent (tests/incremental_test.cpp);
-  /// the per-period cache/warm-start telemetry lands in
+  /// of cold. Allocations stay bitwise equal (tests/incremental_test.cpp);
+  /// the per-period memo telemetry lands in
   /// PeriodOutcome::incremental. Link faults invalidate the retained
   /// state via the solver's topology fingerprint.
   bool incremental = false;
@@ -133,14 +132,6 @@ struct PeriodOutcome {
 /// returning.
 std::vector<PeriodOutcome> run_period_simulation(
     topo::Graph& graph, const topo::TunnelSet& tunnels,
-    const tm::TrafficMatrix& base, DemandKnowledge knowledge,
-    const PeriodSimOptions& options = {});
-
-/// Compat shim for const-graph callers: valid only for configurations
-/// that never mutate the graph (throws std::invalid_argument when
-/// options.link_faults is non-empty). Prefer the mutable overload.
-std::vector<PeriodOutcome> run_period_simulation(
-    const topo::Graph& graph, const topo::TunnelSet& tunnels,
     const tm::TrafficMatrix& base, DemandKnowledge knowledge,
     const PeriodSimOptions& options = {});
 

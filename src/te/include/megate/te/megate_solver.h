@@ -14,21 +14,20 @@
 // is rejected, satisfying constraints (1b)/(1c) by construction.
 //
 // Incremental solving (SolveContext::incremental): successive TE intervals
-// move only a fraction of the demand, so the solver retains per-interval
-// state —
-// pair demand fingerprints (tm::diff_traffic), a per-(pair, round) stage-2
-// memo (ssp::PairMemoCache) keyed by bitwise demand + F_{k,t} hashes, and
-// one lp::SimplexWarmState per QoS round. Any topology or capacity change
-// (link up/down, derate, tunnel repair — i.e. every fault-injector event)
-// flips the topology fingerprint and drops all retained state. See
-// DESIGN.md "Incremental solving across intervals".
+// move only a fraction of the demand, so the solver retains pair demand
+// fingerprints (tm::diff_traffic) and a per-(pair, round) stage-2 memo
+// (ssp::PairMemoCache) keyed by bitwise demand + F_{k,t} hashes. It runs
+// the same round loop as a cold solve — stage 1 always solves from
+// scratch — so its plan is bitwise identical to the cold one. Any
+// topology or capacity change (link up/down, derate, tunnel repair — i.e.
+// every fault-injector event) flips the topology fingerprint and drops all
+// retained state. See DESIGN.md "Incremental solving across intervals".
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
 
-#include "megate/lp/simplex.h"
 #include "megate/obs/metrics.h"
 #include "megate/ssp/fast_ssp.h"
 #include "megate/ssp/memo.h"
@@ -85,21 +84,16 @@ struct IncrementalStats {
   std::size_t ssp_cache_hits = 0;    ///< stage-2 solves replayed from memo
   std::size_t ssp_cache_misses = 0;  ///< stage-2 solves recomputed
   std::size_t cache_invalidations = 0;  ///< full drops (topology change)
-  std::size_t warm_start_rounds = 0;  ///< stage-1 LPs resolved with 0 pivots
-  std::size_t cold_lp_rounds = 0;     ///< stage-1 LPs pivoted from scratch
-  std::size_t lp_iterations = 0;      ///< total simplex pivots this solve
 };
 
 /// How one solve call should run. Passed by value next to the problem so
 /// the mode travels with the call, not with solver state.
 struct SolveContext {
-  /// Reuse state retained from the previous interval (demand-delta
-  /// classification, stage-2 memo, stage-1 warm bases) where the inputs
-  /// are bitwise unchanged. Identical feasible output to a cold solve
-  /// (same check_solution guarantees; enforced by
-  /// tests/incremental_test.cpp); falls back to a cold solve — never to
-  /// a wrong answer — whenever the topology fingerprint moved or a
-  /// cached key mismatches.
+  /// Reuse stage-2 results retained from the previous interval (the
+  /// per-pair memo) where the inputs are bitwise unchanged. The plan is
+  /// bitwise identical to a cold solve's (enforced by
+  /// tests/incremental_test.cpp); all retained state is dropped whenever
+  /// the topology fingerprint moved, and a key mismatch recomputes.
   bool incremental = false;
   /// Previous interval's problem; only needed to seed the demand delta
   /// when this solver has no retained state yet (e.g. the previous
@@ -148,8 +142,9 @@ class MegaTeSolver final : public Solver {
 
   std::string name() const override { return "MegaTE"; }
 
-  /// Base-interface shim (baselines, PeriodSim's Solver* callers): a
-  /// cold solve returning the solution only.
+  /// te::Solver interface (the Fig. 9/10 benches, property tests and
+  /// failure simulation hold solvers as Solver*): `solve(problem, {})`
+  /// returning the solution only.
   TeSolution solve(const TeProblem& problem) override;
 
   /// The one solve entry point: runs cold or incremental per `ctx` and
@@ -158,7 +153,7 @@ class MegaTeSolver final : public Solver {
   /// with the Solver::solve override above; pass `{}` for a cold solve.
   SolveReport solve(const TeProblem& problem, const SolveContext& ctx);
 
-  /// Drops all state retained for incremental solves (memo, warm bases,
+  /// Drops all state retained for incremental solves (memo and
   /// fingerprints). The next incremental solve runs cold.
   void reset_incremental();
 
@@ -184,22 +179,22 @@ class MegaTeSolver final : public Solver {
     bool valid = false;
     std::uint64_t topo_fp = 0;          ///< links + tunnels + epsilon
     tm::PairFingerprintMap pair_fps;    ///< previous interval's demands
-    std::vector<lp::SimplexWarmState> warm;  ///< one per QoS round
     ssp::PairMemoCache memo;
   };
 
-  TeSolution solve_impl(const TeProblem& problem, bool incremental);
-  TeSolution solve_incremental_impl(const TeProblem& problem,
-                                    const TeProblem* prev);
+  /// The round loop (SiteMerge -> stage 1 -> stage 2 -> residual repair
+  /// per QoS class). `inc` is the retained state of an incremental solve,
+  /// whose stage-2 memo it probes and fills; null on cold solves.
+  SolveReport solve_impl(const TeProblem& problem, IncrementalState* inc);
+  /// Refreshes (or drops) inc_state_ around solve_impl and fills
+  /// SolveReport::incremental.
+  SolveReport solve_incremental_impl(const TeProblem& problem,
+                                     const TeProblem* prev);
 
   MegaTeOptions options_;
-  double stage1_s_ = 0.0;
-  double stage2_s_ = 0.0;
-  std::size_t hop_violations_ = 0;
   std::unique_ptr<util::ThreadPool> pool_;
   std::size_t pool_threads_ = 0;
   std::unique_ptr<LearnedAllocator> learned_;
-  IncrementalStats inc_stats_;
   IncrementalState inc_state_;
 };
 

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "megate/lp/model.h"
-#include "megate/lp/simplex.h"
 #include "megate/topo/graph.h"
 #include "megate/topo/tunnels.h"
 
@@ -70,29 +69,19 @@ struct SiteLpResult {
   /// them (including links no usable column crosses).
   std::size_t rows_dropped = 0;
   bool used_simplex = false;
-  /// True when the simplex backend reused a prior basis with zero pivots.
-  bool warm_start_used = false;
 };
 
 /// Solves MaxSiteFlow for the given site-level demands D_k.
 /// `capacity_override`, when non-empty, replaces each link's capacity
 /// (used by the QoS-sequenced solve on residual capacity); entries must be
-/// >= 0 and the vector must have one entry per link.
-///
-/// `warm` / `warm_out` thread an optimal-basis snapshot through the simplex
-/// backend (see lp::SimplexWarmState): across TE intervals the model is
-/// structurally identical and only the rhs (residual capacities, site
-/// demands) moves, so the prior basis often stays optimal and the LP
-/// resolves with zero pivots. Ignored by the packing backend, which clears
-/// `warm_out` so a stale basis is never replayed against it.
+/// >= 0 and the vector must have one entry per link. Every call solves
+/// from scratch: the result depends only on the arguments.
 SiteLpResult solve_max_site_flow(
     const topo::Graph& g, const topo::TunnelSet& tunnels,
     const std::unordered_map<topo::SitePair, double, topo::SitePairHash>&
         site_demands,
     const std::vector<double>& capacity_override, double epsilon,
-    const SiteLpOptions& options = {},
-    const lp::SimplexWarmState* warm = nullptr,
-    lp::SimplexWarmState* warm_out = nullptr);
+    const SiteLpOptions& options = {});
 
 /// §8 extension ("Accelerating MaxSiteFlow solving"): NCFlow-style
 /// contraction applied to the *first stage only*. Sites are grouped into

@@ -197,36 +197,19 @@ void MegaTeSolver::set_options(const MegaTeOptions& options) {
 void MegaTeSolver::reset_incremental() { inc_state_ = IncrementalState{}; }
 
 TeSolution MegaTeSolver::solve(const TeProblem& problem) {
-  inc_stats_ = IncrementalStats{};
-  return solve_impl(problem, false);
+  return solve(problem, {}).solution;
 }
 
 SolveReport MegaTeSolver::solve(const TeProblem& problem,
                                 const SolveContext& ctx) {
+  if (!problem.valid()) throw std::invalid_argument("invalid TE problem");
   if (ctx.learned) return solve_learned(problem, ctx);
-  SolveReport report;
-  if (ctx.incremental) {
-    report.solution = solve_incremental_impl(problem, ctx.prev);
-  } else {
-    inc_stats_ = IncrementalStats{};
-    report.solution = solve_impl(problem, false);
-  }
-  report.stage1_seconds = stage1_s_;
-  report.stage2_seconds = stage2_s_;
-  report.incremental = inc_stats_;
-  report.hop_budget_violations = hop_violations_;
-  if (hop_violations_ > 0) {
-    report.error = "plan/encap contract violated: " +
-                   std::to_string(hop_violations_) +
-                   " allocation(s) exceed max_sr_hops=" +
-                   std::to_string(options_.site_lp.max_sr_hops);
-  }
-  return report;
+  return ctx.incremental ? solve_incremental_impl(problem, ctx.prev)
+                         : solve_impl(problem, nullptr);
 }
 
 SolveReport MegaTeSolver::solve_learned(const TeProblem& problem,
                                         const SolveContext& ctx) {
-  if (!problem.valid()) throw std::invalid_argument("invalid TE problem");
   LearnedAllocator& la = learned_allocator();
   obs::MetricsRegistry* reg = options_.metrics;
 
@@ -293,29 +276,27 @@ SolveReport MegaTeSolver::solve_learned(const TeProblem& problem,
     reg->counter("te.learned.fallbacks").inc();
     reg->counter("te.learned.fallback." + reason).inc();
   }
-  SolveContext exact_ctx = ctx;
-  exact_ctx.learned = false;
-  SolveReport report = solve(problem, exact_ctx);
+  SolveReport report = ctx.incremental
+                           ? solve_incremental_impl(problem, ctx.prev)
+                           : solve_impl(problem, nullptr);
   la.observe(problem, report.solution);
   stats.observations = la.observations();
   report.learned = std::move(stats);
   return report;
 }
 
-TeSolution MegaTeSolver::solve_incremental_impl(const TeProblem& problem,
-                                                const TeProblem* prev) {
-  if (!problem.valid()) throw std::invalid_argument("invalid TE problem");
-  inc_stats_ = IncrementalStats{};
-
+SolveReport MegaTeSolver::solve_incremental_impl(const TeProblem& problem,
+                                                 const TeProblem* prev) {
   const std::uint64_t fp = topology_fingerprint(
       *problem.graph, *problem.tunnels, problem.epsilon);
-  if (inc_state_.valid && inc_state_.topo_fp != fp) {
+  const bool invalidated = inc_state_.valid && inc_state_.topo_fp != fp;
+  if (invalidated) {
     // Topology or capacity moved (fault event, repair, derate): every
     // cached result was computed against a different network — drop all.
     inc_state_.memo.invalidate_all();
     inc_state_ = IncrementalState{};
-    ++inc_stats_.cache_invalidations;
   }
+  const bool used_incremental = inc_state_.valid;
   tm::PairFingerprintMap prev_fps = std::move(inc_state_.pair_fps);
   if (prev_fps.empty() && prev != nullptr && prev->valid()) {
     // No retained state (first call, or the caller solved the previous
@@ -327,35 +308,37 @@ TeSolution MegaTeSolver::solve_incremental_impl(const TeProblem& problem,
     }
   }
 
-  // Fingerprint the new matrix exactly once: the same map serves the
-  // delta classification, keys the stage-2 memo during solve_impl (which
-  // is why it must land in inc_state_ *before* the solve), and becomes
-  // the comparison baseline for the next interval.
+  // Fingerprint the new matrix exactly once: the same map keys the
+  // stage-2 memo during solve_impl (which is why it must land in
+  // inc_state_ *before* the solve), serves the delta classification and
+  // becomes the comparison baseline for the next interval.
   inc_state_.pair_fps = tm::fingerprint_pairs(*problem.traffic);
+  SolveReport report = solve_impl(problem, &inc_state_);
+
+  IncrementalStats& stats = report.incremental;
+  stats.used_incremental = used_incremental;
+  stats.cache_invalidations = invalidated ? 1 : 0;
   if (!prev_fps.empty()) {
     const tm::DemandDelta delta =
         tm::diff_traffic(prev_fps, inc_state_.pair_fps);
-    inc_stats_.dirty_pairs = delta.dirty_pairs();
-    inc_stats_.clean_pairs = delta.clean_pairs;
+    stats.dirty_pairs = delta.dirty_pairs();
+    stats.clean_pairs = delta.clean_pairs;
   }
-  inc_stats_.used_incremental = inc_state_.valid;
-
-  TeSolution sol = solve_impl(problem, true);
-
   inc_state_.topo_fp = fp;
   inc_state_.valid = true;
-  return sol;
+  return report;
 }
 
-TeSolution MegaTeSolver::solve_impl(const TeProblem& problem,
-                                    bool incremental) {
-  if (!problem.valid()) throw std::invalid_argument("invalid TE problem");
+SolveReport MegaTeSolver::solve_impl(const TeProblem& problem,
+                                     IncrementalState* inc) {
   const topo::Graph& g = *problem.graph;
   const topo::TunnelSet& tunnels = *problem.tunnels;
   const tm::TrafficMatrix& traffic = *problem.traffic;
 
   util::Stopwatch total_clock;
-  stage1_s_ = stage2_s_ = 0.0;
+  SolveReport report;
+  double stage1_s = 0.0;
+  double stage2_s = 0.0;
 
   // Observability (optional). Handles are resolved once up front; the
   // per-pair hot loops then pay one relaxed-atomic observe each.
@@ -369,11 +352,11 @@ TeSolution MegaTeSolver::solve_impl(const TeProblem& problem,
   obs::Counter* memo_misses =
       reg != nullptr ? &reg->counter("te.ssp.memo_misses") : nullptr;
   if (reg != nullptr) {
-    reg->counter(incremental ? "te.solves.incremental" : "te.solves.cold")
+    reg->counter(inc != nullptr ? "te.solves.incremental" : "te.solves.cold")
         .inc();
   }
 
-  TeSolution sol;
+  TeSolution& sol = report.solution;
   sol.solver_name = name();
   sol.total_demand_gbps = traffic.total_demand_gbps();
 
@@ -401,12 +384,6 @@ TeSolution MegaTeSolver::solve_impl(const TeProblem& problem,
       tm::QosClass::kClass1, tm::QosClass::kClass2, tm::QosClass::kClass3};
   const std::size_t num_rounds = sequencing ? rounds.size() : 1;
 
-  // Per-round warm bases captured this solve, replacing inc_state_.warm at
-  // the end (indexing by round number stays aligned across intervals even
-  // when a round is skipped: its slot just stays invalid).
-  std::vector<lp::SimplexWarmState> new_warm;
-  if (incremental) new_warm.resize(num_rounds);
-
   for (std::size_t round = 0; round < num_rounds; ++round) {
     const tm::QosClass qos = rounds[round];
     // Per-QoS-round histogram suffix ("q1".."q3", or "all" when QoS
@@ -429,15 +406,6 @@ TeSolution MegaTeSolver::solve_impl(const TeProblem& problem,
     util::Stopwatch s1;
     std::optional<obs::Span> s1_span;
     if (reg != nullptr) s1_span.emplace(*reg, "stage1");
-    const lp::SimplexWarmState* warm_in = nullptr;
-    lp::SimplexWarmState* warm_out = nullptr;
-    if (incremental) {
-      if (inc_state_.valid && round < inc_state_.warm.size() &&
-          inc_state_.warm[round].valid()) {
-        warm_in = &inc_state_.warm[round];
-      }
-      warm_out = &new_warm[round];
-    }
     SiteLpResult lp =
         options_.stage1_clusters > 1
             ? solve_max_site_flow_clustered(
@@ -445,11 +413,10 @@ TeSolution MegaTeSolver::solve_impl(const TeProblem& problem,
                   options_.stage1_clusters, options_.site_lp,
                   options_.threads, &pool)
             : solve_max_site_flow(g, tunnels, d_k, residual,
-                                  problem.epsilon, options_.site_lp,
-                                  warm_in, warm_out);
+                                  problem.epsilon, options_.site_lp);
     s1_span.reset();
     const double s1_elapsed = s1.elapsed_seconds();
-    stage1_s_ += s1_elapsed;
+    stage1_s += s1_elapsed;
     if (reg != nullptr) {
       reg->histogram("te.stage1." + qos_label + ".seconds")
           .observe(s1_elapsed);
@@ -457,14 +424,6 @@ TeSolution MegaTeSolver::solve_impl(const TeProblem& problem,
       reg->counter("te.stage1.presolve.rows_dropped").inc(lp.rows_dropped);
     }
     sol.iterations += lp.iterations;
-    if (incremental) {
-      if (lp.warm_start_used) {
-        ++inc_stats_.warm_start_rounds;
-      } else {
-        ++inc_stats_.cold_lp_rounds;
-      }
-      inc_stats_.lp_iterations += lp.iterations;
-    }
 
     // --- Stage 2: per-pair FastSSP, parallel across site pairs ---
     util::Stopwatch s2;
@@ -479,104 +438,79 @@ TeSolution MegaTeSolver::solve_impl(const TeProblem& problem,
                              std::chrono::steady_clock::now() - t0)
                              .count());
     };
-    if (!incremental) {
-      pool.parallel_for(pair_ids.size(), [&](std::size_t p) {
-        const auto t0 = std::chrono::steady_clock::now();
-        const topo::SitePair pair = pair_ids[p];
-        auto lp_it = lp.alloc.find(pair);
-        if (lp_it == lp.alloc.end()) return;
-        const auto& ts = tunnels.tunnels(pair.src, pair.dst);
-        // All pairs were pre-created above; find() avoids a concurrent
-        // operator[] insert on the shared map.
-        PairAllocation& alloc = sol.pairs.find(pair)->second;
-        const ClassView view = class_view(*pair_flows[p], qos, sequencing);
-        apply_assignment(view,
-                         solve_pair_stage2(view, lp_it->second, ts.size(),
-                                           options_.fast_ssp),
-                         alloc);
-        observe_pair(t0);
-      });
-    } else {
-      // Memoized stage 2. The memo key reuses the delta pass's per-pair
-      // flow-list fingerprint (inc_state_.pair_fps holds the *current*
-      // interval's map at this point) plus the bitwise hash of this
-      // round's F_{k,t}, so the serial probe phase is O(1) per pair.
-      // Hits replay their cached assignment straight off the flow list —
-      // no ClassView is materialized — walking flows in the same
-      // ascending order as apply_assignment, which keeps the tunnel_alloc
-      // accumulation bitwise identical to a recompute. Only the probes
-      // and inserts are serial (lock-free memo, deterministic insertion
-      // order); the O(flows) work runs under the pool like the cold path.
-      struct PairWork {
-        ClassView view;  // built only for misses
-        const std::vector<tm::EndpointDemand>* flows = nullptr;
-        const std::vector<double>* f_kt = nullptr;
-        std::size_t num_tunnels = 0;
-        std::uint64_t slot = 0;
-        ssp::PairSolveKey key;
-        const ssp::PairSolveEntry* hit = nullptr;
-        std::vector<std::int32_t> assignment;
-      };
-      std::vector<PairWork> work(pair_ids.size());
-      for (std::size_t p = 0; p < pair_ids.size(); ++p) {
-        const topo::SitePair pair = pair_ids[p];
-        auto lp_it = lp.alloc.find(pair);
-        if (lp_it == lp.alloc.end()) continue;
-        PairWork& w = work[p];
-        w.flows = pair_flows[p];
-        w.f_kt = &lp_it->second;
-        w.num_tunnels = tunnels.tunnels(pair.src, pair.dst).size();
-        w.slot = pair_round_slot(pair, round);
-        w.key.demand_hash = inc_state_.pair_fps.at(pair).hash;
-        w.key.alloc_hash = hash_doubles(*w.f_kt);
-        // Entry pointers stay valid until the insert loop below, and all
-        // applies happen before any insert.
-        w.hit = inc_state_.memo.lookup(w.slot, w.key);
-        if (w.hit != nullptr) {
-          ++inc_stats_.ssp_cache_hits;
-          if (memo_hits != nullptr) memo_hits->inc();
-        } else {
-          ++inc_stats_.ssp_cache_misses;
-          if (memo_misses != nullptr) memo_misses->inc();
-        }
+    // Memo probe, on incremental solves only. The key reuses the delta
+    // pass's per-pair flow-list fingerprint (inc->pair_fps holds the
+    // *current* interval's map) plus the bitwise hash of this round's
+    // F_{k,t}, so the serial probe is O(1) per pair. Probes and inserts
+    // are serial (lock-free memo, deterministic insertion order); entry
+    // pointers stay valid until the insert loop, after every apply.
+    struct MemoProbe {
+      bool probed = false;
+      ssp::PairSolveKey key;
+      const ssp::PairSolveEntry* hit = nullptr;
+      std::vector<std::int32_t> assignment;  // a miss's result, to insert
+    };
+    std::vector<MemoProbe> probes(inc != nullptr ? pair_ids.size() : 0);
+    for (std::size_t p = 0; p < probes.size(); ++p) {
+      auto lp_it = lp.alloc.find(pair_ids[p]);
+      if (lp_it == lp.alloc.end()) continue;
+      MemoProbe& m = probes[p];
+      m.probed = true;
+      m.key.demand_hash = inc->pair_fps.at(pair_ids[p]).hash;
+      m.key.alloc_hash = hash_doubles(lp_it->second);
+      m.hit = inc->memo.lookup(pair_round_slot(pair_ids[p], round), m.key);
+      if (m.hit != nullptr) {
+        ++report.incremental.ssp_cache_hits;
+        if (memo_hits != nullptr) memo_hits->inc();
+      } else {
+        ++report.incremental.ssp_cache_misses;
+        if (memo_misses != nullptr) memo_misses->inc();
       }
-      pool.parallel_for(work.size(), [&](std::size_t p) {
-        const auto t0 = std::chrono::steady_clock::now();
-        PairWork& w = work[p];
-        if (w.f_kt == nullptr) return;
-        PairAllocation& alloc = sol.pairs.find(pair_ids[p])->second;
-        if (w.hit == nullptr) {
-          w.view = class_view(*w.flows, qos, sequencing);
-          w.assignment = solve_pair_stage2(w.view, *w.f_kt, w.num_tunnels,
-                                           options_.fast_ssp);
-          apply_assignment(w.view, w.assignment, alloc);
-          observe_pair(t0);
-          return;
-        }
-        // Hit: the cached assignment is indexed by view position; the
-        // class filter below enumerates exactly class_view's positions.
-        const auto& flows = *w.flows;
+    }
+    pool.parallel_for(pair_ids.size(), [&](std::size_t p) {
+      const auto t0 = std::chrono::steady_clock::now();
+      const topo::SitePair pair = pair_ids[p];
+      auto lp_it = lp.alloc.find(pair);
+      if (lp_it == lp.alloc.end()) return;
+      // All pairs were pre-created above; find() avoids a concurrent
+      // operator[] insert on the shared map.
+      PairAllocation& alloc = sol.pairs.find(pair)->second;
+      const ssp::PairSolveEntry* hit =
+          probes.empty() ? nullptr : probes[p].hit;
+      if (hit != nullptr) {
+        // The cached assignment is indexed by view position; the class
+        // filter enumerates exactly class_view's positions, in the same
+        // ascending order as apply_assignment, so tunnel_alloc accumulates
+        // bitwise as on a recompute — without materializing a ClassView.
+        const auto& flows = *pair_flows[p];
         std::size_t vi = 0;
         for (std::size_t i = 0; i < flows.size(); ++i) {
           if (sequencing && flows[i].qos != qos) continue;
-          const std::int32_t t = w.hit->assignment[vi++];
+          const std::int32_t t = hit->assignment[vi++];
           if (t >= 0) {
             alloc.flow_tunnel[i] = t;
             alloc.tunnel_alloc[t] += flows[i].demand_gbps;
           }
         }
-        observe_pair(t0);
-      });
-      for (std::size_t p = 0; p < pair_ids.size(); ++p) {
-        PairWork& w = work[p];
-        if (w.f_kt == nullptr || w.hit != nullptr) continue;
-        inc_state_.memo.insert(w.slot, w.key,
-                               ssp::PairSolveEntry{std::move(w.assignment)});
+      } else {
+        const ClassView view = class_view(*pair_flows[p], qos, sequencing);
+        std::vector<std::int32_t> assignment = solve_pair_stage2(
+            view, lp_it->second, tunnels.tunnels(pair.src, pair.dst).size(),
+            options_.fast_ssp);
+        apply_assignment(view, assignment, alloc);
+        if (!probes.empty()) probes[p].assignment = std::move(assignment);
       }
+      observe_pair(t0);
+    });
+    for (std::size_t p = 0; p < probes.size(); ++p) {
+      MemoProbe& m = probes[p];
+      if (!m.probed || m.hit != nullptr) continue;
+      inc->memo.insert(pair_round_slot(pair_ids[p], round), m.key,
+                       ssp::PairSolveEntry{std::move(m.assignment)});
     }
     s2_span.reset();
     const double s2_elapsed = s2.elapsed_seconds();
-    stage2_s_ += s2_elapsed;
+    stage2_s += s2_elapsed;
     if (reg != nullptr) {
       reg->histogram("te.stage2." + qos_label + ".seconds")
           .observe(s2_elapsed);
@@ -650,8 +584,6 @@ TeSolution MegaTeSolver::solve_impl(const TeProblem& problem,
     }
   }
 
-  if (incremental) inc_state_.warm = std::move(new_warm);
-
   // Satisfied demand = sum of assigned flows.
   double satisfied = 0.0;
   for (std::size_t p = 0; p < pair_ids.size(); ++p) {
@@ -668,21 +600,26 @@ TeSolution MegaTeSolver::solve_impl(const TeProblem& problem,
   // the budget, so a non-zero count here is an internal bug — fail loudly
   // (solved=false + counter + SolveReport::error) instead of letting the
   // dataplane discover it one refused encapsulation at a time.
-  hop_violations_ = 0;
-  if (options_.site_lp.max_sr_hops > 0) {
-    hop_violations_ = count_hop_budget_violations(
-        problem, sol, options_.site_lp.max_sr_hops);
-    if (hop_violations_ > 0) {
+  const std::uint32_t hop_budget = options_.site_lp.max_sr_hops;
+  if (hop_budget > 0) {
+    const std::size_t violations =
+        count_hop_budget_violations(problem, sol, hop_budget);
+    if (violations > 0) {
       sol.solved = false;
+      report.hop_budget_violations = violations;
+      report.error = "plan/encap contract violated: " +
+                     std::to_string(violations) +
+                     " allocation(s) exceed max_sr_hops=" +
+                     std::to_string(hop_budget);
       if (reg != nullptr) {
-        reg->counter("te.hop_budget_violations").inc(hop_violations_);
+        reg->counter("te.hop_budget_violations").inc(violations);
       }
     }
   }
 
   if (reg != nullptr) {
-    reg->gauge("te.last.stage1_seconds").set(stage1_s_);
-    reg->gauge("te.last.stage2_seconds").set(stage2_s_);
+    reg->gauge("te.last.stage1_seconds").set(stage1_s);
+    reg->gauge("te.last.stage2_seconds").set(stage2_s);
     reg->gauge("te.last.solve_seconds").set(sol.solve_time_s);
     reg->gauge("te.last.satisfied_gbps").set(satisfied);
     reg->gauge("te.last.total_demand_gbps").set(sol.total_demand_gbps);
@@ -691,7 +628,9 @@ TeSolution MegaTeSolver::solve_impl(const TeProblem& problem,
   sol.est_memory_bytes =
       traffic.num_flows() * (sizeof(std::int32_t) + sizeof(double)) +
       tunnels.total_tunnels() * 64;
-  return sol;
+  report.stage1_seconds = stage1_s;
+  report.stage2_seconds = stage2_s;
+  return report;
 }
 
 }  // namespace megate::te

@@ -38,8 +38,7 @@ SiteLpResult solve_max_site_flow(
     const std::unordered_map<topo::SitePair, double, topo::SitePairHash>&
         site_demands,
     const std::vector<double>& capacity_override, double epsilon,
-    const SiteLpOptions& options, const lp::SimplexWarmState* warm,
-    lp::SimplexWarmState* warm_out) {
+    const SiteLpOptions& options) {
   if (!capacity_override.empty() &&
       capacity_override.size() != g.num_links()) {
     throw std::invalid_argument(
@@ -247,7 +246,6 @@ SiteLpResult solve_max_site_flow(
   result.dual_bound = fixed_objective;
   if (model.num_variables() == 0) {
     result.status = lp::Status::kOptimal;
-    if (warm_out != nullptr) warm_out->clear();
     return result;
   }
 
@@ -264,7 +262,7 @@ SiteLpResult solve_max_site_flow(
   double lp_bound = 0.0;
   if (use_simplex) {
     lp::SimplexSolver solver;
-    lp_sol = solver.solve(model, warm, warm_out);
+    lp_sol = solver.solve(model);
     result.used_simplex = true;
     lp_bound = lp_sol.objective;
   } else {
@@ -273,14 +271,12 @@ SiteLpResult solve_max_site_flow(
     lp::PackingSolver solver(popt);
     lp_sol = solver.solve(model);
     lp_bound = solver.last_dual_bound();
-    if (warm_out != nullptr) warm_out->clear();
   }
 
   result.status = lp_sol.status;
   result.objective += lp_sol.objective;
   result.dual_bound += lp_bound;
   result.iterations = lp_sol.iterations;
-  result.warm_start_used = lp_sol.warm_start_used;
 
   for (std::size_t j = 0; j < var_pair.size(); ++j) {
     const Pair& p = pairs[var_pair[j]];

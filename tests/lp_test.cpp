@@ -166,113 +166,6 @@ TEST(Simplex, SharedResourceSplit) {
   EXPECT_NEAR(s.x[y], 0.0, 1e-9);
 }
 
-// --- Simplex warm start -----------------------------------------------------
-
-namespace {
-
-/// A little two-pair "site LP" shape: four variables, two demand rows and
-/// one shared capacity row. Structure fixed, rhs parameterized.
-Model two_pair_model(double d1, double d2, double cap) {
-  Model m;
-  const auto a1 = m.add_variable(1.0);
-  const auto a2 = m.add_variable(0.9);
-  const auto b1 = m.add_variable(1.0);
-  const auto b2 = m.add_variable(0.8);
-  const auto rd1 = m.add_constraint(d1);
-  const auto rd2 = m.add_constraint(d2);
-  const auto rc = m.add_constraint(cap);
-  m.add_coefficient(rd1, a1, 1.0);
-  m.add_coefficient(rd1, a2, 1.0);
-  m.add_coefficient(rd2, b1, 1.0);
-  m.add_coefficient(rd2, b2, 1.0);
-  m.add_coefficient(rc, a1, 1.0);
-  m.add_coefficient(rc, b1, 1.0);
-  return m;
-}
-
-}  // namespace
-
-TEST(SimplexWarmStart, RhsOnlyChangeSolvesWithZeroPivots) {
-  const Model first = two_pair_model(3.0, 4.0, 100.0);
-  SimplexWarmState warm;
-  Solution cold = SimplexSolver().solve(first, nullptr, &warm);
-  ASSERT_EQ(cold.status, Status::kOptimal);
-  EXPECT_FALSE(cold.warm_start_used);
-  ASSERT_TRUE(warm.valid());
-  EXPECT_GT(cold.iterations, 0u);
-
-  // Same structure, perturbed demands: the old basis stays optimal.
-  const Model second = two_pair_model(3.5, 3.8, 100.0);
-  Solution hot = SimplexSolver().solve(second, &warm);
-  ASSERT_EQ(hot.status, Status::kOptimal);
-  EXPECT_TRUE(hot.warm_start_used);
-  EXPECT_EQ(hot.iterations, 0u);
-
-  Solution ref = SimplexSolver().solve(second);
-  ASSERT_EQ(ref.status, Status::kOptimal);
-  EXPECT_NEAR(hot.objective, ref.objective, 1e-9);
-  for (std::size_t j = 0; j < ref.x.size(); ++j) {
-    EXPECT_NEAR(hot.x[j], ref.x[j], 1e-9) << "variable " << j;
-  }
-}
-
-TEST(SimplexWarmStart, StructuralChangeFallsBackCold) {
-  const Model first = two_pair_model(3.0, 4.0, 100.0);
-  SimplexWarmState warm;
-  ASSERT_EQ(SimplexSolver().solve(first, nullptr, &warm).status,
-            Status::kOptimal);
-
-  // A structurally different model must miss the hash and solve cold.
-  Model different;
-  const auto v = different.add_variable(2.5);
-  const auto r = different.add_constraint(1.0);
-  different.add_coefficient(r, v, 1.0);
-  Solution s = SimplexSolver().solve(different, &warm);
-  ASSERT_EQ(s.status, Status::kOptimal);
-  EXPECT_FALSE(s.warm_start_used);
-  EXPECT_NEAR(s.x[v], 1.0, 1e-9);
-}
-
-TEST(SimplexWarmStart, InfeasibleBasisFallsBackCold) {
-  // First solve at high capacity: both a1 and b1 basic with large values.
-  const Model first = two_pair_model(30.0, 40.0, 100.0);
-  SimplexWarmState warm;
-  ASSERT_EQ(SimplexSolver().solve(first, nullptr, &warm).status,
-            Status::kOptimal);
-
-  // Capacity collapses below the basic values: x_B = B^-1 b' goes negative
-  // (the capacity slack leaves feasibility), so the warm path must refuse
-  // and the cold fallback must still find the right optimum.
-  const Model second = two_pair_model(30.0, 40.0, 10.0);
-  Solution s = SimplexSolver().solve(second, &warm);
-  ASSERT_EQ(s.status, Status::kOptimal);
-  EXPECT_FALSE(s.warm_start_used);
-  Solution ref = SimplexSolver().solve(second);
-  EXPECT_NEAR(s.objective, ref.objective, 1e-9);
-}
-
-TEST(SimplexWarmStart, WarmOutIsRefilledOnColdFallback) {
-  const Model first = two_pair_model(3.0, 4.0, 100.0);
-  SimplexWarmState warm;
-  ASSERT_EQ(SimplexSolver().solve(first, nullptr, &warm).status,
-            Status::kOptimal);
-  const std::uint64_t h1 = warm.model_hash;
-
-  Model different;
-  const auto v = different.add_variable(2.5);
-  const auto r = different.add_constraint(7.0);
-  different.add_coefficient(r, v, 1.0);
-  Solution s = SimplexSolver().solve(different, &warm, &warm);
-  ASSERT_EQ(s.status, Status::kOptimal);
-  EXPECT_FALSE(s.warm_start_used);
-  EXPECT_NE(warm.model_hash, h1);  // refreshed for the new structure
-
-  // And the refreshed state warm-starts the new structure.
-  Solution again = SimplexSolver().solve(different, &warm);
-  EXPECT_TRUE(again.warm_start_used);
-  EXPECT_NEAR(again.x[v], 7.0, 1e-9);
-}
-
 // --- Packing solver ---------------------------------------------------------
 
 TEST(Packing, MatchesSimplexOnSingleRow) {

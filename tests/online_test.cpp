@@ -563,17 +563,6 @@ TEST(PeriodSimChurnTest, DriftTriggerForcesMidPeriodResolves) {
   EXPECT_GT(resolves, 0u);
 }
 
-TEST(PeriodSimChurnTest, ConstShimAcceptsFaultFreeChurn) {
-  auto s = testing::make_scenario(6, 10, 3);
-  const topo::Graph& const_graph = s->graph;
-  const auto outcomes = sim::run_period_simulation(
-      const_graph, s->tunnels, s->traffic, sim::DemandKnowledge::kOracle,
-      churny_period_options());
-  std::size_t events = 0;
-  for (const auto& out : outcomes) events += out.churn_events;
-  EXPECT_GT(events, 0u);
-}
-
 // --- chaos integration ------------------------------------------------------
 
 fault::ChaosOptions churny_chaos() {

@@ -229,18 +229,13 @@ TEST(SiteLpPresolve, SolvesLightRoundOutright) {
   for (auto& [pair, d] : demands) d *= 0.5 * min_cap / total;
 
   const double epsilon = 0.02;
-  lp::SimplexWarmState warm_out;
-  warm_out.rows = 1;  // must be cleared: no basis comes out of this round
   const SiteLpResult got =
-      solve_max_site_flow(s->graph, s->tunnels, demands, {}, epsilon, {},
-                          nullptr, &warm_out);
+      solve_max_site_flow(s->graph, s->tunnels, demands, {}, epsilon);
   EXPECT_EQ(got.status, lp::Status::kOptimal);
   EXPECT_EQ(got.num_variables, 0u);
   EXPECT_EQ(got.num_constraints, 0u);
   EXPECT_EQ(got.iterations, 0u);
   EXPECT_FALSE(got.used_simplex);
-  EXPECT_FALSE(warm_out.valid());
-  EXPECT_EQ(warm_out.rows, 0u);
   EXPECT_EQ(got.rows_dropped, s->graph.num_links());
 
   // The fixed part is the whole answer: each pair's full demand on its

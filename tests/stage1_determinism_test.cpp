@@ -6,7 +6,7 @@
 //      of the Garg–Könemann loop changes the digest.
 //   2. Solve twice: the same LPs solved twice, by the same solver object
 //      and by a fresh one, agree bit for bit.
-//   3. Incremental warm start: a multi-interval te::MegaTeSolver run on the
+//   3. Incremental solves: a multi-interval te::MegaTeSolver run on the
 //      packing backend (cold + incremental solves over evolving traffic)
 //      gives bitwise-equal TeSolutions on two solvers with different
 //      stage-2 thread counts. The stage-2 memo keys on bitwise F_{k,t}
@@ -190,7 +190,7 @@ TEST(Stage1Determinism, SolveTwiceBitIdentical) {
   }
 }
 
-// --- 3. te::MegaTeSolver warm-start determinism ----------------------------
+// --- 3. te::MegaTeSolver incremental determinism ---------------------------
 
 /// Evolves a traffic matrix by one interval (seeded per flow, independent
 /// of container iteration order) — same idiom as incremental_test.cpp.
