@@ -25,11 +25,20 @@
 //      (changed keys only) vs republishing the full table. Gauge
 //      micro_kvstore.publish.delta_ratio must stay <= the churn rate —
 //      structural sharing means unchanged buckets are never rewritten.
+//
+//   3. First-publish cost per key at 100k and 1M keys, in the same run:
+//      gauges micro_kvstore.first_publish.us_per_key_{100k,1m} and their
+//      ratio micro_kvstore.first_publish.per_key_ratio_1m_vs_100k, which
+//      check_metrics_json bounds at 2. The store sizes its table for the
+//      batch before applying it, so the per-key cost stays flat; applying
+//      into the 8 starting buckets would make it grow with the key count.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <ctime>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -354,6 +363,41 @@ int main(int argc, char** argv) {
                      static_cast<double>(full_bytes)
                : 0.0);
   m.gauge("micro_kvstore.publish.churn").set(kChurn);
+
+  // --- experiment 3: first-publish cost per key across table sizes --------
+  // Best of a few runs per size into a fresh store, the two sizes
+  // interleaved, so a slow stretch of the host does not masquerade as a
+  // scaling effect. Timed in process CPU time (every reader thread above
+  // has been joined), so preemption by other processes does not count.
+  constexpr std::size_t kSweepSmall = 100000;
+  constexpr std::size_t kSweepLarge = 1000000;
+  constexpr int kSweepReps = 5;
+  std::vector<std::pair<std::string, std::string>> large;
+  large.reserve(kSweepLarge);
+  for (std::size_t i = 0; i < kSweepLarge; ++i) {
+    large.emplace_back("path/" + std::to_string(i), "7:1,2,3|9:1,4");
+  }
+  const std::vector<std::pair<std::string, std::string>> small(
+      large.begin(), large.begin() + kSweepSmall);
+  const auto publish_us_per_key =
+      [](const std::vector<std::pair<std::string, std::string>>& batch) {
+        KvStore fresh(kShards);
+        const std::clock_t start = std::clock();
+        fresh.publish(batch);
+        return static_cast<double>(std::clock() - start) * 1e6 /
+               CLOCKS_PER_SEC / static_cast<double>(batch.size());
+      };
+  double per_key_small = 0.0, per_key_large = 0.0;
+  for (int r = 0; r < kSweepReps; ++r) {
+    const double s_us = publish_us_per_key(small);
+    const double l_us = publish_us_per_key(large);
+    per_key_small = r == 0 ? s_us : std::min(per_key_small, s_us);
+    per_key_large = r == 0 ? l_us : std::min(per_key_large, l_us);
+  }
+  m.gauge("micro_kvstore.first_publish.us_per_key_100k").set(per_key_small);
+  m.gauge("micro_kvstore.first_publish.us_per_key_1m").set(per_key_large);
+  m.gauge("micro_kvstore.first_publish.per_key_ratio_1m_vs_100k")
+      .set(per_key_small > 0.0 ? per_key_large / per_key_small : 0.0);
 
   // Write while the store is alive: bind_metrics callbacks read its cells.
   return report.write() ? 0 : 1;

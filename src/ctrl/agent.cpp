@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <utility>
 
 namespace megate::ctrl {
 namespace {
@@ -31,6 +32,7 @@ EndpointAgent::EndpointAgent(std::vector<std::uint64_t> instance_ids,
   keys_.reserve(ids_.size());
   for (std::uint64_t id : ids_) keys_.push_back(path_key(id));
   routes_.resize(ids_.size());
+  raw_.resize(ids_.size());
   next_poll_s_ = poll_phase(ids_.front(),
                             options_.spread_interval_s > 0.0
                                 ? options_.spread_interval_s
@@ -95,7 +97,12 @@ const std::vector<std::uint32_t>& EndpointAgent::hops_for(
 }
 
 void EndpointAgent::apply_entry(std::size_t idx, GetStatus status,
-                                const std::string& value) {
+                                std::string value) {
+  // An entry equal to the last applied one changes nothing: skip the
+  // decode and the host-stack writes. A pull then costs O(changed
+  // entries) on the host, however many instances it serves.
+  std::optional<std::string>& raw = raw_[idx];
+  if (status == GetStatus::kOk ? raw == value : !raw.has_value()) return;
   // kMiss clears the table: with delta publishing the controller erases
   // an instance's entry when it loses all assigned flows, and the
   // instance falls back to five-tuple hashing.
@@ -116,6 +123,11 @@ void EndpointAgent::apply_entry(std::size_t idx, GetStatus status,
     }
   }
   routes_[idx] = std::move(fresh);
+  if (status == GetStatus::kOk) {
+    raw = std::move(value);
+  } else {
+    raw.reset();
+  }
 }
 
 bool EndpointAgent::try_pull_batch() {
@@ -165,7 +177,7 @@ bool EndpointAgent::try_pull_batch() {
   }
   bool any_ok = false;
   for (std::size_t i = 0; i < results.size(); ++i) {
-    apply_entry(i, results[i].status, results[i].value);
+    apply_entry(i, results[i].status, std::move(results[i].value));
     if (results[i].status == GetStatus::kOk) any_ok = true;
   }
   if (any_ok && c != nullptr) ++c->pulls;

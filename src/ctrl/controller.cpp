@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
-#include <unordered_map>
+#include <cmath>
 
 #include "megate/dataplane/host_stack.h"
 
@@ -79,25 +79,41 @@ std::vector<RouteEntry> decode_routes(const std::string& text) {
 
 std::uint64_t Controller::full_table_bytes() const noexcept {
   std::uint64_t bytes = 0;
-  for (const auto& [instance, encoded] : live_) {
-    bytes += path_key(instance).size() + encoded.size();
+  for (const auto& [instance, live] : live_) {
+    bytes += path_key(instance).size() + live.encoded.size();
   }
   return bytes;
 }
 
+namespace {
+
+/// One assigned flow's candidate route: (instance, destination site) is
+/// the route-table slot, the tunnel its hop list.
+struct Pick {
+  std::uint64_t instance;
+  std::uint32_t dst;
+  std::uint32_t flow;  ///< index in the pair's flow vector
+  double demand;
+  const topo::Tunnel* tunnel;
+};
+
+void append_uint(std::string* out, std::uint64_t v) {
+  char buf[20];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  out->append(buf, end);
+}
+
+}  // namespace
+
 Version Controller::publish_solution(const te::TeProblem& problem,
                                      const te::TeSolution& sol) {
-  // Collect each source instance's route table: one entry per destination
-  // site it has an assigned flow towards. When several flows of the same
-  // (instance, destination site) land on different tunnels, the largest
-  // flow's tunnel wins — the instance-level pinning of §4.1.
-  struct Picked {
-    double demand = -1.0;
-    RouteEntry route;
-  };
-  std::unordered_map<std::uint64_t,
-                     std::unordered_map<std::uint32_t, Picked>>
-      tables;
+  // One pick per assigned flow. Sorting by (instance, destination site,
+  // demand descending, flow index) puts each instance's table in one run
+  // with the winning flow first in every slot: when several flows of the
+  // same (instance, destination site) land on different tunnels, the
+  // largest flow's tunnel wins, the first in flow order on a tie — the
+  // instance-level pinning of §4.1.
+  std::vector<Pick> picks;
   for (const auto& [pair, alloc] : sol.pairs) {
     if (alloc.flow_tunnel.empty()) continue;
     auto it = problem.traffic->pairs().find(pair);
@@ -108,53 +124,66 @@ Version Controller::publish_solution(const te::TeProblem& problem,
          i < flows.size() && i < alloc.flow_tunnel.size(); ++i) {
       const std::int32_t t = alloc.flow_tunnel[i];
       if (t < 0 || static_cast<std::size_t>(t) >= tunnels.size()) continue;
-      Picked& slot = tables[flows[i].src][pair.dst];
-      if (flows[i].demand_gbps <= slot.demand) continue;
-      slot.demand = flows[i].demand_gbps;
-      slot.route.dst_site = pair.dst;
-      slot.route.hops.clear();
-      for (topo::EdgeId e : tunnels[t].links) {
-        slot.route.hops.push_back(problem.graph->link(e).dst);
-      }
+      const double d = flows[i].demand_gbps;
+      // NaN sorts as the smallest demand, keeping the order strict-weak.
+      picks.push_back({flows[i].src, pair.dst, static_cast<std::uint32_t>(i),
+                       std::isnan(d) ? -HUGE_VAL : d, &tunnels[t]});
     }
   }
+  std::sort(picks.begin(), picks.end(), [](const Pick& a, const Pick& b) {
+    if (a.instance != b.instance) return a.instance < b.instance;
+    if (a.dst != b.dst) return a.dst < b.dst;
+    if (a.demand != b.demand) return a.demand > b.demand;
+    return a.flow < b.flow;
+  });
 
   // Encode each instance's table canonically (sorted by destination
-  // site) so an unchanged table produces a byte-identical string and
-  // therefore no delta entry — unordered_map iteration order must not
-  // masquerade as churn.
-  std::unordered_map<std::uint64_t, std::string> fresh;
-  fresh.reserve(tables.size());
-  for (const auto& [instance, by_site] : tables) {
-    std::vector<RouteEntry> routes;
-    routes.reserve(by_site.size());
-    for (const auto& [site, picked] : by_site) {
-      routes.push_back(picked.route);
-    }
-    std::sort(routes.begin(), routes.end(),
-              [](const RouteEntry& a, const RouteEntry& b) {
-                return a.dst_site < b.dst_site;
-              });
-    fresh.emplace(instance, encode_routes(routes));
-  }
-
+  // site) into one reused buffer and compare it in place against the
+  // live copy: an unchanged table produces no delta entry. Every table
+  // this publish carries is stamped; unstamped live tables are erased.
+  ++stamp_;
   KvDelta delta;
-  for (const auto& [instance, encoded] : fresh) {
-    auto it = live_.find(instance);
-    if (it != live_.end() && it->second == encoded) continue;  // unchanged
+  std::string encoded;
+  for (std::size_t i = 0; i < picks.size();) {
+    const std::uint64_t instance = picks[i].instance;
+    encoded.clear();
+    for (; i < picks.size() && picks[i].instance == instance; ++i) {
+      const Pick& p = picks[i];
+      if (i > 0 && picks[i - 1].instance == instance &&
+          picks[i - 1].dst == p.dst) {
+        continue;  // a smaller flow of an already encoded slot
+      }
+      if (!encoded.empty()) encoded.push_back('|');
+      if (p.dst == dataplane::kAnyDstSite) {
+        encoded.push_back('*');
+      } else {
+        append_uint(&encoded, p.dst);
+      }
+      encoded.push_back(':');
+      for (std::size_t h = 0; h < p.tunnel->links.size(); ++h) {
+        if (h) encoded.push_back(',');
+        append_uint(&encoded, problem.graph->link(p.tunnel->links[h]).dst);
+      }
+    }
+    auto [it, inserted] = live_.try_emplace(instance);
+    it->second.stamp = stamp_;
+    if (!inserted && it->second.encoded == encoded) continue;  // unchanged
+    it->second.encoded = encoded;
     delta.upserts.emplace_back(path_key(instance), encoded);
   }
-  for (const auto& [instance, encoded] : live_) {
-    if (fresh.find(instance) == fresh.end()) {
-      delta.erases.push_back(path_key(instance));
+  for (auto it = live_.begin(); it != live_.end();) {
+    if (it->second.stamp == stamp_) {
+      ++it;
+      continue;
     }
+    delta.erases.push_back(path_key(it->first));
+    it = live_.erase(it);
   }
   last_upserts_ = delta.upserts.size();
   last_erases_ = delta.erases.size();
   last_bytes_ = delta.bytes();
   published_ += delta.upserts.size();
   erased_ += delta.erases.size();
-  live_ = std::move(fresh);
   return db_->publish_delta(delta);
 }
 
@@ -169,7 +198,9 @@ Version Controller::publish_path(std::uint64_t instance_id,
   last_upserts_ = 1;
   last_erases_ = 0;
   last_bytes_ = delta.bytes();
-  live_[instance_id] = delta.upserts.front().second;
+  // Stamped with the last publish_solution, so the next one erases the
+  // entry unless its plan still routes the instance.
+  live_[instance_id] = {delta.upserts.front().second, stamp_};
   return db_->publish_delta(delta);
 }
 

@@ -17,6 +17,12 @@
 // are behaviourally equivalent in the deterministic harness (the
 // batched-pull property suite asserts fingerprint equality).
 //
+// Applying costs what changed: the agent keeps each instance's last
+// applied raw entry, and an entry that arrives unchanged is neither
+// decoded nor written to the host stack. A delta publish touches a few
+// instances out of a host's many, so most of a pull's entries are
+// skipped.
+//
 // Failure behaviour (the eventual-consistency half of §3.2): when a pull
 // is dropped in flight or a shard is down, the agent keeps its last-good
 // route tables — traffic keeps flowing on the previous config — and
@@ -26,6 +32,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -120,8 +127,8 @@ class EndpointAgent {
   std::size_t index_of(std::uint64_t instance_id) const;
   /// Installs one instance's freshly pulled entry (kOk) or clears its
   /// table (kMiss: the controller erased the entry — no assigned flows).
-  void apply_entry(std::size_t idx, GetStatus status,
-                   const std::string& value);
+  /// An entry equal to the last applied one is skipped.
+  void apply_entry(std::size_t idx, GetStatus status, std::string value);
 
   std::vector<std::uint64_t> ids_;
   std::vector<std::string> keys_;  ///< path_key(ids_[i]), precomputed
@@ -133,6 +140,9 @@ class EndpointAgent {
   Version applied_ = 0;
   double last_apply_s_ = -1.0;
   std::vector<std::vector<RouteEntry>> routes_;  ///< parallel to ids_
+  /// Raw entry value behind routes_[i]; nullopt when no entry is applied
+  /// (never pulled, or erased by the controller).
+  std::vector<std::optional<std::string>> raw_;
   std::uint64_t polls_ = 0;
   std::uint32_t failed_pulls_ = 0;
   obs::Histogram* pull_latency_ = nullptr;  ///< stable registry reference

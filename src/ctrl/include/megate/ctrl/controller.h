@@ -6,8 +6,12 @@
 //
 // Publishing is differential: the controller remembers the encoded table
 // it last wrote per instance and publishes only the entries that changed
-// (upserts) or disappeared (erases), so a publish costs O(churn) while
-// the store's structural sharing keeps the unchanged majority alive.
+// (upserts) or disappeared (erases). The store's structural sharing then
+// keeps the unchanged majority alive, so the write costs O(churn). The
+// controller's own side is one pass over the assigned flows: one flat
+// sort of (instance, destination, demand, flow) picks, each table encoded
+// into a reused buffer and compared in place with the live copy — no
+// per-publish maps or per-instance strings beyond the delta itself.
 
 #include <cstdint>
 #include <memory>
@@ -89,9 +93,15 @@ class Controller {
   std::uint64_t last_upserts_ = 0;
   std::uint64_t last_erases_ = 0;
   std::uint64_t last_bytes_ = 0;
-  /// Encoded table last written per instance; the delta baseline. The
+  /// Encoded table last written per instance, stamped with the
+  /// publish_solution that last carried it; the delta baseline. The
   /// controller assumes exclusive ownership of the path/<id> keyspace.
-  std::unordered_map<std::uint64_t, std::string> live_;
+  struct Live {
+    std::string encoded;
+    std::uint64_t stamp = 0;
+  };
+  std::unordered_map<std::uint64_t, Live> live_;
+  std::uint64_t stamp_ = 0;  ///< publish_solution calls so far
 };
 
 }  // namespace megate::ctrl

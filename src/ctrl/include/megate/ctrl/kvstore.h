@@ -15,9 +15,12 @@
 //
 // Write path: copy-on-write deltas. publish/publish_delta clone only the
 // buckets the changed keys land in and share every other bucket with the
-// previous snapshot, so a publish costs O(churn), not O(table). Old
-// snapshots are retired through the epoch domain and freed once no
-// reader can still hold them.
+// previous snapshot, so a publish copies O(churn) entries (plus the
+// shard's bucket-pointer array). A batch that would push the load factor
+// past its bound is applied into a table first rehashed to fit it, so a
+// large first publish costs O(keys), not O(keys²). Old snapshots are
+// retired through the epoch domain and freed once no reader can still
+// hold them.
 //
 // Consistency: every publish tags the snapshots it installs with the new
 // version *before* bumping the global version counter. A single read
@@ -258,6 +261,8 @@ class KvStore {
   std::shared_ptr<const Snapshot> apply_ops(const Snapshot& base,
                                             const std::vector<Op>& ops,
                                             Version version);
+  /// The one allocation every empty bucket shares until written to.
+  static const std::shared_ptr<const Bucket>& empty_bucket();
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<Version> version_{0};

@@ -8,8 +8,9 @@
 namespace megate::ctrl {
 namespace {
 
-// Bucket sizing: rebuild (rehash everything) only when the load factor
-// crosses kGrowLoad; deltas otherwise clone just the touched buckets.
+// Bucket sizing: rebuild (rehash everything) only when a batch could push
+// the load factor past kGrowLoad; deltas otherwise clone just the touched
+// buckets.
 constexpr std::size_t kMinBuckets = 8;
 constexpr std::size_t kGrowLoad = 2;    ///< keys/bucket triggering growth
 constexpr std::size_t kTargetLoad = 1;  ///< keys/bucket after growth
@@ -58,15 +59,12 @@ std::size_t KvDelta::bytes() const noexcept {
 
 KvStore::KvStore(std::size_t shards) {
   if (shards == 0) throw std::invalid_argument("need at least one shard");
-  // All-empty buckets share one allocation until first written to.
-  static const std::shared_ptr<const Bucket> kEmptyBucket =
-      std::make_shared<Bucket>();
   shards_.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i) {
     auto shard = std::make_unique<Shard>();
     auto snap = std::make_shared<Snapshot>();
     snap->mask = kMinBuckets - 1;
-    snap->buckets.assign(kMinBuckets, kEmptyBucket);
+    snap->buckets.assign(kMinBuckets, empty_bucket());
     shard->live.store(snap.get(), std::memory_order_seq_cst);
     shard->owner = std::move(snap);
     shards_.push_back(std::move(shard));
@@ -77,6 +75,12 @@ KvStore::~KvStore() = default;
 
 std::size_t KvStore::shard_index(const std::string& key) const noexcept {
   return key_hash(key) % shards_.size();
+}
+
+const std::shared_ptr<const KvStore::Bucket>& KvStore::empty_bucket() {
+  static const std::shared_ptr<const Bucket> kEmpty =
+      std::make_shared<Bucket>();
+  return kEmpty;
 }
 
 void KvStore::install_locked(Shard& shard,
@@ -93,69 +97,88 @@ void KvStore::install_locked(Shard& shard,
 
 std::shared_ptr<const KvStore::Snapshot> KvStore::apply_ops(
     const Snapshot& base, const std::vector<Op>& ops, Version version) {
+  // Applies one op to a writable bucket of `snap`, keeping its key and
+  // byte totals current.
+  const auto apply = [](const Op& op, Bucket& b, Snapshot& snap) {
+    auto ent = std::find_if(
+        b.entries.begin(), b.entries.end(),
+        [&](const auto& e) { return e.first == *op.key; });
+    if (op.value == nullptr) {  // erase
+      if (ent != b.entries.end()) {
+        snap.bytes -= ent->first.size() + ent->second.size();
+        --snap.keys;
+        b.entries.erase(ent);
+      }
+    } else if (ent != b.entries.end()) {
+      snap.bytes += op.value->size();
+      snap.bytes -= ent->second.size();
+      ent->second = *op.value;
+    } else {
+      snap.bytes += op.key->size() + op.value->size();
+      ++snap.keys;
+      b.entries.emplace_back(*op.key, *op.value);
+    }
+  };
+
+  std::size_t upserts = 0;
+  for (const Op& op : ops) upserts += op.value != nullptr;
+  if (base.keys + upserts > (base.mask + 1) * kGrowLoad) {
+    // The batch could push the load factor past kGrowLoad: rehash the
+    // base into a table sized for base + batch *before* applying, so
+    // every op probes a short bucket (applying a large first publish into
+    // the 8 starting buckets would be quadratic). Grow-only; the TE table
+    // never shrinks enough for the churn to pay off. One rebuild at most.
+    auto grown = std::make_shared<Snapshot>();
+    grown->version = version;
+    grown->keys = base.keys;
+    grown->bytes = base.bytes;
+    const std::size_t nb = next_pow2(
+        std::max(kMinBuckets, (base.keys + upserts) / kTargetLoad));
+    grown->mask = nb - 1;
+    std::vector<Bucket> tmp(nb);
+    for (const auto& bucket : base.buckets) {
+      for (const auto& entry : bucket->entries) {
+        tmp[mix64(key_hash(entry.first)) & grown->mask].entries.push_back(
+            entry);
+      }
+    }
+    // A large batch scatters over a table that outgrows the caches: fetch
+    // each op's bucket a few ops ahead so the misses overlap.
+    constexpr std::size_t kPrefetchAhead = 16;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      if (i + kPrefetchAhead < ops.size()) {
+        __builtin_prefetch(
+            &tmp[mix64(ops[i + kPrefetchAhead].hash) & grown->mask]);
+      }
+      apply(ops[i], tmp[mix64(ops[i].hash) & grown->mask], *grown);
+    }
+    grown->buckets.reserve(nb);
+    for (Bucket& b : tmp) {
+      grown->buckets.push_back(b.entries.empty()
+                                   ? empty_bucket()
+                                   : std::make_shared<Bucket>(std::move(b)));
+    }
+    snapshot_rebuilds_.fetch_add(1, std::memory_order_relaxed);
+    return grown;
+  }
+
   auto next = std::make_shared<Snapshot>(base);  // shares all buckets
   next->version = version;
-
   // Clone each touched bucket once; apply ops in order so the last write
   // of a key wins (redo-log replay relies on this).
   std::unordered_map<std::size_t, std::shared_ptr<Bucket>> touched;
-  const auto writable = [&](std::size_t idx) -> Bucket& {
+  for (const Op& op : ops) {
+    const std::size_t idx = mix64(op.hash) & next->mask;
     auto it = touched.find(idx);
     if (it == touched.end()) {
       it = touched
                .emplace(idx, std::make_shared<Bucket>(*next->buckets[idx]))
                .first;
     }
-    return *it->second;
-  };
-  for (const Op& op : ops) {
-    const std::size_t idx = mix64(op.hash) & next->mask;
-    Bucket& b = writable(idx);
-    auto ent = std::find_if(
-        b.entries.begin(), b.entries.end(),
-        [&](const auto& e) { return e.first == *op.key; });
-    if (op.value == nullptr) {  // erase
-      if (ent != b.entries.end()) {
-        next->bytes -= ent->first.size() + ent->second.size();
-        --next->keys;
-        b.entries.erase(ent);
-      }
-    } else if (ent != b.entries.end()) {
-      next->bytes += op.value->size();
-      next->bytes -= ent->second.size();
-      ent->second = *op.value;
-    } else {
-      next->bytes += op.key->size() + op.value->size();
-      ++next->keys;
-      b.entries.emplace_back(*op.key, *op.value);
-    }
+    apply(op, *it->second, *next);
   }
   for (auto& [idx, bucket] : touched) next->buckets[idx] = std::move(bucket);
-
-  if (next->keys <= (next->mask + 1) * kGrowLoad) return next;
-
-  // Load factor exceeded: rehash into a grown table (grow-only; the TE
-  // table never shrinks enough for the churn to pay off).
-  auto grown = std::make_shared<Snapshot>();
-  grown->version = version;
-  grown->keys = next->keys;
-  grown->bytes = next->bytes;
-  const std::size_t nb =
-      next_pow2(std::max(kMinBuckets, next->keys / kTargetLoad));
-  grown->mask = nb - 1;
-  std::vector<Bucket> tmp(nb);
-  for (const auto& bucket : next->buckets) {
-    for (const auto& entry : bucket->entries) {
-      tmp[mix64(key_hash(entry.first)) & grown->mask].entries.push_back(
-          entry);
-    }
-  }
-  grown->buckets.reserve(nb);
-  for (Bucket& b : tmp) {
-    grown->buckets.push_back(std::make_shared<Bucket>(std::move(b)));
-  }
-  snapshot_rebuilds_.fetch_add(1, std::memory_order_relaxed);
-  return grown;
+  return next;
 }
 
 void KvStore::put(const std::string& key, std::string value) {
@@ -413,8 +436,6 @@ Version KvStore::reset_to(const KvDelta& snapshot, Version version) {
     const std::size_t h = key_hash(key);
     per_shard[h % shards_.size()].push_back(Op{&key, &value, h});
   }
-  static const std::shared_ptr<const Bucket> kEmptyBucket =
-      std::make_shared<Bucket>();
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard& s = *shards_[i];
     std::lock_guard lock(s.mu);
@@ -422,7 +443,7 @@ Version KvStore::reset_to(const KvDelta& snapshot, Version version) {
     // including state a partitioned replica kept that was since erased.
     Snapshot empty;
     empty.mask = kMinBuckets - 1;
-    empty.buckets.assign(kMinBuckets, kEmptyBucket);
+    empty.buckets.assign(kMinBuckets, empty_bucket());
     install_locked(s, apply_ops(empty, per_shard[i], version));
     s.redo.clear();  // superseded by the snapshot
     s.up = true;

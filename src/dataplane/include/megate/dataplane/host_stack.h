@@ -222,6 +222,10 @@ class HostStack {
     return traffic_map_.lookup(t);
   }
   std::size_t frag_map_size() const noexcept { return frag_map_.size(); }
+  std::optional<std::vector<std::uint32_t>> route_of(
+      InstanceId instance, std::uint32_t dst_site) const {
+    return path_map_.lookup(RouteKey{instance, dst_site});
+  }
 
  private:
   /// Extracts the five-tuple of an inner IPv4 packet, consulting frag_map

@@ -138,8 +138,8 @@ bool ShardChannel::await_response(std::uint32_t id, Frame* out) {
   }
 }
 
-bool ShardChannel::request(FrameType type, std::string_view payload,
-                           FrameType expect, std::string* out) {
+bool ShardChannel::send_request(FrameType type, std::string_view payload,
+                                std::uint32_t* id) {
   if (!ensure_connected()) {
     ++stats_.request_failures;
     return false;
@@ -155,8 +155,14 @@ bool ShardChannel::request(FrameType type, std::string_view payload,
     fail();
     return false;
   }
+  *id = h.request_id;
+  return true;
+}
+
+bool ShardChannel::await_reply(std::uint32_t id, FrameType expect,
+                               std::string* out) {
   Frame resp;
-  if (!await_response(h.request_id, &resp)) {
+  if (!await_response(id, &resp)) {
     // Timeout / close / poisoned stream: the connection has an unknown
     // amount of in-flight state and cannot be reused.
     ++stats_.request_failures;
@@ -177,6 +183,12 @@ bool ShardChannel::request(FrameType type, std::string_view payload,
   ++stats_.requests;
   *out = std::move(resp.payload);
   return true;
+}
+
+bool ShardChannel::request(FrameType type, std::string_view payload,
+                           FrameType expect, std::string* out) {
+  std::uint32_t id = 0;
+  return send_request(type, payload, &id) && await_reply(id, expect, out);
 }
 
 std::vector<ctrl::Version> ShardChannel::drain_version_events() {

@@ -9,11 +9,15 @@
 //   kUnreachable --set_reachable(true)--> kDisconnected (backoff reset)
 //
 // Requests are strictly serialized per channel (the chaos loop and the
-// transport are single-threaded by design); asynchronous server pushes
-// (VERSION_EVENT) interleaving with responses are captured into an event
-// queue instead of confusing the matcher. A response timeout closes the
-// connection — the stream has an in-flight response of unknown length
-// and cannot be reused.
+// transport are single-threaded by design), but a caller may have one
+// request in flight on each of several channels at once: request() is
+// send_request() followed by await_reply(), and a transport that fans out
+// to every shard sends all requests before awaiting any response, so the
+// shards serve them concurrently and the fan-out costs one round trip.
+// Asynchronous server pushes (VERSION_EVENT) interleaving with responses
+// are captured into an event queue instead of confusing the matcher. A
+// response timeout closes the connection — the stream has an in-flight
+// response of unknown length and cannot be reused.
 //
 // kUnreachable exists for the chaos harness: SIGSTOPping a shardd leaves
 // its socket open but mute, and without the failure-detector hint every
@@ -71,6 +75,14 @@ class ShardChannel {
   /// server ERROR reply also returns false but keeps the connection.
   bool request(FrameType type, std::string_view payload, FrameType expect,
                std::string* out);
+  /// Send half of request(): sends `payload` as `type` and stores the
+  /// request id in *id. At most one request may be in flight per channel:
+  /// each send must be followed by await_reply() before the next send.
+  bool send_request(FrameType type, std::string_view payload,
+                    std::uint32_t* id);
+  /// Await half of request(): waits for the response to `id`, with the
+  /// same failure handling as request().
+  bool await_reply(std::uint32_t id, FrameType expect, std::string* out);
 
   /// Ensures a live handshaken connection (dials if allowed). False in
   /// kUnreachable, during backoff, or when the dial/handshake fails.

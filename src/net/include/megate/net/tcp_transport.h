@@ -13,6 +13,14 @@
 // publishes) is caught up with a snapshot-flagged publish built from the
 // transport's live mirror and applied via KvStore::reset_to.
 //
+// Fan-out is pipelined: multi_get and replicate send every shard's
+// request before awaiting any response, so the servers work in parallel
+// and a fan-out costs one round trip. An agent-role multi_get cuts at the
+// version its last version() poll cached and pays a fresh VERSION round
+// trip only when that cache is empty or a shard answers above it; a
+// shard is accepted only at exactly the cut version, so the cut stays
+// consistent either way.
+//
 // Thread model: single-threaded by contract, like the chaos loop that
 // drives it. Not a general-purpose concurrent client.
 
@@ -93,6 +101,10 @@ class TcpKvTransport final : public ctrl::KvTransport {
   ctrl::KvDelta shard_snapshot(std::size_t shard) const;
   bool send_publish(std::size_t shard, const ctrl::KvDelta& delta,
                     ctrl::Version version, bool snapshot);
+  /// Await half of send_publish: handles the server's answer to request
+  /// `id`, resyncing the shard with a snapshot on kNeedResync.
+  bool finish_publish(std::size_t shard, std::uint32_t id,
+                      ctrl::Version version, bool snapshot);
 
   TcpTransportOptions options_;
   std::vector<std::unique_ptr<ShardChannel>> channels_;

@@ -75,51 +75,75 @@ ctrl::MultiGetResult TcpKvTransport::multi_get(
   ctrl::MultiGetResult result;
   result.entries.resize(keys.size());
 
-  // Group request indices per shard once; the retry loop reuses them.
-  std::vector<std::vector<std::size_t>> by_shard(channels_.size());
+  // Group request indices per shard and encode each shard's request once;
+  // the retry loop resends the same payloads.
+  const std::size_t n = channels_.size();
+  std::vector<std::vector<std::size_t>> by_shard(n);
   for (std::size_t i = 0; i < keys.size(); ++i) {
     by_shard[shard_index(keys[i])].push_back(i);
   }
+  std::vector<std::string> requests(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    if (by_shard[s].empty()) continue;
+    MultiGetReqMsg req;
+    req.keys.reserve(by_shard[s].size());
+    for (std::size_t i : by_shard[s]) req.keys.push_back(keys[i]);
+    requests[s] = req.encode();
+  }
 
+  std::vector<std::uint32_t> ids(n);
+  std::vector<bool> sent(n);
   for (int attempt = 0; attempt < kMultiGetAttempts; ++attempt) {
-    const ctrl::Version v0 = version();
+    // The first cut reuses the high-water version the caller's version()
+    // poll just cached; only an empty cache or a race pays a fresh round
+    // trip. Any cut is safe: a shard is accepted only at exactly v0.
+    const ctrl::Version v0 =
+        attempt == 0 && self_version_ != 0 ? self_version_ : version();
     result.version = v0;
     result.consistent = true;
-    bool raced = false;
+    const auto mark_unavailable = [&](std::size_t s) {
+      for (std::size_t i : by_shard[s]) {
+        result.entries[i] = ctrl::GetResult{};
+        result.entries[i].status = ctrl::GetStatus::kUnavailable;
+        result.entries[i].version = v0;
+        ++unavailable_;
+      }
+    };
 
-    for (std::size_t s = 0; s < channels_.size() && !raced; ++s) {
-      if (by_shard[s].empty()) continue;
-      const auto mark_unavailable = [&]() {
-        for (std::size_t i : by_shard[s]) {
-          result.entries[i] = ctrl::GetResult{};
-          result.entries[i].status = ctrl::GetStatus::kUnavailable;
-          result.entries[i].version = v0;
-          ++unavailable_;
-        }
-      };
-      MultiGetReqMsg req;
-      req.keys.reserve(by_shard[s].size());
-      for (std::size_t i : by_shard[s]) req.keys.push_back(keys[i]);
+    // Pipelined: every touched shard's request goes out before any
+    // response is awaited, so the shards serve the read concurrently.
+    for (std::size_t s = 0; s < n; ++s) {
+      sent[s] = !by_shard[s].empty() &&
+                channels_[s]->send_request(FrameType::kMultiGetReq,
+                                           requests[s], &ids[s]);
+      if (!by_shard[s].empty() && !sent[s]) mark_unavailable(s);
+    }
+    // Await every in-flight response, even after a race, so no channel
+    // is left with a response the next request would have to skip.
+    bool raced = false;
+    for (std::size_t s = 0; s < n; ++s) {
+      if (!sent[s]) continue;
       std::string payload;
       MultiGetRespMsg resp;
-      if (!channels_[s]->request(FrameType::kMultiGetReq, req.encode(),
-                                 FrameType::kMultiGetResp, &payload) ||
+      if (!channels_[s]->await_reply(ids[s], FrameType::kMultiGetResp,
+                                     &payload) ||
           !MultiGetRespMsg::decode(payload, &resp) ||
           resp.entries.size() != by_shard[s].size()) {
-        mark_unavailable();
+        mark_unavailable(s);
         continue;
       }
+      if (raced) continue;  // draining: this attempt is re-cut anyway
       if (resp.version > v0) {
         // A publish landed between our version cut and this shard read —
         // the exact race KvStore's seqlock retry handles. Re-cut.
         raced = true;
-        break;
+        continue;
       }
       if (resp.version < v0) {
         // Behind the cut: the server missed publishes (it is down or
         // recovering in wall-clock terms). Its values would be a stale
         // read at v0, so they are refused like a down shard's.
-        mark_unavailable();
+        mark_unavailable(s);
         continue;
       }
       for (std::size_t j = 0; j < by_shard[s].size(); ++j) {
@@ -159,19 +183,30 @@ ctrl::Version TcpKvTransport::publish_delta(const ctrl::KvDelta& delta) {
 
 void TcpKvTransport::replicate(const ctrl::KvDelta& delta,
                                ctrl::Version version) {
-  std::vector<ctrl::KvDelta> sub(channels_.size());
+  const std::size_t n = channels_.size();
+  std::vector<PublishDeltaReqMsg> reqs(n);
   for (const auto& [key, value] : delta.upserts) {
-    sub[shard_index(key)].upserts.emplace_back(key, value);
+    reqs[shard_index(key)].delta.upserts.emplace_back(key, value);
   }
   for (const std::string& key : delta.erases) {
-    sub[shard_index(key)].erases.push_back(key);
+    reqs[shard_index(key)].delta.erases.push_back(key);
   }
   // Every server gets every version — an empty sub-delta still bumps the
   // shard's local version, keeping it contiguous with the global one. A
   // server that cannot be reached simply misses the version; its next
   // contact reports a gap (kNeedResync) or goes through resync_shard.
-  for (std::size_t s = 0; s < channels_.size(); ++s) {
-    send_publish(s, sub[s], version, /*snapshot=*/false);
+  // Pipelined: all servers receive their share before any response is
+  // awaited, so they apply the publish concurrently.
+  std::vector<std::uint32_t> ids(n);
+  std::vector<bool> sent(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    reqs[s].version = version;
+    sent[s] = channels_[s]->send_request(FrameType::kPublishDeltaReq,
+                                         reqs[s].encode(), &ids[s]);
+    if (!sent[s]) ++unavailable_;
+  }
+  for (std::size_t s = 0; s < n; ++s) {
+    if (sent[s]) finish_publish(s, ids[s], version, /*snapshot=*/false);
   }
 }
 
@@ -192,10 +227,21 @@ bool TcpKvTransport::send_publish(std::size_t shard,
   req.version = version;
   req.snapshot = snapshot;
   req.delta = delta;
+  std::uint32_t id = 0;
+  if (!channels_[shard]->send_request(FrameType::kPublishDeltaReq,
+                                      req.encode(), &id)) {
+    ++unavailable_;
+    return false;
+  }
+  return finish_publish(shard, id, version, snapshot);
+}
+
+bool TcpKvTransport::finish_publish(std::size_t shard, std::uint32_t id,
+                                    ctrl::Version version, bool snapshot) {
   std::string payload;
   PublishDeltaRespMsg resp;
-  if (!channels_[shard]->request(FrameType::kPublishDeltaReq, req.encode(),
-                                 FrameType::kPublishDeltaResp, &payload) ||
+  if (!channels_[shard]->await_reply(id, FrameType::kPublishDeltaResp,
+                                     &payload) ||
       !PublishDeltaRespMsg::decode(payload, &resp)) {
     ++unavailable_;
     return false;

@@ -13,6 +13,7 @@
 #include "megate/ctrl/kvstore.h"
 #include "megate/ctrl/sync_model.h"
 #include "megate/te/megate_solver.h"
+#include "megate/util/rng.h"
 #include "megate/util/stats.h"
 #include "test_helpers.h"
 
@@ -156,6 +157,233 @@ TEST(Controller, PublishSolutionWritesPerSourceInstance) {
   EXPECT_GT(verified, 0u);
 }
 
+// Forwards to a KvStore and records the last published delta.
+class RecordingTransport final : public KvTransport {
+ public:
+  explicit RecordingTransport(KvStore* store) : inner_(store) {}
+  Version version() override { return inner_.version(); }
+  GetResult get(const std::string& key) override { return inner_.get(key); }
+  MultiGetResult multi_get(const std::vector<std::string>& keys) override {
+    return inner_.multi_get(keys);
+  }
+  Version publish(const std::vector<std::pair<std::string, std::string>>&
+                      batch) override {
+    KvDelta delta;
+    delta.upserts = batch;
+    return publish_delta(delta);
+  }
+  Version publish_delta(const KvDelta& delta) override {
+    last = delta;
+    return inner_.publish_delta(delta);
+  }
+  void put(const std::string& key, std::string value) override {
+    inner_.put(key, std::move(value));
+  }
+  std::size_t num_shards() const override { return inner_.num_shards(); }
+  std::size_t shard_index(const std::string& key) const override {
+    return inner_.shard_index(key);
+  }
+  void set_shard_up(std::size_t shard, bool up) override {
+    inner_.set_shard_up(shard, up);
+  }
+  bool shard_up(std::size_t shard) const override {
+    return inner_.shard_up(shard);
+  }
+  const char* name() const noexcept override { return "recording"; }
+
+  KvDelta last;
+
+ private:
+  InProcessTransport inner_;
+};
+
+// The differential publish algorithm as it was first written: nested
+// per-instance maps of picked routes, encode_routes per table, and a
+// diff of whole encoded tables against the previous publish.
+class ReferencePublisher {
+ public:
+  KvDelta publish_solution(const te::TeProblem& problem,
+                           const te::TeSolution& sol) {
+    struct Picked {
+      double demand = -1.0;
+      RouteEntry route;
+    };
+    std::unordered_map<std::uint64_t,
+                       std::unordered_map<std::uint32_t, Picked>>
+        tables;
+    for (const auto& [pair, alloc] : sol.pairs) {
+      if (alloc.flow_tunnel.empty()) continue;
+      auto it = problem.traffic->pairs().find(pair);
+      if (it == problem.traffic->pairs().end()) continue;
+      const auto& flows = it->second;
+      const auto& tunnels = problem.tunnels->tunnels(pair.src, pair.dst);
+      for (std::size_t i = 0;
+           i < flows.size() && i < alloc.flow_tunnel.size(); ++i) {
+        const std::int32_t t = alloc.flow_tunnel[i];
+        if (t < 0 || static_cast<std::size_t>(t) >= tunnels.size()) continue;
+        Picked& slot = tables[flows[i].src][pair.dst];
+        if (flows[i].demand_gbps <= slot.demand) continue;
+        slot.demand = flows[i].demand_gbps;
+        slot.route.dst_site = pair.dst;
+        slot.route.hops.clear();
+        for (topo::EdgeId e : tunnels[t].links) {
+          slot.route.hops.push_back(problem.graph->link(e).dst);
+        }
+      }
+    }
+    std::unordered_map<std::uint64_t, std::string> fresh;
+    for (const auto& [instance, by_site] : tables) {
+      std::vector<RouteEntry> routes;
+      for (const auto& [site, picked] : by_site) {
+        routes.push_back(picked.route);
+      }
+      std::sort(routes.begin(), routes.end(),
+                [](const RouteEntry& a, const RouteEntry& b) {
+                  return a.dst_site < b.dst_site;
+                });
+      fresh.emplace(instance, encode_routes(routes));
+    }
+    KvDelta delta;
+    for (const auto& [instance, encoded] : fresh) {
+      auto it = live.find(instance);
+      if (it != live.end() && it->second == encoded) continue;
+      delta.upserts.emplace_back(path_key(instance), encoded);
+    }
+    for (const auto& [instance, encoded] : live) {
+      if (fresh.find(instance) == fresh.end()) {
+        delta.erases.push_back(path_key(instance));
+      }
+    }
+    live = std::move(fresh);
+    return delta;
+  }
+
+  void publish_path(std::uint64_t instance,
+                    const std::vector<std::uint32_t>& hops) {
+    live[instance] = encode_routes({{dataplane::kAnyDstSite, hops}});
+  }
+
+  std::uint64_t full_table_bytes() const {
+    std::uint64_t bytes = 0;
+    for (const auto& [instance, encoded] : live) {
+      bytes += path_key(instance).size() + encoded.size();
+    }
+    return bytes;
+  }
+
+  std::unordered_map<std::uint64_t, std::string> live;
+};
+
+TEST(Controller, PublishSolutionDeltaMatchesReference) {
+  // A hand-built problem: 4 source sites with 6 instances each, routes
+  // towards every other site and towards the wildcard destination, 3
+  // tunnels per pair. Demands come from a 3-value set so equal-demand
+  // flows of one (instance, destination) regularly sit on different
+  // tunnels.
+  topo::GeneratorOptions gopt;
+  gopt.seed = 5;
+  const topo::Graph graph = topo::make_isp_like(8, 14, gopt);
+  constexpr std::uint32_t kSites = 4;
+  std::vector<std::uint32_t> dsts{0, 1, 2, 3, dataplane::kAnyDstSite};
+  topo::TunnelSet tunnels;
+  for (std::uint32_t s = 0; s < kSites; ++s) {
+    for (std::uint32_t d : dsts) {
+      if (d == s) continue;
+      std::vector<topo::Tunnel> ts(3);
+      for (std::uint32_t t = 0; t < 3; ++t) {
+        for (std::uint32_t h = 0; h <= t; ++h) {
+          ts[t].links.push_back(
+              static_cast<topo::EdgeId>((s * 7 + d * 3 + t * 5 + h) %
+                                        graph.num_links()));
+        }
+      }
+      tunnels.set_tunnels(s, d, std::move(ts));
+    }
+  }
+  tm::TrafficMatrix traffic;
+  te::TeProblem problem;
+  problem.graph = &graph;
+  problem.tunnels = &tunnels;
+  problem.traffic = &traffic;
+
+  util::Rng rng(2024);
+  const double kDemands[] = {0.5, 1.0, 2.0};
+  const auto add_flow = [&](const topo::SitePair& k) {
+    tm::EndpointDemand d;
+    d.src = k.src * 100 + rng.uniform_int(0, 5);
+    d.dst = 7;
+    d.demand_gbps = kDemands[rng.uniform_int(0, 2)];
+    traffic.pairs()[k].push_back(d);
+  };
+  te::TeSolution sol;
+  for (const auto& [k, ts] : tunnels.all()) {
+    for (int f = 0; f < 6; ++f) add_flow(k);
+  }
+
+  KvStore kv(2);
+  RecordingTransport rec(&kv);
+  Controller ctrl(&rec);
+  ReferencePublisher ref;
+  const auto sorted = [](KvDelta d) {
+    std::sort(d.upserts.begin(), d.upserts.end());
+    std::sort(d.erases.begin(), d.erases.end());
+    return d;
+  };
+  std::size_t upserts = 0, erases = 0;
+  for (int step = 0; step < 30; ++step) {
+    // Mutate the plan: add and remove flows, flip tunnels, and every few
+    // steps reject every flow of one instance (its table is erased).
+    for (auto& [k, flows] : traffic.pairs()) {
+      if (rng.uniform_int(0, 3) == 0) add_flow(k);
+      if (flows.size() > 2 && rng.uniform_int(0, 3) == 0) {
+        flows.erase(flows.begin() + static_cast<std::ptrdiff_t>(
+                                        rng.uniform_int(0, flows.size() - 1)));
+      }
+      auto& ft = sol.pairs[k].flow_tunnel;
+      ft.resize(flows.size(), 0);
+      for (auto& t : ft) {
+        if (rng.uniform_int(0, 4) == 0) {
+          // -1 rejects the flow; 3 is past the pair's last tunnel.
+          t = static_cast<std::int32_t>(rng.uniform_int(0, 4)) - 1;
+        }
+      }
+    }
+    if (step % 4 == 3) {
+      const std::uint64_t victim =
+          rng.uniform_int(0, kSites - 1) * 100 + rng.uniform_int(0, 5);
+      for (auto& [k, flows] : traffic.pairs()) {
+        for (std::size_t i = 0; i < flows.size(); ++i) {
+          if (flows[i].src == victim) sol.pairs[k].flow_tunnel[i] = -1;
+        }
+      }
+    }
+    if (step % 5 == 2) {
+      const std::uint64_t id = rng.uniform_int(0, 2) == 0
+                                   ? 999  // never in the plan
+                                   : rng.uniform_int(0, kSites - 1) * 100;
+      const std::vector<std::uint32_t> hops{1, 2};
+      ctrl.publish_path(id, hops);
+      ref.publish_path(id, hops);
+    }
+
+    ctrl.publish_solution(problem, sol);
+    const KvDelta want = sorted(ref.publish_solution(problem, sol));
+    const KvDelta got = sorted(rec.last);
+    EXPECT_EQ(got.upserts, want.upserts) << "step " << step;
+    EXPECT_EQ(got.erases, want.erases) << "step " << step;
+    EXPECT_EQ(ctrl.last_publish_upserts(), want.upserts.size());
+    EXPECT_EQ(ctrl.last_publish_erases(), want.erases.size());
+    EXPECT_EQ(ctrl.last_publish_bytes(), want.bytes());
+    EXPECT_EQ(ctrl.full_table_bytes(), ref.full_table_bytes());
+    upserts += want.upserts.size();
+    erases += want.erases.size();
+  }
+  // The sequence exercised both halves of the delta.
+  EXPECT_GT(upserts, 0u);
+  EXPECT_GT(erases, 0u);
+  EXPECT_EQ(kv.size(), ref.live.size());
+}
+
 // --- endpoint agent ---------------------------------------------------------
 
 TEST(Agent, PullsOnVersionChange) {
@@ -206,6 +434,67 @@ TEST(Agent, InstallsIntoHostStack) {
   udp.serialize(frame);
   auto v = stack.tc_egress(frame, 0xFF);
   EXPECT_EQ(v.action, dataplane::TcVerdict::Action::kEncapsulated);
+}
+
+TEST(Agent, AppliesOnlyChangedEntriesAndKeepsLastGoodOnDrop) {
+  struct DropHooks : FaultHooks {
+    bool drop = false;
+    bool drop_pull(std::uint64_t) override { return drop; }
+  } hooks;
+  KvStore kv(2);
+  dataplane::HostStack stack;
+  AgentOptions opt;
+  opt.poll_interval_s = 1.0;
+  opt.spread_interval_s = 1.0;
+  opt.batch_pull = true;
+  opt.fault_hooks = &hooks;
+  EndpointAgent agent(std::vector<std::uint64_t>{1, 2, 3, 4}, &kv, &stack,
+                      opt);
+  const auto route = [&](std::uint64_t id, std::uint32_t dst) {
+    return stack.route_of(id, dst).value_or(std::vector<std::uint32_t>{});
+  };
+  using Hops = std::vector<std::uint32_t>;
+
+  kv.publish({{path_key(1), "5:1,5"}, {path_key(2), "6:2,6"},
+              {path_key(3), "*:3"}});
+  agent.tick(1.0);
+  ASSERT_EQ(agent.applied_version(), 1u);
+  EXPECT_EQ(route(1, 5), (Hops{1, 5}));
+  EXPECT_EQ(route(3, dataplane::kAnyDstSite), (Hops{3}));
+
+  // Overwrite two host routes behind the agent's back: a route the agent
+  // rewrites shows its pulled hops again, a skipped one keeps the marker.
+  stack.install_route(1, 5, {99});
+  stack.install_route(2, 6, {98});
+
+  // v2: 1 unchanged, 2 changed, 3 erased (kMiss), 4 new.
+  KvDelta delta;
+  delta.upserts = {{path_key(2), "6:2,8"}, {path_key(4), "7:4,7"}};
+  delta.erases = {path_key(3)};
+  kv.publish_delta(delta);
+  agent.tick(2.0);
+  ASSERT_EQ(agent.applied_version(), 2u);
+  EXPECT_EQ(route(1, 5), (Hops{99})) << "unchanged entry was reinstalled";
+  EXPECT_EQ(route(2, 6), (Hops{2, 8}));
+  EXPECT_FALSE(stack.route_of(3, dataplane::kAnyDstSite).has_value());
+  EXPECT_TRUE(agent.routes_for(3).empty());
+  EXPECT_EQ(route(4, 7), (Hops{4, 7}));
+
+  // A dropped pull of v3 changes neither the routes nor the stored raw
+  // values: once v4 restores instance 1's v2 entry, the agent sees it as
+  // unchanged and skips it.
+  kv.publish({{path_key(1), "5:1,9"}});
+  hooks.drop = true;
+  agent.tick(3.0);
+  EXPECT_EQ(agent.applied_version(), 2u);
+  EXPECT_EQ(agent.routes_for(1), (std::vector<RouteEntry>{{5, {1, 5}}}));
+  EXPECT_EQ(route(1, 5), (Hops{99}));
+  hooks.drop = false;
+  kv.publish({{path_key(1), "5:1,5"}});
+  agent.tick(10.0);
+  ASSERT_EQ(agent.applied_version(), 4u);
+  EXPECT_EQ(route(1, 5), (Hops{99})) << "failed pull overwrote last-good";
+  EXPECT_EQ(agent.routes_for(1), (std::vector<RouteEntry>{{5, {1, 5}}}));
 }
 
 TEST(Agent, PollCountTracksInterval) {

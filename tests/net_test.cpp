@@ -1074,5 +1074,163 @@ TEST(TcpTransportTest, AgentRoleVersionTracksTheNewestShard) {
   EXPECT_EQ(g.value, "c");
 }
 
+// Pipelined reads: an agent-role transport whose version() poll cached
+// the cut pays one MULTI_GET per touched shard and nothing else.
+
+std::unique_ptr<net::TcpKvTransport> agent_transport(const TwoShardRig& rig) {
+  net::TcpTransportOptions o;
+  o.ports = {rig.s0.server.port(), rig.s1.server.port()};
+  o.role = net::HelloMsg::kRoleAgent;
+  o.peer_name = "agent";
+  o.request_timeout_ms = 5000;
+  auto tcp = std::make_unique<net::TcpKvTransport>(o);
+  // Handshake up front, so request counts below are the reads alone.
+  for (std::size_t s = 0; s < tcp->num_shards(); ++s) {
+    EXPECT_TRUE(tcp->channel(s).ensure_connected());
+  }
+  return tcp;
+}
+
+std::vector<std::string> spread_keys(const net::TcpKvTransport& tcp) {
+  std::vector<std::string> keys;
+  bool shard_seen[2] = {false, false};
+  for (int i = 0; i < 16; ++i) {
+    keys.push_back("path/" + std::to_string(i));
+    shard_seen[tcp.shard_index(keys.back())] = true;
+  }
+  EXPECT_TRUE(shard_seen[0] && shard_seen[1]) << "keys must span 2 shards";
+  return keys;
+}
+
+std::vector<std::pair<std::string, std::string>> tagged(
+    const std::vector<std::string>& keys, const std::string& tag) {
+  std::vector<std::pair<std::string, std::string>> batch;
+  for (const std::string& k : keys) batch.emplace_back(k, tag + k);
+  return batch;
+}
+
+std::uint64_t requests(const net::TcpKvTransport& tcp, std::size_t shard) {
+  return tcp.channel(shard).stats().requests;
+}
+
+TEST(TcpTransportTest, MultiGetIsOneRequestPerTouchedShard) {
+  TwoShardRig rig;
+  ASSERT_TRUE(rig.start());
+  const std::vector<std::string> keys = spread_keys(*rig.transport);
+  rig.transport->publish(tagged(keys, "a"));
+
+  auto agent = agent_transport(rig);
+  ASSERT_EQ(agent->version(), 1u);
+  const std::uint64_t r0 = requests(*agent, 0);
+  const std::uint64_t r1 = requests(*agent, 1);
+  const ctrl::MultiGetResult r = agent->multi_get(keys);
+  EXPECT_TRUE(r.consistent);
+  EXPECT_TRUE(r.all_available());
+  EXPECT_EQ(r.version, 1u);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(r.entries[i].value, "a" + keys[i]);
+  }
+  // One MULTI_GET per shard and no VERSION request: the cut came from
+  // the version() poll's cache.
+  EXPECT_EQ(requests(*agent, 0), r0 + 1);
+  EXPECT_EQ(requests(*agent, 1), r1 + 1);
+}
+
+TEST(TcpTransportTest, MultiGetRecutsWhenCachedVersionIsStale) {
+  TwoShardRig rig;
+  ASSERT_TRUE(rig.start());
+  const std::vector<std::string> keys = spread_keys(*rig.transport);
+  rig.transport->publish(tagged(keys, "a"));
+  auto agent = agent_transport(rig);
+  ASSERT_EQ(agent->version(), 1u);
+
+  // A publish lands between the agent's poll and its read: both shards
+  // answer above the cached cut, both responses are drained, and one
+  // fresh version() re-cuts at v2.
+  rig.transport->publish(tagged(keys, "b"));
+  const std::uint64_t before = requests(*agent, 0) + requests(*agent, 1);
+  const ctrl::MultiGetResult r = agent->multi_get(keys);
+  EXPECT_TRUE(r.consistent);
+  EXPECT_TRUE(r.all_available());
+  EXPECT_EQ(r.version, 2u);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(r.entries[i].value, "b" + keys[i]);
+    EXPECT_EQ(r.entries[i].version, 2u);
+  }
+  EXPECT_EQ(requests(*agent, 0) + requests(*agent, 1), before + 5);
+  EXPECT_EQ(agent->channel(0).stats().request_failures, 0u);
+  EXPECT_EQ(agent->channel(1).stats().request_failures, 0u);
+}
+
+TEST(TcpTransportTest, MultiGetWithoutPriorVersionCutsFresh) {
+  TwoShardRig rig;
+  ASSERT_TRUE(rig.start());
+  const std::vector<std::string> keys = spread_keys(*rig.transport);
+  rig.transport->publish(tagged(keys, "a"));
+  rig.transport->publish(tagged(keys, "b"));
+
+  // No version() poll yet: the empty cache forces one VERSION request
+  // before the two MULTI_GETs.
+  auto agent = agent_transport(rig);
+  const std::uint64_t before = requests(*agent, 0) + requests(*agent, 1);
+  const ctrl::MultiGetResult r = agent->multi_get(keys);
+  EXPECT_TRUE(r.consistent);
+  EXPECT_TRUE(r.all_available());
+  EXPECT_EQ(r.version, 2u);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(r.entries[i].value, "b" + keys[i]);
+  }
+  EXPECT_EQ(requests(*agent, 0) + requests(*agent, 1), before + 3);
+}
+
+TEST(TcpTransportTest, ShardBehindTheCutIsUnavailableWhileOtherDrains) {
+  TwoShardRig rig;
+  ASSERT_TRUE(rig.start());
+  net::TcpKvTransport& ctl = *rig.transport;
+  const std::vector<std::string> keys = spread_keys(ctl);
+  ctl.publish(tagged(keys, "a"));
+  // Shard 0 misses v2.
+  ctl.set_reachable(0, false);
+  ctl.publish(tagged(keys, "b"));
+  ctl.set_reachable(0, true);
+
+  // The agent's poll reaches shard 1 and caches v2.
+  auto agent = agent_transport(rig);
+  agent->set_reachable(0, false);
+  ASSERT_EQ(agent->version(), 2u);
+  agent->set_reachable(0, true);
+
+  const ctrl::MultiGetResult r = agent->multi_get(keys);
+  EXPECT_TRUE(r.consistent);
+  EXPECT_EQ(r.version, 2u);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (agent->shard_index(keys[i]) == 0) {
+      EXPECT_EQ(r.entries[i].status, GetStatus::kUnavailable) << keys[i];
+    } else {
+      EXPECT_EQ(r.entries[i].status, GetStatus::kOk) << keys[i];
+      EXPECT_EQ(r.entries[i].value, "b" + keys[i]);
+    }
+  }
+
+  // Both channels stay usable: after shard 0 catches up, the next read
+  // is one clean request per channel.
+  ASSERT_TRUE(ctl.resync_shard(0));
+  const std::uint64_t r0 = requests(*agent, 0);
+  const std::uint64_t r1 = requests(*agent, 1);
+  const std::uint64_t f0 = agent->channel(0).stats().request_failures;
+  const std::uint64_t f1 = agent->channel(1).stats().request_failures;
+  const ctrl::MultiGetResult again = agent->multi_get(keys);
+  EXPECT_TRUE(again.consistent);
+  EXPECT_TRUE(again.all_available());
+  EXPECT_EQ(again.version, 2u);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(again.entries[i].value, "b" + keys[i]);
+  }
+  EXPECT_EQ(requests(*agent, 0), r0 + 1);
+  EXPECT_EQ(requests(*agent, 1), r1 + 1);
+  EXPECT_EQ(agent->channel(0).stats().request_failures, f0);
+  EXPECT_EQ(agent->channel(1).stats().request_failures, f1);
+}
+
 }  // namespace
 }  // namespace megate

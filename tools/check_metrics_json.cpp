@@ -220,6 +220,37 @@ std::vector<std::string> check_online_churn(const megate::obs::Json& doc) {
   return violations;
 }
 
+/// Contract check for BENCH_micro_kvstore.json — the TE database's
+/// first-publish scaling: the per-key cost of publishing 1M keys into an
+/// empty store is at most 2x the per-key cost at 100k keys, both measured
+/// in the same run. A store that applied a large batch before sizing its
+/// table for it would grow this ratio with the key count.
+std::vector<std::string> check_micro_kvstore(const megate::obs::Json& doc) {
+  std::vector<std::string> violations;
+  const auto* gauges = doc.find("gauges");
+  if (gauges == nullptr || !gauges->is_object()) {
+    violations.push_back("missing gauges object");
+    return violations;
+  }
+  const std::string prefix = "micro_kvstore.first_publish.";
+  for (const char* field : {"us_per_key_100k", "us_per_key_1m"}) {
+    const auto* g = gauges->find(prefix + field);
+    if (g == nullptr || !g->is_number() || g->as_number() <= 0.0) {
+      violations.push_back("missing or non-positive gauge " + prefix + field);
+    }
+  }
+  const auto* ratio = gauges->find(prefix + "per_key_ratio_1m_vs_100k");
+  if (ratio == nullptr || !ratio->is_number()) {
+    violations.push_back("missing gauge " + prefix +
+                         "per_key_ratio_1m_vs_100k");
+  } else if (ratio->as_number() > 2.0) {
+    violations.push_back(prefix + "per_key_ratio_1m_vs_100k must be <= 2 "
+                         "(first-publish cost per key grows with the "
+                         "table size)");
+  }
+  return violations;
+}
+
 /// Contract check for BENCH_ablation_prediction.json — the learned-
 /// allocation frontier (DESIGN.md §15). Per-replay detail gauges are
 /// discovered from "<topo>.churn<P>.learned_speedup_vs_incremental"; the
@@ -353,6 +384,8 @@ int main(int argc, char** argv) {
         violations = check_online_churn(*doc);
       } else if (source->as_string() == "bench/ablation_prediction") {
         violations = check_ablation_prediction(*doc);
+      } else if (source->as_string() == "bench/micro_kvstore") {
+        violations = check_micro_kvstore(*doc);
       }
     }
     if (!violations.empty()) {
