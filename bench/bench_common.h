@@ -12,6 +12,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "megate/obs/json.h"
@@ -23,6 +24,14 @@
 #include "megate/topo/tunnels.h"
 #include "megate/util/stopwatch.h"
 #include "megate/util/table.h"
+
+// Set per target by bench/CMakeLists.txt at configure time.
+#ifndef MEGATE_GIT_REV
+#define MEGATE_GIT_REV "none"
+#endif
+#ifndef MEGATE_BUILD_TYPE
+#define MEGATE_BUILD_TYPE "unknown"
+#endif
 
 namespace megate::bench {
 
@@ -127,6 +136,10 @@ inline void print_header(const std::string& title,
 ///   report.extra().set("endpoints", obs::Json::array());      // free-form
 ///   // destructor stamps bench.wall_seconds and writes the file
 ///
+/// Every document also carries extra.context: the machine's hardware
+/// thread count (nproc), the build type and the git revision captured when
+/// the build was configured, so a number in it says what produced it.
+///
 /// Solver-level detail comes for free by pointing MegaTeOptions::metrics
 /// at report.metrics(). The write is validated against the schema before
 /// touching disk; a failure prints to stderr (benches stay best-effort —
@@ -152,6 +165,12 @@ class BenchReport {
     if (written_) return true;
     written_ = true;
     registry_.gauge("bench.wall_seconds").set(clock_.elapsed_seconds());
+    obs::Json context = obs::Json::object();
+    context.set("nproc", static_cast<std::uint64_t>(
+                             std::thread::hardware_concurrency()));
+    context.set("build_type", MEGATE_BUILD_TYPE);
+    context.set("git_rev", MEGATE_GIT_REV);
+    extra_.set("context", std::move(context));
     const std::string path = "BENCH_" + name_ + ".json";
     if (!obs::write_metrics_json(registry_, "bench/" + name_, path,
                                  extra_)) {

@@ -7,24 +7,31 @@
 //    stage-1 allocation F_{k,t}, FastSSP options),
 // so its result can be reused verbatim whenever every input is *bitwise*
 // identical to a previous interval. Keys are 64-bit fingerprints of those
-// inputs: demand_hash is the delta pass's whole-pair flow-list fingerprint
+// inputs: demand_hash is the pair's whole flow-list fingerprint
 // (tm::fingerprint_flows — slightly stricter than the QoS-round view, and
-// already computed once per interval), alloc_hash the bitwise F_{k,t}
-// vector. A hit replays the stored per-flow tunnel assignment without
-// running FastSSP.
+// already computed once per interval for the demand delta), alloc_hash
+// the bitwise F_{k,t} vector. A hit replays the stored per-flow tunnel
+// assignment without running FastSSP.
 //
-// Invalidation is explicit and epoch-based: any topology or capacity
-// change (link up/down, capacity derate, tunnel repair) must call
-// invalidate_all() — fault events from the chaos injector reach the cache
-// this way. Entries also self-invalidate on key mismatch (demands or
-// F_{k,t} moved), so a stale hit requires a 128-bit fingerprint collision
-// on top of a missed invalidation.
+// Storage is flat: one slot per dense (pair, QoS round) id, which the
+// caller assigns and keeps stable across intervals. A slot is live iff its
+// epoch stamp equals the cache's epoch, so invalidate_all() is one
+// increment instead of freeing every entry. An insert is split in two so
+// the solve that produces an entry can write it in place, in parallel
+// across slots: refill() hands out the slot's buffer (reusing its
+// capacity) and commit() makes it live.
 //
-// The cache keeps exactly one entry per (pair, QoS round) slot — bounded
-// by the traffic matrix's pair count, no eviction policy needed.
+// Every topology or capacity change (link up/down, capacity derate,
+// tunnel repair) must call invalidate_all() — fault events from the chaos
+// injector reach the cache this way. Entries also self-invalidate on key
+// mismatch (demands or F_{k,t} moved), so a stale hit requires a 128-bit
+// fingerprint collision on top of a missed invalidation.
+//
+// No eviction policy is needed: the table is bounded by the number of
+// distinct (pair, round) ids the caller ever hands out.
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace megate::ssp {
@@ -37,43 +44,42 @@ struct PairSolveKey {
   bool operator==(const PairSolveKey&) const = default;
 };
 
-/// Cached result: tunnel index (or -1) per view flow, in view order.
-struct PairSolveEntry {
-  std::vector<std::int32_t> assignment;
-};
-
-struct PairMemoStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t insertions = 0;
-  std::uint64_t invalidations = 0;  ///< invalidate_all calls on a live cache
-};
-
 class PairMemoCache {
  public:
-  /// Returns the cached entry for `slot` when the stored key matches, else
-  /// nullptr. Counts a hit or miss either way.
-  const PairSolveEntry* lookup(std::uint64_t slot, const PairSolveKey& key);
+  /// Grows the table to at least `n` slots; new slots start empty.
+  void resize(std::size_t n);
 
-  /// Stores (replaces) the entry for `slot`.
-  void insert(std::uint64_t slot, const PairSolveKey& key,
-              PairSolveEntry entry);
+  /// The cached assignment of `slot` (tunnel index or -1 per view flow,
+  /// in view order) when the slot is live and its key matches, else
+  /// nullptr.
+  const std::vector<std::int32_t>* lookup(std::size_t slot,
+                                          const PairSolveKey& key) const;
 
-  /// Drops every entry. Called on any topology/capacity change; counted in
-  /// stats().invalidations when the cache was non-empty.
-  void invalidate_all();
+  /// Drops `slot`'s entry and returns its assignment buffer, cleared, for
+  /// the caller to fill. Touches only that slot, so calls on distinct
+  /// slots may run concurrently (with each other and with lookups of
+  /// other slots).
+  std::vector<std::int32_t>& refill(std::size_t slot);
 
-  std::size_t size() const noexcept { return entries_.size(); }
-  const PairMemoStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = {}; }
+  /// Makes `slot` live under `key`, holding what its buffer holds now.
+  void commit(std::size_t slot, const PairSolveKey& key);
+
+  /// Drops every entry in O(1).
+  void invalidate_all() noexcept;
+
+  /// True when nothing was committed since the last invalidate_all(), so
+  /// every lookup would miss.
+  bool empty() const noexcept { return !committed_; }
 
  private:
   struct Slot {
+    std::uint64_t epoch = 0;  ///< live iff == epoch_
     PairSolveKey key;
-    PairSolveEntry entry;
+    std::vector<std::int32_t> assignment;
   };
-  std::unordered_map<std::uint64_t, Slot> entries_;
-  PairMemoStats stats_;
+  std::vector<Slot> slots_;
+  std::uint64_t epoch_ = 1;
+  bool committed_ = false;
 };
 
 }  // namespace megate::ssp

@@ -1,29 +1,35 @@
 #include "megate/ssp/memo.h"
 
-#include <utility>
-
 namespace megate::ssp {
 
-const PairSolveEntry* PairMemoCache::lookup(std::uint64_t slot,
-                                            const PairSolveKey& key) {
-  auto it = entries_.find(slot);
-  if (it == entries_.end() || !(it->second.key == key)) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  ++stats_.hits;
-  return &it->second.entry;
+void PairMemoCache::resize(std::size_t n) {
+  if (slots_.size() < n) slots_.resize(n);
 }
 
-void PairMemoCache::insert(std::uint64_t slot, const PairSolveKey& key,
-                           PairSolveEntry entry) {
-  entries_[slot] = Slot{key, std::move(entry)};
-  ++stats_.insertions;
+const std::vector<std::int32_t>* PairMemoCache::lookup(
+    std::size_t slot, const PairSolveKey& key) const {
+  const Slot& s = slots_[slot];
+  if (s.epoch != epoch_ || !(s.key == key)) return nullptr;
+  return &s.assignment;
 }
 
-void PairMemoCache::invalidate_all() {
-  if (!entries_.empty()) ++stats_.invalidations;
-  entries_.clear();
+std::vector<std::int32_t>& PairMemoCache::refill(std::size_t slot) {
+  Slot& s = slots_[slot];
+  s.epoch = 0;
+  s.assignment.clear();
+  return s.assignment;
+}
+
+void PairMemoCache::commit(std::size_t slot, const PairSolveKey& key) {
+  Slot& s = slots_[slot];
+  s.epoch = epoch_;
+  s.key = key;
+  committed_ = true;
+}
+
+void PairMemoCache::invalidate_all() noexcept {
+  ++epoch_;
+  committed_ = false;
 }
 
 }  // namespace megate::ssp

@@ -15,18 +15,27 @@
 //
 // Incremental solving (SolveContext::incremental): successive TE intervals
 // move only a fraction of the demand, so the solver retains pair demand
-// fingerprints (tm::diff_traffic) and a per-(pair, round) stage-2 memo
-// (ssp::PairMemoCache) keyed by bitwise demand + F_{k,t} hashes. It runs
-// the same round loop as a cold solve — stage 1 always solves from
+// fingerprints (tm::fingerprint_flows) and a per-(pair, round) stage-2
+// memo (ssp::PairMemoCache) keyed by bitwise demand + F_{k,t} hashes. It
+// runs the same round loop as a cold solve — stage 1 always solves from
 // scratch — so its plan is bitwise identical to the cold one. Any
 // topology or capacity change (link up/down, derate, tunnel repair — i.e.
 // every fault-injector event) flips the topology fingerprint and drops all
 // retained state. See DESIGN.md "Incremental solving across intervals".
+//
+// Cost outside the two stages is O(links + flows) on flat per-pair arrays:
+// the topology fingerprint reads TunnelSet::fingerprint() instead of
+// rehashing every tunnel, each pair's allocation, tunnels and F_{k,t} are
+// resolved once per solve or round instead of per loop, dropping the memo
+// is an epoch bump, and a solve that starts with an empty memo (the first
+// one, or any after a fault) skips the lookups it knows must miss.
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "megate/obs/metrics.h"
 #include "megate/ssp/fast_ssp.h"
@@ -115,6 +124,10 @@ struct SolveReport {
   /// Wall-clock split of this solve, for the Fig. 9 discussion.
   double stage1_seconds = 0.0;
   double stage2_seconds = 0.0;
+  /// Stage-1 quality ledger, summed over QoS rounds (SiteLpResult): the
+  /// MaxSiteFlow objective reached and the upper bound certified on it.
+  double stage1_objective = 0.0;
+  double stage1_dual_bound = 0.0;
   /// Telemetry of the incremental machinery (default-initialized when
   /// the call ran cold).
   IncrementalStats incremental;
@@ -134,6 +147,12 @@ struct SolveReport {
 
   bool ok() const noexcept { return error.empty(); }
 };
+
+/// Fingerprint of everything a solve depends on besides the traffic
+/// matrix: link states and capacities, the tunnel sets
+/// (TunnelSet::fingerprint()) and epsilon. The incremental solver drops its
+/// retained state whenever this value moves.
+std::uint64_t topology_fingerprint(const TeProblem& problem);
 
 class MegaTeSolver final : public Solver {
  public:
@@ -174,12 +193,34 @@ class MegaTeSolver final : public Solver {
  private:
   SolveReport solve_learned(const TeProblem& problem,
                             const SolveContext& ctx);
-  /// State retained between solve_incremental calls.
+  /// QoS rounds a pair can take part in (memo slots per pair id).
+  static constexpr std::size_t kMemoRounds = 3;
+  /// State retained between incremental solves, on flat arrays indexed
+  /// by a dense pair id.
   struct IncrementalState {
     bool valid = false;
-    std::uint64_t topo_fp = 0;          ///< links + tunnels + epsilon
-    tm::PairFingerprintMap pair_fps;    ///< previous interval's demands
+    std::uint64_t topo_fp = 0;  ///< topology_fingerprint of the last solve
+    /// Dense id of every site pair seen so far; the pair's memo slots are
+    /// id * kMemoRounds + round. Ids carry no content, so they survive
+    /// invalidation.
+    std::unordered_map<topo::SitePair, std::uint32_t, topo::SitePairHash>
+        pair_id;
+    /// Per id: the pair's flow-list fingerprint, and the interval stamp of
+    /// the matrix that recorded it.
+    std::vector<tm::PairFingerprint> fps;
+    std::vector<std::uint64_t> fp_stamp;
+    std::uint64_t stamp = 0;       ///< stamp of the last recorded matrix
+    std::size_t baseline_pairs = 0;  ///< its pair count; 0 = no baseline
+    /// Id of each pair of the matrix being solved, in traffic.pairs()
+    /// iteration order (solve_impl walks the same order).
+    std::vector<std::uint32_t> ids;
     ssp::PairMemoCache memo;
+
+    /// Records `traffic`'s pair fingerprints as the new baseline and its
+    /// pairs' ids in `ids`. When a baseline existed and `stats` is set,
+    /// first fills stats' dirty/clean split against it, with
+    /// tm::diff_traffic's semantics.
+    void record(const tm::TrafficMatrix& traffic, IncrementalStats* stats);
   };
 
   /// The round loop (SiteMerge -> stage 1 -> stage 2 -> residual repair

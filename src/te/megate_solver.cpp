@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <chrono>
-#include <cstring>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
@@ -14,44 +14,6 @@
 
 namespace megate::te {
 namespace {
-
-/// Flows of one pair and QoS class, by index into the pair's flow vector.
-struct ClassView {
-  std::vector<std::size_t> flow_ids;
-  std::vector<double> demands;
-};
-
-ClassView class_view(const std::vector<tm::EndpointDemand>& flows,
-                     tm::QosClass q, bool filter) {
-  ClassView view;
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    if (!filter || flows[i].qos == q) {
-      view.flow_ids.push_back(i);
-      view.demands.push_back(flows[i].demand_gbps);
-    }
-  }
-  return view;
-}
-
-inline std::uint64_t fnv1a_bytes(std::uint64_t h, const void* data,
-                                 std::size_t n) noexcept {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
-inline std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) noexcept {
-  return fnv1a_bytes(h, &v, sizeof(v));
-}
-
-inline std::uint64_t fnv1a_double(std::uint64_t h, double d) noexcept {
-  std::uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return fnv1a_u64(h, bits);
-}
 
 /// splitmix64 finalizer: full-avalanche mix of one 64-bit word.
 inline std::uint64_t mix64(std::uint64_t x) noexcept {
@@ -69,102 +31,77 @@ inline std::uint64_t mix64(std::uint64_t x) noexcept {
 std::uint64_t hash_doubles(const std::vector<double>& v) noexcept {
   std::uint64_t h = 0xCBF29CE484222325ULL ^ mix64(v.size());
   for (double d : v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &d, sizeof(bits));
-    h = (h ^ mix64(bits)) * 0x100000001B3ULL;
+    h = (h ^ mix64(std::bit_cast<std::uint64_t>(d))) * 0x100000001B3ULL;
   }
   return h;
 }
 
-/// Memo slot id for one (site pair, QoS round).
-std::uint64_t pair_round_slot(const topo::SitePair& pair,
-                              std::size_t round) noexcept {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  h = fnv1a_u64(h, pair.src);
-  h = fnv1a_u64(h, pair.dst);
-  h = fnv1a_u64(h, round);
-  return h;
+/// Round index of a flow's QoS class under sequencing (class 1 first), or
+/// kNoRound for a value outside the three classes, which no round takes.
+constexpr std::size_t kNoRound = ~std::size_t{0};
+std::size_t round_of(tm::QosClass q) noexcept {
+  const auto v = static_cast<std::size_t>(q);
+  return v >= 1 && v <= 3 ? v - 1 : kNoRound;
 }
 
-/// Fingerprint of everything the solve depends on besides the traffic
-/// matrix: link states and capacities, the tunnel sets, and epsilon (it
-/// enters the LP objective). Any change — a fault-injector link failure,
-/// a capacity derate, a tunnel repair — moves this value and forces the
-/// incremental state to be dropped.
-std::uint64_t topology_fingerprint(const topo::Graph& g,
-                                   const topo::TunnelSet& tunnels,
-                                   double epsilon) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  h = fnv1a_double(h, epsilon);
-  h = fnv1a_u64(h, g.num_links());
-  for (topo::EdgeId e = 0; e < g.num_links(); ++e) {
-    const topo::Link& l = g.link(e);
-    h = fnv1a_u64(h, l.up ? 1 : 0);
-    h = fnv1a_double(h, l.capacity_gbps);
-  }
-  // TunnelSet iteration order is unspecified; combine the per-pair hashes
-  // commutatively so equal tunnel sets always fingerprint equal.
-  std::uint64_t pairs_h = 0;
-  for (const auto& [pair, ts] : tunnels.all()) {
-    std::uint64_t ph = 0xCBF29CE484222325ULL;
-    ph = fnv1a_u64(ph, pair.src);
-    ph = fnv1a_u64(ph, pair.dst);
-    ph = fnv1a_u64(ph, ts.size());
-    for (const topo::Tunnel& t : ts) {
-      ph = fnv1a_u64(ph, t.links.size());
-      for (topo::EdgeId e : t.links) ph = fnv1a_u64(ph, e);
-      ph = fnv1a_double(ph, t.weight);
-    }
-    pairs_h ^= ph;
-  }
-  return h ^ pairs_h;
-}
+/// Reused buffers of solve_pair_stage2, one set per worker thread.
+struct Stage2Workspace {
+  std::vector<std::size_t> flow_ids;  ///< the round's view: flow index
+  std::vector<double> demands;        ///< and demand, per view position
+  std::vector<std::int32_t> assignment;  ///< output buffer of cold solves
+  std::vector<double> remaining;
+  std::vector<std::size_t> remaining_pos;
+};
 
 /// Stage-2 MaxEndpointFlow for one pair and QoS round: tunnels in
 /// ascending weight (the tunnel list is already sorted by weight) —
 /// Appendix A.2: FastSSP is run sequentially, shorter tunnels first, each
-/// building on the remaining demand set. Returns the chosen tunnel per
-/// view flow (-1 = rejected); writes nothing shared, so it can run in
-/// parallel across pairs and its result can be memoized verbatim.
-std::vector<std::int32_t> solve_pair_stage2(
-    const ClassView& view, const std::vector<double>& f_kt,
-    std::size_t num_tunnels, const ssp::FastSspOptions& options) {
-  std::vector<std::int32_t> assignment(view.flow_ids.size(), -1);
-  std::vector<char> assigned(view.flow_ids.size(), 0);
+/// building on the remaining demand set. The round's view is the pair's
+/// flows of class `qos` (every flow when `filter` is off), in flow order.
+/// `assignment` receives the chosen tunnel (or -1) per view flow, which is
+/// what the memo stores. The chosen tunnels are then applied in ascending
+/// view order, so each tunnel_alloc cell accumulates its flows in flow
+/// order. Touches only its outputs and `ws`, so it runs in parallel
+/// across pairs.
+void solve_pair_stage2(const std::vector<tm::EndpointDemand>& flows,
+                       tm::QosClass qos, bool filter,
+                       const std::vector<double>& f_kt,
+                       std::size_t num_tunnels,
+                       const ssp::FastSspOptions& options,
+                       Stage2Workspace& ws,
+                       std::vector<std::int32_t>& assignment,
+                       PairAllocation& alloc) {
+  ws.flow_ids.clear();
+  ws.demands.clear();
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    if (!filter || flows[i].qos == qos) {
+      ws.flow_ids.push_back(i);
+      ws.demands.push_back(flows[i].demand_gbps);
+    }
+  }
+  assignment.assign(ws.flow_ids.size(), -1);
   for (std::size_t t = 0; t < num_tunnels && t < f_kt.size(); ++t) {
     if (f_kt[t] <= 0.0) continue;
     // Demands still unassigned in this round.
-    std::vector<double> remaining;
-    std::vector<std::size_t> remaining_pos;
-    for (std::size_t i = 0; i < view.flow_ids.size(); ++i) {
-      if (!assigned[i]) {
-        remaining.push_back(view.demands[i]);
-        remaining_pos.push_back(i);
+    ws.remaining.clear();
+    ws.remaining_pos.clear();
+    for (std::size_t i = 0; i < ws.flow_ids.size(); ++i) {
+      if (assignment[i] < 0) {
+        ws.remaining.push_back(ws.demands[i]);
+        ws.remaining_pos.push_back(i);
       }
     }
-    if (remaining.empty()) break;
-    ssp::Selection picked = ssp::fast_ssp(remaining, f_kt[t], options);
+    if (ws.remaining.empty()) break;
+    const ssp::Selection picked = ssp::fast_ssp(ws.remaining, f_kt[t], options);
     for (std::size_t sel : picked.indices) {
-      const std::size_t local = remaining_pos[sel];
-      assigned[local] = 1;
-      assignment[local] = static_cast<std::int32_t>(t);
+      assignment[ws.remaining_pos[sel]] = static_cast<std::int32_t>(t);
     }
   }
-  return assignment;
-}
-
-/// Replays a per-view assignment onto the pair's allocation. Iterating in
-/// ascending view order reproduces bit-for-bit the accumulation order of
-/// the pre-refactor inline loop (per tunnel cell, contributions arrive in
-/// ascending flow order either way).
-void apply_assignment(const ClassView& view,
-                      const std::vector<std::int32_t>& assignment,
-                      PairAllocation& alloc) {
   for (std::size_t i = 0; i < assignment.size(); ++i) {
     const std::int32_t t = assignment[i];
     if (t < 0) continue;
-    alloc.flow_tunnel[view.flow_ids[i]] = t;
-    alloc.tunnel_alloc[t] += view.demands[i];
+    alloc.flow_tunnel[ws.flow_ids[i]] = t;
+    alloc.tunnel_alloc[t] += ws.demands[i];
   }
 }
 
@@ -285,47 +222,97 @@ SolveReport MegaTeSolver::solve_learned(const TeProblem& problem,
   return report;
 }
 
+std::uint64_t topology_fingerprint(const TeProblem& problem) {
+  const topo::Graph& g = *problem.graph;
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  const auto step = [&h](std::uint64_t word) {
+    h = (h ^ mix64(word)) * 0x100000001B3ULL;
+  };
+  step(std::bit_cast<std::uint64_t>(problem.epsilon));
+  step(g.num_links());
+  for (topo::EdgeId e = 0; e < g.num_links(); ++e) {
+    const topo::Link& l = g.link(e);
+    step(l.up ? 1 : 0);
+    step(std::bit_cast<std::uint64_t>(l.capacity_gbps));
+  }
+  step(problem.tunnels->fingerprint());
+  return h;
+}
+
+void MegaTeSolver::IncrementalState::record(const tm::TrafficMatrix& traffic,
+                                            IncrementalStats* stats) {
+  const std::uint64_t base = stamp;
+  const std::uint64_t now = ++stamp;
+  std::size_t clean = 0;
+  std::size_t changed = 0;
+  std::size_t added = 0;
+  ids.clear();
+  ids.reserve(traffic.pairs().size());
+  for (const auto& [pair, flows] : traffic.pairs()) {
+    const auto [it, inserted] =
+        pair_id.try_emplace(pair, static_cast<std::uint32_t>(fps.size()));
+    const std::uint32_t id = it->second;
+    if (inserted) {
+      fps.emplace_back();
+      fp_stamp.push_back(0);
+    }
+    const tm::PairFingerprint fp = tm::fingerprint_flows(flows);
+    if (fp_stamp[id] != base) {
+      ++added;
+    } else if (fps[id] == fp) {
+      ++clean;
+    } else {
+      ++changed;
+    }
+    fps[id] = fp;
+    fp_stamp[id] = now;
+    ids.push_back(id);
+  }
+  if (stats != nullptr && baseline_pairs > 0) {
+    // Baseline pairs still present are exactly the clean and changed ones.
+    const std::size_t removed = baseline_pairs - clean - changed;
+    stats->clean_pairs = clean;
+    stats->dirty_pairs = changed + added + removed;
+  }
+  baseline_pairs = traffic.pairs().size();
+  memo.resize(fps.size() * kMemoRounds);
+}
+
 SolveReport MegaTeSolver::solve_incremental_impl(const TeProblem& problem,
                                                  const TeProblem* prev) {
-  const std::uint64_t fp = topology_fingerprint(
-      *problem.graph, *problem.tunnels, problem.epsilon);
-  const bool invalidated = inc_state_.valid && inc_state_.topo_fp != fp;
+  IncrementalState& st = inc_state_;
+  const std::uint64_t fp = topology_fingerprint(problem);
+  const bool invalidated = st.valid && st.topo_fp != fp;
   if (invalidated) {
     // Topology or capacity moved (fault event, repair, derate): every
-    // cached result was computed against a different network — drop all.
-    inc_state_.memo.invalidate_all();
-    inc_state_ = IncrementalState{};
+    // cached result was computed against a different network — drop the
+    // memo (one epoch bump) and the demand baseline.
+    st.memo.invalidate_all();
+    st.baseline_pairs = 0;
   }
-  const bool used_incremental = inc_state_.valid;
-  tm::PairFingerprintMap prev_fps = std::move(inc_state_.pair_fps);
-  if (prev_fps.empty() && prev != nullptr && prev->valid()) {
-    // No retained state (first call, or the caller solved the previous
-    // interval elsewhere): the previous traffic matrix still seeds the
-    // demand delta, provided it was paired with this very topology.
-    if (topology_fingerprint(*prev->graph, *prev->tunnels, prev->epsilon) ==
-        fp) {
-      prev_fps = tm::fingerprint_pairs(*prev->traffic);
-    }
+  const bool used_incremental = st.valid && !invalidated;
+  if (st.baseline_pairs == 0 && prev != nullptr && prev->valid() &&
+      topology_fingerprint(*prev) == fp) {
+    // No baseline (first call, or the caller solved the previous interval
+    // elsewhere): the previous traffic matrix still seeds the demand
+    // delta, provided it was paired with this very topology.
+    st.record(*prev->traffic, nullptr);
   }
 
-  // Fingerprint the new matrix exactly once: the same map keys the
-  // stage-2 memo during solve_impl (which is why it must land in
-  // inc_state_ *before* the solve), serves the delta classification and
-  // becomes the comparison baseline for the next interval.
-  inc_state_.pair_fps = tm::fingerprint_pairs(*problem.traffic);
-  SolveReport report = solve_impl(problem, &inc_state_);
+  // Fingerprint the new matrix exactly once: the same pass classifies it
+  // against the baseline, keys the stage-2 memo during solve_impl (which
+  // is why it runs *before* the solve) and becomes the next baseline.
+  IncrementalStats delta;
+  st.record(*problem.traffic, &delta);
+  SolveReport report = solve_impl(problem, &st);
 
   IncrementalStats& stats = report.incremental;
   stats.used_incremental = used_incremental;
   stats.cache_invalidations = invalidated ? 1 : 0;
-  if (!prev_fps.empty()) {
-    const tm::DemandDelta delta =
-        tm::diff_traffic(prev_fps, inc_state_.pair_fps);
-    stats.dirty_pairs = delta.dirty_pairs();
-    stats.clean_pairs = delta.clean_pairs;
-  }
-  inc_state_.topo_fp = fp;
-  inc_state_.valid = true;
+  stats.dirty_pairs = delta.dirty_pairs;
+  stats.clean_pairs = delta.clean_pairs;
+  st.topo_fp = fp;
+  st.valid = true;
   return report;
 }
 
@@ -360,16 +347,39 @@ SolveReport MegaTeSolver::solve_impl(const TeProblem& problem,
   sol.solver_name = name();
   sol.total_demand_gbps = traffic.total_demand_gbps();
 
-  // Pre-create allocations so stage 2 can write per-pair without locking.
-  std::vector<topo::SitePair> pair_ids;
-  std::vector<const std::vector<tm::EndpointDemand>*> pair_flows;
+  const bool sequencing = options_.qos_sequencing;
+  const std::array<tm::QosClass, 3> rounds = {
+      tm::QosClass::kClass1, tm::QosClass::kClass2, tm::QosClass::kClass3};
+  const std::size_t num_rounds = sequencing ? rounds.size() : 1;
+
+  // Round state per pair, indexed by the pair's position in
+  // traffic.pairs(): its flows, tunnels and allocation are resolved here
+  // once instead of re-hashed in every loop below. Allocations are
+  // pre-created so stage 2 writes per pair without locking (map values
+  // never move). The same pass computes every round's SiteMerge sum; each
+  // accumulates its flows in flow order, as a pass per round would.
+  struct PairState {
+    topo::SitePair id;
+    const std::vector<tm::EndpointDemand>* flows;
+    const std::vector<topo::Tunnel>* tunnels;
+    PairAllocation* alloc;
+  };
+  const std::size_t num_pairs = traffic.pairs().size();
+  std::vector<PairState> pairs;
+  pairs.reserve(num_pairs);
+  std::vector<double> merged(num_pairs * num_rounds, 0.0);
+  sol.pairs.reserve(num_pairs);
   for (const auto& [pair, flows] : traffic.pairs()) {
-    auto& alloc = sol.pairs[pair];
-    alloc.tunnel_alloc.assign(tunnels.tunnels(pair.src, pair.dst).size(),
-                              0.0);
+    const auto& ts = tunnels.tunnels(pair.src, pair.dst);
+    PairAllocation& alloc = sol.pairs[pair];
+    alloc.tunnel_alloc.assign(ts.size(), 0.0);
     alloc.flow_tunnel.assign(flows.size(), -1);
-    pair_ids.push_back(pair);
-    pair_flows.push_back(&flows);
+    double* sums = &merged[pairs.size() * num_rounds];
+    for (const auto& f : flows) {
+      const std::size_t r = sequencing ? round_of(f.qos) : 0;
+      if (r != kNoRound) sums[r] += f.demand_gbps;
+    }
+    pairs.push_back({pair, &flows, &ts, &alloc});
   }
 
   // Residual link capacities across QoS rounds.
@@ -378,12 +388,16 @@ SolveReport MegaTeSolver::solve_impl(const TeProblem& problem,
     residual[e] = g.link(e).up ? g.link(e).capacity_gbps : 0.0;
   }
 
-  util::ThreadPool& pool = thread_pool();
-  const bool sequencing = options_.qos_sequencing;
-  const std::array<tm::QosClass, 3> rounds = {
-      tm::QosClass::kClass1, tm::QosClass::kClass2, tm::QosClass::kClass3};
-  const std::size_t num_rounds = sequencing ? rounds.size() : 1;
+  // Stage-2 memo, on incremental solves only. A solve that starts with an
+  // empty memo cannot hit: round r's slots are filled only after round
+  // r's probes. It skips the lookups and counts them as misses.
+  const bool probe_memo = inc != nullptr && !inc->memo.empty();
+  std::vector<ssp::PairSolveKey> keys(inc != nullptr ? num_pairs : 0);
+  std::vector<const std::vector<std::int32_t>*> hits(keys.size(), nullptr);
+  std::vector<const std::vector<double>*> f_kt(num_pairs, nullptr);
+  std::vector<std::size_t> allocated;  // pairs with an F_{k,t} this round
 
+  util::ThreadPool& pool = thread_pool();
   for (std::size_t round = 0; round < num_rounds; ++round) {
     const tm::QosClass qos = rounds[round];
     // Per-QoS-round histogram suffix ("q1".."q3", or "all" when QoS
@@ -391,14 +405,14 @@ SolveReport MegaTeSolver::solve_impl(const TeProblem& problem,
     const std::string qos_label =
         sequencing ? "q" + std::to_string(round + 1) : "all";
 
-    // --- SiteMerge: aggregate this round's demands to site level ---
+    // --- SiteMerge: this round's site-level demands D_k ---
+    // d_k's iteration order is the LP's column order, so it is built by
+    // the same inserts in the same order as ever (a reserve() would
+    // reorder it and change the plan).
     std::unordered_map<topo::SitePair, double, topo::SitePairHash> d_k;
-    for (std::size_t p = 0; p < pair_ids.size(); ++p) {
-      double sum = 0.0;
-      for (const auto& f : *pair_flows[p]) {
-        if (!sequencing || f.qos == qos) sum += f.demand_gbps;
-      }
-      if (sum > 0.0) d_k[pair_ids[p]] = sum;
+    for (std::size_t p = 0; p < num_pairs; ++p) {
+      const double sum = merged[p * num_rounds + round];
+      if (sum > 0.0) d_k[pairs[p].id] = sum;
     }
     if (d_k.empty()) continue;
 
@@ -424,89 +438,89 @@ SolveReport MegaTeSolver::solve_impl(const TeProblem& problem,
       reg->counter("te.stage1.presolve.rows_dropped").inc(lp.rows_dropped);
     }
     sol.iterations += lp.iterations;
+    report.stage1_objective += lp.objective;
+    report.stage1_dual_bound += lp.dual_bound;
 
     // --- Stage 2: per-pair FastSSP, parallel across site pairs ---
     util::Stopwatch s2;
     std::optional<obs::Span> s2_span;
     if (reg != nullptr) s2_span.emplace(*reg, "stage2");
-    // Per-pair wall time; plain chrono + one histogram observe rather
-    // than a span per pair (spans would record thousands of rows).
-    const auto observe_pair = [pair_hist](
-                                  std::chrono::steady_clock::time_point t0) {
-      if (pair_hist == nullptr) return;
-      pair_hist->observe(std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count());
-    };
-    // Memo probe, on incremental solves only. The key reuses the delta
-    // pass's per-pair flow-list fingerprint (inc->pair_fps holds the
-    // *current* interval's map) plus the bitwise hash of this round's
-    // F_{k,t}, so the serial probe is O(1) per pair. Probes and inserts
-    // are serial (lock-free memo, deterministic insertion order); entry
-    // pointers stay valid until the insert loop, after every apply.
-    struct MemoProbe {
-      bool probed = false;
-      ssp::PairSolveKey key;
-      const ssp::PairSolveEntry* hit = nullptr;
-      std::vector<std::int32_t> assignment;  // a miss's result, to insert
-    };
-    std::vector<MemoProbe> probes(inc != nullptr ? pair_ids.size() : 0);
-    for (std::size_t p = 0; p < probes.size(); ++p) {
-      auto lp_it = lp.alloc.find(pair_ids[p]);
-      if (lp_it == lp.alloc.end()) continue;
-      MemoProbe& m = probes[p];
-      m.probed = true;
-      m.key.demand_hash = inc->pair_fps.at(pair_ids[p]).hash;
-      m.key.alloc_hash = hash_doubles(lp_it->second);
-      m.hit = inc->memo.lookup(pair_round_slot(pair_ids[p], round), m.key);
-      if (m.hit != nullptr) {
-        ++report.incremental.ssp_cache_hits;
-        if (memo_hits != nullptr) memo_hits->inc();
-      } else {
-        ++report.incremental.ssp_cache_misses;
-        if (memo_misses != nullptr) memo_misses->inc();
-      }
+    // Only pairs stage 1 allocated take part in stage 2, so only they can
+    // hold assignments of this round before the repair.
+    allocated.clear();
+    for (std::size_t p = 0; p < num_pairs; ++p) {
+      auto it = lp.alloc.find(pairs[p].id);
+      f_kt[p] = it == lp.alloc.end() ? nullptr : &it->second;
+      if (f_kt[p] != nullptr) allocated.push_back(p);
     }
-    pool.parallel_for(pair_ids.size(), [&](std::size_t p) {
-      const auto t0 = std::chrono::steady_clock::now();
-      const topo::SitePair pair = pair_ids[p];
-      auto lp_it = lp.alloc.find(pair);
-      if (lp_it == lp.alloc.end()) return;
-      // All pairs were pre-created above; find() avoids a concurrent
-      // operator[] insert on the shared map.
-      PairAllocation& alloc = sol.pairs.find(pair)->second;
-      const ssp::PairSolveEntry* hit =
-          probes.empty() ? nullptr : probes[p].hit;
+    // Memo probe: the key is the pair's flow-list fingerprint (recorded
+    // for this interval before the solve) plus the bitwise hash of this
+    // round's F_{k,t}, so the serial probe is O(1) per pair. Hit pointers
+    // stay valid through the round: a miss refills only its own slot.
+    const auto slot = [&](std::size_t p) {
+      return inc->ids[p] * kMemoRounds + round;
+    };
+    if (inc != nullptr) {
+      std::size_t round_hits = 0;
+      for (std::size_t p : allocated) {
+        keys[p].demand_hash = inc->fps[inc->ids[p]].hash;
+        keys[p].alloc_hash = hash_doubles(*f_kt[p]);
+        hits[p] = probe_memo ? inc->memo.lookup(slot(p), keys[p]) : nullptr;
+        if (hits[p] != nullptr) ++round_hits;
+      }
+      const std::size_t round_misses = allocated.size() - round_hits;
+      report.incremental.ssp_cache_hits += round_hits;
+      report.incremental.ssp_cache_misses += round_misses;
+      if (memo_hits != nullptr) memo_hits->inc(round_hits);
+      if (memo_misses != nullptr) memo_misses->inc(round_misses);
+    }
+    pool.parallel_for(allocated.size(), [&](std::size_t k) {
+      const std::size_t p = allocated[k];
+      // Per-pair wall time: plain chrono + one histogram observe rather
+      // than a span per pair (spans would record thousands of rows), and
+      // no clock read at all without a histogram.
+      std::chrono::steady_clock::time_point t0;
+      if (pair_hist != nullptr) t0 = std::chrono::steady_clock::now();
+      const PairState& ps = pairs[p];
+      const std::vector<std::int32_t>* hit =
+          inc != nullptr ? hits[p] : nullptr;
       if (hit != nullptr) {
         // The cached assignment is indexed by view position; the class
-        // filter enumerates exactly class_view's positions, in the same
-        // ascending order as apply_assignment, so tunnel_alloc accumulates
-        // bitwise as on a recompute — without materializing a ClassView.
-        const auto& flows = *pair_flows[p];
+        // filter enumerates exactly the view's positions in the same
+        // ascending order as a recompute's apply, so tunnel_alloc
+        // accumulates bitwise as on a recompute.
+        const auto& flows = *ps.flows;
         std::size_t vi = 0;
         for (std::size_t i = 0; i < flows.size(); ++i) {
           if (sequencing && flows[i].qos != qos) continue;
-          const std::int32_t t = hit->assignment[vi++];
+          const std::int32_t t = (*hit)[vi++];
           if (t >= 0) {
-            alloc.flow_tunnel[i] = t;
-            alloc.tunnel_alloc[t] += flows[i].demand_gbps;
+            ps.alloc->flow_tunnel[i] = t;
+            ps.alloc->tunnel_alloc[t] += flows[i].demand_gbps;
           }
         }
       } else {
-        const ClassView view = class_view(*pair_flows[p], qos, sequencing);
-        std::vector<std::int32_t> assignment = solve_pair_stage2(
-            view, lp_it->second, tunnels.tunnels(pair.src, pair.dst).size(),
-            options_.fast_ssp);
-        apply_assignment(view, assignment, alloc);
-        if (!probes.empty()) probes[p].assignment = std::move(assignment);
+        // A miss writes its assignment straight into its memo slot.
+        thread_local Stage2Workspace ws;
+        std::vector<std::int32_t>& assignment =
+            inc != nullptr ? inc->memo.refill(slot(p)) : ws.assignment;
+        solve_pair_stage2(*ps.flows, qos, sequencing, *f_kt[p],
+                          ps.tunnels->size(), options_.fast_ssp, ws,
+                          assignment, *ps.alloc);
       }
-      observe_pair(t0);
+      if (pair_hist != nullptr) {
+        pair_hist->observe(std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count());
+      }
     });
-    for (std::size_t p = 0; p < probes.size(); ++p) {
-      MemoProbe& m = probes[p];
-      if (!m.probed || m.hit != nullptr) continue;
-      inc->memo.insert(pair_round_slot(pair_ids[p], round), m.key,
-                       ssp::PairSolveEntry{std::move(m.assignment)});
+    // Each miss filled its slot above; make the slots live.
+    if (inc != nullptr) {
+      for (std::size_t p : allocated) {
+        if (hits[p] == nullptr) {
+          inc->memo.commit(slot(p), keys[p]);
+        }
+      }
     }
     s2_span.reset();
     const double s2_elapsed = s2.elapsed_seconds();
@@ -517,14 +531,13 @@ SolveReport MegaTeSolver::solve_impl(const TeProblem& problem,
     }
 
     // --- Update residual capacities with the *assigned* traffic ---
-    for (std::size_t p = 0; p < pair_ids.size(); ++p) {
-      const topo::SitePair pair = pair_ids[p];
-      const auto& ts = tunnels.tunnels(pair.src, pair.dst);
-      const PairAllocation& alloc = sol.pairs[pair];
-      const auto& flows = *pair_flows[p];
+    for (std::size_t p : allocated) {
+      const PairState& ps = pairs[p];
+      const auto& ts = *ps.tunnels;
+      const auto& flows = *ps.flows;
       for (std::size_t i = 0; i < flows.size(); ++i) {
         if (sequencing && flows[i].qos != qos) continue;
-        const std::int32_t t = alloc.flow_tunnel[i];
+        const std::int32_t t = ps.alloc->flow_tunnel[i];
         if (t < 0) continue;
         for (topo::EdgeId e : ts[t].links) {
           residual[e] = std::max(0.0, residual[e] - flows[i].demand_gbps);
@@ -540,9 +553,9 @@ SolveReport MegaTeSolver::solve_impl(const TeProblem& problem,
         double demand;
       };
       std::vector<Unassigned> left;
-      for (std::size_t p = 0; p < pair_ids.size(); ++p) {
-        const PairAllocation& alloc = sol.pairs[pair_ids[p]];
-        const auto& flows = *pair_flows[p];
+      for (std::size_t p = 0; p < num_pairs; ++p) {
+        const PairAllocation& alloc = *pairs[p].alloc;
+        const auto& flows = *pairs[p].flows;
         for (std::size_t i = 0; i < flows.size(); ++i) {
           if (sequencing && flows[i].qos != qos) continue;
           if (alloc.flow_tunnel[i] < 0 && flows[i].demand_gbps > 0.0) {
@@ -556,11 +569,9 @@ SolveReport MegaTeSolver::solve_impl(const TeProblem& problem,
                 });
       const std::uint32_t repair_budget = options_.site_lp.max_sr_hops;
       for (const Unassigned& u : left) {
-        const topo::SitePair pair = pair_ids[u.pair_index];
-        const auto& ts = tunnels.tunnels(pair.src, pair.dst);
-        PairAllocation& alloc = sol.pairs.find(pair)->second;
+        const auto& ts = *pairs[u.pair_index].tunnels;
+        PairAllocation& alloc = *pairs[u.pair_index].alloc;
         for (std::size_t t = 0; t < ts.size(); ++t) {
-          if (!ts[t].alive(g)) continue;
           // Repair walks *all* tunnels of the pair, including ones stage 1
           // never saw — re-apply the hop budget or repair would reopen the
           // plan/encap hole the stage-1 filter just closed.
@@ -574,7 +585,9 @@ SolveReport MegaTeSolver::solve_impl(const TeProblem& problem,
               break;
             }
           }
-          if (!fits) continue;
+          // The capacity test usually fails first; the liveness walk runs
+          // only for a tunnel that fits.
+          if (!fits || !ts[t].alive(g)) continue;
           alloc.flow_tunnel[u.flow_index] = static_cast<std::int32_t>(t);
           alloc.tunnel_alloc[t] += u.demand;
           for (topo::EdgeId e : ts[t].links) residual[e] -= u.demand;
@@ -584,43 +597,50 @@ SolveReport MegaTeSolver::solve_impl(const TeProblem& problem,
     }
   }
 
-  // Satisfied demand = sum of assigned flows.
-  double satisfied = 0.0;
-  for (std::size_t p = 0; p < pair_ids.size(); ++p) {
-    const PairAllocation& alloc = sol.pairs[pair_ids[p]];
-    const auto& flows = *pair_flows[p];
-    for (std::size_t i = 0; i < flows.size(); ++i) {
-      if (alloc.flow_tunnel[i] >= 0) satisfied += flows[i].demand_gbps;
-    }
-  }
-  sol.satisfied_gbps = satisfied;
-  sol.solve_time_s = total_clock.elapsed_seconds();
-
-  // Plan/encap contract audit. Stage 1 and residual repair both filter by
-  // the budget, so a non-zero count here is an internal bug — fail loudly
-  // (solved=false + counter + SolveReport::error) instead of letting the
-  // dataplane discover it one refused encapsulation at a time.
+  // Satisfied demand = sum of assigned flows. The same pass runs the
+  // plan/encap contract audit (count_hop_budget_violations over the
+  // solve's pairs): every allocation is one assigned flow here, and a flow
+  // on a tunnel over max_sr_hops counts once.
   const std::uint32_t hop_budget = options_.site_lp.max_sr_hops;
-  if (hop_budget > 0) {
-    const std::size_t violations =
-        count_hop_budget_violations(problem, sol, hop_budget);
-    if (violations > 0) {
-      sol.solved = false;
-      report.hop_budget_violations = violations;
-      report.error = "plan/encap contract violated: " +
-                     std::to_string(violations) +
-                     " allocation(s) exceed max_sr_hops=" +
-                     std::to_string(hop_budget);
-      if (reg != nullptr) {
-        reg->counter("te.hop_budget_violations").inc(violations);
+  double satisfied = 0.0;
+  std::size_t violations = 0;
+  for (const PairState& ps : pairs) {
+    const auto& flows = *ps.flows;
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      const std::int32_t t = ps.alloc->flow_tunnel[i];
+      if (t < 0) continue;
+      satisfied += flows[i].demand_gbps;
+      if (hop_budget > 0 && (*ps.tunnels)[t].links.size() > hop_budget) {
+        ++violations;
       }
     }
   }
+  sol.satisfied_gbps = satisfied;
+
+  // Stage 1 and residual repair both filter by the budget, so a non-zero
+  // count is an internal bug — fail loudly (solved=false + counter +
+  // SolveReport::error) instead of letting the dataplane discover it one
+  // refused encapsulation at a time.
+  if (violations > 0) {
+    sol.solved = false;
+    report.hop_budget_violations = violations;
+    report.error = "plan/encap contract violated: " +
+                   std::to_string(violations) +
+                   " allocation(s) exceed max_sr_hops=" +
+                   std::to_string(hop_budget);
+    if (reg != nullptr) {
+      reg->counter("te.hop_budget_violations").inc(violations);
+    }
+  }
+  sol.solve_time_s = total_clock.elapsed_seconds();
 
   if (reg != nullptr) {
     reg->gauge("te.last.stage1_seconds").set(stage1_s);
     reg->gauge("te.last.stage2_seconds").set(stage2_s);
     reg->gauge("te.last.solve_seconds").set(sol.solve_time_s);
+    // Time ledger: the solve's own glue outside the two stages.
+    reg->gauge("te.solve.unattributed_seconds")
+        .set(std::max(0.0, sol.solve_time_s - stage1_s - stage2_s));
     reg->gauge("te.last.satisfied_gbps").set(satisfied);
     reg->gauge("te.last.total_demand_gbps").set(sol.total_demand_gbps);
   }

@@ -319,29 +319,43 @@ SiteLpResult solve_max_site_flow_clustered(
     std::size_t nnz = 0;  // LP nonzeros before the presolve: its size
   };
   std::unordered_map<std::uint64_t, Bucket> buckets;
+  // Bucket of each cluster pair, resolved on its first pair: the map sees
+  // the same inserts in the same order, one hash per bucket instead of one
+  // per site pair.
+  const std::size_t num_clusters =
+      cluster.empty() ? 0
+                      : *std::max_element(cluster.begin(), cluster.end()) + 1;
+  std::vector<Bucket*> bucket_of(num_clusters * num_clusters, nullptr);
   std::vector<double> total_estimated(g.num_links(), 0.0);
+  std::vector<char> admissible;
   for (const auto& [pair, demand] : site_demands) {
     if (demand <= 0.0) continue;
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(cluster[pair.src]) << 32) |
-        cluster[pair.dst];
-    Bucket& b = buckets[key];
-    if (b.estimated.empty()) b.estimated.assign(g.num_links(), 0.0);
+    Bucket*& slot = bucket_of[cluster[pair.src] * num_clusters +
+                              cluster[pair.dst]];
+    if (slot == nullptr) {
+      const std::uint64_t key =
+          (static_cast<std::uint64_t>(cluster[pair.src]) << 32) |
+          cluster[pair.dst];
+      slot = &buckets[key];
+      slot->estimated.assign(g.num_links(), 0.0);
+    }
+    Bucket& b = *slot;
     b.demands[pair] = demand;
     const auto& ts = tunnels.tunnels(pair.src, pair.dst);
     // Mirror the per-bucket LP's admissibility (alive + hop budget) so the
     // capacity partition never reserves headroom for unusable tunnels.
-    auto admissible = [&](const topo::Tunnel& t) {
-      return t.alive(g) && (options.max_sr_hops == 0 ||
-                            t.links.size() <= options.max_sr_hops);
-    };
+    admissible.resize(ts.size());
     double wsum = 0.0;
-    for (const auto& t : ts) {
-      if (admissible(t)) wsum += 1.0 / t.weight;
+    for (std::size_t t = 0; t < ts.size(); ++t) {
+      admissible[t] = (options.max_sr_hops == 0 ||
+                       ts[t].links.size() <= options.max_sr_hops) &&
+                      ts[t].alive(g);
+      if (admissible[t]) wsum += 1.0 / ts[t].weight;
     }
     if (wsum <= 0.0) continue;
-    for (const auto& t : ts) {
-      if (!admissible(t)) continue;
+    for (std::size_t i = 0; i < ts.size(); ++i) {
+      if (!admissible[i]) continue;
+      const topo::Tunnel& t = ts[i];
       b.nnz += t.links.size() + 1;
       const double share = demand * (1.0 / t.weight) / wsum;
       for (topo::EdgeId e : t.links) {
@@ -391,9 +405,14 @@ SiteLpResult solve_max_site_flow_clustered(
   for (auto& f : done) f.wait();
   for (auto& f : done) f.get();  // rethrows a bucket's exception
 
+  // Buckets hold disjoint pairs, so merge() splices every allocation node
+  // into the result without copying or allocating.
   SiteLpResult merged;
   merged.status = lp::Status::kOptimal;
-  for (const SiteLpResult& r : partial) {
+  std::size_t merged_pairs = 0;
+  for (const SiteLpResult& r : partial) merged_pairs += r.alloc.size();
+  merged.alloc.reserve(merged_pairs);
+  for (SiteLpResult& r : partial) {
     if (r.status != lp::Status::kOptimal) merged.status = r.status;
     merged.objective += r.objective;
     merged.dual_bound += r.dual_bound;
@@ -403,7 +422,7 @@ SiteLpResult solve_max_site_flow_clustered(
     merged.pairs_fixed += r.pairs_fixed;
     merged.rows_dropped += r.rows_dropped;
     merged.used_simplex = merged.used_simplex || r.used_simplex;
-    for (const auto& [pair, alloc] : r.alloc) merged.alloc[pair] = alloc;
+    merged.alloc.merge(r.alloc);
   }
   return merged;
 }

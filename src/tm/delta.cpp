@@ -71,32 +71,6 @@ DemandDelta diff_traffic(const PairFingerprintMap& prev,
   return delta;
 }
 
-DemandDelta diff_traffic(const PairFingerprintMap& prev,
-                         const PairFingerprintMap& next) {
-  DemandDelta delta;
-  for (const auto& [pair, fp] : next) {
-    delta.total_demand_gbps += fp.total_gbps;
-    auto it = prev.find(pair);
-    if (it == prev.end()) {
-      ++delta.added_pairs;
-    } else if (!(it->second == fp)) {
-      ++delta.changed_pairs;
-    } else {
-      ++delta.clean_pairs;
-      continue;
-    }
-    delta.dirty.push_back(pair);
-    delta.dirty_demand_gbps += fp.total_gbps;
-  }
-  for (const auto& [pair, fp] : prev) {
-    if (next.find(pair) == next.end()) {
-      ++delta.removed_pairs;
-      delta.dirty.push_back(pair);
-    }
-  }
-  return delta;
-}
-
 DemandDelta diff_traffic(const TrafficMatrix& prev,
                          const TrafficMatrix& next) {
   return diff_traffic(fingerprint_pairs(prev), next);

@@ -67,12 +67,6 @@ struct DemandDelta {
 DemandDelta diff_traffic(const PairFingerprintMap& prev,
                          const TrafficMatrix& next);
 
-/// Diffs two pre-computed fingerprint maps — for callers that keep the
-/// new interval's fingerprints around anyway (the incremental solver
-/// fingerprints each matrix exactly once this way).
-DemandDelta diff_traffic(const PairFingerprintMap& prev,
-                         const PairFingerprintMap& next);
-
 /// Convenience overload fingerprinting `prev` on the fly.
 DemandDelta diff_traffic(const TrafficMatrix& prev,
                          const TrafficMatrix& next);

@@ -23,6 +23,11 @@
 // Each tunnel carries the paper's weight w_t (derived from its latency:
 // higher latency -> larger weight), which both the MaxSiteFlow objective
 // and the FastSSP tunnel ordering consume.
+//
+// A TunnelSet keeps a content fingerprint up to date as pairs are set:
+// set_tunnels XORs the replaced pair's hash out and the new one in, so
+// reading it is O(1) and the incremental solver no longer rehashes every
+// tunnel each interval to notice a repair (DESIGN.md §8).
 
 #include <cstdint>
 #include <unordered_map>
@@ -111,7 +116,16 @@ class TunnelSet {
   /// was never built or is disconnected.
   const std::vector<Tunnel>& tunnels(NodeId src, NodeId dst) const;
 
+  /// Replaces the tunnels of (src, dst) and updates fingerprint().
   void set_tunnels(NodeId src, NodeId dst, std::vector<Tunnel> tunnels);
+
+  /// Fingerprint of the set's content: the XOR over every stored pair of
+  /// a word-wise hash of (src, dst, tunnel count, and per tunnel its link
+  /// count, link ids and bitwise weight). XOR makes it independent of
+  /// insertion order, so equal sets fingerprint equal; set_tunnels is the
+  /// only mutator, so the value is exact at all times. Latency is not
+  /// hashed: no solve reads it. Copies carry the value with the content.
+  std::uint64_t fingerprint() const noexcept { return fingerprint_; }
 
   std::size_t num_pairs() const noexcept { return map_.size(); }
   std::size_t total_tunnels() const noexcept;
@@ -130,6 +144,7 @@ class TunnelSet {
   std::unordered_map<SitePair, std::vector<Tunnel>, SitePairHash> map_;
   std::vector<Tunnel> empty_;
   TunnelBuildStats stats_;
+  std::uint64_t fingerprint_ = 0;
 };
 
 /// Yen's K shortest loopless paths from src to dst (ascending latency).

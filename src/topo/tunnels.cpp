@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <functional>
@@ -28,9 +29,45 @@ const std::vector<Tunnel>& TunnelSet::tunnels(NodeId src, NodeId dst) const {
   return it == map_.end() ? empty_ : it->second;
 }
 
+namespace {
+
+/// splitmix64 finalizer: full-avalanche mix of one 64-bit word.
+inline std::uint64_t mix64(std::uint64_t x) noexcept {
+  x ^= x >> 30;
+  x *= 0xBF58476D1CE4E5B9ULL;
+  x ^= x >> 27;
+  x *= 0x94D049BB133111EBULL;
+  x ^= x >> 31;
+  return x;
+}
+
+/// One pair's share of TunnelSet::fingerprint(), a word per step. Each
+/// step is a bijection of the running hash for a fixed word, so changing
+/// any one link id or weight always moves the result.
+std::uint64_t pair_fingerprint(SitePair pair, const std::vector<Tunnel>& ts) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  const auto step = [&h](std::uint64_t word) {
+    h = (h ^ mix64(word)) * 0x100000001B3ULL;
+  };
+  step((static_cast<std::uint64_t>(pair.src) << 32) | pair.dst);
+  step(ts.size());
+  for (const Tunnel& t : ts) {
+    step(t.links.size());
+    for (EdgeId e : t.links) step(e);
+    step(std::bit_cast<std::uint64_t>(t.weight));
+  }
+  return h;
+}
+
+}  // namespace
+
 void TunnelSet::set_tunnels(NodeId src, NodeId dst,
                             std::vector<Tunnel> tunnels) {
-  map_[SitePair{src, dst}] = std::move(tunnels);
+  const SitePair pair{src, dst};
+  auto [it, inserted] = map_.try_emplace(pair);
+  if (!inserted) fingerprint_ ^= pair_fingerprint(pair, it->second);
+  it->second = std::move(tunnels);
+  fingerprint_ ^= pair_fingerprint(pair, it->second);
 }
 
 std::size_t TunnelSet::total_tunnels() const noexcept {

@@ -25,6 +25,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -38,6 +39,7 @@
 #include "megate/te/checker.h"
 #include "megate/te/megate_solver.h"
 #include "megate/tm/delta.h"
+#include "megate/topo/failures.h"
 #include "megate/util/rng.h"
 #include "test_helpers.h"
 
@@ -384,6 +386,73 @@ TEST_F(IncrementalCacheTest, ResetDropsRetainedState) {
   const te::SolveReport report = solver_.solve(problem, inc_ctx());
   EXPECT_FALSE(report.incremental.used_incremental);
   EXPECT_EQ(report.incremental.ssp_cache_hits, 0u);
+}
+
+TEST_F(IncrementalCacheTest, SingleLinkFaultAndRepairInvalidateOnce) {
+  const te::TeProblem problem = s_->problem();
+  (void)solver_.solve(problem, inc_ctx());
+  const std::uint64_t before = te::topology_fingerprint(problem);
+  const topo::TunnelSet original = s_->tunnels;
+
+  const auto events = topo::inject_link_failures(s_->graph, 1, 5);
+  ASSERT_FALSE(events.empty());
+  topo::repair_tunnels(s_->graph, s_->tunnels);
+  EXPECT_NE(s_->tunnels.fingerprint(), original.fingerprint());
+  EXPECT_NE(te::topology_fingerprint(s_->problem()), before);
+  const te::SolveReport fault = solver_.solve(s_->problem(), inc_ctx());
+  EXPECT_EQ(fault.incremental.cache_invalidations, 1u);
+  EXPECT_EQ(fault.incremental.ssp_cache_hits, 0u);
+
+  // Restoring the links and the original tunnels restores the value.
+  topo::restore_failures(s_->graph, events);
+  s_->tunnels = original;
+  EXPECT_EQ(te::topology_fingerprint(s_->problem()), before);
+  const te::SolveReport back = solver_.solve(s_->problem(), inc_ctx());
+  EXPECT_EQ(back.incremental.cache_invalidations, 1u);
+  EXPECT_EQ(back.incremental.ssp_cache_hits, 0u);
+}
+
+TEST_F(IncrementalCacheTest, EmptyMemoSolveCountsEveryProbeAsMiss) {
+  const te::TeProblem problem = s_->problem();
+  const te::SolveReport first = solver_.solve(problem, inc_ctx());
+  const std::size_t probes = first.incremental.ssp_cache_misses;
+  EXPECT_GT(probes, 0u);
+  EXPECT_EQ(first.incremental.ssp_cache_hits, 0u);
+  // A warm repeat probes the same (pair, round) slots and hits them all.
+  const te::SolveReport warm = solver_.solve(problem, inc_ctx());
+  EXPECT_EQ(warm.incremental.ssp_cache_hits, probes);
+  EXPECT_EQ(warm.incremental.ssp_cache_misses, 0u);
+  // After a drop the memo is empty again: every probe is a miss, no fewer.
+  solver_.reset_incremental();
+  const te::SolveReport cold = solver_.solve(problem, inc_ctx());
+  EXPECT_EQ(cold.incremental.ssp_cache_hits, 0u);
+  EXPECT_EQ(cold.incremental.ssp_cache_misses, probes);
+}
+
+TEST_F(IncrementalCacheTest, DeltaStatsMatchDiffTraffic) {
+  // Intervals that churn demands, drop pairs and bring them back: the
+  // solver's dirty/clean split equals tm::diff_traffic's every time.
+  std::vector<tm::TrafficMatrix> matrices;
+  matrices.push_back(s_->traffic);
+  for (std::uint64_t k = 1; k <= 4; ++k) {
+    tm::TrafficMatrix next = evolve_traffic(s_->traffic, 0.3, 100 + k);
+    std::size_t i = 0;
+    for (auto it = next.pairs().begin(); it != next.pairs().end(); ++i) {
+      it = (i + k) % 5 == 0 ? next.pairs().erase(it) : std::next(it);
+    }
+    matrices.push_back(std::move(next));
+  }
+  te::TeProblem problem = s_->problem();
+  for (std::size_t k = 0; k < matrices.size(); ++k) {
+    problem.traffic = &matrices[k];
+    const te::SolveReport report = solver_.solve(problem, inc_ctx());
+    if (k == 0) continue;
+    const tm::DemandDelta delta =
+        tm::diff_traffic(matrices[k - 1], matrices[k]);
+    EXPECT_GT(delta.removed_pairs + delta.added_pairs, 0u) << k;
+    EXPECT_EQ(report.incremental.dirty_pairs, delta.dirty_pairs()) << k;
+    EXPECT_EQ(report.incremental.clean_pairs, delta.clean_pairs) << k;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "megate/obs/metrics.h"
 #include "megate/te/checker.h"
 #include "megate/te/megate_solver.h"
 #include "megate/te/site_lp.h"
@@ -314,6 +315,47 @@ TEST(MegaTe, StageTimersPopulated) {
   EXPECT_GE(report.stage1_seconds, 0.0);
   EXPECT_GE(report.stage2_seconds, 0.0);
   EXPECT_GE(report.solution.solve_time_s, report.stage1_seconds);
+}
+
+TEST(MegaTe, UnattributedGaugeIsTheGlueOutsideBothStages) {
+  auto s = make_scenario(8, 14, 30, 0.3);
+  obs::MetricsRegistry reg;
+  MegaTeOptions opt;
+  opt.metrics = &reg;
+  MegaTeSolver solver(opt);
+  const SolveReport report = solver.solve(s->problem(), SolveContext{});
+  ASSERT_TRUE(report.ok());
+  const double solve_s = reg.gauge("te.last.solve_seconds").value();
+  const double glue_s = reg.gauge("te.solve.unattributed_seconds").value();
+  EXPECT_GE(glue_s, 0.0);
+  EXPECT_LE(glue_s, solve_s);
+  EXPECT_NEAR(glue_s,
+              solve_s - reg.gauge("te.last.stage1_seconds").value() -
+                  reg.gauge("te.last.stage2_seconds").value(),
+              1e-12);
+}
+
+TEST(MegaTe, Stage1LedgerIsBoundedByItsDualBound) {
+  auto s = make_scenario(10, 18, 30, 0.6);
+  MegaTeOptions opt;
+  opt.site_lp.backend = SiteLpOptions::Backend::kPacking;
+  MegaTeSolver solver(opt);
+  const SolveReport report = solver.solve(s->problem(), SolveContext{});
+  ASSERT_TRUE(report.ok());
+  EXPECT_GT(report.stage1_objective, 0.0);
+  EXPECT_LE(report.stage1_objective, report.stage1_dual_bound);
+  // The ledger sums the rounds' SiteLpResults; with QoS sequencing off the
+  // single round is a plain MaxSiteFlow on full capacity.
+  opt.qos_sequencing = false;
+  MegaTeSolver joint(opt);
+  const SolveReport one = joint.solve(s->problem(), SolveContext{});
+  const SiteLpResult lp =
+      solve_max_site_flow(s->graph, s->tunnels, s->traffic.site_demands(), {},
+                          s->problem().epsilon, opt.site_lp);
+  EXPECT_EQ(one.stage1_objective, lp.objective);
+  EXPECT_EQ(one.stage1_dual_bound, lp.dual_bound);
+  EXPECT_LE(0.0, one.stage1_objective);
+  EXPECT_LE(one.stage1_objective, one.stage1_dual_bound);
 }
 
 TEST(MegaTe, InvalidProblemThrows) {

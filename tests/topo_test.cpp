@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <sstream>
 
@@ -214,6 +215,96 @@ TEST(Tunnels, RepairReplacesDeadTunnels) {
     }
   }
   restore_failures(g, events);
+}
+
+// --- TunnelSet::fingerprint ------------------------------------------------
+
+Tunnel make_tunnel(std::vector<EdgeId> links, double weight) {
+  Tunnel t;
+  t.links = std::move(links);
+  t.weight = weight;
+  return t;
+}
+
+TEST(TunnelFingerprint, IndependentOfInsertionOrder) {
+  GeneratorOptions opt;
+  opt.seed = 3;
+  const Graph g = make_isp_like(10, 16, opt);
+  const TunnelSet built = build_tunnels(g);
+  std::vector<SitePair> order;
+  for (const auto& [pair, ts] : built.all()) order.push_back(pair);
+  TunnelSet forward;
+  TunnelSet backward;
+  for (const SitePair& p : order) {
+    forward.set_tunnels(p.src, p.dst, built.tunnels(p.src, p.dst));
+  }
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    backward.set_tunnels(it->src, it->dst, built.tunnels(it->src, it->dst));
+  }
+  EXPECT_NE(built.fingerprint(), 0u);
+  EXPECT_EQ(forward.fingerprint(), built.fingerprint());
+  EXPECT_EQ(backward.fingerprint(), built.fingerprint());
+}
+
+TEST(TunnelFingerprint, ReplaceThenRestoreReturnsTheValue) {
+  TunnelSet ts;
+  const std::vector<Tunnel> original = {make_tunnel({0, 1}, 1.0),
+                                        make_tunnel({2}, 1.5)};
+  ts.set_tunnels(0, 2, original);
+  ts.set_tunnels(1, 2, {make_tunnel({3}, 1.0)});
+  const std::uint64_t before = ts.fingerprint();
+  ts.set_tunnels(0, 2, {make_tunnel({4, 5}, 1.0)});
+  EXPECT_NE(ts.fingerprint(), before);
+  ts.set_tunnels(0, 2, original);
+  EXPECT_EQ(ts.fingerprint(), before);
+}
+
+TEST(TunnelFingerprint, CopiesAndMovesCarryTheValue) {
+  GeneratorOptions opt;
+  opt.seed = 4;
+  const Graph g = make_isp_like(8, 12, opt);
+  const TunnelSet built = build_tunnels(g);
+  const TunnelSet copy = built;
+  EXPECT_EQ(copy.fingerprint(), built.fingerprint());
+  TunnelSet assigned;
+  assigned.set_tunnels(0, 1, {make_tunnel({0}, 1.0)});
+  assigned = built;
+  EXPECT_EQ(assigned.fingerprint(), built.fingerprint());
+  TunnelSet moved = std::move(assigned);
+  EXPECT_EQ(moved.fingerprint(), built.fingerprint());
+}
+
+TEST(TunnelFingerprint, AnyContentChangeMovesTheValue) {
+  const std::vector<Tunnel> base = {make_tunnel({0, 1, 2}, 1.0),
+                                    make_tunnel({3, 4}, 1.25)};
+  TunnelSet ref;
+  ref.set_tunnels(0, 1, base);
+  const std::uint64_t fp = ref.fingerprint();
+  const auto fingerprint_of = [](const std::vector<Tunnel>& ts) {
+    TunnelSet set;
+    set.set_tunnels(0, 1, ts);
+    return set.fingerprint();
+  };
+  // Every link id of every tunnel.
+  for (std::size_t t = 0; t < base.size(); ++t) {
+    for (std::size_t i = 0; i < base[t].links.size(); ++i) {
+      std::vector<Tunnel> changed = base;
+      changed[t].links[i] += 7;
+      EXPECT_NE(fingerprint_of(changed), fp) << "tunnel " << t << " link " << i;
+    }
+  }
+  // Tunnel count, link count and weight.
+  EXPECT_NE(fingerprint_of({base[0]}), fp);
+  std::vector<Tunnel> longer = base;
+  longer[1].links.push_back(5);
+  EXPECT_NE(fingerprint_of(longer), fp);
+  std::vector<Tunnel> heavier = base;
+  heavier[1].weight = std::nextafter(heavier[1].weight, 2.0);
+  EXPECT_NE(fingerprint_of(heavier), fp);
+  // The same tunnels under another pair.
+  TunnelSet other_pair;
+  other_pair.set_tunnels(1, 0, base);
+  EXPECT_NE(other_pair.fingerprint(), fp);
 }
 
 // --- generators ------------------------------------------------------------

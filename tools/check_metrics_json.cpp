@@ -258,7 +258,10 @@ std::vector<std::string> check_micro_kvstore(const megate::obs::Json& doc) {
 ///   - learned_speedup_vs_incremental >= 5 (median wall-clock),
 ///   - learned_satisfied_fraction >= 0.95 of the incremental-exact lane,
 ///   - learned_violations == 0 (capacity + flow-assignment + hop-budget
-///     audits clean on every learned-lane interval), and
+///     audits clean on every learned-lane interval),
+///   - per replay, incremental_median_seconds <= 1.5x the same run's
+///     exact_median_seconds (the incremental lane's bookkeeping must not
+///     cost more than the cold solve it replaces), and
 ///   - shift_fallback == 1 and shift_recovered == 1 (the x8 flash-crowd
 ///     interval tripped the gate and the fallback matched the exact
 ///     solve).
@@ -303,6 +306,14 @@ std::vector<std::string> check_ablation_prediction(
       if (gauge(stem + field) == nullptr) {
         violations.push_back("missing gauge " + stem + field);
       }
+    }
+    const auto* exact = gauge(stem + "exact_median_seconds");
+    const auto* incremental = gauge(stem + "incremental_median_seconds");
+    if (exact != nullptr && incremental != nullptr &&
+        incremental->as_number() > 1.5 * exact->as_number()) {
+      violations.push_back(stem + "incremental_median_seconds must be <= "
+                           "1.5x exact_median_seconds (incremental solving "
+                           "costs more than a cold solve)");
     }
     (void)value;
   }
