@@ -6,19 +6,23 @@
 //     between periods (the original shape of this bench, retained).
 //
 //  B. The learned-allocation frontier: exact vs incremental-exact vs the
-//     learned fast path (predict -> repair -> audit, te/learned.h) on a
-//     churn replay over Cogentco — per churn rate, the same interval
-//     sequence is solved by all three lanes and the bench measures
-//     median wall-clock, satisfied demand, audit violations, and the
-//     gate's accept/fallback behaviour, including a deliberate
-//     distribution-shift interval (flash crowd, demand x8) that must
-//     trip the drift guard and recover the exact answer.
+//     learned fast path (predict -> repair -> audit, te/learned.h) on
+//     churn replays over Cogentco (2k endpoints, two churn rates) and
+//     the hyper-scale Twan instance (100k endpoints, fig. 9's largest
+//     topology). Per replay, the same interval sequence is solved by all
+//     three lanes and the bench measures median wall-clock, satisfied
+//     demand, audit violations, and the gate's accept/fallback
+//     behaviour, including a deliberate distribution-shift interval
+//     (flash crowd, demand x8) that must trip the drift guard and
+//     recover the exact answer.
 //
-// check_metrics_json enforces the acceptance bars on the emitted JSON:
-// learned_speedup_vs_incremental >= 5, learned_satisfied_fraction >=
-// 0.95, learned_violations == 0, shift_fallback == 1, shift_recovered
-// == 1. MEGATE_BENCH_FULL=1 additionally replays the frontier on the
-// hyper-scale Twan instance (fig. 9's largest topology).
+// check_metrics_json enforces the acceptance bars on the emitted JSON,
+// each against the fastest exact lane (min of cold and incremental) of
+// the same replay: learned_speedup_vs_fastest_exact >= 5 on Twan, where
+// the learned lane claims its speed; learned_median_seconds <= 1.5x the
+// fastest exact lane on every replay; and globally
+// learned_satisfied_fraction >= 0.95, learned_violations == 0,
+// shift_fallback == 1, shift_recovered == 1.
 
 #include <algorithm>
 #include <cmath>
@@ -78,6 +82,14 @@ struct FrontierResult {
   double exact_median_s = 0.0;
   double incremental_median_s = 0.0;
   double learned_median_s = 0.0;
+
+  double fastest_exact_median_s() const {
+    return std::min(exact_median_s, incremental_median_s);
+  }
+  double learned_speedup() const {
+    return fastest_exact_median_s() / std::max(1e-12, learned_median_s);
+  }
+
   double learned_satisfied_fraction = 0.0;  ///< vs the incremental lane
   std::size_t violations = 0;               ///< capacity + hop budget
   std::size_t accepted = 0;
@@ -175,17 +187,16 @@ void report_frontier(bench::BenchReport& report, const std::string& topo,
                      double churn, const FrontierResult& r) {
   util::Table t("frontier @ " + topo + ", churn spread " +
                 util::Table::num(churn, 2));
-  t.header({"lane", "median solve (s)", "speedup vs incr"});
+  const double fastest = r.fastest_exact_median_s();
+  t.header({"lane", "median solve (s)", "speedup vs fastest exact"});
   t.add_row({"exact (cold)", util::Table::num(r.exact_median_s, 4),
-             util::Table::num(r.incremental_median_s /
-                                  std::max(1e-12, r.exact_median_s),
+             util::Table::num(fastest / std::max(1e-12, r.exact_median_s),
                               2)});
   t.add_row({"incremental-exact", util::Table::num(r.incremental_median_s, 4),
-             "1.00"});
+             util::Table::num(
+                 fastest / std::max(1e-12, r.incremental_median_s), 2)});
   t.add_row({"learned", util::Table::num(r.learned_median_s, 4),
-             util::Table::num(r.incremental_median_s /
-                                  std::max(1e-12, r.learned_median_s),
-                              2)});
+             util::Table::num(r.learned_speedup(), 2)});
   t.print(std::cout);
   std::cout << "  accepted " << r.accepted << "/" << r.intervals
             << " intervals, satisfied fraction vs incremental "
@@ -205,8 +216,7 @@ void report_frontier(bench::BenchReport& report, const std::string& topo,
   m.gauge(stem + "exact_median_seconds").set(r.exact_median_s);
   m.gauge(stem + "incremental_median_seconds").set(r.incremental_median_s);
   m.gauge(stem + "learned_median_seconds").set(r.learned_median_s);
-  m.gauge(stem + "learned_speedup_vs_incremental")
-      .set(r.incremental_median_s / std::max(1e-12, r.learned_median_s));
+  m.gauge(stem + "learned_speedup_vs_fastest_exact").set(r.learned_speedup());
   m.gauge(stem + "learned_satisfied_fraction")
       .set(r.learned_satisfied_fraction);
   m.gauge(stem + "learned_accept_rate")
@@ -281,16 +291,25 @@ int main() {
 
   // ---- B. Learned-allocation frontier ---------------------------------
   std::cout << "\nLearned frontier: exact vs incremental-exact vs learned "
-               "(predict -> repair -> audit), Cogentco churn replay.\n"
+               "(predict -> repair -> audit), Cogentco and Twan churn "
+               "replays.\n"
                "Each lane solves the same interval sequence; the learned "
                "lane is audited every interval and must refuse the final "
                "x8 flash-crowd interval.\n";
 
-  double worst_speedup = std::numeric_limits<double>::infinity();
   double worst_satisfied = std::numeric_limits<double>::infinity();
   std::size_t total_violations = 0;
   bool all_shift_fell_back = true;
   bool all_shift_recovered = true;
+  double twan_speedup = 0.0;
+  const auto score = [&](const std::string& topo, double churn,
+                         const FrontierResult& r) {
+    report_frontier(report, topo, churn, r);
+    worst_satisfied = std::min(worst_satisfied, r.learned_satisfied_fraction);
+    total_violations += r.violations;
+    all_shift_fell_back = all_shift_fell_back && r.shift_fell_back;
+    all_shift_recovered = all_shift_recovered && r.shift_recovered;
+  };
 
   {
     bench::InstanceOptions iopt;
@@ -298,20 +317,10 @@ int main() {
     auto inst =
         bench::make_instance(topo::TopologyKind::kCogentco, 2000, iopt);
     for (double churn : {0.10, 0.30}) {
-      const FrontierResult r = run_frontier(*inst, churn, 10, 77);
-      report_frontier(report, "Cogentco", churn, r);
-      worst_speedup = std::min(
-          worst_speedup,
-          r.incremental_median_s / std::max(1e-12, r.learned_median_s));
-      worst_satisfied =
-          std::min(worst_satisfied, r.learned_satisfied_fraction);
-      total_violations += r.violations;
-      all_shift_fell_back = all_shift_fell_back && r.shift_fell_back;
-      all_shift_recovered = all_shift_recovered && r.shift_recovered;
+      score("Cogentco", churn, run_frontier(*inst, churn, 10, 77));
     }
   }
-
-  if (bench::full_scale()) {
+  {
     // Fig. 9's hyper-scale instance: the learned path's O(pairs x
     // tunnels) cost is where the frontier gap widens.
     bench::InstanceOptions iopt;
@@ -319,17 +328,14 @@ int main() {
     auto inst =
         bench::make_instance(topo::TopologyKind::kTwan, 100000, iopt);
     const FrontierResult r = run_frontier(*inst, 0.20, 5, 78);
-    report_frontier(report, "Twan", 0.20, r);
-    total_violations += r.violations;
-    all_shift_fell_back = all_shift_fell_back && r.shift_fell_back;
-    all_shift_recovered = all_shift_recovered && r.shift_recovered;
+    score("Twan", 0.20, r);
+    twan_speedup = r.learned_speedup();
   }
 
   // The acceptance bars (worst case across replays) — enforced by
-  // tools/check_metrics_json wherever this JSON travels.
+  // tools/check_metrics_json wherever this JSON travels, together with
+  // the per-replay speed bounds.
   auto& m = report.metrics();
-  m.gauge("ablation_prediction.learned_speedup_vs_incremental")
-      .set(worst_speedup);
   m.gauge("ablation_prediction.learned_satisfied_fraction")
       .set(worst_satisfied);
   m.gauge("ablation_prediction.learned_violations")
@@ -339,8 +345,8 @@ int main() {
   m.gauge("ablation_prediction.shift_recovered")
       .set(all_shift_recovered ? 1.0 : 0.0);
 
-  std::cout << "\nAcceptance: speedup >= 5 (got "
-            << util::Table::num(worst_speedup, 1)
+  std::cout << "\nAcceptance: Twan speedup vs fastest exact >= 5 (got "
+            << util::Table::num(twan_speedup, 1)
             << "), satisfied fraction >= 0.95 (got "
             << util::Table::num(worst_satisfied, 4)
             << "), violations == 0 (got " << total_violations

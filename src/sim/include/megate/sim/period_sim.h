@@ -86,14 +86,6 @@ struct PeriodSimOptions {
   /// Allocator knobs for `online` (headroom, hop budget, drift-triggered
   /// early re-solve threshold). The metrics pointer is honoured.
   te::OnlineOptions online_options;
-  /// Solve each period through the learned fast path
-  /// (SolveContext::learned): predict -> repair -> audit, falling back to
-  /// the exact solve (incremental when `incremental` is also set) under
-  /// the solver's quality gate and training on every exact outcome.
-  /// Per-period gate decisions land in PeriodOutcome::learned_*.
-  bool learned = false;
-  /// Allocator/gate knobs for `learned` (see te/learned.h).
-  te::LearnedOptions learned_options;
 };
 
 struct PeriodOutcome {
@@ -112,11 +104,6 @@ struct PeriodOutcome {
   double online_admitted_gbps = 0.0;
   double online_shed_gbps = 0.0;
   std::size_t online_resolves = 0;  ///< drift-triggered mid-period solves
-  /// Learned-path telemetry (default without PeriodSimOptions::learned):
-  /// whether this period shipped the learned solution and, if not, the
-  /// gate's fallback reason ("untrained", "drift", "quality", ...).
-  bool learned_accepted = false;
-  std::string learned_fallback_reason;
 
   double realized_satisfied() const noexcept {
     return actual_total_gbps > 0.0 ? carried_gbps / actual_total_gbps : 0.0;

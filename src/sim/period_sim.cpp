@@ -112,9 +112,7 @@ std::vector<PeriodOutcome> run_period_simulation(
     const PeriodSimOptions& options) {
   tm::FlowPredictor predictor(tm::PredictorKind::kEwma, options.ewma_alpha);
 
-  te::MegaTeOptions solver_options;
-  solver_options.learned = options.learned_options;
-  te::MegaTeSolver solver(solver_options);
+  te::MegaTeSolver solver;
   te::OnlineAllocator allocator(options.online_options);
   const bool churn = options.churn.enabled();
   const bool online = churn && options.online;
@@ -175,7 +173,6 @@ std::vector<PeriodOutcome> run_period_simulation(
     problem.traffic = &believed;
     te::SolveContext sctx;
     sctx.incremental = options.incremental;
-    sctx.learned = options.learned;
     const te::SolveReport solved = solver.solve(problem, sctx);
     const te::TeSolution& sol = solved.solution;
 
@@ -183,10 +180,6 @@ std::vector<PeriodOutcome> run_period_simulation(
     out.period = period;
     out.solve_time_s = sol.solve_time_s;
     if (options.incremental) out.incremental = solved.incremental;
-    if (options.learned) {
-      out.learned_accepted = solved.learned.accepted;
-      out.learned_fallback_reason = solved.learned.fallback_reason;
-    }
 
     // The measured truth over the period: starts at `actual`, churns
     // through this period's event timeline.

@@ -9,11 +9,9 @@
 // the published system.
 
 #include <cstddef>
-#include <memory>
 
 #include "megate/te/repair_kernel.h"
 #include "megate/te/types.h"
-#include "megate/util/thread_pool.h"
 
 namespace megate::te {
 
@@ -72,23 +70,17 @@ struct TealOptions {
   std::size_t admm_iterations = 12;
   double softmax_temperature = 2.0;
   std::size_t max_flows = 4'000'000;
-  /// Workers for the per-pair repair passes (0 = serial). Any value
-  /// produces bit-identical allocations — see te/repair_kernel.h.
-  std::size_t threads = 0;
 };
 
 class TealSolver final : public Solver {
  public:
   explicit TealSolver(TealOptions options = {}) : options_(options) {}
-  ~TealSolver() override;
   std::string name() const override { return "TEAL"; }
   TeSolution solve(const TeProblem& problem) override;
 
  private:
   TealOptions options_;
-  /// Repair arena + lazily-built pool, reused across solves.
-  std::unique_ptr<RepairKernel> kernel_;
-  std::unique_ptr<util::ThreadPool> pool_;
+  RepairKernel kernel_;  ///< SoA arena reused across solves
 };
 
 }  // namespace megate::te

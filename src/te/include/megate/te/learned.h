@@ -12,7 +12,7 @@
 // capacity-feasible, and a greedy quantization pass turns the fractional
 // splits into indivisible per-flow assignments (constraints (1b)/(1c)),
 // topping up leftovers against link residuals exactly like the exact
-// path's residual repair. Cost: O(pairs x tunnels x repair_iterations +
+// path's residual repair. Cost: O(pairs x tunnels x kRepairIterations +
 // flows) — no LP, no per-pair SSP.
 //
 // Model: softmax over per-(pair, tunnel) features with one GLOBAL weight
@@ -24,6 +24,11 @@
 // (tm::fingerprint_flows). theta starts as {1, 0, ...}: feature 0 is
 // log(prior + eps), so an untrained-but-seeded model replays the prior
 // splits and SGD refines from there.
+//
+// The tier is one fixed algorithm: its step size, repair passes, EWMA
+// factor and gate thresholds are the named constants of LearnedAllocator,
+// not options. On a TWAN 100k replay it runs ~15x faster than the
+// fastest exact lane at equal or better satisfied demand (DESIGN.md §15).
 //
 // The allocator never decides on its own whether its answer ships —
 // MegaTeSolver's quality gate does (SolveContext::learned): predict ->
@@ -45,36 +50,7 @@
 #include "megate/tm/delta.h"
 #include "megate/tm/prediction.h"
 
-namespace megate::util {
-class ThreadPool;
-}
-
 namespace megate::te {
-
-struct LearnedOptions {
-  /// SGD step size for the global feature weights.
-  double learning_rate = 0.05;
-  /// Quality gate: accept the learned solution only when its satisfied
-  /// demand reaches this fraction of the exact path's EWMA-estimated
-  /// satisfied demand.
-  double accept_fraction = 0.95;
-  /// Repair-kernel projection/refill passes on the proposed splits.
-  std::size_t repair_iterations = 6;
-  /// EWMA factor for the per-pair split priors / demand estimates and the
-  /// exact-satisfied estimate the gate compares against.
-  double ewma_alpha = 0.3;
-  /// Fall back (reason "untrained") until this many exact outcomes were
-  /// observed.
-  std::size_t min_observations = 2;
-  /// Distribution-shift guard: fall back (reason "drift") when the flow
-  /// predictor's MAPE against the incoming matrix exceeds this. <= 0
-  /// disables the guard.
-  double drift_mape_threshold = 0.5;
-  /// SR hop budget for usable tunnels (0 = unlimited). MegaTeSolver wires
-  /// its SiteLpOptions::max_sr_hops in here so the learned path plans
-  /// under the same encap contract as the exact path.
-  std::uint32_t max_sr_hops = 0;
-};
 
 /// Telemetry of one learned-mode solve call (SolveReport::learned).
 struct LearnedStats {
@@ -97,15 +73,36 @@ struct LearnedStats {
 class LearnedAllocator {
  public:
   static constexpr std::size_t kFeatures = 7;
+  /// SGD step size for the global feature weights.
+  static constexpr double kLearningRate = 0.05;
+  /// Quality gate: accept the learned solution only when its satisfied
+  /// demand reaches this fraction of the exact path's EWMA-estimated
+  /// satisfied demand.
+  static constexpr double kAcceptFraction = 0.95;
+  /// Repair-kernel projection/refill passes on the proposed splits.
+  static constexpr std::size_t kRepairIterations = 6;
+  /// EWMA factor for the per-pair split priors / demand estimates, the
+  /// flow predictor, and the exact-satisfied estimate the gate compares
+  /// against.
+  static constexpr double kEwmaAlpha = 0.3;
+  /// The gate falls back (reason "untrained") until this many exact
+  /// outcomes were observed.
+  static constexpr std::size_t kMinObservations = 2;
+  /// Distribution-shift guard: the gate falls back (reason "drift") when
+  /// the flow predictor's MAPE against the incoming matrix exceeds this.
+  static constexpr double kDriftMapeThreshold = 0.5;
 
-  explicit LearnedAllocator(LearnedOptions options = {});
+  /// `max_sr_hops` is the SR hop budget for usable tunnels (0 =
+  /// unlimited); MegaTeSolver passes its SiteLpOptions::max_sr_hops so the
+  /// learned path plans under the same encap contract as the exact path.
+  explicit LearnedAllocator(std::uint32_t max_sr_hops = 0);
 
   /// Proposes a full solution for `problem`: model forward pass ->
   /// feasibility repair -> per-flow quantization + residual top-up. The
   /// result always has flow_tunnel assignments, never exceeds any link
   /// capacity, and only uses alive tunnels within max_sr_hops.
-  /// Deterministic for a given model state at every pool size.
-  TeSolution allocate(const TeProblem& problem, util::ThreadPool* pool);
+  /// Deterministic for a given model state.
+  TeSolution allocate(const TeProblem& problem);
 
   /// Folds one exact outcome into training: per-pair split priors and
   /// demand EWMAs, fingerprint baselines, one SGD step per pair on the
@@ -120,8 +117,6 @@ class LearnedAllocator {
   double drift_mape(const tm::TrafficMatrix& traffic) const;
   /// Current global feature weights (copy; for tests/introspection).
   std::array<double, kFeatures> theta() const;
-
-  const LearnedOptions& options() const noexcept { return options_; }
 
  private:
   struct PairModel {
@@ -140,7 +135,7 @@ class LearnedAllocator {
                        double qos1_fraction, double surge, bool fp_changed,
                        std::array<double, kFeatures>& f);
 
-  LearnedOptions options_;
+  std::uint32_t max_sr_hops_;
   mutable std::mutex mu_;
   std::array<double, kFeatures> theta_;
   std::unordered_map<topo::SitePair, PairModel, topo::SitePairHash> pairs_;

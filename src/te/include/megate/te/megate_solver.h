@@ -69,11 +69,6 @@ struct MegaTeOptions {
   /// straddle the split and be dropped — this pass recovers it without
   /// ever violating a link capacity. See DESIGN.md §5.
   bool residual_repair = true;
-  /// Learned fast path (SolveContext::learned): predictor, repair and
-  /// quality-gate knobs. `learned.max_sr_hops` is overridden with
-  /// `site_lp.max_sr_hops` when left 0 so both paths plan under the same
-  /// encap contract. See te/learned.h and DESIGN.md §15.
-  LearnedOptions learned;
   /// Observability registry; null = no spans/metrics (zero overhead on
   /// the solve path). When set, each solve emits the "te.solve" span with
   /// nested "stage1"/"stage2" children, per-QoS-round stage timing
@@ -185,12 +180,11 @@ class MegaTeSolver final : public Solver {
   /// across solves (rebuilt only when set_options changes `threads`).
   util::ThreadPool& thread_pool();
 
+ private:
   /// The learned allocator backing SolveContext::learned, created lazily
-  /// from MegaTeOptions::learned and retained across solves (its training
+  /// under site_lp.max_sr_hops and retained across solves (its training
   /// state is the point). set_options drops it like the incremental state.
   LearnedAllocator& learned_allocator();
-
- private:
   SolveReport solve_learned(const TeProblem& problem,
                             const SolveContext& ctx);
   /// QoS rounds a pair can take part in (memo slots per pair id).

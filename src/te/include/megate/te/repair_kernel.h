@@ -1,5 +1,5 @@
 #pragma once
-// Shared feasibility-repair kernel (ISSUE 10 tentpole).
+// Shared feasibility-repair kernel.
 //
 // Both allocation fast paths in this repo end in the same correction
 // problem: a cheap forward pass (TEAL's softmax spread, the learned
@@ -8,8 +8,9 @@
 // capacities, and a projection/refill loop must make it feasible without
 // giving up satisfied demand. This kernel is that loop, factored out of
 // TealSolver::solve into a structure-of-arrays arena (util::FlatRows —
-// one contiguous buffer per quantity, no per-iteration allocation) whose
-// O(flows) passes shard across a util::ThreadPool.
+// one contiguous buffer per quantity, no per-iteration allocation). It
+// runs serially: sharding the per-pair passes over a thread pool bought
+// the learned lane nothing measurable, even at TWAN scale (DESIGN.md §15).
 //
 // Per iteration (TealSolver's ADMM-style schedule, unchanged):
 //   1. accumulate per-tunnel sums and per-link usage;
@@ -22,39 +23,20 @@
 //      tunnel order, pro-rata across the pair's flows.
 //
 // Bit-identity contract: run() produces byte-for-byte the allocations of
-// the pre-refactor TealSolver loop at EVERY thread count. The parallel
-// phases only touch disjoint per-pair rows and all cross-pair reductions
-// (link usage, the refill residual walk) happen serially in pair order,
-// so the floating-point operation sequence per memory cell is identical
-// to the serial original. Enforced by tests/learned_test.cpp's
+// the pre-refactor TealSolver loop — the floating-point operation sequence
+// per memory cell is the original's. Enforced by tests/learned_test.cpp's
 // TealRepairParity suite against an embedded copy of the original loop.
 
 #include <cstddef>
-#include <cstdint>
-#include <functional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "megate/topo/graph.h"
 #include "megate/util/soa.h"
 
-namespace megate::util {
-class ThreadPool;
-}
-
 namespace megate::te {
 
-struct RepairOptions {
-  /// Projection/refill passes; the final pass projects hard. Must be >= 1.
-  std::size_t iterations = 12;
-  /// Shards the per-pair O(flows) phases; null = inline serial. Results
-  /// are bit-identical for every pool size.
-  util::ThreadPool* pool = nullptr;
-};
-
 struct RepairStats {
-  std::size_t iterations_run = 0;
   /// True when the post-repair allocations fit every link within
   /// capacity * (1 + 1e-9) — the hard final projection guarantees this
   /// up to rounding; false signals a genuine kernel bug upstream.
@@ -67,7 +49,7 @@ struct RepairStats {
 /// Reusable SoA arena + the repair loop. Build order per problem:
 /// reset(capacity), then per pair: begin_pair(demands), add_tunnel(links)
 /// for each usable tunnel, finish_pair(); write the initial allocations
-/// through x(pair) (flow-major: x[flow * tunnels + tunnel]); run().
+/// through x(pair) (flow-major: x[flow * tunnels + tunnel]); run(n).
 /// The instance owns all scratch and reuses it across problems.
 class RepairKernel {
  public:
@@ -93,14 +75,14 @@ class RepairKernel {
     return x_.row(pair);
   }
 
-  RepairStats run(const RepairOptions& options);
+  /// Runs `iterations` projection/refill passes; the final pass projects
+  /// hard. Throws std::invalid_argument when `iterations` is 0.
+  RepairStats run(std::size_t iterations);
 
  private:
-  /// fn(pair) over all pairs — pool-sharded or inline serial.
-  void for_each_pair(util::ThreadPool* pool,
-                     const std::function<void(std::size_t)>& fn);
-  /// Per-tunnel column sums of one pair into tunnel_sums_ (flow order).
-  void accumulate_pair(std::size_t p);
+  /// Per-tunnel column sums into tunnel_sums_ (flow-major order), merged
+  /// into usage_ in pair order.
+  void accumulate_usage();
 
   std::vector<double> capacity_;
   util::FlatRows<double> demands_;        ///< one row per pair
@@ -110,14 +92,10 @@ class RepairKernel {
 
   // Scratch, reused across run() calls and iterations.
   std::vector<double> tunnel_sums_;  ///< aligned with tunnel rows
-  std::vector<double> per_flow_;     ///< aligned with demands_ values
-  std::vector<double> unallocated_;  ///< per pair
+  std::vector<double> per_flow_;     ///< the refilled pair's shortfalls
   std::vector<double> usage_;
   std::vector<double> scale_;
   std::vector<double> residual_;
-  /// Refill grant fractions recorded by the serial residual walk, replayed
-  /// in parallel: one row per pair of (local tunnel index, fraction).
-  util::FlatRows<std::pair<std::uint32_t, double>> grants_;
 };
 
 }  // namespace megate::te

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "megate/util/stopwatch.h"
-#include "megate/util/thread_pool.h"
 
 namespace megate::te {
 namespace {
@@ -42,24 +41,9 @@ void softmax(std::vector<double>& logits) {
 
 }  // namespace
 
-LearnedAllocator::LearnedAllocator(LearnedOptions options)
-    : options_(options),
-      predictor_(tm::PredictorKind::kEwma,
-                 options.ewma_alpha > 0.0 && options.ewma_alpha <= 1.0
-                     ? options.ewma_alpha
-                     : 0.3) {
-  if (!(options_.learning_rate > 0.0)) {
-    throw std::invalid_argument("learning_rate must be > 0");
-  }
-  if (!(options_.accept_fraction >= 0.0)) {
-    throw std::invalid_argument("accept_fraction must be >= 0");
-  }
-  if (options_.repair_iterations == 0) {
-    throw std::invalid_argument("repair_iterations must be >= 1");
-  }
-  if (!(options_.ewma_alpha > 0.0) || options_.ewma_alpha > 1.0) {
-    throw std::invalid_argument("ewma_alpha must be in (0, 1]");
-  }
+LearnedAllocator::LearnedAllocator(std::uint32_t max_sr_hops)
+    : max_sr_hops_(max_sr_hops),
+      predictor_(tm::PredictorKind::kEwma, kEwmaAlpha) {
   // Feature 0 is log(prior + eps) with unit weight: before any SGD step
   // the softmax reproduces the per-pair prior splits (uniform for unseen
   // pairs), so a freshly seeded model is already a sane allocator.
@@ -81,8 +65,7 @@ void LearnedAllocator::features(double prior_a, double weight,
   f[6] = (fp_changed ? 1.0 : 0.0) * (1.0 - weight);
 }
 
-TeSolution LearnedAllocator::allocate(const TeProblem& problem,
-                                      util::ThreadPool* pool) {
+TeSolution LearnedAllocator::allocate(const TeProblem& problem) {
   if (!problem.valid()) throw std::invalid_argument("invalid TE problem");
   std::lock_guard lock(mu_);
   const topo::Graph& g = *problem.graph;
@@ -93,7 +76,7 @@ TeSolution LearnedAllocator::allocate(const TeProblem& problem,
   TeSolution sol;
   sol.solver_name = "MegaTE-learned";
   sol.total_demand_gbps = traffic.total_demand_gbps();
-  sol.iterations = options_.repair_iterations;
+  sol.iterations = kRepairIterations;
 
   std::vector<double> capacity(g.num_links());
   for (topo::EdgeId e = 0; e < g.num_links(); ++e) {
@@ -132,8 +115,7 @@ TeSolution LearnedAllocator::allocate(const TeProblem& problem,
     plan.entry = entry;
     for (std::size_t t = 0; t < ts.size(); ++t) {
       if (!ts[t].alive(g)) continue;
-      if (options_.max_sr_hops > 0 &&
-          ts[t].links.size() > options_.max_sr_hops) {
+      if (max_sr_hops_ > 0 && ts[t].links.size() > max_sr_hops_) {
         continue;
       }
       plan.usable.push_back(t);
@@ -193,10 +175,7 @@ TeSolution LearnedAllocator::allocate(const TeProblem& problem,
   }
 
   // --- Feasibility repair -------------------------------------------------
-  RepairOptions ropt;
-  ropt.iterations = options_.repair_iterations;
-  ropt.pool = pool;
-  kernel_.run(ropt);
+  kernel_.run(kRepairIterations);
 
   // --- Quantization: fractional splits -> indivisible flow assignments ---
   // Each repaired column is a tunnel budget the links can carry by
@@ -291,7 +270,7 @@ void LearnedAllocator::observe(const TeProblem& problem,
   const topo::Graph& g = *problem.graph;
   const topo::TunnelSet& tunnels = *problem.tunnels;
   const tm::TrafficMatrix& traffic = *problem.traffic;
-  const double alpha = options_.ewma_alpha;
+  const double alpha = kEwmaAlpha;
 
   predictor_.observe(traffic);
 
@@ -330,8 +309,7 @@ void LearnedAllocator::observe(const TeProblem& problem,
       usable.clear();
       for (std::size_t t = 0; t < ts.size(); ++t) {
         if (!ts[t].alive(g)) continue;
-        if (options_.max_sr_hops > 0 &&
-            ts[t].links.size() > options_.max_sr_hops) {
+        if (max_sr_hops_ > 0 && ts[t].links.size() > max_sr_hops_) {
           continue;
         }
         usable.push_back(t);
@@ -368,7 +346,7 @@ void LearnedAllocator::observe(const TeProblem& problem,
         for (std::size_t a = 0; a < usable.size(); ++a) {
           const double err = probs[a] - targets[a];
           for (std::size_t k = 0; k < kFeatures; ++k) {
-            theta_[k] -= options_.learning_rate * err * feats[a][k];
+            theta_[k] -= kLearningRate * err * feats[a][k];
           }
         }
       }

@@ -117,9 +117,8 @@ util::ThreadPool& MegaTeSolver::thread_pool() {
 
 LearnedAllocator& MegaTeSolver::learned_allocator() {
   if (!learned_) {
-    LearnedOptions opts = options_.learned;
-    if (opts.max_sr_hops == 0) opts.max_sr_hops = options_.site_lp.max_sr_hops;
-    learned_ = std::make_unique<LearnedAllocator>(opts);
+    learned_ =
+        std::make_unique<LearnedAllocator>(options_.site_lp.max_sr_hops);
   }
   return *learned_;
 }
@@ -156,11 +155,11 @@ SolveReport MegaTeSolver::solve_learned(const TeProblem& problem,
 
   // Gate, part 1 — pre-flight guards that need no learned solve at all.
   std::string reason;
-  if (stats.observations < la.options().min_observations) {
+  if (stats.observations < LearnedAllocator::kMinObservations) {
     reason = "untrained";
-  } else if (la.options().drift_mape_threshold > 0.0) {
+  } else {
     stats.drift_mape = la.drift_mape(*problem.traffic);
-    if (stats.drift_mape > la.options().drift_mape_threshold) {
+    if (stats.drift_mape > LearnedAllocator::kDriftMapeThreshold) {
       reason = "drift";
     }
   }
@@ -171,7 +170,7 @@ SolveReport MegaTeSolver::solve_learned(const TeProblem& problem,
   // audit. A learned solution is never returned unaudited.
   if (reason.empty()) {
     util::Stopwatch sw;
-    TeSolution sol = la.allocate(problem, &thread_pool());
+    TeSolution sol = la.allocate(problem);
     stats.learned_seconds = sw.elapsed_seconds();
     stats.predicted_satisfied_gbps = sol.satisfied_gbps;
     stats.exact_estimate_gbps =
@@ -186,7 +185,8 @@ SolveReport MegaTeSolver::solve_learned(const TeProblem& problem,
       if (!check_solution(problem, sol, chk_opts)) {
         reason = "capacity";
       } else if (sol.satisfied_gbps + 1e-9 <
-                 la.options().accept_fraction * stats.exact_estimate_gbps) {
+                 LearnedAllocator::kAcceptFraction *
+                     stats.exact_estimate_gbps) {
         reason = "quality";
       }
     }

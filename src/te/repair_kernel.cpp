@@ -4,8 +4,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "megate/util/thread_pool.h"
-
 namespace megate::te {
 
 void RepairKernel::reset(std::span<const double> capacity) {
@@ -41,77 +39,56 @@ void RepairKernel::finish_pair() {
   x_.extend_fill(demands_.row_size(p) * tunnels, 0.0);
 }
 
-void RepairKernel::for_each_pair(util::ThreadPool* pool,
-                                 const std::function<void(std::size_t)>& fn) {
-  const std::size_t n = num_pairs();
-  if (pool != nullptr && pool->size() > 1 && n > 1) {
-    pool->parallel_for(n, fn);
-  } else {
-    for (std::size_t p = 0; p < n; ++p) fn(p);
-  }
-}
-
-void RepairKernel::accumulate_pair(std::size_t p) {
-  const std::size_t t0 = pair_tunnels_[p];
-  const std::size_t nt = pair_tunnels_[p + 1] - t0;
-  const std::size_t nf = demands_.row_size(p);
-  const std::span<const double> xp = x_.row(p);
-  double* sums = tunnel_sums_.data() + t0;
-  std::fill(sums, sums + nt, 0.0);
-  // Flow-major accumulation, matching the original TealSolver loop — the
-  // bit-identity contract pins this summation order.
-  for (std::size_t i = 0; i < nf; ++i) {
+void RepairKernel::accumulate_usage() {
+  std::fill(usage_.begin(), usage_.end(), 0.0);
+  for (std::size_t p = 0; p < num_pairs(); ++p) {
+    const std::size_t t0 = pair_tunnels_[p];
+    const std::size_t nt = pair_tunnels_[p + 1] - t0;
+    const std::size_t nf = demands_.row_size(p);
+    const std::span<const double> xp = x_.row(p);
+    double* sums = tunnel_sums_.data() + t0;
+    std::fill(sums, sums + nt, 0.0);
+    // Flow-major accumulation, matching the original TealSolver loop — the
+    // bit-identity contract pins this summation order.
+    for (std::size_t i = 0; i < nf; ++i) {
+      for (std::size_t a = 0; a < nt; ++a) {
+        sums[a] += xp[i * nt + a];
+      }
+    }
     for (std::size_t a = 0; a < nt; ++a) {
-      sums[a] += xp[i * nt + a];
+      for (topo::EdgeId e : tunnel_links_.row(t0 + a)) usage_[e] += sums[a];
     }
   }
 }
 
-RepairStats RepairKernel::run(const RepairOptions& options) {
-  if (options.iterations == 0) {
-    throw std::invalid_argument("RepairOptions::iterations must be >= 1");
+RepairStats RepairKernel::run(std::size_t iterations) {
+  if (iterations == 0) {
+    throw std::invalid_argument("RepairKernel::run needs >= 1 iteration");
   }
   const std::size_t num_links = capacity_.size();
   const std::size_t pairs = num_pairs();
-  util::ThreadPool* pool = options.pool;
   tunnel_sums_.assign(tunnel_links_.num_rows(), 0.0);
-  per_flow_.assign(demands_.num_values(), 0.0);
-  unallocated_.assign(pairs, 0.0);
 
-  RepairStats stats;
-  for (std::size_t iter = 0; iter < options.iterations; ++iter) {
-    ++stats.iterations_run;
-    // Phase A (parallel): per-pair tunnel column sums, flow-major order.
-    for_each_pair(pool, [this](std::size_t p) { accumulate_pair(p); });
-    // Phase B (serial, pair order): merge into per-link usage.
-    std::fill(usage_.begin(), usage_.end(), 0.0);
-    for (std::size_t p = 0; p < pairs; ++p) {
-      for (std::size_t t = pair_tunnels_[p]; t < pair_tunnels_[p + 1]; ++t) {
-        const double s = tunnel_sums_[t];
-        for (topo::EdgeId e : tunnel_links_.row(t)) usage_[e] += s;
-      }
-    }
-    // Phase C (serial): per-link multiplicative projection factor — soft
-    // (damped) on early iterations, hard on the last for feasibility.
-    const bool last = iter + 1 == options.iterations;
-    bool any_overload = false;
+  for (std::size_t iter = 0; iter < iterations; ++iter) {
+    accumulate_usage();
+    // Per-link multiplicative projection factor — soft (damped) on early
+    // iterations, hard on the last for feasibility.
+    const bool last = iter + 1 == iterations;
     for (std::size_t e = 0; e < num_links; ++e) {
       const double cap = capacity_[e];
       if (cap <= 0.0) {
         scale_[e] = usage_[e] > 0.0 ? 0.0 : 1.0;
-        if (usage_[e] > 0.0) any_overload = true;
         continue;
       }
       if (usage_[e] > cap) {
-        any_overload = true;
         const double hard = cap / usage_[e];
         scale_[e] = last ? hard : 0.5 * (1.0 + hard);  // damped step
       } else {
         scale_[e] = 1.0;
       }
     }
-    // Phase D (parallel): scale each tunnel column by its min link factor.
-    for_each_pair(pool, [this](std::size_t p) {
+    // Scale each tunnel column by its min link factor.
+    for (std::size_t p = 0; p < pairs; ++p) {
       const std::size_t t0 = pair_tunnels_[p];
       const std::size_t nt = pair_tunnels_[p + 1] - t0;
       const std::size_t nf = demands_.row_size(p);
@@ -124,122 +101,75 @@ RepairStats RepairKernel::run(const RepairOptions& options) {
         if (factor >= 1.0) continue;
         for (std::size_t i = 0; i < nf; ++i) xp[i * nt + a] *= factor;
       }
-    });
+    }
 
+    if (last) break;
     // --- refill step (non-final iterations) ----------------------------
     // The projection frees capacity other pairs could use; redistribute
     // each pair's unallocated remainder against the global residual,
-    // ascending tunnel order, pro-rata across the pair's flows.
-    if (!last) {
-      // Phase E (parallel): recompute tunnel sums. The original refill
-      // sums tunnel-major (i inner), unlike phase A — preserved exactly.
-      for_each_pair(pool, [this](std::size_t p) {
-        const std::size_t t0 = pair_tunnels_[p];
-        const std::size_t nt = pair_tunnels_[p + 1] - t0;
-        const std::size_t nf = demands_.row_size(p);
-        const std::span<const double> xp = x_.row(p);
-        for (std::size_t a = 0; a < nt; ++a) {
-          double tunnel_sum = 0.0;
-          for (std::size_t i = 0; i < nf; ++i) tunnel_sum += xp[i * nt + a];
-          tunnel_sums_[t0 + a] = tunnel_sum;
-        }
-      });
-      // Phase F (serial, pair order): usage merge + residual headroom.
-      std::fill(usage_.begin(), usage_.end(), 0.0);
-      for (std::size_t p = 0; p < pairs; ++p) {
-        for (std::size_t t = pair_tunnels_[p]; t < pair_tunnels_[p + 1];
-             ++t) {
-          const double s = tunnel_sums_[t];
-          for (topo::EdgeId e : tunnel_links_.row(t)) usage_[e] += s;
+    // ascending tunnel order, pro-rata across the pair's flows. The
+    // original refill sums tunnels tunnel-major (i inner), unlike
+    // accumulate_usage — preserved exactly.
+    std::fill(usage_.begin(), usage_.end(), 0.0);
+    for (std::size_t p = 0; p < pairs; ++p) {
+      const std::size_t t0 = pair_tunnels_[p];
+      const std::size_t nt = pair_tunnels_[p + 1] - t0;
+      const std::size_t nf = demands_.row_size(p);
+      const std::span<const double> xp = x_.row(p);
+      for (std::size_t a = 0; a < nt; ++a) {
+        double tunnel_sum = 0.0;
+        for (std::size_t i = 0; i < nf; ++i) tunnel_sum += xp[i * nt + a];
+        for (topo::EdgeId e : tunnel_links_.row(t0 + a)) {
+          usage_[e] += tunnel_sum;
         }
       }
-      for (std::size_t e = 0; e < num_links; ++e) {
-        residual_[e] = capacity_[e] - usage_[e];
+    }
+    for (std::size_t e = 0; e < num_links; ++e) {
+      residual_[e] = capacity_[e] - usage_[e];
+    }
+    // The residual walk, in pair order: each pair's per-flow shortfall is
+    // granted onto its tunnels as the residual allows.
+    for (std::size_t p = 0; p < pairs; ++p) {
+      const std::size_t t0 = pair_tunnels_[p];
+      const std::size_t nt = pair_tunnels_[p + 1] - t0;
+      const std::size_t nf = demands_.row_size(p);
+      const std::span<double> xp = x_.row(p);
+      const std::span<const double> dem = demands_.row(p);
+      per_flow_.resize(nf);
+      double unallocated = 0.0;
+      for (std::size_t i = 0; i < nf; ++i) {
+        double got = 0.0;
+        for (std::size_t a = 0; a < nt; ++a) got += xp[i * nt + a];
+        per_flow_[i] = std::max(0.0, dem[i] - got);
+        unallocated += per_flow_[i];
       }
-      // Phase G (parallel): per-flow shortfall + per-pair unallocated sum.
-      for_each_pair(pool, [this](std::size_t p) {
-        const std::size_t nt = pair_tunnels_[p + 1] - pair_tunnels_[p];
-        const std::size_t nf = demands_.row_size(p);
-        const std::span<const double> xp = x_.row(p);
-        const std::span<const double> dem = demands_.row(p);
-        double* pf = per_flow_.data() + (demands_.row(p).data() -
-                                         demands_.data());
-        double unallocated = 0.0;
+      if (unallocated <= 1e-12) continue;
+      for (std::size_t a = 0; a < nt && unallocated > 1e-12; ++a) {
+        double room = std::numeric_limits<double>::infinity();
+        for (topo::EdgeId e : tunnel_links_.row(t0 + a)) {
+          room = std::min(room, residual_[e]);
+        }
+        if (room <= 1e-12) continue;
+        const double grant = std::min(room, unallocated);
+        const double frac = grant / unallocated;
         for (std::size_t i = 0; i < nf; ++i) {
-          double got = 0.0;
-          for (std::size_t a = 0; a < nt; ++a) got += xp[i * nt + a];
-          pf[i] = std::max(0.0, dem[i] - got);
-          unallocated += pf[i];
+          const double add = per_flow_[i] * frac;
+          xp[i * nt + a] += add;
+          per_flow_[i] -= add;
         }
-        unallocated_[p] = unallocated;
-      });
-      // Phase H (serial, pair order): the residual walk. Grants depend
-      // only on scalar state (residual, unallocated), never on per-flow
-      // values, so the walk records (tunnel, fraction) grants for the
-      // parallel replay below.
-      grants_.clear();
-      for (std::size_t p = 0; p < pairs; ++p) {
-        grants_.add_row();
-        double unallocated = unallocated_[p];
-        if (unallocated <= 1e-12) continue;
-        const std::size_t t0 = pair_tunnels_[p];
-        const std::size_t nt = pair_tunnels_[p + 1] - t0;
-        for (std::size_t a = 0; a < nt && unallocated > 1e-12; ++a) {
-          double room = std::numeric_limits<double>::infinity();
-          for (topo::EdgeId e : tunnel_links_.row(t0 + a)) {
-            room = std::min(room, residual_[e]);
-          }
-          if (room <= 1e-12) continue;
-          const double grant = std::min(room, unallocated);
-          const double frac = grant / unallocated;
-          grants_.append({static_cast<std::uint32_t>(a), frac});
-          for (topo::EdgeId e : tunnel_links_.row(t0 + a)) {
-            residual_[e] -= grant;
-          }
-          unallocated -= grant;
+        for (topo::EdgeId e : tunnel_links_.row(t0 + a)) {
+          residual_[e] -= grant;
         }
+        unallocated -= grant;
       }
-      // Phase I (parallel): replay the grants per flow. Each per_flow[i]
-      // and x cell sees the same operation sequence as the serial
-      // original (grants applied in ascending tunnel order), so the
-      // result is bitwise identical.
-      for_each_pair(pool, [this](std::size_t p) {
-        const std::span<const std::pair<std::uint32_t, double>> gs =
-            grants_.row(p);
-        if (gs.empty()) return;
-        const std::size_t nt = pair_tunnels_[p + 1] - pair_tunnels_[p];
-        const std::size_t nf = demands_.row_size(p);
-        const std::span<double> xp = x_.row(p);
-        double* pf = per_flow_.data() + (demands_.row(p).data() -
-                                         demands_.data());
-        for (std::size_t i = 0; i < nf; ++i) {
-          for (const auto& [a, frac] : gs) {
-            const double add = pf[i] * frac;
-            xp[i * nt + a] += add;
-            pf[i] -= add;
-          }
-        }
-      });
-    } else if (!any_overload) {
-      break;
     }
   }
 
-  // Final audit: recompute usage from the repaired tensor (reuses phase
-  // A/B; x is untouched) and report headline stats.
-  for_each_pair(pool, [this](std::size_t p) { accumulate_pair(p); });
-  std::fill(usage_.begin(), usage_.end(), 0.0);
-  double allocated = 0.0;
-  for (std::size_t t = 0; t < tunnel_links_.num_rows(); ++t) {
-    allocated += tunnel_sums_[t];
-  }
-  for (std::size_t p = 0; p < pairs; ++p) {
-    for (std::size_t t = pair_tunnels_[p]; t < pair_tunnels_[p + 1]; ++t) {
-      const double s = tunnel_sums_[t];
-      for (topo::EdgeId e : tunnel_links_.row(t)) usage_[e] += s;
-    }
-  }
-  stats.allocated_gbps = allocated;
+  // Final audit: recompute usage from the repaired tensor and report
+  // headline stats.
+  accumulate_usage();
+  RepairStats stats;
+  for (const double s : tunnel_sums_) stats.allocated_gbps += s;
   stats.feasible = true;
   for (std::size_t e = 0; e < num_links; ++e) {
     const double cap = capacity_[e];

@@ -5,11 +5,8 @@
 
 #include "megate/te/baselines.h"
 #include "megate/util/stopwatch.h"
-#include "megate/util/thread_pool.h"
 
 namespace megate::te {
-
-TealSolver::~TealSolver() = default;
 
 TeSolution TealSolver::solve(const TeProblem& problem) {
   if (!problem.valid()) throw std::invalid_argument("invalid TE problem");
@@ -29,12 +26,6 @@ TeSolution TealSolver::solve(const TeProblem& problem) {
     return sol;
   }
 
-  if (!kernel_) kernel_ = std::make_unique<RepairKernel>();
-  if (options_.threads > 1 &&
-      (!pool_ || pool_->size() != options_.threads)) {
-    pool_ = std::make_unique<util::ThreadPool>(options_.threads);
-  }
-
   // Dense allocation tensor: x[flow][tunnel], flattened per pair, owned by
   // the repair kernel's SoA arena. This is the TEAL shape — the GNN/ADMM
   // work on exactly this tensor on a GPU.
@@ -43,7 +34,7 @@ TeSolution TealSolver::solve(const TeProblem& problem) {
     const topo::Link& l = g.link(e);
     capacity[e] = l.up ? l.capacity_gbps : 0.0;
   }
-  kernel_->reset(capacity);
+  kernel_.reset(capacity);
 
   struct PairRef {
     topo::SitePair pair;
@@ -65,9 +56,9 @@ TeSolution TealSolver::solve(const TeProblem& problem) {
     for (std::size_t i = 0; i < flows.size(); ++i) {
       demands[i] = flows[i].demand_gbps;
     }
-    kernel_->begin_pair(demands);
-    for (std::size_t a : ref.alive) kernel_->add_tunnel(ts[a].links);
-    kernel_->finish_pair();
+    kernel_.begin_pair(demands);
+    for (std::size_t a : ref.alive) kernel_.add_tunnel(ts[a].links);
+    kernel_.finish_pair();
     refs.push_back(std::move(ref));
   }
 
@@ -84,7 +75,7 @@ TeSolution TealSolver::solve(const TeProblem& problem) {
       z += probs[a];
     }
     for (double& pr : probs) pr /= z;
-    const std::span<double> x = kernel_->x(p);
+    const std::span<double> x = kernel_.x(p);
     for (std::size_t i = 0; i < ref.flows->size(); ++i) {
       const double d = (*ref.flows)[i].demand_gbps;
       for (std::size_t a = 0; a < ref.alive.size(); ++a) {
@@ -94,10 +85,7 @@ TeSolution TealSolver::solve(const TeProblem& problem) {
   }
 
   // --- ADMM-style capacity projection + refill --------------------------
-  RepairOptions ropt;
-  ropt.iterations = options_.admm_iterations;
-  ropt.pool = pool_.get();
-  kernel_->run(ropt);
+  kernel_.run(options_.admm_iterations);
 
   // --- Emit solution -----------------------------------------------------
   std::size_t dense_elems = 0;
@@ -106,7 +94,7 @@ TeSolution TealSolver::solve(const TeProblem& problem) {
     const auto& ts = tunnels.tunnels(ref.pair.src, ref.pair.dst);
     auto& alloc = sol.pairs[ref.pair];
     alloc.tunnel_alloc.assign(ts.size(), 0.0);
-    const std::span<const double> x = kernel_->x(p);
+    const std::span<const double> x = kernel_.x(p);
     dense_elems += x.size();
     for (std::size_t i = 0; i < ref.flows->size(); ++i) {
       for (std::size_t a = 0; a < ref.alive.size(); ++a) {

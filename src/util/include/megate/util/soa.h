@@ -1,13 +1,13 @@
 #pragma once
-// Structure-of-arrays helpers for the batched TE kernels.
+// Structure-of-arrays storage for the serial feasibility-repair kernel.
 //
-// The repair kernel (te/repair_kernel.h) and the learned allocator walk
-// jagged per-pair data — flow demands, tunnel link lists, dense
-// flow x tunnel allocation tensors — millions of times per solve. A
-// map-of-vectors layout is cache-hostile there; FlatRows stores every row
-// back to back in one contiguous buffer with a CSR-style offset table, so
-// a kernel pass is one linear sweep and a row is one (pointer, length)
-// span.
+// The repair kernel (te/repair_kernel.h), which TealSolver and the
+// learned allocator both drive, walks jagged per-pair data — flow
+// demands, tunnel link lists, dense flow x tunnel allocation tensors —
+// once per pass over every pair. A map-of-vectors layout is
+// cache-hostile there; FlatRows stores every row back to back in one
+// contiguous buffer with a CSR-style offset table, so a pass is one
+// linear sweep and a row is one (pointer, length) span.
 
 #include <cstddef>
 #include <span>
@@ -16,7 +16,7 @@
 namespace megate::util {
 
 /// Jagged 2-D array in one contiguous buffer. Rows are built in order:
-/// add_row() opens row r, append()/extend() push onto the open row.
+/// add_row() opens row r, extend()/extend_fill() push onto the open row.
 /// Random-access reads are O(1) via the offset table.
 template <typename T>
 class FlatRows {
@@ -26,24 +26,13 @@ class FlatRows {
     offsets_.assign(1, 0);
   }
 
-  void reserve(std::size_t rows, std::size_t values) {
-    offsets_.reserve(rows + 1);
-    values_.reserve(values);
-  }
-
   /// Opens a new row; returns its index.
   std::size_t add_row() {
     offsets_.push_back(values_.size());
     return offsets_.size() - 2;
   }
 
-  /// Appends one value to the open row (the one add_row opened last).
-  void append(const T& v) {
-    values_.push_back(v);
-    ++offsets_.back();
-  }
-
-  /// Appends a whole range to the open row.
+  /// Appends a whole range to the open row (the one add_row opened last).
   void extend(std::span<const T> vs) {
     values_.insert(values_.end(), vs.begin(), vs.end());
     offsets_.back() += vs.size();
@@ -56,7 +45,6 @@ class FlatRows {
   }
 
   std::size_t num_rows() const noexcept { return offsets_.size() - 1; }
-  std::size_t num_values() const noexcept { return values_.size(); }
   std::size_t row_size(std::size_t r) const noexcept {
     return offsets_[r + 1] - offsets_[r];
   }
@@ -67,9 +55,6 @@ class FlatRows {
   std::span<const T> row(std::size_t r) const noexcept {
     return {values_.data() + offsets_[r], offsets_[r + 1] - offsets_[r]};
   }
-
-  T* data() noexcept { return values_.data(); }
-  const T* data() const noexcept { return values_.data(); }
 
  private:
   std::vector<T> values_;

@@ -4,8 +4,7 @@
 //      (te/repair_kernel.h) must reproduce the pre-refactor
 //      TealSolver::solve loop byte-for-byte. The original ADMM loop is
 //      embedded below verbatim as the oracle and compared against the
-//      refactored TealSolver across seeds, loads, link faults, and thread
-//      counts {serial, 1, 2, 4, 8}.
+//      refactored TealSolver across seeds, loads and link faults.
 //
 //   2. RepairKernel — unit behaviour: hard final projection yields
 //      feasibility, down links zero out, refill recovers capacity the
@@ -16,7 +15,8 @@
 //      recover its exact answer), warm models get accepted, and the
 //      differential suite below audits >= 100 seeded intervals of
 //      learned-vs-exact through te::check_solution +
-//      count_hop_budget_violations.
+//      count_hop_budget_violations, and a digest of 24 learned-mode plans
+//      pinned at the commit before the tier lost its options.
 //
 //   4. FlowPredictor satellites — predict() determinism under hash-order
 //      permutation (two-construction byte equality via per-pair
@@ -262,7 +262,7 @@ void expect_bitwise_equal(const te::TeSolution& a, const te::TeSolution& b,
   }
 }
 
-TEST(TealRepairParity, BitIdenticalAcrossSeedsLoadsAndThreads) {
+TEST(TealRepairParity, BitIdenticalAcrossSeedsAndLoads) {
   for (std::uint64_t seed : {1ULL, 7ULL, 23ULL}) {
     // High load forces real projection work; low load exercises the
     // refill/early-exit path.
@@ -270,16 +270,11 @@ TEST(TealRepairParity, BitIdenticalAcrossSeedsLoadsAndThreads) {
       auto s = testing::make_scenario(8, 14, 3, load, seed);
       const te::TeProblem problem = s->problem();
       const te::TeSolution ref = teal_reference(problem, {});
-      for (std::size_t threads : {0UL, 1UL, 2UL, 4UL, 8UL}) {
-        te::TealOptions opts;
-        opts.threads = threads;
-        te::TealSolver solver(opts);
-        const te::TeSolution got = solver.solve(problem);
-        expect_bitwise_equal(ref, got,
-                             "seed=" + std::to_string(seed) + " load=" +
-                                 std::to_string(load) + " threads=" +
-                                 std::to_string(threads));
-      }
+      te::TealSolver solver;
+      const te::TeSolution got = solver.solve(problem);
+      expect_bitwise_equal(ref, got,
+                           "seed=" + std::to_string(seed) +
+                               " load=" + std::to_string(load));
     }
   }
 }
@@ -290,21 +285,14 @@ TEST(TealRepairParity, BitIdenticalWithDownLinks) {
   ASSERT_FALSE(events.empty());
   const te::TeProblem problem = s->problem();
   const te::TeSolution ref = teal_reference(problem, {});
-  for (std::size_t threads : {0UL, 4UL}) {
-    te::TealOptions opts;
-    opts.threads = threads;
-    te::TealSolver solver(opts);
-    expect_bitwise_equal(ref, solver.solve(problem),
-                         "faulted threads=" + std::to_string(threads));
-  }
+  te::TealSolver solver;
+  expect_bitwise_equal(ref, solver.solve(problem), "faulted");
 }
 
 TEST(TealRepairParity, ArenaReuseAcrossSolvesIsBitStable) {
   auto s1 = testing::make_scenario(7, 12, 3, 0.7, 3);
   auto s2 = testing::make_scenario(9, 16, 2, 0.4, 4);
-  te::TealOptions opts;
-  opts.threads = 2;
-  te::TealSolver solver(opts);
+  te::TealSolver solver;
   const te::TeSolution first = solver.solve(s1->problem());
   // Interleave a different instance, then re-solve the first: the reused
   // SoA arena must not leak state between problems.
@@ -320,9 +308,7 @@ TEST(RepairKernel, RejectsZeroIterations) {
   te::RepairKernel k;
   const std::vector<double> cap = {10.0};
   k.reset(cap);
-  te::RepairOptions opts;
-  opts.iterations = 0;
-  EXPECT_THROW(k.run(opts), std::invalid_argument);
+  EXPECT_THROW(k.run(0), std::invalid_argument);
 }
 
 TEST(RepairKernel, RejectsPairWithoutTunnels) {
@@ -350,9 +336,7 @@ TEST(RepairKernel, HardFinalProjectionYieldsFeasibility) {
   x[1] = 5.0;   // flow 0 -> tunnel 1
   x[2] = 15.0;  // flow 1 -> tunnel 0
   x[3] = 5.0;   // flow 1 -> tunnel 1
-  te::RepairOptions opts;
-  opts.iterations = 4;
-  const te::RepairStats stats = k.run(opts);
+  const te::RepairStats stats = k.run(4);
   EXPECT_TRUE(stats.feasible);
   EXPECT_LE(stats.max_utilization, 1.0 + 1e-9);
   // Link 0 carries both tunnels; its usage must have been projected down
@@ -377,9 +361,7 @@ TEST(RepairKernel, DownLinkZeroesItsTunnel) {
   auto x = k.x(p);
   x[0] = 4.0;
   x[1] = 4.0;
-  te::RepairOptions opts;
-  opts.iterations = 3;
-  const te::RepairStats stats = k.run(opts);
+  const te::RepairStats stats = k.run(3);
   EXPECT_TRUE(stats.feasible);
   const auto xr = k.x(p);
   EXPECT_EQ(xr[0], 0.0);
@@ -408,9 +390,8 @@ TEST(RepairKernel, RefillRecoversCapacityFreedByProjection) {
   k.x(pa)[0] = 10.0;
   k.x(pb)[0] = 20.0;  // all of B initially on the shared (overloaded) link
   k.x(pb)[1] = 0.0;
-  te::RepairOptions opts;
-  opts.iterations = 16;  // soft projection converges geometrically
-  const te::RepairStats stats = k.run(opts);
+  // Soft projection converges geometrically.
+  const te::RepairStats stats = k.run(16);
   EXPECT_TRUE(stats.feasible);
   // Projection alone would scale the shared link down to its 10 Gbps and
   // strand B's excess; the refill walks B's unallocated demand onto the
@@ -418,67 +399,6 @@ TEST(RepairKernel, RefillRecoversCapacityFreedByProjection) {
   // split link 0 proportionally — the repair is a heuristic, not an LP).
   EXPECT_GT(stats.allocated_gbps, 20.0);
   EXPECT_GT(k.x(pb)[1], 12.0);
-}
-
-TEST(RepairKernel, ParallelRunsBitIdenticalToSerial) {
-  // Direct kernel-level check (TealRepairParity covers the end-to-end
-  // path): random jagged problems, serial vs pooled runs.
-  util::Rng rng(99);
-  for (int round = 0; round < 5; ++round) {
-    const std::size_t links = 6 + static_cast<std::size_t>(rng.uniform() * 6);
-    std::vector<double> cap(links);
-    for (double& c : cap) c = 5.0 + 20.0 * rng.uniform();
-    const std::size_t pairs = 8 + static_cast<std::size_t>(rng.uniform() * 8);
-
-    auto build = [&](te::RepairKernel& k, std::uint64_t seed) {
-      util::Rng r(seed);
-      k.reset(cap);
-      for (std::size_t p = 0; p < pairs; ++p) {
-        std::vector<double> demands(1 + static_cast<std::size_t>(
-                                            r.uniform() * 4));
-        for (double& d : demands) d = 1.0 + 10.0 * r.uniform();
-        k.begin_pair(demands);
-        const std::size_t nt = 1 + static_cast<std::size_t>(r.uniform() * 3);
-        for (std::size_t t = 0; t < nt; ++t) {
-          std::vector<topo::EdgeId> path(
-              1 + static_cast<std::size_t>(r.uniform() * 3));
-          for (topo::EdgeId& e : path) {
-            e = static_cast<topo::EdgeId>(r.uniform() * links);
-          }
-          k.add_tunnel(path);
-        }
-        k.finish_pair();
-        auto x = k.x(p);
-        for (double& v : x) v = 10.0 * r.uniform();
-      }
-    };
-
-    te::RepairKernel serial;
-    build(serial, 1000 + round);
-    te::RepairOptions sopts;
-    sopts.iterations = 7;
-    serial.run(sopts);
-
-    for (std::size_t threads : {2UL, 5UL}) {
-      util::ThreadPool pool(threads);
-      te::RepairKernel par;
-      build(par, 1000 + round);
-      te::RepairOptions popts;
-      popts.iterations = 7;
-      popts.pool = &pool;
-      par.run(popts);
-      for (std::size_t p = 0; p < pairs; ++p) {
-        const auto xs = serial.x(p);
-        const auto xp = par.x(p);
-        ASSERT_EQ(xs.size(), xp.size());
-        for (std::size_t i = 0; i < xs.size(); ++i) {
-          ASSERT_TRUE(bits_equal(xs[i], xp[i]))
-              << "round " << round << " threads " << threads << " pair "
-              << p << " cell " << i;
-        }
-      }
-    }
-  }
 }
 
 // ===========================================================================
@@ -529,7 +449,7 @@ TEST(LearnedGate, UntrainedFallsBackToExact) {
   EXPECT_DOUBLE_EQ(report.solution.satisfied_gbps,
                    ref.solution.satisfied_gbps);
   // ... and it trained the allocator.
-  EXPECT_EQ(solver.learned_allocator().observations(), 1u);
+  EXPECT_EQ(report.learned.observations, 1u);
 }
 
 TEST(LearnedGate, WarmModelGetsAccepted) {
@@ -537,7 +457,7 @@ TEST(LearnedGate, WarmModelGetsAccepted) {
   te::MegaTeSolver solver;
   te::SolveContext ctx;
   ctx.learned = true;
-  // Warm-up: the first min_observations learned calls fall back + train.
+  // Warm-up: the first kMinObservations learned calls fall back + train.
   te::SolveReport r1 = solver.solve(s->problem(), ctx);
   EXPECT_EQ(r1.learned.fallback_reason, "untrained");
   te::SolveReport r2 = solver.solve(s->problem(), ctx);
@@ -547,7 +467,7 @@ TEST(LearnedGate, WarmModelGetsAccepted) {
   EXPECT_EQ(r3.solution.solver_name, "MegaTE-learned");
   // Accepted solution satisfies the gate's own quality bar.
   EXPECT_GE(r3.solution.satisfied_gbps + 1e-9,
-            solver.options().learned.accept_fraction *
+            te::LearnedAllocator::kAcceptFraction *
                 r3.learned.exact_estimate_gbps);
   // And it is fully audited: checker-clean with flow assignments.
   te::CheckOptions copts;
@@ -679,6 +599,107 @@ TEST(LearnedGate, DifferentialHundredIntervalsVsExact) {
   EXPECT_GE(accepted_total, intervals_total / 2)
       << "learned path accepted only " << accepted_total << "/"
       << intervals_total;
+}
+
+/// FNV-1a over the bytes of 64-bit words and strings.
+struct PlanDigest {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void add(double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    add(bits);
+  }
+  void add(const std::string& s) {
+    add(static_cast<std::uint64_t>(s.size()));
+    for (unsigned char c : s) add(static_cast<std::uint64_t>(c));
+  }
+};
+
+/// Folds one learned-mode solve into `d`: the gate's decision and
+/// fallback reason, the satisfied-demand bits, and every pair's
+/// per-flow tunnel assignment and per-tunnel allocation bits, in sorted
+/// pair order (independent of hash-map iteration order).
+void fold_plan(PlanDigest& d, const te::SolveReport& r) {
+  d.add(static_cast<std::uint64_t>(r.learned.accepted));
+  d.add(r.learned.fallback_reason);
+  d.add(r.solution.satisfied_gbps);
+  std::vector<topo::SitePair> pairs;
+  for (const auto& [pair, alloc] : r.solution.pairs) pairs.push_back(pair);
+  std::sort(pairs.begin(), pairs.end(), [](const auto& a, const auto& b) {
+    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+  });
+  d.add(static_cast<std::uint64_t>(pairs.size()));
+  for (const topo::SitePair& pair : pairs) {
+    const te::PairAllocation& alloc = r.solution.pairs.at(pair);
+    d.add(static_cast<std::uint64_t>(pair.src));
+    d.add(static_cast<std::uint64_t>(pair.dst));
+    d.add(static_cast<std::uint64_t>(alloc.flow_tunnel.size()));
+    for (std::int32_t t : alloc.flow_tunnel) {
+      d.add(static_cast<std::uint64_t>(static_cast<std::uint32_t>(t)));
+    }
+    for (double v : alloc.tunnel_alloc) d.add(v);
+  }
+}
+
+/// Digest of LearnedGate.PlanDigestIsPinned, recorded at the commit
+/// before the repair kernel lost its thread-pool path and the learned
+/// allocator its tunables. The bits assume IEEE doubles without fused
+/// multiply-add contraction (the build is ISO C++, so GCC does not
+/// contract).
+constexpr std::uint64_t kPinnedLearnedDigest = 0x5c98d608e5c4f45dULL;
+
+// 24 learned-mode intervals over two seeded scenarios, the second with an
+// SR hop budget: the warm-up fallbacks ("untrained"), accepted learned
+// plans, and one x8 flash crowd late in the second scenario, whose
+// "drift" fallbacks last to the end. The digest moves when the learned
+// lane's model, repair or gate changes its plans: one repair pass fewer,
+// or an SGD step 0.1% larger, each change it. The kernel's own bits are
+// pinned by TealRepairParity.
+TEST(LearnedGate, PlanDigestIsPinned) {
+  constexpr int kIntervals = 12;
+  constexpr int kFlashCrowd = 9;  ///< interval of scenario 2 scaled x8
+  PlanDigest digest;
+  std::size_t intervals = 0;
+  std::size_t accepted = 0;
+  std::size_t drift = 0;
+  for (const auto& [seed, hops] :
+       {std::pair<std::uint64_t, std::uint32_t>{5, 0}, {37, 4}}) {
+    // Enough flows and load that the quantized plans depend on the
+    // repair's output, not only on the model's argmax tunnel.
+    auto s = testing::make_scenario(7, 12, 6, 0.6, seed);
+    te::MegaTeOptions opts;
+    opts.site_lp.max_sr_hops = hops;
+    te::MegaTeSolver solver(opts);
+    te::SolveContext ctx;
+    ctx.learned = true;
+    tm::TrafficMatrix current = s->traffic;
+    for (int i = 0; i < kIntervals; ++i) {
+      const bool crowd = hops > 0 && i == kFlashCrowd;
+      const tm::TrafficMatrix traffic =
+          crowd ? scale_matrix(current, 8.0) : current;
+      te::TeProblem p = s->problem();
+      p.traffic = &traffic;
+      const te::SolveReport r = solver.solve(p, ctx);
+      fold_plan(digest, r);
+      ++intervals;
+      if (r.learned.accepted) ++accepted;
+      if (r.learned.fallback_reason == "drift") ++drift;
+      current = jitter_matrix(current, seed * 100 + i, 0.1);
+    }
+  }
+  ASSERT_GE(intervals, 20u);
+  // The sequence must exercise both gate outcomes and the drift guard.
+  EXPECT_GE(accepted, 12u);
+  EXPECT_GE(drift, 1u);
+  EXPECT_EQ(digest.h, kPinnedLearnedDigest)
+      << std::hex << "got 0x" << digest.h << ", pinned 0x"
+      << kPinnedLearnedDigest;
 }
 
 // ===========================================================================
@@ -826,13 +847,12 @@ TEST(LearnedConcurrency, ConcurrentObserveAndAllocate) {
   const te::TeSolution sol = exact.solve(problem, {}).solution;
 
   te::LearnedAllocator allocator;
-  util::ThreadPool pool(2);
   std::thread trainer([&] {
     for (int i = 0; i < 50; ++i) allocator.observe(problem, sol);
   });
   std::thread predictor([&] {
     for (int i = 0; i < 50; ++i) {
-      const te::TeSolution got = allocator.allocate(problem, &pool);
+      const te::TeSolution got = allocator.allocate(problem);
       ASSERT_GE(got.satisfied_gbps, 0.0);
     }
   });

@@ -7,8 +7,8 @@
 //                    [--gml] [--endpoints N] [--load F]
 //                    [--solver megate|lpall|ncflow|teal] [--seed N]
 //                    [--max-sr-hops N] [--tunnel-selection ksp|centrality]
-//                    [--learned ...]  learned fast path with exact-solve
-//                    fallback (see the --learned* knobs in usage)
+//                    [--learned]  learned fast path with exact-solve
+//                    fallback
 //   megate_cli sync  --endpoints N                  Fig. 14 resource rows
 //   megate_cli chaos [--seed N] [--intervals N] [--sites N] [--links N]
 //                    [--endpoints N] [--shards N] [--quiet-tail S]
@@ -63,10 +63,7 @@ int usage(const char* msg = nullptr) {
       "                   [--endpoints N] [--load F] [--solver NAME]\n"
       "                   [--seed N] [--max-sr-hops N]\n"
       "                   [--tunnel-selection ksp|centrality]\n"
-      "                   [--learned] [--learned-warmup N]\n"
-      "                   [--learned-accept F] [--learned-lr F]\n"
-      "                   [--learned-repair-iters N] [--learned-min-obs N]\n"
-      "                   [--learned-drift F]\n"
+      "                   [--learned]\n"
       "                   [--metrics-json FILE]\n"
       "  megate_cli sync  --endpoints N [--metrics-json FILE]\n"
       "  megate_cli chaos [--seed N] [--intervals N] [--sites N]\n"
@@ -227,9 +224,10 @@ int cmd_solve(const std::map<std::string, std::string>& flags) {
       tm::generate_traffic(*graph, layout, tmo, seed + 1);
 
   // --learned: route the solve through the learned fast path (predict ->
-  // repair -> audit with exact fallback). The allocator first warms up on
-  // --learned-warmup exact solves so the quality gate has an estimate to
-  // compare against; the gate decision is reported in the table.
+  // repair -> audit with exact fallback). The first kMinObservations
+  // learned solves fall back to the exact solve and train on it, so the
+  // quality gate has an estimate to compare against; the gate decision of
+  // the solve after them is reported in the table.
   const bool learned = flags.contains("learned");
   te::MegaTeSolver* megate_solver = nullptr;
   std::unique_ptr<te::Solver> solver;
@@ -237,16 +235,6 @@ int cmd_solve(const std::map<std::string, std::string>& flags) {
     te::MegaTeOptions mopt;
     mopt.metrics = &registry;
     mopt.site_lp.max_sr_hops = topt.max_sr_hops;
-    mopt.learned.accept_fraction =
-        flag_double(flags, "learned-accept", mopt.learned.accept_fraction);
-    mopt.learned.learning_rate =
-        flag_double(flags, "learned-lr", mopt.learned.learning_rate);
-    mopt.learned.repair_iterations = flag_u64(
-        flags, "learned-repair-iters", mopt.learned.repair_iterations);
-    mopt.learned.min_observations =
-        flag_u64(flags, "learned-min-obs", mopt.learned.min_observations);
-    mopt.learned.drift_mape_threshold = flag_double(
-        flags, "learned-drift", mopt.learned.drift_mape_threshold);
     auto ms = std::make_unique<te::MegaTeSolver>(mopt);
     megate_solver = ms.get();
     solver = std::move(ms);
@@ -270,15 +258,11 @@ int cmd_solve(const std::map<std::string, std::string>& flags) {
   te::TeSolution sol;
   te::LearnedStats learned_stats;
   if (learned) {
-    const std::uint64_t warmup = flag_u64(
-        flags, "learned-warmup",
-        megate_solver->options().learned.min_observations);
-    for (std::uint64_t i = 0; i < warmup; ++i) {
-      const te::SolveReport warm = megate_solver->solve(problem, {});
-      megate_solver->learned_allocator().observe(problem, warm.solution);
-    }
     te::SolveContext sctx;
     sctx.learned = true;
+    for (std::size_t i = 0; i < te::LearnedAllocator::kMinObservations; ++i) {
+      megate_solver->solve(problem, sctx);
+    }
     te::SolveReport report = megate_solver->solve(problem, sctx);
     learned_stats = report.learned;
     sol = std::move(report.solution);
