@@ -93,6 +93,7 @@ run_metrics_json_check() {
     ../bench/fig16_availability >/dev/null &&
     ../bench/fig17_cost >/dev/null &&
     ../bench/ablation_stage1 >/dev/null &&
+    ../bench/ablation_incremental >/dev/null &&
     ../bench/ablation_tunnels >/dev/null &&
     ../bench/online_churn >/dev/null &&
     ../bench/ablation_prediction >/dev/null &&
@@ -103,7 +104,10 @@ run_metrics_json_check() {
   # learned-allocation frontier: every lane against the fastest exact
   # lane of the same replay, >= 5x on the TWAN 100k replay, quality and
   # audit bars). ablation_prediction runs its TWAN replay every time
-  # (~15 s of this stage).
+  # (~15 s of this stage). ablation_incremental gates itself: it exits
+  # non-zero unless the stage-2 memo cuts the median solve's process CPU
+  # time >= 2x against a cold solve (CPU, not wall: the cold lane's
+  # parallel stage 2 hides work on whatever cores the host spares).
   ./build/tools/check_metrics_json "$out"/*.json
 }
 

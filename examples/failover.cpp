@@ -58,7 +58,8 @@ int main() {
 
   // --- bottom-up convergence ---------------------------------------------
   ctrl::KvStore store(2);
-  ctrl::Controller controller(&store);
+  ctrl::InProcessTransport db(&store);
+  ctrl::Controller controller(&db);
   controller.publish_solution(problem, after);
   std::cout << "\nPublished " << controller.entries_published()
             << " per-instance route tables at version " << store.version()
@@ -66,7 +67,7 @@ int main() {
 
   ctrl::AgentOptions aopt;
   aopt.poll_interval_s = 10.0;
-  auto lags = ctrl::measure_sync_lags(store, /*n_agents=*/2000, aopt,
+  auto lags = ctrl::measure_sync_lags(db, /*n_agents=*/2000, aopt,
                                       /*publish_at=*/5.0, /*horizon=*/40.0,
                                       /*step=*/0.5);
   std::cout << "2000 agents converged; apply lag after publish: median "

@@ -53,21 +53,6 @@ EndpointAgent::EndpointAgent(std::uint64_t instance_id, KvTransport* db,
     : EndpointAgent(std::vector<std::uint64_t>{instance_id}, db, stack,
                     options) {}
 
-EndpointAgent::EndpointAgent(std::vector<std::uint64_t> instance_ids,
-                             KvStore* store, dataplane::HostStack* stack,
-                             AgentOptions options)
-    : EndpointAgent(std::move(instance_ids),
-                    static_cast<KvTransport*>(nullptr), stack, options) {
-  owned_ = std::make_unique<InProcessTransport>(store);
-  db_ = owned_.get();
-}
-
-EndpointAgent::EndpointAgent(std::uint64_t instance_id, KvStore* store,
-                             dataplane::HostStack* stack,
-                             AgentOptions options)
-    : EndpointAgent(std::vector<std::uint64_t>{instance_id}, store, stack,
-                    options) {}
-
 std::size_t EndpointAgent::index_of(std::uint64_t instance_id) const {
   for (std::size_t i = 0; i < ids_.size(); ++i) {
     if (ids_[i] == instance_id) return i;
@@ -264,17 +249,6 @@ std::vector<double> measure_sync_lags(KvTransport& db,
     }
   }
   return lags;
-}
-
-std::vector<double> measure_sync_lags(KvStore& store,
-                                      std::size_t n_instances,
-                                      const AgentOptions& options,
-                                      double publish_at_s, double horizon_s,
-                                      double tick_step_s,
-                                      std::size_t instances_per_agent) {
-  InProcessTransport db(&store);
-  return measure_sync_lags(db, n_instances, options, publish_at_s,
-                           horizon_s, tick_step_s, instances_per_agent);
 }
 
 }  // namespace megate::ctrl

@@ -31,7 +31,6 @@
 // poll cadence (the database will still be there next interval).
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -74,18 +73,12 @@ class EndpointAgent {
   /// Host agent serving `instance_ids` (must be non-empty; the first id
   /// is the primary — it keys the poll phase and the fault hooks).
   /// `stack` may be null (pure control-plane simulations). The transport
-  /// may be the in-process store or a TCP client to real shardd
-  /// processes — the agent cannot tell the difference, by design.
+  /// may be an InProcessTransport over a KvStore or a TCP client to real
+  /// shardd processes — the agent cannot tell the difference, by design.
+  /// `db` must outlive the agent.
   EndpointAgent(std::vector<std::uint64_t> instance_ids, KvTransport* db,
                 dataplane::HostStack* stack, AgentOptions options = {});
   EndpointAgent(std::uint64_t instance_id, KvTransport* db,
-                dataplane::HostStack* stack, AgentOptions options = {});
-  /// In-process conveniences: wrap `store` in an owned
-  /// InProcessTransport (the original single-process construction).
-  EndpointAgent(std::vector<std::uint64_t> instance_ids, KvStore* store,
-                dataplane::HostStack* stack, AgentOptions options = {});
-  /// Single-instance convenience (the common fleet-simulation shape).
-  EndpointAgent(std::uint64_t instance_id, KvStore* store,
                 dataplane::HostStack* stack, AgentOptions options = {});
 
   /// Drives the agent to simulation time `now_s`; polls whenever due.
@@ -132,7 +125,6 @@ class EndpointAgent {
 
   std::vector<std::uint64_t> ids_;
   std::vector<std::string> keys_;  ///< path_key(ids_[i]), precomputed
-  std::unique_ptr<InProcessTransport> owned_;  ///< KvStore-ctor adapter
   KvTransport* db_;
   dataplane::HostStack* stack_;
   AgentOptions options_;
@@ -158,13 +150,6 @@ class EndpointAgent {
 /// store and a TCP transport (the transport-differential suite asserts
 /// the lag distributions are equal).
 std::vector<double> measure_sync_lags(KvTransport& db,
-                                      std::size_t n_instances,
-                                      const AgentOptions& options,
-                                      double publish_at_s, double horizon_s,
-                                      double tick_step_s,
-                                      std::size_t instances_per_agent = 1);
-/// In-process convenience over a bare store.
-std::vector<double> measure_sync_lags(KvStore& store,
                                       std::size_t n_instances,
                                       const AgentOptions& options,
                                       double publish_at_s, double horizon_s,

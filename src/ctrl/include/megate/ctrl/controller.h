@@ -14,7 +14,6 @@
 // per-publish maps or per-instance strings beyond the delta itself.
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -47,13 +46,10 @@ std::vector<RouteEntry> decode_routes(const std::string& text);
 
 class Controller {
  public:
-  /// Publishes through any transport — the in-process store or a TCP
-  /// shard client replicating deltas to megate_shardd processes.
+  /// Publishes through any transport — an InProcessTransport over a
+  /// KvStore or a TCP shard client replicating deltas to megate_shardd
+  /// processes. `db` must outlive the controller.
   explicit Controller(KvTransport* db) : db_(db) {}
-  /// In-process convenience: wraps `store` in an owned transport.
-  explicit Controller(KvStore* store)
-      : owned_(std::make_unique<InProcessTransport>(store)),
-        db_(owned_.get()) {}
 
   /// Publishes the per-source-instance route tables of `sol` as a delta
   /// against the previous publish: changed tables become upserts,
@@ -86,7 +82,6 @@ class Controller {
   std::uint64_t full_table_bytes() const noexcept;
 
  private:
-  std::unique_ptr<InProcessTransport> owned_;  ///< KvStore-ctor adapter
   KvTransport* db_;
   std::uint64_t published_ = 0;
   std::uint64_t erased_ = 0;

@@ -25,14 +25,8 @@ namespace megate::ctrl {
 /// plus the fault injector. Single-writer by design: the chaos/simulation
 /// loops that populate these are single-threaded, so plain integers keep
 /// the hot poll path free of atomics. The chaos bench and `megate_cli
-/// chaos` surface them next to the availability numbers.
-///
-/// The incremental_* group aggregates te::IncrementalStats across every
-/// incremental solve of a run (ChaosOptions::incremental_solve):
-/// stage-2 memo hits, pairs the demand delta marked dirty, stage-1 LPs
-/// resolved from a warm basis with zero pivots, and full cache drops
-/// forced by topology changes (every fault event lands here — see
-/// DESIGN.md "Incremental solving across intervals").
+/// chaos` surface them next to the availability numbers. They count
+/// control-plane work only; solver statistics live in te::SolveReport.
 struct ControlCounters {
   std::uint64_t polls = 0;                ///< version queries issued
   std::uint64_t pulls = 0;                ///< route entries pulled OK
@@ -45,11 +39,6 @@ struct ControlCounters {
   std::uint64_t publish_upserts = 0;      ///< delta entries written
   std::uint64_t publish_erases = 0;       ///< delta entries erased
   std::uint64_t publish_delta_bytes = 0;  ///< delta payload bytes written
-  std::uint64_t incremental_solves = 0;   ///< incremental solve calls
-  std::uint64_t incremental_cache_hits = 0;    ///< stage-2 memo replays
-  std::uint64_t incremental_cache_misses = 0;  ///< stage-2 recomputes
-  std::uint64_t incremental_dirty_pairs = 0;   ///< pairs with changed demand
-  std::uint64_t incremental_invalidations = 0;  ///< topology-forced drops
 };
 
 /// Exposes every ControlCounters cell in `registry` under `<prefix>.`

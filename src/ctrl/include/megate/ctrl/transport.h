@@ -3,8 +3,8 @@
 // endpoint agents do against the TE database, as an abstract interface.
 //
 // Two implementations exist. InProcessTransport (here) forwards to a
-// KvStore in the same address space — the original single-process
-// control loop, and still the default everywhere. TcpKvTransport
+// KvStore in the same address space — the single-process control loop;
+// every caller holding a bare KvStore wraps it in one. TcpKvTransport
 // (src/net) speaks the length-prefixed binary protocol of DESIGN.md §11
 // to real megate_shardd processes over non-blocking TCP. The chaos
 // harness runs the same seeded FaultPlan against either and asserts the
@@ -74,8 +74,8 @@ class KvTransport {
   virtual const char* name() const noexcept = 0;
 };
 
-/// The original single-process path: every call forwards to a KvStore in
-/// this address space. `store` must outlive the transport.
+/// The single-process path: every call forwards to a KvStore in this
+/// address space. `store` must outlive the transport.
 class InProcessTransport final : public KvTransport {
  public:
   explicit InProcessTransport(KvStore* store);

@@ -52,12 +52,6 @@ constexpr CounterField kCounterFields[] = {
     {"publish_upserts", &ControlCounters::publish_upserts},
     {"publish_erases", &ControlCounters::publish_erases},
     {"publish_delta_bytes", &ControlCounters::publish_delta_bytes},
-    {"incremental_solves", &ControlCounters::incremental_solves},
-    {"incremental_cache_hits", &ControlCounters::incremental_cache_hits},
-    {"incremental_cache_misses", &ControlCounters::incremental_cache_misses},
-    {"incremental_dirty_pairs", &ControlCounters::incremental_dirty_pairs},
-    {"incremental_invalidations",
-     &ControlCounters::incremental_invalidations},
 };
 
 }  // namespace

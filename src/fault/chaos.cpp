@@ -407,18 +407,7 @@ ChaosReport run_chaos(const ChaosOptions& options) {
     // identities stay stable so unaffected routes do not churn.
     repaired = pristine;
     topo::repair_tunnels(solver_graph, repaired);
-    te::SolveContext sctx;
-    sctx.incremental = options.incremental_solve;
-    const te::SolveReport solved = solver.solve(problem, sctx);
-    const te::TeSolution& sol = solved.solution;
-    if (options.incremental_solve) {
-      const te::IncrementalStats& is = solved.incremental;
-      ++report.counters.incremental_solves;
-      report.counters.incremental_cache_hits += is.ssp_cache_hits;
-      report.counters.incremental_cache_misses += is.ssp_cache_misses;
-      report.counters.incremental_dirty_pairs += is.dirty_pairs;
-      report.counters.incremental_invalidations += is.cache_invalidations;
-    }
+    const te::TeSolution sol = solver.solve(problem);
     te::CheckOptions copt;
     copt.capacity_tolerance = options.capacity_tolerance;
     copt.require_flow_assignment = true;

@@ -3,12 +3,13 @@
 // sharded TE database, endpoint agents — hammered by a seeded FaultPlan
 // and validated every step against the paper's §7.4 availability claims.
 //
-// Per TE interval the loop solves on the *current* (possibly degraded)
-// topology, publishes per-instance routes, and ticks every agent through
-// the interval while the injector activates shard crashes, mid-interval
-// link failures, pull drops and stale version reads. When a link fails or
-// recovers mid-interval the controller recomputes immediately (the
-// paper's <1 s reaction) instead of waiting for the next interval.
+// Per TE interval the loop solves cold on the *current* (possibly
+// degraded) topology, publishes per-instance routes, and ticks every agent
+// through the interval while the injector activates shard crashes,
+// mid-interval link failures, pull drops and stale version reads. When a
+// link fails or recovers mid-interval the controller recomputes
+// immediately (the paper's <1 s reaction) instead of waiting for the next
+// interval.
 //
 // Invariants checked continuously:
 //   1. every published solution passes te::check_solution (constraints
@@ -101,13 +102,6 @@ struct ChaosOptions {
   FaultPlanOptions plan;
   /// Recompute + publish immediately on a mid-interval topology change.
   bool react_to_failures = true;
-  /// Solve incrementally (te::SolveContext::incremental) instead of cold.
-  /// Off by default so the golden report fingerprints of the seed test
-  /// suite keep covering the cold path; the incremental path asserts the
-  /// same fingerprints (see fault tests) since every fault event
-  /// invalidates the retained state through the topology fingerprint.
-  /// Aggregated telemetry lands in the counters' incremental_* fields.
-  bool incremental_solve = false;
   /// Stage-1 LP backend knobs forwarded to the solver. The defaults keep
   /// the golden fingerprints on the historical auto/simplex path; the
   /// stage-1 determinism suite forces the packing backend and asserts the

@@ -26,13 +26,14 @@
 //
 // API note: there is one entry point, taking a mutable graph (faults
 // strike it in place and it is restored before returning). Fault-free
-// runs never mutate it.
+// runs never mutate it. Every period solves cold: an incremental solve
+// returns the same plan bit for bit (tests/incremental_test.cpp), so the
+// outcomes would not change with it.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "megate/te/megate_solver.h"
 #include "megate/te/online_allocator.h"
 #include "megate/tm/demand_stream.h"
 #include "megate/tm/prediction.h"
@@ -68,12 +69,6 @@ struct PeriodSimOptions {
   double ewma_alpha = 0.4;
   /// Mid-simulation link failures (empty = the classic fault-free run).
   std::vector<PeriodLinkFault> link_faults;
-  /// Solve each period incrementally (SolveContext::incremental) instead
-  /// of cold. Allocations stay bitwise equal (tests/incremental_test.cpp);
-  /// the per-period memo telemetry lands in
-  /// PeriodOutcome::incremental. Link faults invalidate the retained
-  /// state via the solver's topology fingerprint.
-  bool incremental = false;
   /// Mid-period demand churn (disabled by default): the per-period
   /// DemandStream timeline. churn.seed is mixed with the period index so
   /// every period gets its own deterministic schedule over
@@ -94,9 +89,6 @@ struct PeriodOutcome {
   double carried_gbps = 0.0;
   double prediction_mape = 0.0;  ///< 0 for kOracle
   double solve_time_s = 0.0;
-  /// Solver telemetry of this period's incremental solve;
-  /// default-initialized when PeriodSimOptions::incremental is off.
-  te::IncrementalStats incremental;
   /// Churn telemetry (all zero without PeriodSimOptions::churn).
   std::size_t churn_events = 0;
   double churn_delta_gbps = 0.0;  ///< sum of |demand movement| mid-period

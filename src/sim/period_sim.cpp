@@ -3,6 +3,7 @@
 #include <cmath>
 #include <unordered_map>
 
+#include "megate/te/megate_solver.h"
 #include "megate/topo/failures.h"
 #include "megate/util/rng.h"
 
@@ -171,15 +172,11 @@ std::vector<PeriodOutcome> run_period_simulation(
     problem.graph = &graph;
     problem.tunnels = period_tunnels;
     problem.traffic = &believed;
-    te::SolveContext sctx;
-    sctx.incremental = options.incremental;
-    const te::SolveReport solved = solver.solve(problem, sctx);
-    const te::TeSolution& sol = solved.solution;
+    const te::TeSolution sol = solver.solve(problem);
 
     PeriodOutcome out;
     out.period = period;
     out.solve_time_s = sol.solve_time_s;
-    if (options.incremental) out.incremental = solved.incremental;
 
     // The measured truth over the period: starts at `actual`, churns
     // through this period's event timeline.
@@ -204,9 +201,9 @@ std::vector<PeriodOutcome> run_period_simulation(
           // measured (evolved) truth, then keep patching from there.
           te::TeProblem mid = problem;
           mid.traffic = &evolving;
-          const te::SolveReport re = solver.solve(mid, sctx);
-          out.solve_time_s += re.solution.solve_time_s;
-          allocator.rebase(mid, re.solution);
+          const te::TeSolution re = solver.solve(mid);
+          out.solve_time_s += re.solve_time_s;
+          allocator.rebase(mid, re);
           ++out.online_resolves;
         }
       }

@@ -9,8 +9,8 @@
 // identical to a previous interval. Keys are 64-bit fingerprints of those
 // inputs: demand_hash is the pair's whole flow-list fingerprint
 // (tm::fingerprint_flows — slightly stricter than the QoS-round view, and
-// already computed once per interval for the demand delta), alloc_hash
-// the bitwise F_{k,t} vector. A hit replays the stored per-flow tunnel
+// computed once per solve rather than once per round), alloc_hash the
+// bitwise F_{k,t} vector. A hit replays the stored per-flow tunnel
 // assignment without running FastSSP.
 //
 // Storage is flat: one slot per dense (pair, QoS round) id, which the

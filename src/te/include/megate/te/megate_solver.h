@@ -13,15 +13,16 @@
 // Endpoint flows are indivisible: every flow ends on exactly one tunnel or
 // is rejected, satisfying constraints (1b)/(1c) by construction.
 //
-// Incremental solving (SolveContext::incremental): successive TE intervals
-// move only a fraction of the demand, so the solver retains pair demand
-// fingerprints (tm::fingerprint_flows) and a per-(pair, round) stage-2
-// memo (ssp::PairMemoCache) keyed by bitwise demand + F_{k,t} hashes. It
-// runs the same round loop as a cold solve — stage 1 always solves from
-// scratch — so its plan is bitwise identical to the cold one. Any
-// topology or capacity change (link up/down, derate, tunnel repair — i.e.
-// every fault-injector event) flips the topology fingerprint and drops all
-// retained state. See DESIGN.md "Incremental solving across intervals".
+// Incremental solving (SolveContext::incremental) is one mechanism: a
+// per-(pair, round) stage-2 memo (ssp::PairMemoCache) keyed by the pair's
+// flow-list fingerprint (tm::fingerprint_flows) and the bitwise hash of
+// its F_{k,t}. Successive TE intervals move only a fraction of the
+// demand, so most pairs replay their cached assignment. It runs the same
+// round loop as a cold solve — stage 1 always solves from scratch — so
+// its plan is bitwise identical to the cold one. Any topology or capacity
+// change (link up/down, derate, tunnel repair — i.e. every fault-injector
+// event) flips the topology fingerprint and drops the memo. See DESIGN.md
+// "Incremental solving across intervals".
 //
 // Cost outside the two stages is O(links + flows) on flat per-pair arrays:
 // the topology fingerprint reads TunnelSet::fingerprint() instead of
@@ -43,7 +44,6 @@
 #include "megate/te/learned.h"
 #include "megate/te/site_lp.h"
 #include "megate/te/types.h"
-#include "megate/tm/delta.h"
 #include "megate/util/thread_pool.h"
 
 namespace megate::te {
@@ -51,7 +51,9 @@ namespace megate::te {
 struct MegaTeOptions {
   SiteLpOptions site_lp;
   ssp::FastSspOptions fast_ssp;
-  /// Worker threads for the per-pair stage-2 solves (0 = hardware).
+  /// Worker threads of the solver's pool (0 = hardware), built once at
+  /// construction. The pool runs the per-pair stage-2 solves and, with
+  /// stage1_clusters > 1, the clustered stage-1 buckets.
   std::size_t threads = 0;
   /// > 1: solve stage 1 with the cluster-contracted MaxSiteFlow (§8
   /// "Accelerating MaxSiteFlow solving") using this many site clusters;
@@ -80,11 +82,9 @@ struct MegaTeOptions {
 
 /// Telemetry of one incremental solve (SolveReport::incremental).
 struct IncrementalStats {
-  /// False when the call ran as a cold solve (first interval, explicit
-  /// reset, or a topology change that dropped the retained state).
+  /// False when the call ran as a cold solve (first interval, or a
+  /// topology change that dropped the memo).
   bool used_incremental = false;
-  std::size_t dirty_pairs = 0;  ///< pairs whose demand fingerprint moved
-  std::size_t clean_pairs = 0;
   std::size_t ssp_cache_hits = 0;    ///< stage-2 solves replayed from memo
   std::size_t ssp_cache_misses = 0;  ///< stage-2 solves recomputed
   std::size_t cache_invalidations = 0;  ///< full drops (topology change)
@@ -93,16 +93,12 @@ struct IncrementalStats {
 /// How one solve call should run. Passed by value next to the problem so
 /// the mode travels with the call, not with solver state.
 struct SolveContext {
-  /// Reuse stage-2 results retained from the previous interval (the
-  /// per-pair memo) where the inputs are bitwise unchanged. The plan is
-  /// bitwise identical to a cold solve's (enforced by
-  /// tests/incremental_test.cpp); all retained state is dropped whenever
-  /// the topology fingerprint moved, and a key mismatch recomputes.
+  /// Reuse stage-2 results retained from earlier solves of this solver
+  /// (the per-pair memo) where the inputs are bitwise unchanged. The plan
+  /// is bitwise identical to a cold solve's (enforced by
+  /// tests/incremental_test.cpp); the memo is dropped whenever the
+  /// topology fingerprint moved, and a key mismatch recomputes.
   bool incremental = false;
-  /// Previous interval's problem; only needed to seed the demand delta
-  /// when this solver has no retained state yet (e.g. the previous
-  /// interval was solved elsewhere). Ignored for cold solves.
-  const TeProblem* prev = nullptr;
   /// Try the learned fast path first (predict -> repair -> audit). The
   /// solver's quality gate decides per call: an accepted learned solution
   /// is returned directly; otherwise the call falls back to the exact
@@ -146,13 +142,15 @@ struct SolveReport {
 /// Fingerprint of everything a solve depends on besides the traffic
 /// matrix: link states and capacities, the tunnel sets
 /// (TunnelSet::fingerprint()) and epsilon. The incremental solver drops its
-/// retained state whenever this value moves.
+/// memo whenever this value moves.
 std::uint64_t topology_fingerprint(const TeProblem& problem);
 
 class MegaTeSolver final : public Solver {
  public:
+  /// Options are fixed for the solver's lifetime; the worker pool is
+  /// built here from options.threads and reused by every solve.
   explicit MegaTeSolver(MegaTeOptions options = {})
-      : options_(options) {}
+      : options_(options), pool_(options.threads) {}
 
   std::string name() const override { return "MegaTE"; }
 
@@ -167,30 +165,19 @@ class MegaTeSolver final : public Solver {
   /// with the Solver::solve override above; pass `{}` for a cold solve.
   SolveReport solve(const TeProblem& problem, const SolveContext& ctx);
 
-  /// Drops all state retained for incremental solves (memo and
-  /// fingerprints). The next incremental solve runs cold.
-  void reset_incremental();
-
-  /// Replaces the solver options. Drops incremental state (options change
-  /// the solve itself) and rebuilds the thread pool if `threads` changed.
-  void set_options(const MegaTeOptions& options);
   const MegaTeOptions& options() const noexcept { return options_; }
-
-  /// The solver's worker pool, created lazily on first use and reused
-  /// across solves (rebuilt only when set_options changes `threads`).
-  util::ThreadPool& thread_pool();
 
  private:
   /// The learned allocator backing SolveContext::learned, created lazily
   /// under site_lp.max_sr_hops and retained across solves (its training
-  /// state is the point). set_options drops it like the incremental state.
+  /// state is the point).
   LearnedAllocator& learned_allocator();
   SolveReport solve_learned(const TeProblem& problem,
                             const SolveContext& ctx);
   /// QoS rounds a pair can take part in (memo slots per pair id).
   static constexpr std::size_t kMemoRounds = 3;
-  /// State retained between incremental solves, on flat arrays indexed
-  /// by a dense pair id.
+  /// The stage-2 memo and what keys it, on flat arrays indexed by a
+  /// dense pair id.
   struct IncrementalState {
     bool valid = false;
     std::uint64_t topo_fp = 0;  ///< topology_fingerprint of the last solve
@@ -199,36 +186,28 @@ class MegaTeSolver final : public Solver {
     /// invalidation.
     std::unordered_map<topo::SitePair, std::uint32_t, topo::SitePairHash>
         pair_id;
-    /// Per id: the pair's flow-list fingerprint, and the interval stamp of
-    /// the matrix that recorded it.
-    std::vector<tm::PairFingerprint> fps;
-    std::vector<std::uint64_t> fp_stamp;
-    std::uint64_t stamp = 0;       ///< stamp of the last recorded matrix
-    std::size_t baseline_pairs = 0;  ///< its pair count; 0 = no baseline
-    /// Id of each pair of the matrix being solved, in traffic.pairs()
-    /// iteration order (solve_impl walks the same order).
+    /// Per pair of the matrix being solved, in traffic.pairs() iteration
+    /// order (solve_impl walks the same order): its dense id and its
+    /// flow-list hash, the demand half of its memo keys.
     std::vector<std::uint32_t> ids;
+    std::vector<std::uint64_t> demand_hash;
     ssp::PairMemoCache memo;
 
-    /// Records `traffic`'s pair fingerprints as the new baseline and its
-    /// pairs' ids in `ids`. When a baseline existed and `stats` is set,
-    /// first fills stats' dirty/clean split against it, with
-    /// tm::diff_traffic's semantics.
-    void record(const tm::TrafficMatrix& traffic, IncrementalStats* stats);
+    /// Fills `ids` and `demand_hash` for `traffic`, assigning ids to new
+    /// pairs and growing the memo to match.
+    void key(const tm::TrafficMatrix& traffic);
   };
 
   /// The round loop (SiteMerge -> stage 1 -> stage 2 -> residual repair
-  /// per QoS class). `inc` is the retained state of an incremental solve,
-  /// whose stage-2 memo it probes and fills; null on cold solves.
+  /// per QoS class). `inc` is the memo state of an incremental solve,
+  /// which it probes and fills; null on cold solves.
   SolveReport solve_impl(const TeProblem& problem, IncrementalState* inc);
-  /// Refreshes (or drops) inc_state_ around solve_impl and fills
+  /// Keys (or first drops) inc_state_ around solve_impl and fills
   /// SolveReport::incremental.
-  SolveReport solve_incremental_impl(const TeProblem& problem,
-                                     const TeProblem* prev);
+  SolveReport solve_incremental_impl(const TeProblem& problem);
 
   MegaTeOptions options_;
-  std::unique_ptr<util::ThreadPool> pool_;
-  std::size_t pool_threads_ = 0;
+  util::ThreadPool pool_;
   std::unique_ptr<LearnedAllocator> learned_;
   IncrementalState inc_state_;
 };

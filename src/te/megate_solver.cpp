@@ -10,6 +10,7 @@
 
 #include "megate/obs/span.h"
 #include "megate/te/checker.h"
+#include "megate/tm/delta.h"
 #include "megate/util/stopwatch.h"
 
 namespace megate::te {
@@ -107,14 +108,6 @@ void solve_pair_stage2(const std::vector<tm::EndpointDemand>& flows,
 
 }  // namespace
 
-util::ThreadPool& MegaTeSolver::thread_pool() {
-  if (!pool_ || pool_threads_ != options_.threads) {
-    pool_ = std::make_unique<util::ThreadPool>(options_.threads);
-    pool_threads_ = options_.threads;
-  }
-  return *pool_;
-}
-
 LearnedAllocator& MegaTeSolver::learned_allocator() {
   if (!learned_) {
     learned_ =
@@ -122,15 +115,6 @@ LearnedAllocator& MegaTeSolver::learned_allocator() {
   }
   return *learned_;
 }
-
-void MegaTeSolver::set_options(const MegaTeOptions& options) {
-  if (options.threads != options_.threads) pool_.reset();
-  options_ = options;
-  reset_incremental();
-  learned_.reset();
-}
-
-void MegaTeSolver::reset_incremental() { inc_state_ = IncrementalState{}; }
 
 TeSolution MegaTeSolver::solve(const TeProblem& problem) {
   return solve(problem, {}).solution;
@@ -140,7 +124,7 @@ SolveReport MegaTeSolver::solve(const TeProblem& problem,
                                 const SolveContext& ctx) {
   if (!problem.valid()) throw std::invalid_argument("invalid TE problem");
   if (ctx.learned) return solve_learned(problem, ctx);
-  return ctx.incremental ? solve_incremental_impl(problem, ctx.prev)
+  return ctx.incremental ? solve_incremental_impl(problem)
                          : solve_impl(problem, nullptr);
 }
 
@@ -213,9 +197,8 @@ SolveReport MegaTeSolver::solve_learned(const TeProblem& problem,
     reg->counter("te.learned.fallbacks").inc();
     reg->counter("te.learned.fallback." + reason).inc();
   }
-  SolveReport report = ctx.incremental
-                           ? solve_incremental_impl(problem, ctx.prev)
-                           : solve_impl(problem, nullptr);
+  SolveReport report = ctx.incremental ? solve_incremental_impl(problem)
+                                       : solve_impl(problem, nullptr);
   la.observe(problem, report.solution);
   stats.observations = la.observations();
   report.learned = std::move(stats);
@@ -239,78 +222,35 @@ std::uint64_t topology_fingerprint(const TeProblem& problem) {
   return h;
 }
 
-void MegaTeSolver::IncrementalState::record(const tm::TrafficMatrix& traffic,
-                                            IncrementalStats* stats) {
-  const std::uint64_t base = stamp;
-  const std::uint64_t now = ++stamp;
-  std::size_t clean = 0;
-  std::size_t changed = 0;
-  std::size_t added = 0;
+void MegaTeSolver::IncrementalState::key(const tm::TrafficMatrix& traffic) {
   ids.clear();
+  demand_hash.clear();
   ids.reserve(traffic.pairs().size());
+  demand_hash.reserve(traffic.pairs().size());
   for (const auto& [pair, flows] : traffic.pairs()) {
-    const auto [it, inserted] =
-        pair_id.try_emplace(pair, static_cast<std::uint32_t>(fps.size()));
-    const std::uint32_t id = it->second;
-    if (inserted) {
-      fps.emplace_back();
-      fp_stamp.push_back(0);
-    }
-    const tm::PairFingerprint fp = tm::fingerprint_flows(flows);
-    if (fp_stamp[id] != base) {
-      ++added;
-    } else if (fps[id] == fp) {
-      ++clean;
-    } else {
-      ++changed;
-    }
-    fps[id] = fp;
-    fp_stamp[id] = now;
-    ids.push_back(id);
+    const auto next_id = static_cast<std::uint32_t>(pair_id.size());
+    ids.push_back(pair_id.try_emplace(pair, next_id).first->second);
+    demand_hash.push_back(tm::fingerprint_flows(flows).hash);
   }
-  if (stats != nullptr && baseline_pairs > 0) {
-    // Baseline pairs still present are exactly the clean and changed ones.
-    const std::size_t removed = baseline_pairs - clean - changed;
-    stats->clean_pairs = clean;
-    stats->dirty_pairs = changed + added + removed;
-  }
-  baseline_pairs = traffic.pairs().size();
-  memo.resize(fps.size() * kMemoRounds);
+  memo.resize(pair_id.size() * kMemoRounds);
 }
 
-SolveReport MegaTeSolver::solve_incremental_impl(const TeProblem& problem,
-                                                 const TeProblem* prev) {
+SolveReport MegaTeSolver::solve_incremental_impl(const TeProblem& problem) {
   IncrementalState& st = inc_state_;
   const std::uint64_t fp = topology_fingerprint(problem);
   const bool invalidated = st.valid && st.topo_fp != fp;
-  if (invalidated) {
-    // Topology or capacity moved (fault event, repair, derate): every
-    // cached result was computed against a different network — drop the
-    // memo (one epoch bump) and the demand baseline.
-    st.memo.invalidate_all();
-    st.baseline_pairs = 0;
-  }
-  const bool used_incremental = st.valid && !invalidated;
-  if (st.baseline_pairs == 0 && prev != nullptr && prev->valid() &&
-      topology_fingerprint(*prev) == fp) {
-    // No baseline (first call, or the caller solved the previous interval
-    // elsewhere): the previous traffic matrix still seeds the demand
-    // delta, provided it was paired with this very topology.
-    st.record(*prev->traffic, nullptr);
-  }
+  // Topology or capacity moved (fault event, repair, derate): every cached
+  // result was computed against a different network — drop the memo (one
+  // epoch bump).
+  if (invalidated) st.memo.invalidate_all();
 
-  // Fingerprint the new matrix exactly once: the same pass classifies it
-  // against the baseline, keys the stage-2 memo during solve_impl (which
-  // is why it runs *before* the solve) and becomes the next baseline.
-  IncrementalStats delta;
-  st.record(*problem.traffic, &delta);
+  // Key the memo before the solve: solve_impl probes it per round.
+  st.key(*problem.traffic);
   SolveReport report = solve_impl(problem, &st);
 
   IncrementalStats& stats = report.incremental;
-  stats.used_incremental = used_incremental;
+  stats.used_incremental = st.valid && !invalidated;
   stats.cache_invalidations = invalidated ? 1 : 0;
-  stats.dirty_pairs = delta.dirty_pairs;
-  stats.clean_pairs = delta.clean_pairs;
   st.topo_fp = fp;
   st.valid = true;
   return report;
@@ -397,7 +337,6 @@ SolveReport MegaTeSolver::solve_impl(const TeProblem& problem,
   std::vector<const std::vector<double>*> f_kt(num_pairs, nullptr);
   std::vector<std::size_t> allocated;  // pairs with an F_{k,t} this round
 
-  util::ThreadPool& pool = thread_pool();
   for (std::size_t round = 0; round < num_rounds; ++round) {
     const tm::QosClass qos = rounds[round];
     // Per-QoS-round histogram suffix ("q1".."q3", or "all" when QoS
@@ -425,7 +364,7 @@ SolveReport MegaTeSolver::solve_impl(const TeProblem& problem,
             ? solve_max_site_flow_clustered(
                   g, tunnels, d_k, residual, problem.epsilon,
                   options_.stage1_clusters, options_.site_lp,
-                  options_.threads, &pool)
+                  options_.threads, &pool_)
             : solve_max_site_flow(g, tunnels, d_k, residual,
                                   problem.epsilon, options_.site_lp);
     s1_span.reset();
@@ -453,9 +392,9 @@ SolveReport MegaTeSolver::solve_impl(const TeProblem& problem,
       f_kt[p] = it == lp.alloc.end() ? nullptr : &it->second;
       if (f_kt[p] != nullptr) allocated.push_back(p);
     }
-    // Memo probe: the key is the pair's flow-list fingerprint (recorded
-    // for this interval before the solve) plus the bitwise hash of this
-    // round's F_{k,t}, so the serial probe is O(1) per pair. Hit pointers
+    // Memo probe: the key is the pair's flow-list hash (computed for this
+    // interval before the solve) plus the bitwise hash of this round's
+    // F_{k,t}, so the serial probe is O(1) per pair. Hit pointers
     // stay valid through the round: a miss refills only its own slot.
     const auto slot = [&](std::size_t p) {
       return inc->ids[p] * kMemoRounds + round;
@@ -463,7 +402,7 @@ SolveReport MegaTeSolver::solve_impl(const TeProblem& problem,
     if (inc != nullptr) {
       std::size_t round_hits = 0;
       for (std::size_t p : allocated) {
-        keys[p].demand_hash = inc->fps[inc->ids[p]].hash;
+        keys[p].demand_hash = inc->demand_hash[p];
         keys[p].alloc_hash = hash_doubles(*f_kt[p]);
         hits[p] = probe_memo ? inc->memo.lookup(slot(p), keys[p]) : nullptr;
         if (hits[p] != nullptr) ++round_hits;
@@ -474,7 +413,7 @@ SolveReport MegaTeSolver::solve_impl(const TeProblem& problem,
       if (memo_hits != nullptr) memo_hits->inc(round_hits);
       if (memo_misses != nullptr) memo_misses->inc(round_misses);
     }
-    pool.parallel_for(allocated.size(), [&](std::size_t k) {
+    pool_.parallel_for(allocated.size(), [&](std::size_t k) {
       const std::size_t p = allocated[k];
       // Per-pair wall time: plain chrono + one histogram observe rather
       // than a span per pair (spans would record thousands of rows), and

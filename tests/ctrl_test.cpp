@@ -117,7 +117,8 @@ TEST(Controller, RouteCodecSkipsMalformedEntries) {
 
 TEST(Controller, PublishPathStoresEntry) {
   KvStore kv(2);
-  Controller ctrl(&kv);
+  InProcessTransport db(&kv);
+  Controller ctrl(&db);
   const Version v = ctrl.publish_path(42, {7, 8});
   EXPECT_EQ(v, 1u);
   EXPECT_EQ(kv.try_get(path_key(42)).value, "*:7,8");
@@ -129,7 +130,8 @@ TEST(Controller, PublishSolutionWritesPerSourceInstance) {
   te::MegaTeSolver solver;
   te::TeSolution sol = solver.solve(s->problem(), {}).solution;
   KvStore kv(2);
-  Controller ctrl(&kv);
+  InProcessTransport db(&kv);
+  Controller ctrl(&db);
   ctrl.publish_solution(s->problem(), sol);
   EXPECT_EQ(kv.version(), 1u);
   EXPECT_GT(ctrl.entries_published(), 0u);
@@ -388,10 +390,11 @@ TEST(Controller, PublishSolutionDeltaMatchesReference) {
 
 TEST(Agent, PullsOnVersionChange) {
   KvStore kv(2);
+  InProcessTransport db(&kv);
   AgentOptions opt;
   opt.poll_interval_s = 1.0;
   opt.spread_interval_s = 1.0;
-  EndpointAgent agent(5, &kv, nullptr, opt);
+  EndpointAgent agent(5, &db, nullptr, opt);
   agent.tick(0.5);  // before any publish: nothing to apply
   EXPECT_EQ(agent.applied_version(), 0u);
   kv.publish({{path_key(5), "*:1,2,3"}});
@@ -403,6 +406,7 @@ TEST(Agent, PullsOnVersionChange) {
 
 TEST(Agent, InstallsIntoHostStack) {
   KvStore kv(2);
+  InProcessTransport db(&kv);
   dataplane::HostStack stack;
   stack.on_sys_enter_execve(1, 5);
   dataplane::FiveTuple t;
@@ -415,7 +419,7 @@ TEST(Agent, InstallsIntoHostStack) {
 
   AgentOptions opt;
   opt.poll_interval_s = 1.0;
-  EndpointAgent agent(5, &kv, &stack, opt);
+  EndpointAgent agent(5, &db, &stack, opt);
   kv.publish({{path_key(5), "*:9,10"}});
   agent.tick(5.0);
   // The stack now encapsulates this instance's packets with SR.
@@ -442,13 +446,14 @@ TEST(Agent, AppliesOnlyChangedEntriesAndKeepsLastGoodOnDrop) {
     bool drop_pull(std::uint64_t) override { return drop; }
   } hooks;
   KvStore kv(2);
+  InProcessTransport db(&kv);
   dataplane::HostStack stack;
   AgentOptions opt;
   opt.poll_interval_s = 1.0;
   opt.spread_interval_s = 1.0;
   opt.batch_pull = true;
   opt.fault_hooks = &hooks;
-  EndpointAgent agent(std::vector<std::uint64_t>{1, 2, 3, 4}, &kv, &stack,
+  EndpointAgent agent(std::vector<std::uint64_t>{1, 2, 3, 4}, &db, &stack,
                       opt);
   const auto route = [&](std::uint64_t id, std::uint32_t dst) {
     return stack.route_of(id, dst).value_or(std::vector<std::uint32_t>{});
@@ -499,10 +504,11 @@ TEST(Agent, AppliesOnlyChangedEntriesAndKeepsLastGoodOnDrop) {
 
 TEST(Agent, PollCountTracksInterval) {
   KvStore kv(2);
+  InProcessTransport db(&kv);
   AgentOptions opt;
   opt.poll_interval_s = 2.0;
   opt.spread_interval_s = 2.0;
-  EndpointAgent agent(3, &kv, nullptr, opt);
+  EndpointAgent agent(3, &db, nullptr, opt);
   agent.tick(10.0);
   // phase in [0,2) then every 2 s until 10 -> 5 or 6 polls.
   EXPECT_GE(agent.polls(), 5u);
@@ -511,10 +517,11 @@ TEST(Agent, PollCountTracksInterval) {
 
 TEST(Agent, SyncLagsBoundedByPollInterval) {
   KvStore kv(2);
+  InProcessTransport db(&kv);
   AgentOptions opt;
   opt.poll_interval_s = 10.0;
   opt.spread_interval_s = 10.0;
-  auto lags = measure_sync_lags(kv, 500, opt, /*publish_at=*/30.0,
+  auto lags = measure_sync_lags(db, 500, opt, /*publish_at=*/30.0,
                                 /*horizon=*/60.0, /*step=*/0.25);
   ASSERT_EQ(lags.size(), 500u);
   for (double lag : lags) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -147,7 +149,8 @@ struct DropSwitch final : ctrl::FaultHooks {
 
 TEST(AgentFaultTest, KeepsLastGoodRoutesAndRetriesOnDrop) {
   ctrl::KvStore kv(2);
-  ctrl::Controller controller(&kv);
+  ctrl::InProcessTransport db(&kv);
+  ctrl::Controller controller(&db);
   DropSwitch hooks;
   ctrl::ControlCounters counters;
 
@@ -157,7 +160,7 @@ TEST(AgentFaultTest, KeepsLastGoodRoutesAndRetriesOnDrop) {
   opt.retry_backoff_s = 0.5;
   opt.fault_hooks = &hooks;
   opt.counters = &counters;
-  ctrl::EndpointAgent agent(17, &kv, nullptr, opt);
+  ctrl::EndpointAgent agent(17, &db, nullptr, opt);
 
   // Healthy pull of v1.
   controller.publish_path(17, {1, 2, 3});
@@ -188,13 +191,14 @@ TEST(AgentFaultTest, KeepsLastGoodRoutesAndRetriesOnDrop) {
 
 TEST(AgentFaultTest, ShardOutageFallsBackThenConverges) {
   ctrl::KvStore kv(1);
-  ctrl::Controller controller(&kv);
+  ctrl::InProcessTransport db(&kv);
+  ctrl::Controller controller(&db);
   ctrl::ControlCounters counters;
   ctrl::AgentOptions opt;
   opt.poll_interval_s = 5.0;
   opt.retry_backoff_s = 0.5;
   opt.counters = &counters;
-  ctrl::EndpointAgent agent(3, &kv, nullptr, opt);
+  ctrl::EndpointAgent agent(3, &db, nullptr, opt);
 
   controller.publish_path(3, {9});
   kv.set_shard_up(0, false);
@@ -220,12 +224,13 @@ struct StaleHook final : ctrl::FaultHooks {
 
 TEST(AgentFaultTest, StaleVersionWindowDelaysApply) {
   ctrl::KvStore kv(2);
-  ctrl::Controller controller(&kv);
+  ctrl::InProcessTransport db(&kv);
+  ctrl::Controller controller(&db);
   StaleHook hooks;
   ctrl::AgentOptions opt;
   opt.poll_interval_s = 5.0;
   opt.fault_hooks = &hooks;
-  ctrl::EndpointAgent agent(8, &kv, nullptr, opt);
+  ctrl::EndpointAgent agent(8, &db, nullptr, opt);
 
   controller.publish_path(8, {1});
   hooks.depth = 1;  // agent sees v0 while the store is at v1
@@ -421,6 +426,42 @@ TEST(ChaosTest, FiftyIntervalAcceptanceRun) {
   EXPECT_GT(report.counters.publishes, 50u);  // mid-interval re-solves too
 }
 
+// --- pinned driver output ---------------------------------------------------
+
+// Fingerprints recorded at the commit before the chaos loop lost its
+// incremental-solve switch. The loop solves cold; any change to its plans,
+// publishes or agent state moves these.
+constexpr std::uint64_t kPinnedChaosFaults = 0xa3fe91e567a3ae4dULL;
+constexpr std::uint64_t kPinnedChaosChurn = 0xffa825b4b0b933ddULL;
+
+TEST(ChaosPinned, FingerprintMatchesParent) {
+  // Shard crashes, a link failure, pull drops and stale windows.
+  const fault::ChaosReport faults = fault::run_chaos(small_chaos_options());
+  EXPECT_TRUE(faults.ok());
+  EXPECT_EQ(faults.fingerprint, kPinnedChaosFaults)
+      << std::hex << "got 0x" << faults.fingerprint;
+
+  // Mid-interval churn patched by the online allocator, under a shard
+  // crash and a link failure.
+  fault::ChaosOptions o = small_chaos_options();
+  o.intervals = 6;
+  o.poll_interval_s = 5.0;
+  o.plan.shard_crashes = 1;
+  o.plan.pull_drop_windows = 0;
+  o.plan.stale_windows = 0;
+  o.churn.seed = 5;
+  o.churn.flow_scale_events = 8;
+  o.churn.flash_crowds = 2;
+  o.churn.endpoint_arrivals = 1;
+  o.churn.endpoint_departures = 1;
+  o.online_patch = true;
+  const fault::ChaosReport churned = fault::run_chaos(o);
+  EXPECT_FALSE(churned.churn_log.empty());
+  EXPECT_TRUE(churned.violations.empty());
+  EXPECT_EQ(churned.fingerprint, kPinnedChaosChurn)
+      << std::hex << "got 0x" << churned.fingerprint;
+}
+
 // --- period_sim link faults -------------------------------------------------
 
 TEST(PeriodSimFaultTest, FaultsDegradeThenGraphRestored) {
@@ -448,6 +489,27 @@ TEST(PeriodSimFaultTest, FaultsDegradeThenGraphRestored) {
   for (std::size_t p = 0; p < clean.size(); ++p) {
     EXPECT_LE(faulty[p].carried_gbps, clean[p].carried_gbps + 1e-9);
   }
+}
+
+/// Bit digest of the per-period carriage below, recorded at the commit
+/// before the period simulation lost its incremental-solve switch.
+constexpr std::uint64_t kPinnedPeriodCarriage = 0x111fe8cf52329db0ULL;
+
+TEST(PeriodSimPinned, CarriageMatchesParent) {
+  auto s = testing::make_scenario(8, 12, 3, 0.2, 31);
+  sim::PeriodSimOptions opt;
+  opt.periods = 6;
+  opt.seed = 3;
+  opt.link_faults.push_back(
+      {.period = 2, .count = 1, .duration_periods = 2, .seed = 9});
+  const auto out = sim::run_period_simulation(
+      s->graph, s->tunnels, s->traffic, sim::DemandKnowledge::kStale, opt);
+  ASSERT_EQ(out.size(), opt.periods);
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const sim::PeriodOutcome& p : out) {
+    h = (h ^ std::bit_cast<std::uint64_t>(p.carried_gbps)) * 0x100000001B3ULL;
+  }
+  EXPECT_EQ(h, kPinnedPeriodCarriage) << std::hex << "got 0x" << h;
 }
 
 // --- hybrid sync drop-rate model -------------------------------------------

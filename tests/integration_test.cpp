@@ -62,7 +62,8 @@ TEST(Integration, FullControlLoopDeliversPacketsAlongChosenTunnel) {
   ASSERT_TRUE(te::check_solution(problem, sol, copt).ok);
 
   ctrl::KvStore kv(2);
-  ctrl::Controller controller(&kv);
+  ctrl::InProcessTransport db(&kv);
+  ctrl::Controller controller(&db);
   controller.publish_solution(problem, sol);
 
   // --- pick one assigned flow and bring up its endpoint ------------------
@@ -89,7 +90,7 @@ TEST(Integration, FullControlLoopDeliversPacketsAlongChosenTunnel) {
   // --- bottom-up sync: the agent pulls the published route table ---------
   ctrl::AgentOptions aopt;
   aopt.poll_interval_s = 1.0;
-  ctrl::EndpointAgent agent(flow.demand.src, &kv, &stack, aopt);
+  ctrl::EndpointAgent agent(flow.demand.src, &db, &stack, aopt);
   agent.tick(5.0);
   ASSERT_EQ(agent.applied_version(), kv.version());
   ASSERT_FALSE(agent.hops_for(flow.pair.dst).empty());
@@ -155,7 +156,8 @@ TEST(Integration, FailureRecomputePublishesNewPaths) {
   te::TeSolution before = solver.solve(problem, {}).solution;
 
   ctrl::KvStore kv(2);
-  ctrl::Controller controller(&kv);
+  ctrl::InProcessTransport db(&kv);
+  ctrl::Controller controller(&db);
   controller.publish_solution(problem, before);
   const ctrl::Version v1 = kv.version();
 
@@ -173,7 +175,7 @@ TEST(Integration, FailureRecomputePublishesNewPaths) {
   // An agent that polls after the republish converges to the new version.
   ctrl::AgentOptions aopt;
   aopt.poll_interval_s = 1.0;
-  ctrl::EndpointAgent agent(1, &kv, nullptr, aopt);
+  ctrl::EndpointAgent agent(1, &db, nullptr, aopt);
   agent.tick(3.0);
   EXPECT_EQ(agent.applied_version(), kv.version());
   topo::restore_failures(s->graph, events);

@@ -568,9 +568,10 @@ TEST(BatchedPullPropertyTest, StalenessDistributionMatchesPerKey) {
 
   auto lags_for = [&opt](bool batch) {
     KvStore kv(4);
+    ctrl::InProcessTransport db(&kv);
     ctrl::AgentOptions o = opt;
     o.batch_pull = batch;
-    return ctrl::measure_sync_lags(kv, /*n_instances=*/240, o,
+    return ctrl::measure_sync_lags(db, /*n_instances=*/240, o,
                                    /*publish_at_s=*/20.0, /*horizon_s=*/60.0,
                                    /*tick_step_s=*/0.5,
                                    /*instances_per_agent=*/4);

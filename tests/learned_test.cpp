@@ -33,6 +33,7 @@
 #include <cstring>
 #include <limits>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "megate/te/baselines.h"
@@ -706,6 +707,17 @@ TEST(LearnedGate, PlanDigestIsPinned) {
 // Part 4 — FlowPredictor satellites.
 // ===========================================================================
 
+/// Every pair's order-sensitive flow-list fingerprint.
+std::unordered_map<topo::SitePair, tm::PairFingerprint, topo::SitePairHash>
+fingerprint_pairs(const tm::TrafficMatrix& traffic) {
+  std::unordered_map<topo::SitePair, tm::PairFingerprint, topo::SitePairHash>
+      out;
+  for (const auto& [pair, flows] : traffic.pairs()) {
+    out.emplace(pair, tm::fingerprint_flows(flows));
+  }
+  return out;
+}
+
 TEST(FlowPredictorDeterminism, PredictIsByteEqualAcrossInsertionOrders) {
   // Same flow population, inserted in opposite orders: the two predictors
   // hold equal state in differently-ordered hash tables. predict() must
@@ -730,8 +742,8 @@ TEST(FlowPredictorDeterminism, PredictIsByteEqualAcrossInsertionOrders) {
   b.observe(backward);
   ASSERT_EQ(a.tracked_flows(), b.tracked_flows());
 
-  const auto fa = tm::fingerprint_pairs(a.predict());
-  const auto fb = tm::fingerprint_pairs(b.predict());
+  const auto fa = fingerprint_pairs(a.predict());
+  const auto fb = fingerprint_pairs(b.predict());
   ASSERT_EQ(fa.size(), fb.size());
   for (const auto& [pair, fp] : fa) {
     auto it = fb.find(pair);
@@ -740,7 +752,7 @@ TEST(FlowPredictorDeterminism, PredictIsByteEqualAcrossInsertionOrders) {
         << "pair (" << pair.src << "," << pair.dst << ")";
   }
   // And predict() itself is stable across repeated calls.
-  const auto fa2 = tm::fingerprint_pairs(a.predict());
+  const auto fa2 = fingerprint_pairs(a.predict());
   EXPECT_EQ(fa.size(), fa2.size());
   for (const auto& [pair, fp] : fa) EXPECT_EQ(fp, fa2.at(pair));
 }
@@ -763,7 +775,7 @@ TEST(FlowPredictorEdgeCases, EwmaDecaysAndEventuallyDropsAbsentFlows) {
     p.observe(empty);
     expected *= 1.0 - alpha;
     ASSERT_EQ(p.tracked_flows(), 1u) << "period " << n;
-    const auto fp = tm::fingerprint_pairs(p.predict());
+    const auto fp = fingerprint_pairs(p.predict());
     ASSERT_EQ(fp.size(), 1u);
     EXPECT_NEAR(fp.begin()->second.total_gbps, expected, 1e-12)
         << "period " << n;

@@ -314,7 +314,6 @@ TEST(MetricsParity, ChaosRunFreezesExactFinalTotals) {
   opt.intervals = 6;
   opt.interval_s = 10.0;
   opt.poll_interval_s = 3.0;
-  opt.incremental_solve = true;
   opt.plan.seed = 5;
   opt.plan.horizon_s = 0.0;
   opt.plan.quiet_tail_s = 30.0;

@@ -13,9 +13,7 @@
 #include <thread>
 #include <vector>
 
-#include "megate/te/megate_solver.h"
 #include "megate/util/thread_pool.h"
-#include "test_helpers.h"
 
 namespace megate::util {
 namespace {
@@ -123,34 +121,6 @@ TEST(ThreadPoolHardening, ParallelForFirstErrorWinsAndStops) {
   // Early-abort: once a failure is flagged, remaining chunks short-circuit,
   // so far fewer than all 10000 iterations actually ran.
   EXPECT_LT(calls.load(), 10000);
-}
-
-// MegaTeSolver used to construct (and tear down) a fresh ThreadPool on
-// every solve() call — worker spawn/join dominated small solves. The pool
-// now lives on the solver and is rebuilt only when the thread count
-// changes.
-TEST(ThreadPoolHardening, MegaTeSolverReusesItsPoolAcrossSolves) {
-  te::MegaTeSolver solver;
-  ThreadPool* first = &solver.thread_pool();
-  auto s = megate::testing::make_scenario(4, 6, 2);
-  (void)solver.solve(s->problem(), {});
-  EXPECT_EQ(&solver.thread_pool(), first);
-  (void)solver.solve(s->problem(), {});
-  EXPECT_EQ(&solver.thread_pool(), first);
-
-  // Changing the thread count rebuilds the pool (the old pool is freed,
-  // so compare stability rather than inequality of recycled addresses):
-  // solves keep working and the new pool is stable across further solves.
-  te::MegaTeOptions opts = solver.options();
-  opts.threads = 2;
-  solver.set_options(opts);
-  ThreadPool* second = &solver.thread_pool();
-  (void)solver.solve(s->problem(), {});
-  EXPECT_EQ(&solver.thread_pool(), second);
-
-  // Re-setting the same count does not rebuild.
-  solver.set_options(opts);
-  EXPECT_EQ(&solver.thread_pool(), second);
 }
 
 }  // namespace
