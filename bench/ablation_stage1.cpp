@@ -9,6 +9,7 @@
 #include "megate/te/megate_solver.h"
 #include "megate/te/site_lp.h"
 #include "megate/util/stopwatch.h"
+#include "megate/util/thread_pool.h"
 
 int main() {
   using namespace megate;
@@ -18,6 +19,7 @@ int main() {
       "solving of MaxSiteFlow is worth further investigation'");
 
   bench::BenchReport report("ablation_stage1");
+  util::ThreadPool pool;  // every hardware thread runs the buckets
   for (auto kind :
        {topo::TopologyKind::kDeltacom, topo::TopologyKind::kCogentco}) {
     bench::InstanceOptions iopt;
@@ -48,7 +50,7 @@ int main() {
     for (std::size_t clusters : {2u, 4u, 8u}) {
       sw.reset();
       auto contracted = te::solve_max_site_flow_clustered(
-          inst->graph, inst->tunnels, demands, {}, 0.02, clusters);
+          inst->graph, inst->tunnels, demands, {}, 0.02, clusters, {}, pool);
       const double s = sw.elapsed_seconds();
       const std::string ck =
           topo_key + "clusters" + std::to_string(clusters) + ".";

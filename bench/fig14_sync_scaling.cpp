@@ -53,7 +53,7 @@ int main() {
     const std::uint64_t hosts = (kFleet + batch - 1) / batch;
     const auto bu = model.bottom_up(hosts);
     const double qps =
-        static_cast<double>(hosts) / model.spread_interval_s;
+        static_cast<double>(hosts) / ctrl::SyncCostModel::kSpreadIntervalS;
     tb.add_row({util::Table::with_commas(batch),
                 util::Table::with_commas(hosts), util::Table::num(qps, 0),
                 util::Table::num(bu.db_shards)});

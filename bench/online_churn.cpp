@@ -101,7 +101,7 @@ AuditResult audit_patched(const topo::Graph& graph,
                           const topo::TunnelSet& tunnels,
                           const tm::TrafficMatrix& m,
                           const te::TeSolution& sol,
-                          const ReservationMap& res, double headroom,
+                          const ReservationMap& res,
                           std::uint32_t max_sr_hops) {
   AuditResult out;
   std::vector<double> usage(graph.num_links(), 0.0);
@@ -131,7 +131,7 @@ AuditResult audit_patched(const topo::Graph& graph,
     }
   }
   for (topo::EdgeId e = 0; e < graph.num_links(); ++e) {
-    if (usage[e] > graph.link(e).capacity_gbps * headroom + 1e-6) {
+    if (usage[e] > graph.link(e).capacity_gbps + 1e-6) {
       ++out.capacity_violations;  // I1
     }
   }
@@ -227,7 +227,7 @@ int main() {
     const te::TeSolution patched = allocator.snapshot();
     const AuditResult a =
         audit_patched(inst->graph, inst->tunnels, evolving, patched, live,
-                      oopt.headroom, kMaxSrHops);
+                      kMaxSrHops);
     audit.capacity_violations += a.capacity_violations;
     audit.hop_budget_violations += a.hop_budget_violations;
     audit.over_demand_violations += a.over_demand_violations;

@@ -100,7 +100,8 @@ run_metrics_json_check() {
     ../bench/micro_kvstore --benchmark_filter=skip_all >/dev/null 2>&1)
   # check_metrics_json additionally enforces the per-bench contracts
   # (stage-1 certified gap, tunnel-selection hop-budget frontier, online
-  # churn regret/violation bars, kvstore first-publish scaling, and the
+  # churn regret/violation bars, kvstore first-publish scaling, the
+  # knowledge ablation's oracle >= EWMA >= stale shape, and the
   # learned-allocation frontier: every lane against the fastest exact
   # lane of the same replay, >= 5x on the TWAN 100k replay, quality and
   # audit bars). ablation_prediction runs its TWAN replay every time

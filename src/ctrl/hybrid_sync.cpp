@@ -42,9 +42,6 @@ HybridSyncPlan plan_hybrid_sync(const tm::TrafficMatrix& traffic,
   if (options.pull_drop_rate < 0.0 || options.pull_drop_rate >= 1.0) {
     throw std::invalid_argument("pull_drop_rate must be in [0, 1)");
   }
-  if (options.pull_batch_size == 0) {
-    throw std::invalid_argument("pull_batch_size must be >= 1");
-  }
   std::unique_ptr<obs::Span> span;
   if (options.metrics != nullptr) {
     span = std::make_unique<obs::Span>(*options.metrics,
@@ -86,35 +83,30 @@ HybridSyncPlan plan_hybrid_sync(const tm::TrafficMatrix& traffic,
 
   // Controller resources: persistent connections cost what the pressure
   // test measured; the polling tail rides the flat bottom-up machinery.
-  // Batched pulls shrink the *querying* population — one host query per
-  // pull_batch_size instances — which sizes the database shard count.
   const std::uint64_t conns = plan.persistent_instances.size();
   const SyncResources pushed = model.top_down(conns);
-  const std::uint64_t polling_hosts =
-      (plan.polling_instances + options.pull_batch_size - 1) /
-      options.pull_batch_size;
-  const SyncResources pulled = model.bottom_up(polling_hosts);
-  plan.db_queries_per_s =
-      static_cast<double>(polling_hosts) / model.spread_interval_s;
+  const SyncResources pulled = model.bottom_up(plan.polling_instances);
+  plan.db_queries_per_s = static_cast<double>(plan.polling_instances) /
+                          SyncCostModel::kSpreadIntervalS;
   plan.resources.cpu_cores =
       (conns > 0 ? pushed.cpu_cores : 0.0) + pulled.cpu_cores;
   plan.resources.memory_gb =
       (conns > 0 ? pushed.memory_gb : 0.0) + pulled.memory_gb;
   plan.resources.db_shards = pulled.db_shards;
 
-  // Staleness: pushed traffic updates in push_latency_s; polling traffic
+  // Staleness: pushed traffic updates in kPushLatencyS; polling traffic
   // in poll_interval/2 on average, poll_interval worst case. Dropped pulls
   // stretch the polling tail by the expected attempt count 1/(1-p) —
   // geometric retries, each a poll interval apart in the worst case.
   const double retry_stretch = 1.0 / (1.0 - options.pull_drop_rate);
   const double poll_mean = options.poll_interval_s / 2.0 * retry_stretch;
   plan.mean_staleness_s =
-      plan.covered_traffic_share * options.push_latency_s +
+      plan.covered_traffic_share * kPushLatencyS +
       (1.0 - plan.covered_traffic_share) * poll_mean;
   plan.worst_staleness_s =
       plan.polling_instances > 0
           ? options.poll_interval_s * retry_stretch
-          : options.push_latency_s;
+          : kPushLatencyS;
   if (options.metrics != nullptr) export_plan_gauges(*options.metrics, plan);
   return plan;
 }

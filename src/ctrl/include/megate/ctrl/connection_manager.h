@@ -17,16 +17,9 @@
 
 namespace megate::ctrl {
 
+/// The heartbeat rate and the per-heartbeat, per-push, per-reconnect and
+/// per-connection costs are fixed in connection_manager.cpp.
 struct ConnectionManagerOptions {
-  double heartbeat_interval_s = 1.0;
-  /// CPU seconds consumed per heartbeat; calibrated so 6,000 connections
-  /// at 1 Hz occupy 90% of one core (paper Fig. 13): 0.9 / 6000.
-  double cpu_seconds_per_heartbeat = 0.9 / 6000.0;
-  /// Kernel + user memory per connection; 750 MB / 6000 (Fig. 13).
-  double memory_kb_per_conn = 750.0 * 1024.0 / 6000.0;
-  double cpu_seconds_per_push = 2.5e-4;  ///< config push is heavier
-  /// TCP + TLS handshake cost when a dropped connection re-establishes.
-  double cpu_seconds_per_reconnect = 1e-3;
   /// Time a dropped endpoint waits before reconnecting.
   double reconnect_delay_s = 1.0;
 };

@@ -21,13 +21,14 @@
 
 namespace megate::ctrl {
 
+/// Push latency over an established persistent connection.
+inline constexpr double kPushLatencyS = 0.1;
+
 struct HybridSyncOptions {
   /// Give persistent connections to the smallest set of source instances
   /// covering at least this share of total traffic (0 = pure bottom-up,
   /// 1 = pure top-down).
   double heavy_traffic_share = 0.9;
-  /// Push latency over an established connection.
-  double push_latency_s = 0.1;
   /// Polling endpoints apply a new config after on average half the poll
   /// interval (uniform phase), worst case a full interval.
   double poll_interval_s = 10.0;
@@ -37,11 +38,6 @@ struct HybridSyncOptions {
   /// number of attempts is 1/(1-p) and the polling tail's staleness
   /// stretches by that factor. Must be in [0, 1).
   double pull_drop_rate = 0.0;
-  /// Instances served per batched pull (>= 1): one host agent fetches
-  /// all of its instances' entries in a single multi_get, dividing the
-  /// database's query load (and hence its shard count) by this factor.
-  /// Staleness is unchanged — batching alters who asks, not how often.
-  std::uint64_t pull_batch_size = 1;
   /// Observability registry; null = no spans/gauges. Planning time lands
   /// in the "ctrl.hybrid_sync.plan" span and the plan's headline numbers
   /// (persistent/polling split, coverage, staleness) in gauges.
@@ -57,8 +53,8 @@ struct HybridSyncPlan {
   /// Controller-side resources: persistent connections at the measured
   /// per-connection cost, plus the flat bottom-up core for the rest.
   SyncResources resources;
-  /// TE-database query rate of the polling tail after batching (polling
-  /// hosts spread over the model's spread interval).
+  /// TE-database query rate of the polling tail (polling instances
+  /// spread over the model's spread interval).
   double db_queries_per_s = 0.0;
   /// Traffic-weighted mean config staleness after an urgent update.
   double mean_staleness_s = 0.0;

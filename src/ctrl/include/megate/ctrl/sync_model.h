@@ -18,18 +18,11 @@ struct SyncResources {
   std::uint64_t db_shards = 0;  ///< 0 for the top-down approach
 };
 
+/// The per-connection costs, the CPU ceiling and the per-shard QPS are
+/// fixed in sync_model.cpp.
 struct SyncCostModel {
-  // Per-connection costs measured by the paper's pressure test.
-  double cpu_fraction_per_conn = 0.90 / 6000.0;  ///< of one core
-  double memory_mb_per_conn = 750.0 / 6000.0;
-  /// Utilization ceiling operators tolerate (§6.4: sustained 90% risks
-  /// failures, so capacity is provisioned at that ceiling).
-  double cpu_ceiling = 0.90;
-  /// Each KV shard of the TE database sustains this many queries/s
-  /// (§3.2: 160,000 QPS on two shards).
-  double shard_qps = 80000.0;
   /// Endpoints spread their polls over this window (§3.2: e.g. 10 s).
-  double spread_interval_s = 10.0;
+  static constexpr double kSpreadIntervalS = 10.0;
 
   /// CPU% (of one core, may exceed 100) and memory for `connections`
   /// persistent connections on a single VM (Fig. 13).

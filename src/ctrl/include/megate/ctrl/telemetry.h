@@ -63,9 +63,6 @@ struct TelemetryOptions {
   double period_s = 300.0;
   /// Demands below this are dropped as noise (control chatter etc.).
   double min_demand_gbps = 0.0;
-  /// QoS class assigned to collected flows when the reporter does not
-  /// carry a marking (DSCP integration is a deployment concern).
-  tm::QosClass default_qos = tm::QosClass::kClass2;
 };
 
 /// Accumulates per-pair reports from many host stacks over one TE period.

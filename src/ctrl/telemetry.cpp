@@ -1,6 +1,13 @@
 #include "megate/ctrl/telemetry.h"
 
 namespace megate::ctrl {
+namespace {
+
+/// QoS class assigned to collected flows: the reporter does not carry a
+/// marking (DSCP integration is a deployment concern).
+constexpr tm::QosClass kDefaultQos = tm::QosClass::kClass2;
+
+}  // namespace
 
 void TelemetryCollector::ingest(
     const std::vector<dataplane::InstancePairReport>& report) {
@@ -21,7 +28,7 @@ tm::TrafficMatrix TelemetryCollector::finish_period() {
     d.dst = tm::make_endpoint(dst_site, dst_index);
     d.demand_gbps =
         static_cast<double>(bytes) * 8.0 / options_.period_s / 1e9;
-    d.qos = options_.default_qos;
+    d.qos = kDefaultQos;
     if (d.demand_gbps < options_.min_demand_gbps) continue;
     out.add(d);
   }

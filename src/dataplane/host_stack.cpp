@@ -3,15 +3,23 @@
 #include <unordered_map>
 
 namespace megate::dataplane {
+namespace {
+
+/// Capacity of every eBPF map (BPF max_entries).
+constexpr std::size_t kMapEntries = 1 << 16;
+/// Outer UDP source port of the VXLAN underlay.
+constexpr std::uint16_t kUnderlaySrcPort = 49152;
+
+}  // namespace
 
 HostStack::HostStack(HostStackOptions options)
     : options_(options),
-      env_map_(options.map_entries),
-      contk_map_(options.map_entries),
-      inf_map_(options.map_entries),
-      traffic_map_(options.map_entries),
-      frag_map_(options.map_entries),
-      path_map_(options.map_entries) {}
+      env_map_(kMapEntries),
+      contk_map_(kMapEntries),
+      inf_map_(kMapEntries),
+      traffic_map_(kMapEntries),
+      frag_map_(kMapEntries),
+      path_map_(kMapEntries) {}
 
 void HostStack::on_sys_enter_execve(Pid pid, InstanceId instance) {
   env_map_.update(pid, instance);
@@ -179,7 +187,7 @@ TcVerdict HostStack::tc_egress(ConstBytes frame,
   outer_ip.serialize(out);
 
   UdpHeader outer_udp;
-  outer_udp.src_port = options_.underlay_src_port;
+  outer_udp.src_port = kUnderlaySrcPort;
   outer_udp.dst_port = kVxlanPort;
   outer_udp.length = static_cast<std::uint16_t>(payload);
   outer_udp.serialize(out);

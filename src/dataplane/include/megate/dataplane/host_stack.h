@@ -135,11 +135,11 @@ struct DataplaneCounters {
   std::uint64_t map_full_drops = 0;        ///< eBPF map update hit capacity
 };
 
+/// Every eBPF map holds up to 65,536 entries and the underlay UDP source
+/// port is 49152 (host_stack.cpp).
 struct HostStackOptions {
-  std::size_t map_entries = 1 << 16;
   std::uint32_t host_ip = 0x0A000001;   ///< outer (underlay) source IP
   std::uint32_t vni = 1;
-  std::uint16_t underlay_src_port = 49152;
 };
 
 class HostStack {

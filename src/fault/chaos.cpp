@@ -26,6 +26,17 @@
 namespace megate::fault {
 namespace {
 
+/// Seed of the scenario's topology (traffic uses kScenarioSeed + 1).
+constexpr std::uint64_t kScenarioSeed = 42;
+/// Agent tick: the loop advances the injector and every agent this often.
+constexpr double kTickS = 1.0;
+/// The controller solves against headroom * real capacity (standard WAN
+/// operating practice). With <= 0.5, two consecutive configs mixed
+/// across lagging agents cannot overload a real link — the transient
+/// old/new data-plane states of the eventual-consistency window stay
+/// feasible.
+constexpr double kSolveHeadroom = 0.5;
+
 std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
   const auto* p = static_cast<const unsigned char*>(data);
   for (std::size_t i = 0; i < n; ++i) {
@@ -234,14 +245,11 @@ class ShardFaultSeam final : public ctrl::KvTransport {
 }  // namespace
 
 ChaosReport run_chaos(const ChaosOptions& options) {
-  if (options.solve_headroom <= 0.0 || options.solve_headroom > 1.0) {
-    throw std::invalid_argument("solve_headroom must be in (0, 1]");
-  }
   ChaosReport report;
 
   // --- deterministic scenario --------------------------------------------
   topo::GeneratorOptions gopt;
-  gopt.seed = options.scenario_seed;
+  gopt.seed = kScenarioSeed;
   topo::Graph graph =
       topo::make_isp_like(options.sites, options.duplex_links, gopt);
   const topo::TunnelSet pristine = topo::build_tunnels(graph);
@@ -252,7 +260,7 @@ ChaosReport run_chaos(const ChaosOptions& options) {
   tmo.target_total_gbps =
       tm::total_link_capacity_gbps(graph) * options.load;
   tm::TrafficMatrix traffic =
-      tm::generate_traffic(graph, layout, tmo, options.scenario_seed + 1);
+      tm::generate_traffic(graph, layout, tmo, kScenarioSeed + 1);
   double total_demand = traffic.total_demand_gbps();
 
   // Demand churn timeline over the whole run (empty when disabled).
@@ -262,11 +270,11 @@ ChaosReport run_chaos(const ChaosOptions& options) {
   tm::DemandStream churn_stream =
       tm::DemandStream::generate(traffic, churn_opt);
 
-  // The controller plans against derated capacities (solve_headroom);
+  // The controller plans against derated capacities (kSolveHeadroom);
   // the injector and the installed-routes check see real capacities.
   topo::Graph solver_graph = graph;
   for (topo::EdgeId e = 0; e < solver_graph.num_links(); ++e) {
-    solver_graph.link(e).capacity_gbps *= options.solve_headroom;
+    solver_graph.link(e).capacity_gbps *= kSolveHeadroom;
   }
 
   // --- control plane ------------------------------------------------------
@@ -477,10 +485,10 @@ ChaosReport run_chaos(const ChaosOptions& options) {
 
     double routed_sum = 0.0;
     std::size_t ticks = 0;
-    for (double t = t0 + options.tick_s;
-         t <= t0 + options.interval_s + 1e-9; t += options.tick_s) {
+    for (double t = t0 + kTickS;
+         t <= t0 + options.interval_s + 1e-9; t += kTickS) {
       injector.advance_to(t);
-      if (options.react_to_failures && injector.take_topology_changed()) {
+      if (injector.take_topology_changed()) {
         solve_and_publish(t, stats);
       }
       if (churn_enabled) drain_churn(t, stats);

@@ -20,6 +20,20 @@ const char* to_string(FaultKind k) noexcept {
 
 namespace {
 
+// Duration ranges [min, max] in seconds and magnitudes per fault kind.
+constexpr double kShardDownMinS = 5.0;
+constexpr double kShardDownMaxS = 30.0;
+constexpr double kLinkDownMinS = 20.0;
+constexpr double kLinkDownMaxS = 60.0;
+constexpr double kPullDropProb = 0.5;
+constexpr double kPullWindowMinS = 5.0;
+constexpr double kPullWindowMaxS = 20.0;
+/// Versions a stale window serves behind the latest.
+constexpr std::uint64_t kStaleDepth = 1;
+constexpr double kStaleWindowMinS = 5.0;
+constexpr double kStaleWindowMaxS = 15.0;
+constexpr std::uint64_t kConnsPerDrop = 100;
+
 /// Samples `count` events of one kind. Each kind forks its own Rng stream
 /// so adding events of one kind never perturbs another kind's draws.
 void sample_kind(std::vector<FaultEvent>& out, util::Rng& base,
@@ -53,21 +67,20 @@ FaultPlan FaultPlan::generate(const FaultPlanOptions& options,
   const double window = options.horizon_s - options.quiet_tail_s;
 
   sample_kind(plan.events_, base, 1, FaultKind::kShardCrash,
-              options.shard_crashes, window, options.shard_down_min_s,
-              options.shard_down_max_s, num_shards, 0.0);
+              options.shard_crashes, window, kShardDownMinS, kShardDownMaxS,
+              num_shards, 0.0);
   sample_kind(plan.events_, base, 2, FaultKind::kLinkFailure,
-              options.link_failures, window, options.link_down_min_s,
-              options.link_down_max_s, num_duplex_links, 0.0);
+              options.link_failures, window, kLinkDownMinS, kLinkDownMaxS,
+              num_duplex_links, 0.0);
   sample_kind(plan.events_, base, 3, FaultKind::kPullDropWindow,
-              options.pull_drop_windows, window, options.pull_window_min_s,
-              options.pull_window_max_s, 1, options.pull_drop_prob);
+              options.pull_drop_windows, window, kPullWindowMinS,
+              kPullWindowMaxS, 1, kPullDropProb);
   sample_kind(plan.events_, base, 4, FaultKind::kStaleVersionWindow,
-              options.stale_windows, window, options.stale_window_min_s,
-              options.stale_window_max_s, 1,
-              static_cast<double>(options.stale_depth));
+              options.stale_windows, window, kStaleWindowMinS,
+              kStaleWindowMaxS, 1, static_cast<double>(kStaleDepth));
   sample_kind(plan.events_, base, 5, FaultKind::kConnectionDrop,
               options.connection_drops, window, 0.0, 0.0, 1,
-              static_cast<double>(options.conns_per_drop));
+              static_cast<double>(kConnsPerDrop));
 
   std::sort(plan.events_.begin(), plan.events_.end(),
             [](const FaultEvent& a, const FaultEvent& b) {

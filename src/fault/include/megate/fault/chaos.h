@@ -67,7 +67,6 @@ struct ChaosOptions {
   /// partially-satisfiable regime; keep well under 1.0 so transient mixed
   /// old/new routing states cannot overload links).
   double load = 0.15;
-  std::uint64_t scenario_seed = 42;
   std::size_t kv_shards = 4;
 
   // --- transport ----------------------------------------------------------
@@ -80,7 +79,6 @@ struct ChaosOptions {
   // --- schedule -----------------------------------------------------------
   std::size_t intervals = 20;
   double interval_s = 30.0;
-  double tick_s = 1.0;
 
   // --- agents -------------------------------------------------------------
   double poll_interval_s = 5.0;
@@ -100,8 +98,6 @@ struct ChaosOptions {
   // --- faults -------------------------------------------------------------
   /// plan.horizon_s <= 0 auto-sizes to intervals * interval_s.
   FaultPlanOptions plan;
-  /// Recompute + publish immediately on a mid-interval topology change.
-  bool react_to_failures = true;
   /// Stage-1 LP backend knobs forwarded to the solver. The defaults keep
   /// the golden fingerprints on the historical auto/simplex path; the
   /// stage-1 determinism suite forces the packing backend and asserts the
@@ -121,7 +117,7 @@ struct ChaosOptions {
   /// te::OnlineAllocator (rebased on every full publish) and publish the
   /// patched routes; without it churn only moves the offered traffic and
   /// the boundary solves go stale against it. The allocator plans
-  /// against the same derated (solve_headroom) capacities as the solver
+  /// against the same derated (kSolveHeadroom) capacities as the solver
   /// and inherits site_lp.max_sr_hops, so patched routes keep both the
   /// mixed-state safety argument and the plan/encap contract.
   bool online_patch = false;
@@ -133,12 +129,6 @@ struct ChaosOptions {
   /// K: intervals allowed for full convergence after the last fault.
   std::size_t convergence_intervals = 3;
   double capacity_tolerance = 1e-6;
-  /// The controller solves against headroom * real capacity (standard WAN
-  /// operating practice). With <= 0.5, two consecutive configs mixed
-  /// across lagging agents cannot overload a real link — the transient
-  /// old/new data-plane states of the eventual-consistency window stay
-  /// feasible. Must be in (0, 1].
-  double solve_headroom = 0.5;
 
   // --- observability ------------------------------------------------------
   /// Optional metrics registry. During the run it receives the solver's

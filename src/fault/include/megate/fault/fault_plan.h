@@ -42,6 +42,8 @@ struct FaultEvent {
   double end_s() const noexcept { return start_s + duration_s; }
 };
 
+/// How many faults of each kind to schedule, and when. Each kind's
+/// duration range and magnitude are fixed in fault_plan.cpp.
 struct FaultPlanOptions {
   std::uint64_t seed = 1;
   /// Faults are scheduled inside [0, horizon_s - quiet_tail_s].
@@ -49,25 +51,10 @@ struct FaultPlanOptions {
   double quiet_tail_s = 120.0;
 
   std::size_t shard_crashes = 2;
-  double shard_down_min_s = 5.0;
-  double shard_down_max_s = 30.0;
-
   std::size_t link_failures = 2;
-  double link_down_min_s = 20.0;
-  double link_down_max_s = 60.0;
-
   std::size_t pull_drop_windows = 2;
-  double pull_drop_prob = 0.5;
-  double pull_window_min_s = 5.0;
-  double pull_window_max_s = 20.0;
-
   std::size_t stale_windows = 2;
-  std::uint64_t stale_depth = 1;
-  double stale_window_min_s = 5.0;
-  double stale_window_max_s = 15.0;
-
   std::size_t connection_drops = 0;
-  std::uint64_t conns_per_drop = 100;
 };
 
 class FaultPlan {

@@ -20,8 +20,6 @@ namespace megate::lp {
 struct SimplexOptions {
   /// Hard cap on pivots; 0 -> 50 * (rows + cols).
   std::size_t max_iterations = 0;
-  /// Numerical tolerance for optimality / ratio tests.
-  double tolerance = 1e-9;
   /// Dense tableau memory guard: refuse models whose tableau would exceed
   /// this many doubles (default ~512 MB). Status kInvalidModel is returned,
   /// mirroring the out-of-memory failures the paper reports for LP-all.

@@ -5,6 +5,12 @@
 #include <vector>
 
 namespace megate::lp {
+namespace {
+
+/// Numerical tolerance for optimality / ratio tests.
+constexpr double kTolerance = 1e-9;
+
+}  // namespace
 
 Solution SimplexSolver::solve(const Model& model) const {
   Solution sol;
@@ -42,7 +48,7 @@ Solution SimplexSolver::solve(const Model& model) const {
   std::vector<std::size_t> basis(m);
   for (std::size_t i = 0; i < m; ++i) basis[i] = n + i;
 
-  const double tol = options_.tolerance;
+  const double tol = kTolerance;
   const std::size_t max_iter =
       options_.max_iterations ? options_.max_iterations : 50 * (m + n);
   // Switch to Bland's anti-cycling rule once we are past the point where a

@@ -105,13 +105,6 @@ bool ShardChannel::await_response(std::uint32_t id, Frame* out) {
   while (true) {
     Frame f;
     while (decoder_.next(&f)) {
-      if (f.header.type == FrameType::kVersionEvent) {
-        VersionEventMsg ev;
-        if (VersionEventMsg::decode(f.payload, &ev)) {
-          version_events_.push_back(ev.version);
-        }
-        continue;  // async push, not our response
-      }
       if (f.header.request_id != id) continue;  // stale response, skip
       *out = std::move(f);
       return true;
@@ -189,12 +182,6 @@ bool ShardChannel::request(FrameType type, std::string_view payload,
                            FrameType expect, std::string* out) {
   std::uint32_t id = 0;
   return send_request(type, payload, &id) && await_reply(id, expect, out);
-}
-
-std::vector<ctrl::Version> ShardChannel::drain_version_events() {
-  std::vector<ctrl::Version> out;
-  out.swap(version_events_);
-  return out;
 }
 
 }  // namespace megate::net

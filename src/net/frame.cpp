@@ -29,11 +29,6 @@ const char* frame_type_name(FrameType t) noexcept {
     case FrameType::kPutResp: return "PUT_RESP";
     case FrameType::kSetShardUpReq: return "SET_SHARD_UP_REQ";
     case FrameType::kSetShardUpResp: return "SET_SHARD_UP_RESP";
-    case FrameType::kSubscribeReq: return "SUBSCRIBE_REQ";
-    case FrameType::kSubscribeResp: return "SUBSCRIBE_RESP";
-    case FrameType::kVersionEvent: return "VERSION_EVENT";
-    case FrameType::kHeartbeat: return "HEARTBEAT";
-    case FrameType::kHeartbeatAck: return "HEARTBEAT_ACK";
     case FrameType::kError: return "ERROR";
   }
   return "UNKNOWN";
@@ -367,45 +362,7 @@ bool SetShardUpRespMsg::decode(std::string_view payload,
   return true;
 }
 
-// --- SubscribeRespMsg / VersionEventMsg ------------------------------------
-
-std::string SubscribeRespMsg::encode() const {
-  std::string out;
-  WireWriter w(&out);
-  w.u64(version);
-  return out;
-}
-
-bool SubscribeRespMsg::decode(std::string_view payload, SubscribeRespMsg* out) {
-  WireReader r(payload);
-  return r.u64(&out->version) && finish(r);
-}
-
-std::string VersionEventMsg::encode() const {
-  std::string out;
-  WireWriter w(&out);
-  w.u64(version);
-  return out;
-}
-
-bool VersionEventMsg::decode(std::string_view payload, VersionEventMsg* out) {
-  WireReader r(payload);
-  return r.u64(&out->version) && finish(r);
-}
-
-// --- HeartbeatMsg / ErrorMsg -----------------------------------------------
-
-std::string HeartbeatMsg::encode() const {
-  std::string out;
-  WireWriter w(&out);
-  w.u64(nonce);
-  return out;
-}
-
-bool HeartbeatMsg::decode(std::string_view payload, HeartbeatMsg* out) {
-  WireReader r(payload);
-  return r.u64(&out->nonce) && finish(r);
-}
+// --- ErrorMsg ---------------------------------------------------------------
 
 std::string ErrorMsg::encode() const {
   std::string out;

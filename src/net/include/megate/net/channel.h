@@ -14,9 +14,7 @@
 // send_request() followed by await_reply(), and a transport that fans out
 // to every shard sends all requests before awaiting any response, so the
 // shards serve them concurrently and the fan-out costs one round trip.
-// Asynchronous server pushes (VERSION_EVENT) interleaving with responses
-// are captured into an event queue instead of confusing the matcher. A
-// response timeout closes the connection — the stream has an in-flight
+// A response timeout closes the connection — the stream has an in-flight
 // response of unknown length and cannot be reused.
 //
 // kUnreachable exists for the chaos harness: SIGSTOPping a shardd leaves
@@ -28,7 +26,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "megate/net/frame.h"
 #include "megate/net/socket.h"
@@ -100,8 +97,6 @@ class ShardChannel {
 
   /// HELLO_ACK data from the most recent successful handshake.
   const HelloAckMsg& last_hello_ack() const noexcept { return hello_ack_; }
-  /// VERSION_EVENT pushes observed while reading responses; clears.
-  std::vector<ctrl::Version> drain_version_events();
 
   const Stats& stats() const noexcept { return stats_; }
   const CodecCounters& codec_counters() const noexcept { return codec_; }
@@ -124,7 +119,6 @@ class ShardChannel {
   std::uint32_t next_request_id_ = 1;
   int backoff_delay_ms_ = 0;
   Clock::time_point backoff_until_{};
-  std::vector<ctrl::Version> version_events_;
   Stats stats_;
 };
 

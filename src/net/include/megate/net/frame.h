@@ -52,12 +52,7 @@ enum class FrameType : std::uint8_t {
   kPutResp = 10,
   kSetShardUpReq = 11,   ///< admin fault seam (chaos kAdmin mode)
   kSetShardUpResp = 12,
-  kSubscribeReq = 13,
-  kSubscribeResp = 14,
-  kVersionEvent = 15,    ///< server push to subscribers on publish
-  kHeartbeat = 16,
-  kHeartbeatAck = 17,
-  kError = 18,
+  kError = 13,  ///< the last value: frame_type_known checks [kHello, kError]
 };
 
 /// True iff `t` is a value the protocol defines.
@@ -236,28 +231,6 @@ struct SetShardUpRespMsg {
 
   std::string encode() const;
   static bool decode(std::string_view payload, SetShardUpRespMsg* out);
-};
-
-struct SubscribeRespMsg {
-  ctrl::Version version = 0;  ///< current version at subscribe time
-
-  std::string encode() const;
-  static bool decode(std::string_view payload, SubscribeRespMsg* out);
-};
-
-/// Server push: the shard applied a publish and is now at `version`.
-struct VersionEventMsg {
-  ctrl::Version version = 0;
-
-  std::string encode() const;
-  static bool decode(std::string_view payload, VersionEventMsg* out);
-};
-
-struct HeartbeatMsg {
-  std::uint64_t nonce = 0;  ///< echoed in the ack
-
-  std::string encode() const;
-  static bool decode(std::string_view payload, HeartbeatMsg* out);
 };
 
 struct ErrorMsg {

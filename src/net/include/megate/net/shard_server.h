@@ -80,7 +80,6 @@ class ShardServer {
     FrameDecoder decoder;
     std::string outbuf;
     std::size_t out_pos = 0;
-    bool subscribed = false;
   };
 
   void accept_pending();
@@ -93,7 +92,6 @@ class ShardServer {
   /// Flushes outbuf; toggles kWritable interest on partial writes.
   void flush(Connection& c);
   void close_connection(int fd);
-  void notify_subscribers(ctrl::Version version);
 
   ctrl::KvStore* kv_;
   ShardServerOptions options_;

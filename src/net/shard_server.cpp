@@ -186,11 +186,6 @@ void ShardServer::handle_frame(Connection& c, const Frame& f) {
         resp.applied = have;
       }
       send_frame(c, FrameType::kPublishDeltaResp, id, resp.encode());
-      // Notify after the response: sends can close connections
-      // (including this one), and notify_subscribers never touches `c`.
-      if (resp.status == PublishStatus::kApplied) {
-        notify_subscribers(resp.applied);
-      }
       return;
     }
     case FrameType::kPutReq: {
@@ -209,19 +204,6 @@ void ShardServer::handle_frame(Connection& c, const Frame& f) {
       SetShardUpRespMsg resp;
       resp.up = req.up;
       send_frame(c, FrameType::kSetShardUpResp, id, resp.encode());
-      return;
-    }
-    case FrameType::kSubscribeReq: {
-      c.subscribed = true;
-      SubscribeRespMsg resp;
-      resp.version = kv_->version();
-      send_frame(c, FrameType::kSubscribeResp, id, resp.encode());
-      return;
-    }
-    case FrameType::kHeartbeat: {
-      HeartbeatMsg req;
-      if (!HeartbeatMsg::decode(f.payload, &req)) break;
-      send_frame(c, FrameType::kHeartbeatAck, id, req.encode());
       return;
     }
     default:
@@ -281,23 +263,6 @@ void ShardServer::close_connection(int fd) {
   fold_codec(it->second->decoder.counters(), &codec_);
   loop_.remove(fd);
   connections_.erase(it);  // Fd RAII closes
-}
-
-void ShardServer::notify_subscribers(ctrl::Version version) {
-  VersionEventMsg event;
-  event.version = version;
-  const std::string payload = event.encode();
-  // Collect first: flush() may close a dead subscriber and invalidate
-  // iterators into connections_.
-  std::vector<int> subscribed;
-  for (const auto& [fd, conn] : connections_) {
-    if (conn->subscribed) subscribed.push_back(fd);
-  }
-  for (int fd : subscribed) {
-    auto it = connections_.find(fd);
-    if (it == connections_.end()) continue;
-    send_frame(*it->second, FrameType::kVersionEvent, 0, payload);
-  }
 }
 
 void ShardServer::bind_metrics(obs::MetricsRegistry& registry,

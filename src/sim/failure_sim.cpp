@@ -6,6 +6,12 @@
 #include "megate/util/stopwatch.h"
 
 namespace megate::sim {
+namespace {
+
+/// Evaluation window (one TE interval, §4: e.g. 5 minutes).
+constexpr double kWindowS = 300.0;
+
+}  // namespace
 
 FailureOutcome run_failure_scenario(topo::Graph& graph,
                                     const topo::TunnelSet& tunnels,
@@ -68,12 +74,12 @@ FailureOutcome run_failure_scenario(topo::Graph& graph,
   out.recompute_s = recompute_override_s >= 0.0
                         ? recompute_override_s
                         : out.repair_s + after.solve_time_s;
-  out.outage_s = out.recompute_s + options.sync_delay_s;
+  out.outage_s = out.recompute_s + kSyncDelayS;
 
   // --- time-average over the window ---
   // During the outage the surviving share of the old allocation carries
   // traffic; after it, the recomputed allocation does.
-  const double window = options.window_s;
+  const double window = kWindowS;
   const double outage = std::min(out.outage_s, window);
   const double during =
       std::max(0.0, out.pre_failure_satisfied - affected_ratio);

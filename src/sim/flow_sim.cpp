@@ -3,6 +3,14 @@
 #include <algorithm>
 
 namespace megate::sim {
+namespace {
+
+/// Per-hop queueing delay at u -> 1 saturation, before capping.
+constexpr double kQueueingMsPerHop = 0.5;
+/// Utilization above which the queueing term saturates.
+constexpr double kMaxUtilization = 0.98;
+
+}  // namespace
 
 double FlowSimResult::mean_latency_ms(int qos_filter) const {
   double weighted = 0.0, weight = 0.0;
@@ -36,8 +44,7 @@ double FlowSimResult::assigned_fraction() const {
 }
 
 FlowSimResult simulate_flows(const te::TeProblem& problem,
-                             const te::TeSolution& sol,
-                             const FlowSimOptions& options) {
+                             const te::TeSolution& sol) {
   FlowSimResult result;
   const topo::Graph& g = *problem.graph;
 
@@ -48,8 +55,8 @@ FlowSimResult simulate_flows(const te::TeProblem& problem,
     const topo::Link& l = g.link(e);
     if (!l.up || l.capacity_gbps <= 0.0) continue;
     const double u =
-        std::min(options.max_utilization, usage[e] / l.capacity_gbps);
-    queueing_ms[e] = options.queueing_ms_per_hop * u / (1.0 - u);
+        std::min(kMaxUtilization, usage[e] / l.capacity_gbps);
+    queueing_ms[e] = kQueueingMsPerHop * u / (1.0 - u);
   }
 
   for (const auto& [pair, alloc] : sol.pairs) {

@@ -5,7 +5,7 @@
 // recomputes in under a second and synchronizes within the poll spread;
 // NCFlow-class systems take ~100 s to recompute, so a larger share of the
 // evaluation window is lost. The reported metric is time-averaged
-// satisfied demand over the window.
+// satisfied demand over the window (one 5-minute TE interval).
 
 #include <cstdint>
 #include <string>
@@ -15,13 +15,13 @@
 
 namespace megate::sim {
 
+/// Endpoint sync delay after recompute (bottom-up poll spread): the
+/// outage is the recompute time plus this.
+inline constexpr double kSyncDelayS = 10.0;
+
 struct FailureScenarioOptions {
   std::uint32_t num_failures = 2;
   std::uint64_t failure_seed = 7;
-  /// Evaluation window (one TE interval, §4: e.g. 5 minutes).
-  double window_s = 300.0;
-  /// Endpoint sync delay after recompute (bottom-up poll spread).
-  double sync_delay_s = 10.0;
 };
 
 struct FailureOutcome {

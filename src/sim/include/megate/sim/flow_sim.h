@@ -2,9 +2,9 @@
 // Flow-level latency evaluation of a TE solution (§6.1 "Packet latency"):
 // each assigned endpoint flow experiences its tunnel's propagation delay
 // plus a queueing penalty that grows with the utilization of the tunnel's
-// most loaded link (an M/M/1-flavoured u/(1-u) term, capped). For the
-// non-TWAN topologies the paper counts hops instead; both metrics are
-// produced.
+// most loaded link (an M/M/1-flavoured 0.5 ms * u/(1-u) per hop, with u
+// capped at 0.98). For the non-TWAN topologies the paper counts hops
+// instead; both metrics are produced.
 
 #include <vector>
 
@@ -21,13 +21,6 @@ struct FlowRecord {
   double hops = 0.0;
 };
 
-struct FlowSimOptions {
-  /// Per-hop queueing delay at u -> 1 saturation, before capping.
-  double queueing_ms_per_hop = 0.5;
-  /// Utilization above which the queueing term saturates.
-  double max_utilization = 0.98;
-};
-
 struct FlowSimResult {
   std::vector<FlowRecord> flows;
 
@@ -40,7 +33,6 @@ struct FlowSimResult {
 /// Evaluates the solution. Requires per-flow tunnel assignments (run
 /// assign_flows_by_hash first for fractional solvers).
 FlowSimResult simulate_flows(const te::TeProblem& problem,
-                             const te::TeSolution& sol,
-                             const FlowSimOptions& options = {});
+                             const te::TeSolution& sol);
 
 }  // namespace megate::sim

@@ -8,6 +8,12 @@
 #include <vector>
 
 namespace megate::ssp {
+namespace {
+
+/// Floor for delta so pathological tiny F never explodes the DP table.
+constexpr double kMinResolution = 1e-6;
+
+}  // namespace
 
 Selection fast_ssp(std::span<const double> values, double capacity,
                    const FastSspOptions& options, FastSspStats* stats) {
@@ -76,7 +82,7 @@ Selection fast_ssp(std::span<const double> values, double capacity,
   // --- Step 2: normalization -------------------------------------------
   // delta = eps'*M/3 = eps'^2*F/9; clusters are quantized by delta inside
   // the DP (solve_dp floors; the trim step keeps the result feasible).
-  const double delta = std::max(options.min_resolution, eps * big_m / 3.0);
+  const double delta = std::max(kMinResolution, eps * big_m / 3.0);
 
   // --- Step 3: DP over clusters ------------------------------------------
   Selection dp_sel;

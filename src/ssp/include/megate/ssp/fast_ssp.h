@@ -21,8 +21,6 @@ namespace megate::ssp {
 struct FastSspOptions {
   /// The paper's eps' ("close to 0"); controls M and delta.
   double epsilon_prime = 0.1;
-  /// Floor for delta so pathological tiny F never explodes the DP table.
-  double min_resolution = 1e-6;
 };
 
 /// Statistics of one FastSSP run, for tests and the ablation bench.

@@ -68,12 +68,14 @@ class NcFlowSolver final : public Solver {
 /// slightly sub-optimal, memory linear in endpoint flows.
 struct TealOptions {
   std::size_t admm_iterations = 12;
-  double softmax_temperature = 2.0;
   std::size_t max_flows = 4'000'000;
 };
 
 class TealSolver final : public Solver {
  public:
+  /// Sharpness of the initial split: exp(-T * (weight - 1)) per tunnel.
+  static constexpr double kSoftmaxTemperature = 2.0;
+
   explicit TealSolver(TealOptions options = {}) : options_(options) {}
   std::string name() const override { return "TEAL"; }
   TeSolution solve(const TeProblem& problem) override;

@@ -31,7 +31,9 @@
 //     PatchResult recommends an early full re-solve.
 //
 // Invariants (enforced by tests/online_test.cpp):
-//   I1  sum of reservations over any link <= capacity * headroom;
+//   I1  sum of reservations over any link <= its capacity (a caller that
+//       plans with headroom hands in a derated graph, as the chaos loop
+//       does);
 //   I2  no reservation on a dead or over-hop-budget tunnel;
 //   I3  0 <= reservation[i] <= demand[i] for every flow;
 //   I4  solution().satisfied_gbps == sum of all reservations, and
@@ -56,9 +58,6 @@ class MetricsRegistry;
 namespace megate::te {
 
 struct OnlineOptions {
-  /// Fraction of each link's capacity the allocator may fill (mirrors the
-  /// full solver's planning headroom; 1.0 = the whole link).
-  double headroom = 1.0;
   /// SR hop budget: tunnels with more links are never reserved on
   /// (0 = unlimited). Keep equal to SiteLpOptions::max_sr_hops.
   std::uint32_t max_sr_hops = 0;
@@ -66,9 +65,6 @@ struct OnlineOptions {
   /// of the rebase-time total demand, PatchResult::resolve_recommended
   /// turns on (<= 0 disables the trigger).
   double resolve_drift_fraction = 0.25;
-  /// Allow moving a whole grown flow to a different admissible tunnel
-  /// when its standing tunnel has no residual room.
-  bool allow_move = true;
   /// "te.online.*" counters/gauges land here; null = no metrics.
   obs::MetricsRegistry* metrics = nullptr;
 };
@@ -132,11 +128,9 @@ class OnlineAllocator {
   /// Cumulative drift since the last rebase (fraction of base demand).
   double drift_fraction() const;
 
-  const OnlineOptions& options() const noexcept { return options_; }
-
  private:
   /// Residual capacity (Gbps) left on every link after all standing
-  /// reservations, against capacity * headroom.
+  /// reservations, against link capacity.
   double bottleneck(const std::vector<topo::EdgeId>& links) const;
   void reserve_on(const std::vector<topo::EdgeId>& links, double gbps);
   bool admissible(const topo::Tunnel& t) const;

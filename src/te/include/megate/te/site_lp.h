@@ -88,17 +88,16 @@ SiteLpResult solve_max_site_flow(
 /// `clusters` clusters; site pairs are bucketed by their cluster pair;
 /// each link's capacity is statically partitioned across buckets in
 /// proportion to estimated usage; the resulting independent sub-LPs are
-/// solved in parallel (`threads`, 0 = hardware) and merged. Trades a few
-/// percent of LP objective for a near-linear latency cut on topologies
-/// with many sites — quantified by bench/ablation_stage1.
-/// When `pool` is non-null the buckets run on it and `threads` is ignored,
-/// so callers that solve every interval can reuse one pool.
+/// solved in parallel on `pool` and merged. The result does not depend on
+/// the pool's size. Trades a few percent of LP objective for a
+/// near-linear latency cut on topologies with many sites — quantified by
+/// bench/ablation_stage1.
 SiteLpResult solve_max_site_flow_clustered(
     const topo::Graph& g, const topo::TunnelSet& tunnels,
     const std::unordered_map<topo::SitePair, double, topo::SitePairHash>&
         site_demands,
     const std::vector<double>& capacity_override, double epsilon,
-    std::size_t clusters, const SiteLpOptions& options = {},
-    std::size_t threads = 0, util::ThreadPool* pool = nullptr);
+    std::size_t clusters, const SiteLpOptions& options,
+    util::ThreadPool& pool);
 
 }  // namespace megate::te

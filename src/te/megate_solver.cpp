@@ -11,20 +11,13 @@
 #include "megate/obs/span.h"
 #include "megate/te/checker.h"
 #include "megate/tm/delta.h"
+#include "megate/util/rng.h"
 #include "megate/util/stopwatch.h"
 
 namespace megate::te {
 namespace {
 
-/// splitmix64 finalizer: full-avalanche mix of one 64-bit word.
-inline std::uint64_t mix64(std::uint64_t x) noexcept {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBULL;
-  x ^= x >> 31;
-  return x;
-}
+using util::mix64;
 
 /// Bitwise fingerprint of a double vector (size + every value). Hashes a
 /// word per element, not a byte — these run over every flow demand of
@@ -363,8 +356,7 @@ SolveReport MegaTeSolver::solve_impl(const TeProblem& problem,
         options_.stage1_clusters > 1
             ? solve_max_site_flow_clustered(
                   g, tunnels, d_k, residual, problem.epsilon,
-                  options_.stage1_clusters, options_.site_lp,
-                  options_.threads, &pool_)
+                  options_.stage1_clusters, options_.site_lp, pool_)
             : solve_max_site_flow(g, tunnels, d_k, residual,
                                   problem.epsilon, options_.site_lp);
     s1_span.reset();

@@ -26,7 +26,7 @@ void OnlineAllocator::rebase(const TeProblem& problem,
   reserved_.clear();
   residual_.assign(graph_->num_links(), 0.0);
   for (topo::EdgeId e = 0; e < graph_->num_links(); ++e) {
-    residual_[e] = graph_->link(e).capacity_gbps * options_.headroom;
+    residual_[e] = graph_->link(e).capacity_gbps;
   }
 
   double satisfied = 0.0;
@@ -198,7 +198,7 @@ PatchResult OnlineAllocator::apply(const tm::DemandEvent& event) {
         need -= top;
       }
       // 2. Move the whole flow to another admissible tunnel with room.
-      if (need > kTiny && options_.allow_move) {
+      if (need > kTiny) {
         const double committed = res;
         reserve_on(tuns[t].links, -committed);  // tentative release
         for (std::size_t t2 = 0; t2 < tuns.size(); ++t2) {

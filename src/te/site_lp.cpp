@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <future>
-#include <memory>
 #include <numeric>
 #include <stdexcept>
 
@@ -295,7 +294,7 @@ SiteLpResult solve_max_site_flow_clustered(
         site_demands,
     const std::vector<double>& capacity_override, double epsilon,
     std::size_t clusters, const SiteLpOptions& options,
-    std::size_t threads, util::ThreadPool* pool) {
+    util::ThreadPool& pool) {
   if (clusters < 2) {
     return solve_max_site_flow(g, tunnels, site_demands, capacity_override,
                                epsilon, options);
@@ -371,11 +370,6 @@ SiteLpResult solve_max_site_flow_clustered(
   for (const auto& [key, b] : buckets) bucket_list.push_back(&b);
   std::vector<SiteLpResult> partial(bucket_list.size());
 
-  std::unique_ptr<util::ThreadPool> owned;
-  if (pool == nullptr) {
-    owned = std::make_unique<util::ThreadPool>(threads);
-    pool = owned.get();
-  }
   auto solve_bucket = [&](std::size_t i) {
     const Bucket& b = *bucket_list[i];
     std::vector<double> caps(g.num_links(), 0.0);
@@ -400,7 +394,7 @@ SiteLpResult solve_max_site_flow_clustered(
   std::vector<std::future<void>> done;
   done.reserve(order.size());
   for (std::size_t i : order) {
-    done.push_back(pool->submit([&solve_bucket, i] { solve_bucket(i); }));
+    done.push_back(pool.submit([&solve_bucket, i] { solve_bucket(i); }));
   }
   for (auto& f : done) f.wait();
   for (auto& f : done) f.get();  // rethrows a bucket's exception

@@ -70,7 +70,7 @@ TeSolution TealSolver::solve(const TeProblem& problem) {
     probs.assign(ref.alive.size(), 0.0);
     double z = 0.0;
     for (std::size_t a = 0; a < ref.alive.size(); ++a) {
-      probs[a] = std::exp(-options_.softmax_temperature *
+      probs[a] = std::exp(-kSoftmaxTemperature *
                           (ts[ref.alive[a]].weight - 1.0));
       z += probs[a];
     }

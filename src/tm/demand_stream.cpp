@@ -13,6 +13,12 @@ namespace megate::tm {
 namespace {
 
 constexpr double kPi = 3.14159265358979323846;
+/// Peak-to-mean amplitude of the diurnal sinusoid (0.3 = ±30%).
+constexpr double kDiurnalAmplitude = 0.3;
+/// Flows a fresh endpoint brings (towards existing endpoints).
+constexpr std::uint32_t kArrivalFlows = 3;
+/// Mean demand of an arrival flow, relative to the current matrix mean.
+constexpr double kArrivalDemandFactor = 1.0;
 
 /// Pairs sorted by (src, dst): the deterministic iteration order every
 /// target draw uses (the matrix's unordered_map order is not stable
@@ -225,7 +231,7 @@ DemandStream DemandStream::generate(const TrafficMatrix& base,
     // Level after `step` completed steps of one full sinusoid period.
     const double phase = static_cast<double>(step) /
                          static_cast<double>(options.diurnal_steps + 1);
-    return 1.0 + options.diurnal_amplitude * std::sin(2.0 * kPi * phase);
+    return 1.0 + kDiurnalAmplitude * std::sin(2.0 * kPi * phase);
   };
 
   for (const Slot& slot : slots) {
@@ -309,7 +315,7 @@ DemandStream DemandStream::generate(const TrafficMatrix& base,
         const topo::NodeId site = seat.src;
         const EndpointId ep =
             make_endpoint(site, 0x40000000u + arrivals++);
-        for (std::uint32_t f = 0; f < options.arrival_flows; ++f) {
+        for (std::uint32_t f = 0; f < kArrivalFlows; ++f) {
           topo::SitePair tp;
           std::uint32_t ti = 0;
           if (!draw_live_flow(rng, work, pairs, &tp, &ti)) break;
@@ -321,7 +327,7 @@ DemandStream DemandStream::generate(const TrafficMatrix& base,
           c.dst = target.dst;
           c.qos = draw_qos(rng);
           c.before_gbps = 0.0;
-          c.after_gbps = base_mean * options.arrival_demand_factor *
+          c.after_gbps = base_mean * kArrivalDemandFactor *
                          rng.lognormal(0.0, 0.5);
           auto& flows = work.pairs()[c.pair];
           c.flow_index = static_cast<std::uint32_t>(flows.size());

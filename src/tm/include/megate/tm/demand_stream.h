@@ -86,9 +86,10 @@ struct ChurnOptions {
 
   std::size_t flow_scale_events = 0;  ///< split ~evenly between up/down
   std::size_t flash_crowds = 0;
-  /// Diurnal swing discretized into this many kDiurnalRamp steps spread
-  /// evenly over the horizon (0 = no diurnal component).
+  /// Diurnal swing (±30%) discretized into this many kDiurnalRamp steps
+  /// spread evenly over the horizon (0 = no diurnal component).
   std::size_t diurnal_steps = 0;
+  /// Each arrival brings 3 flows at the matrix's mean live demand.
   std::size_t endpoint_arrivals = 0;
   std::size_t endpoint_departures = 0;
 
@@ -98,12 +99,6 @@ struct ChurnOptions {
   double scale_up_max = 3.0;
   /// kFlashCrowd multiplies every flow of the chosen pair by this.
   double flash_crowd_multiplier = 3.0;
-  /// Peak-to-mean amplitude of the diurnal sinusoid (0.3 = ±30%).
-  double diurnal_amplitude = 0.3;
-  /// Flows a fresh endpoint brings (towards existing endpoints).
-  std::uint32_t arrival_flows = 3;
-  /// Mean demand of an arrival flow, relative to the current matrix mean.
-  double arrival_demand_factor = 1.0;
 
   bool enabled() const noexcept {
     return flow_scale_events + flash_crowds + diurnal_steps +

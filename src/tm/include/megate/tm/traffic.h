@@ -65,15 +65,13 @@ struct TrafficOptions {
   double flows_per_endpoint = 1.0;
   /// Fraction of ordered site pairs that exchange traffic at all.
   double active_pair_fraction = 0.6;
-  /// Lognormal parameters of per-flow demand (Gbps) before scaling.
-  double demand_mu = -3.0;
+  /// Lognormal sigma of per-flow demand (Gbps) before scaling; the mu
+  /// and the class-3 multiplier are fixed in traffic.cpp.
   double demand_sigma = 1.2;
   /// QoS mix by flow count (must sum to 1).
   double qos1_fraction = 0.10;
   double qos2_fraction = 0.60;
   double qos3_fraction = 0.30;
-  /// Bulk flows (class 3) are this many times larger on average.
-  double qos3_demand_multiplier = 4.0;
   /// If > 0, rescale all demands so the matrix total equals this.
   double target_total_gbps = 0.0;
 };

@@ -7,6 +7,14 @@
 #include "megate/util/rng.h"
 
 namespace megate::tm {
+namespace {
+
+/// Lognormal mu of per-flow demand (Gbps) before scaling.
+constexpr double kDemandMu = -3.0;
+/// Bulk flows (class 3) are this many times larger on average.
+constexpr double kQos3DemandMultiplier = 4.0;
+
+}  // namespace
 
 const char* to_string(QosClass q) noexcept {
   switch (q) {
@@ -133,9 +141,9 @@ TrafficMatrix generate_traffic(const topo::Graph& g,
       } else {
         d.qos = QosClass::kClass3;
       }
-      d.demand_gbps = rng.lognormal(options.demand_mu, options.demand_sigma);
+      d.demand_gbps = rng.lognormal(kDemandMu, options.demand_sigma);
       if (d.qos == QosClass::kClass3) {
-        d.demand_gbps *= options.qos3_demand_multiplier;
+        d.demand_gbps *= kQos3DemandMultiplier;
       }
       tm.add(d);
     }

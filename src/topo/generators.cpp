@@ -31,9 +31,13 @@ double plane_latency(const NodePos& a, const NodePos& b) {
   return std::max(0.1, std::sqrt(dx * dx + dy * dy));
 }
 
-double pick_capacity(Rng& rng, const GeneratorOptions& o) {
+/// Link capacity range in Gbps (uniform per duplex link).
+constexpr double kMinCapacityGbps = 100.0;
+constexpr double kMaxCapacityGbps = 400.0;
+
+double pick_capacity(Rng& rng) {
   // Round to 50 Gbps steps like real provisioned circuits.
-  const double c = rng.uniform(o.min_capacity_gbps, o.max_capacity_gbps);
+  const double c = rng.uniform(kMinCapacityGbps, kMaxCapacityGbps);
   return std::max(50.0, std::round(c / 50.0) * 50.0);
 }
 
@@ -70,7 +74,7 @@ Graph make_isp_like(std::uint32_t nodes, std::uint32_t duplex_links,
                                            std::vector<bool>(nodes, false));
   auto link_pair = [&](NodeId a, NodeId b) {
     const double lat = plane_latency(g.node_pos(a), g.node_pos(b));
-    g.add_duplex_link(a, b, pick_capacity(rng, options), lat,
+    g.add_duplex_link(a, b, pick_capacity(rng), lat,
                       pick_cost(rng, lat), pick_availability(rng));
     connected[a][b] = connected[b][a] = true;
   };

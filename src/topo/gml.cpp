@@ -13,6 +13,14 @@
 namespace megate::topo {
 namespace {
 
+/// Capacity used when an edge has no LinkSpeedRaw/LinkSpeed attribute.
+constexpr double kDefaultCapacityGbps = 100.0;
+/// Latency floor for co-located or coordinate-less nodes.
+constexpr double kMinLatencyMs = 0.1;
+/// Propagation milliseconds per degree of geographic distance
+/// (~111 km/degree at ~200 km/ms in fiber).
+constexpr double kMsPerDegree = 0.55;
+
 /// Minimal GML tokenizer: keys, numbers, quoted strings, brackets.
 struct Tokenizer {
   explicit Tokenizer(std::istream& is) : is_(is) {}
@@ -101,7 +109,7 @@ long to_long(const std::string& s) {
 
 }  // namespace
 
-Graph read_gml(std::istream& is, const GmlOptions& options) {
+Graph read_gml(std::istream& is) {
   Tokenizer tok(is);
   std::vector<RawNode> nodes;
   std::vector<RawEdge> edges;
@@ -172,7 +180,7 @@ Graph read_gml(std::istream& is, const GmlOptions& options) {
     }
     // Position in propagation-ms units (longitude shrinks with latitude
     // on real maps; a flat scaling is enough for latency modeling).
-    NodePos pos{n.lon * options.ms_per_degree, n.lat * options.ms_per_degree};
+    NodePos pos{n.lon * kMsPerDegree, n.lat * kMsPerDegree};
     by_id[n.id] = g.add_node(unique, pos);
   }
 
@@ -190,18 +198,18 @@ Graph read_gml(std::istream& is, const GmlOptions& options) {
     const NodePos& b = g.node_pos(t->second);
     const double dx = a.x - b.x, dy = a.y - b.y;
     const double latency =
-        std::max(options.min_latency_ms, std::sqrt(dx * dx + dy * dy));
+        std::max(kMinLatencyMs, std::sqrt(dx * dx + dy * dy));
     const double cap = e.speed_bps > 0.0 ? e.speed_bps / 1e9
-                                         : options.default_capacity_gbps;
+                                         : kDefaultCapacityGbps;
     g.add_duplex_link(s->second, t->second, cap, latency);
   }
   return g;
 }
 
-Graph load_gml(const std::string& path, const GmlOptions& options) {
+Graph load_gml(const std::string& path) {
   std::ifstream is(path);
   if (!is) throw std::runtime_error("cannot open for read: " + path);
-  return read_gml(is, options);
+  return read_gml(is);
 }
 
 }  // namespace megate::topo

@@ -28,9 +28,6 @@ struct GeneratorOptions {
   std::uint64_t seed = 42;
   /// TWAN only: number of sites (paper: O(100)).
   std::uint32_t twan_sites = 100;
-  /// Link capacity range in Gbps (uniform per duplex link).
-  double min_capacity_gbps = 100.0;
-  double max_capacity_gbps = 400.0;
 };
 
 /// Builds the requested topology. Deterministic in (kind, options.seed).

@@ -11,7 +11,8 @@
 //
 // Unknown keys are skipped. Node coordinates (when present) become plane
 // positions in propagation-milliseconds; link latency is derived from the
-// great-circle-ish distance, and LinkSpeedRaw (bits/s) becomes capacity.
+// great-circle-ish distance, and LinkSpeedRaw (bits/s) becomes capacity
+// (100 Gbps when an edge has neither LinkSpeedRaw nor LinkSpeed).
 //
 // [1] http://www.topology-zoo.org/
 
@@ -23,21 +24,11 @@
 
 namespace megate::topo {
 
-struct GmlOptions {
-  /// Capacity used when an edge has no LinkSpeedRaw/LinkSpeed attribute.
-  double default_capacity_gbps = 100.0;
-  /// Latency floor for co-located or coordinate-less nodes.
-  double min_latency_ms = 0.1;
-  /// Propagation milliseconds per degree of geographic distance
-  /// (~111 km/degree at ~200 km/ms in fiber).
-  double ms_per_degree = 0.55;
-};
-
 /// Parses a GML graph; throws FormatError on malformed input.
 /// Duplicate edges collapse to one duplex link; self-loops are skipped.
-Graph read_gml(std::istream& is, const GmlOptions& options = {});
+Graph read_gml(std::istream& is);
 
 /// File convenience wrapper.
-Graph load_gml(const std::string& path, const GmlOptions& options = {});
+Graph load_gml(const std::string& path);
 
 }  // namespace megate::topo

@@ -86,8 +86,6 @@ struct TunnelOptions {
   std::uint32_t max_sr_hops = 0;
   /// Candidate selection backend (see TunnelSelection).
   TunnelSelection selection = TunnelSelection::kKsp;
-  /// kCentrality: middlepoint group size; 0 = auto (~sqrt(sites), min 4).
-  std::uint32_t centrality_middlepoints = 0;
   /// When set, build/repair bump the "topo.tunnels.*" counters on this
   /// registry (pairs_built / pairs_unreachable / pairs_budget_excluded /
   /// paths_budget_filtered). Must outlive the build call; not retained.

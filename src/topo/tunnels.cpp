@@ -13,6 +13,7 @@
 
 #include "megate/obs/metrics.h"
 #include "megate/obs/span.h"
+#include "megate/util/rng.h"
 #include "megate/util/thread_pool.h"
 
 namespace megate::topo {
@@ -31,15 +32,7 @@ const std::vector<Tunnel>& TunnelSet::tunnels(NodeId src, NodeId dst) const {
 
 namespace {
 
-/// splitmix64 finalizer: full-avalanche mix of one 64-bit word.
-inline std::uint64_t mix64(std::uint64_t x) noexcept {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBULL;
-  x ^= x >> 31;
-  return x;
-}
+using util::mix64;
 
 /// One pair's share of TunnelSet::fingerprint(), a word per step. Each
 /// step is a bijection of the running hash for a fixed word, so changing
@@ -512,14 +505,13 @@ std::vector<NodeId> pick_middlepoints(
   return group;
 }
 
-CentralityContext make_centrality_context(const Graph& g,
-                                          const TunnelOptions& options) {
+CentralityContext make_centrality_context(const Graph& g) {
   CentralityContext ctx;
   ctx.trees = all_source_trees(g, &ctx.hop_trees);
   // Middlepoints are selected on the latency trees: group betweenness of
   // the preference metric, matching the paper's centrality definition.
-  ctx.middlepoints =
-      pick_middlepoints(g, ctx.trees, options.centrality_middlepoints);
+  // The group has the auto size (~sqrt(sites), min 4).
+  ctx.middlepoints = pick_middlepoints(g, ctx.trees, 0);
   return ctx;
 }
 
@@ -657,7 +649,7 @@ std::vector<PairSlot> build_pairs(const Graph& g,
                                   std::uint64_t& dijkstra_calls) {
   CentralityContext ctx;
   if (options.selection == TunnelSelection::kCentrality) {
-    ctx = make_centrality_context(g, options);
+    ctx = make_centrality_context(g);
     delta.middlepoints = ctx.middlepoints.size();
     dijkstra_calls += 2 * g.num_nodes();
   }

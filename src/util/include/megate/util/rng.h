@@ -14,6 +14,18 @@
 
 namespace megate::util {
 
+/// splitmix64 finalizer: full-avalanche mix of one 64-bit word. Hashing
+/// word-at-a-time (one mix + combine per word) instead of byte-wise FNV
+/// keeps the per-solve fingerprints a fraction of the work they guard.
+constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
+  x ^= x >> 30;
+  x *= 0xBF58476D1CE4E5B9ULL;
+  x ^= x >> 27;
+  x *= 0x94D049BB133111EBULL;
+  x ^= x >> 31;
+  return x;
+}
+
 /// xoshiro256** deterministic random engine.
 ///
 /// Satisfies the C++ UniformRandomBitGenerator concept, but callers should

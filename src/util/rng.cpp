@@ -12,10 +12,7 @@ constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
 
 std::uint64_t splitmix64(std::uint64_t& x) noexcept {
   x += 0x9E3779B97F4A7C15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  return mix64(x);
 }
 
 }  // namespace

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "megate/te/baselines.h"
 #include "megate/te/checker.h"
 #include "megate/te/megate_solver.h"
@@ -225,6 +231,34 @@ TEST_P(SolverRanking, MegaTeBetweenBaselinesAndOptimum) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverRanking,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+// --- pinned constants ------------------------------------------------------
+
+/// Bit digest of a Teal plan, recorded at the commit before the softmax
+/// temperature became a constant. TealRepairParity cannot see that value:
+/// its oracle reads the same constant.
+constexpr std::uint64_t kPinnedTealPlan = 0xfc116716a79cf009ULL;
+
+TEST(TealPinned, PlanDigestMatchesParent) {
+  auto s = make_scenario(9, 16, 25, 0.8);
+  TealSolver teal;
+  const TeSolution sol = teal.solve(s->problem());
+  ASSERT_TRUE(sol.solved);
+  std::vector<std::pair<topo::SitePair, const PairAllocation*>> pairs;
+  for (const auto& [pair, alloc] : sol.pairs) pairs.emplace_back(pair, &alloc);
+  std::sort(pairs.begin(), pairs.end(), [](const auto& a, const auto& b) {
+    return a.first.src != b.first.src ? a.first.src < b.first.src
+                                      : a.first.dst < b.first.dst;
+  });
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const auto& [pair, alloc] : pairs) {
+    for (double x : alloc->tunnel_alloc) {
+      h = (h ^ std::bit_cast<std::uint64_t>(x)) * 0x100000001B3ULL;
+    }
+  }
+  h = (h ^ std::bit_cast<std::uint64_t>(sol.satisfied_gbps)) * 0x100000001B3ULL;
+  EXPECT_EQ(h, kPinnedTealPlan) << std::hex << "got 0x" << h;
+}
 
 }  // namespace
 }  // namespace megate::te

@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <thread>
 
 #include "megate/ctrl/agent.h"
 #include "megate/ctrl/connection_manager.h"
 #include "megate/ctrl/controller.h"
+#include "megate/ctrl/hybrid_sync.h"
 #include "megate/ctrl/kvstore.h"
 #include "megate/ctrl/sync_model.h"
 #include "megate/te/megate_solver.h"
@@ -605,6 +608,51 @@ TEST(ConnectionManager, DisconnectClamps) {
   cm.connect(10);
   cm.disconnect(100);
   EXPECT_EQ(cm.connections(), 0u);
+}
+
+// --- pinned constants ------------------------------------------------------
+
+/// Bit digests recorded at the commit before the sync models' calibration
+/// became constants: the hybrid plan's push latency, spread interval and
+/// per-connection costs, and the connection manager's heartbeat, push and
+/// reconnect costs.
+constexpr std::uint64_t kPinnedHybridPlan = 0x2e72c876486de03ULL;
+constexpr std::uint64_t kPinnedConnectionCosts = 0xf520a1a44f0a48b8ULL;
+
+std::uint64_t pin_mix(std::uint64_t h, double v) {
+  return (h ^ std::bit_cast<std::uint64_t>(v)) * 0x100000001B3ULL;
+}
+
+TEST(SyncPinned, HybridPlanMatchesParent) {
+  auto s = megate::testing::make_scenario(8, 14, 40, 0.3);
+  SyncCostModel model;
+  HybridSyncOptions opt;
+  opt.heavy_traffic_share = 0.5;
+  const HybridSyncPlan plan = plan_hybrid_sync(s->traffic, model, opt);
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  h = pin_mix(h, static_cast<double>(plan.persistent_instances.size()));
+  h = pin_mix(h, plan.mean_staleness_s);
+  h = pin_mix(h, plan.worst_staleness_s);
+  h = pin_mix(h, plan.db_queries_per_s);
+  h = pin_mix(h, plan.resources.cpu_cores);
+  h = pin_mix(h, plan.resources.memory_gb);
+  h = pin_mix(h, static_cast<double>(plan.resources.db_shards));
+  EXPECT_EQ(h, kPinnedHybridPlan) << std::hex << "got 0x" << h;
+  // 1M queries/s over 80k-QPS shards: 12.5, rounded up.
+  EXPECT_EQ(model.bottom_up(10'000'000).db_shards, 13u);
+}
+
+TEST(ConnectionManagerPinned, CostsMatchParent) {
+  ConnectionManager cm;
+  cm.connect(1000);
+  cm.run(10.0);
+  cm.push_config_all();
+  cm.drop_connections(100);
+  cm.run(5.0);  // the drops reconnect after the default 1 s delay
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  h = pin_mix(h, cm.cpu_utilization());
+  h = pin_mix(h, cm.memory_mb());
+  EXPECT_EQ(h, kPinnedConnectionCosts) << std::hex << "got 0x" << h;
 }
 
 }  // namespace

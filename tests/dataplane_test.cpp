@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "megate/dataplane/ebpf.h"
 #include "megate/dataplane/host_stack.h"
 #include "megate/dataplane/packet.h"
@@ -484,6 +486,35 @@ TEST(Router, SrOffsetAdvancesOnWire) {
   EXPECT_EQ(pkt[off_pos], 0);
   EXPECT_EQ(d.packet[off_pos], 1);
   EXPECT_EQ(d.next_hop, 4u);
+}
+
+// --- pinned constants ------------------------------------------------------
+
+/// FNV digest of one encapsulated packet, recorded at the commit before the
+/// host stack's map size and underlay source port became constants.
+constexpr std::uint64_t kPinnedEncap = 0x8edd7e3d76133fc2ULL;
+
+TEST(HostStackPinned, EncapBytesAndMapCapacityMatchParent) {
+  HostStack hs;
+  hs.on_sys_enter_execve(100, 777);
+  const FiveTuple t = tuple();
+  hs.on_conntrack_event(t, 100);
+  hs.install_path(777, {5, 9, 13});
+  const Buffer frame = make_inner_frame(t, 50);
+  const auto v = hs.tc_egress(frame, 0x0A0000FE);
+  ASSERT_EQ(v.action, TcVerdict::Action::kEncapsulated);
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (std::uint8_t b : v.packet) h = (h ^ b) * 0x100000001B3ULL;
+  EXPECT_EQ(h, kPinnedEncap) << std::hex << "got 0x" << h;
+
+  // The traffic map holds 65,536 flows; the next new flow is dropped.
+  HostStack full;
+  for (std::uint32_t i = 0; i <= 65536; ++i) {
+    FiveTuple f = tuple();
+    f.src_ip = 0x0B000000u + i;
+    full.tc_egress(make_inner_frame(f, 0), 0x0A0000FE);
+  }
+  EXPECT_EQ(full.counters().map_full_drops, 1u);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "megate/tm/prediction.h"
 #include "megate/topo/clustering.h"
 #include "megate/util/rng.h"
+#include "megate/util/thread_pool.h"
 #include "test_helpers.h"
 
 namespace megate {
@@ -81,7 +82,7 @@ TEST(HybridSync, ExtremesMatchPureModes) {
   all.heavy_traffic_share = 1.0;
   auto push_only = ctrl::plan_hybrid_sync(s->traffic, model, all);
   EXPECT_EQ(push_only.polling_instances, 0u);
-  EXPECT_NEAR(push_only.mean_staleness_s, all.push_latency_s, 1e-9);
+  EXPECT_NEAR(push_only.mean_staleness_s, ctrl::kPushLatencyS, 1e-9);
 }
 
 TEST(HybridSync, StalenessDropsAsShareGrows) {
@@ -239,8 +240,9 @@ TEST(ClusteredSiteLp, NearJointObjective) {
   auto demands = s->traffic.site_demands();
   auto joint =
       te::solve_max_site_flow(s->graph, s->tunnels, demands, {}, 0.02);
+  util::ThreadPool pool(1);
   auto contracted = te::solve_max_site_flow_clustered(
-      s->graph, s->tunnels, demands, {}, 0.02, 3, {}, 1);
+      s->graph, s->tunnels, demands, {}, 0.02, 3, {}, pool);
   ASSERT_EQ(contracted.status, lp::Status::kOptimal);
   EXPECT_LE(contracted.objective, joint.objective * (1.0 + 1e-6));
   EXPECT_GE(contracted.objective, 0.7 * joint.objective)
@@ -262,8 +264,9 @@ TEST(ClusteredSiteLp, NearJointObjective) {
 TEST(ClusteredSiteLp, FallsBackBelowTwoClusters) {
   auto s = make_scenario(6, 10, 10, 0.3);
   auto demands = s->traffic.site_demands();
+  util::ThreadPool pool(1);
   auto a = te::solve_max_site_flow_clustered(s->graph, s->tunnels, demands,
-                                             {}, 0.02, 1, {}, 1);
+                                             {}, 0.02, 1, {}, pool);
   auto b = te::solve_max_site_flow(s->graph, s->tunnels, demands, {}, 0.02);
   EXPECT_NEAR(a.objective, b.objective, 1e-9);
 }

@@ -462,37 +462,12 @@ TEST(ChaosPinned, FingerprintMatchesParent) {
       << std::hex << "got 0x" << churned.fingerprint;
 }
 
-// --- period_sim link faults -------------------------------------------------
-
-TEST(PeriodSimFaultTest, FaultsDegradeThenGraphRestored) {
-  auto s = testing::make_scenario(6, 9, 2);
-  sim::PeriodSimOptions opt;
-  opt.periods = 6;
-  opt.seed = 5;
-
-  const auto clean = sim::run_period_simulation(
-      s->graph, s->tunnels, s->traffic, sim::DemandKnowledge::kOracle, opt);
-
-  opt.link_faults.push_back(
-      {.period = 2, .count = 2, .duration_periods = 2, .seed = 9});
-  const auto faulty = sim::run_period_simulation(
-      s->graph, s->tunnels, s->traffic, sim::DemandKnowledge::kOracle, opt);
-
-  ASSERT_EQ(clean.size(), faulty.size());
-  for (topo::EdgeId e = 0; e < s->graph.num_links(); ++e) {
-    EXPECT_TRUE(s->graph.link(e).up);  // restored before returning
-  }
-  // Identical demand evolution outside the fault window.
-  EXPECT_DOUBLE_EQ(clean[0].actual_total_gbps, faulty[0].actual_total_gbps);
-  EXPECT_DOUBLE_EQ(clean[0].carried_gbps, faulty[0].carried_gbps);
-  // Degraded periods never carry more than the healthy run.
-  for (std::size_t p = 0; p < clean.size(); ++p) {
-    EXPECT_LE(faulty[p].carried_gbps, clean[p].carried_gbps + 1e-9);
-  }
-}
+// --- period_sim -----------------------------------------------------------
 
 /// Bit digest of the per-period carriage below, recorded at the commit
-/// before the period simulation lost its incremental-solve switch.
+/// before the period simulation was cut back to the knowledge-model
+/// comparison. It equals the earlier pin of the same run with a period-2
+/// link fault: at this load one lost link never changed the carriage.
 constexpr std::uint64_t kPinnedPeriodCarriage = 0x111fe8cf52329db0ULL;
 
 TEST(PeriodSimPinned, CarriageMatchesParent) {
@@ -500,8 +475,6 @@ TEST(PeriodSimPinned, CarriageMatchesParent) {
   sim::PeriodSimOptions opt;
   opt.periods = 6;
   opt.seed = 3;
-  opt.link_faults.push_back(
-      {.period = 2, .count = 1, .duration_periods = 2, .seed = 9});
   const auto out = sim::run_period_simulation(
       s->graph, s->tunnels, s->traffic, sim::DemandKnowledge::kStale, opt);
   ASSERT_EQ(out.size(), opt.periods);
@@ -528,6 +501,24 @@ TEST(HybridSyncFaultTest, DropRateStretchesPollingStaleness) {
   opt.pull_drop_rate = 1.0;
   EXPECT_THROW(ctrl::plan_hybrid_sync(s->traffic, model, opt),
                std::invalid_argument);
+}
+
+// --- pinned fault plan -----------------------------------------------------
+
+/// FNV digest of a plan's log, recorded at the commit before the per-kind
+/// duration ranges and magnitudes became constants. The plan has every
+/// kind, so each range and magnitude (including the connection count)
+/// shows in it.
+constexpr std::uint64_t kPinnedPlanLog = 0x3d30aa6b69f95932ULL;
+
+TEST(FaultPlanPinned, LogMatchesParent) {
+  const std::string log =
+      fault::FaultPlan::generate(small_plan_options(7), 4, 16).to_log();
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (char c : log) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001B3ULL;
+  }
+  EXPECT_EQ(h, kPinnedPlanLog) << std::hex << "got 0x" << h;
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <sstream>
 
 #include "megate/topo/gml.h"
@@ -170,6 +172,25 @@ TEST(Gml, LoadedGraphWorksWithTunnels) {
   const auto& t = ts.tunnels(0, 2);
   ASSERT_FALSE(t.empty());
   EXPECT_GE(t.size(), 2u) << "triangle offers a direct and an indirect path";
+}
+
+// --- pinned constants ------------------------------------------------------
+
+/// Bit digest of every link's capacity and latency in kSmallGml, recorded
+/// at the commit before the reader's options became constants. Two of its
+/// edges carry no LinkSpeed (the 100 Gbps default) and every latency comes
+/// from the ms-per-degree scale.
+constexpr std::uint64_t kPinnedGmlLinks = 0x7e0cb9f295c4f305ULL;
+
+TEST(GmlPinned, LinkAttributesMatchParent) {
+  std::istringstream is(kSmallGml);
+  const Graph g = read_gml(is);
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const Link& l : g.links()) {
+    h = (h ^ std::bit_cast<std::uint64_t>(l.capacity_gbps)) * 0x100000001B3ULL;
+    h = (h ^ std::bit_cast<std::uint64_t>(l.latency_ms)) * 0x100000001B3ULL;
+  }
+  EXPECT_EQ(h, kPinnedGmlLinks) << std::hex << "got 0x" << h;
 }
 
 }  // namespace

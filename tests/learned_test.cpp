@@ -102,7 +102,7 @@ te::TeSolution teal_reference(const te::TeProblem& problem,
     std::vector<double> probs(st.alive.size());
     double z = 0.0;
     for (std::size_t a = 0; a < st.alive.size(); ++a) {
-      probs[a] = std::exp(-options.softmax_temperature *
+      probs[a] = std::exp(-te::TealSolver::kSoftmaxTemperature *
                           (ts[st.alive[a]].weight - 1.0));
       z += probs[a];
     }

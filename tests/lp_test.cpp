@@ -439,5 +439,26 @@ INSTANTIATE_TEST_SUITE_P(
                       PackingCase{9, 6, 40, 0.2},
                       PackingCase{10, 12, 90, 0.1}));
 
+TEST(SimplexPinned, ToleranceSitsBetweenTheseEdges) {
+  // A profit of 5e-10 is below the optimality tolerance: x stays at 0.
+  {
+    Model m;
+    const auto x = m.add_variable(5e-10);
+    m.add_coefficient(m.add_constraint(1.0), x, 1.0);
+    const Solution s = SimplexSolver().solve(m);
+    ASSERT_EQ(s.status, Status::kOptimal);
+    EXPECT_EQ(s.x[x], 0.0);
+  }
+  // A coefficient of 5e-9 is above the ratio-test tolerance: it bounds x.
+  {
+    Model m;
+    const auto x = m.add_variable(1.0);
+    m.add_coefficient(m.add_constraint(1.0), x, 5e-9);
+    const Solution s = SimplexSolver().solve(m);
+    ASSERT_EQ(s.status, Status::kOptimal);
+    EXPECT_NEAR(s.x[x], 2e8, 1e-3);
+  }
+}
+
 }  // namespace
 }  // namespace megate::lp

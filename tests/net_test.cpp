@@ -177,18 +177,6 @@ TEST(CodecTest, EveryMessageRoundTripsAndRejectsEveryTruncation) {
   upresp.up = false;
   ExpectStrictCodec(upresp);
 
-  net::SubscribeRespMsg sub;
-  sub.version = 17;
-  ExpectStrictCodec(sub);
-
-  net::VersionEventMsg ev;
-  ev.version = 18;
-  ExpectStrictCodec(ev);
-
-  net::HeartbeatMsg hb;
-  hb.nonce = 0xFEEDFACE;
-  ExpectStrictCodec(hb);
-
   net::ErrorMsg err;
   err.message = "bad payload";
   ExpectStrictCodec(err);
@@ -250,7 +238,7 @@ TEST(FrameDecoderTest, DecodesFramesAcrossArbitraryChunking) {
   const std::string a =
       encoded_frame(FrameType::kVersionReq, 1, "");
   const std::string b =
-      encoded_frame(FrameType::kHeartbeat, 2, net::HeartbeatMsg{77}.encode());
+      encoded_frame(FrameType::kPutResp, 2, net::PutRespMsg{77}.encode());
   const std::string stream = a + b;
 
   // Byte-at-a-time feeding produces exactly the two frames.
@@ -264,10 +252,10 @@ TEST(FrameDecoderTest, DecodesFramesAcrossArbitraryChunking) {
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0].header.type, FrameType::kVersionReq);
   EXPECT_EQ(got[0].header.request_id, 1u);
-  EXPECT_EQ(got[1].header.type, FrameType::kHeartbeat);
-  net::HeartbeatMsg hb;
-  ASSERT_TRUE(net::HeartbeatMsg::decode(got[1].payload, &hb));
-  EXPECT_EQ(hb.nonce, 77u);
+  EXPECT_EQ(got[1].header.type, FrameType::kPutResp);
+  net::PutRespMsg put;
+  ASSERT_TRUE(net::PutRespMsg::decode(got[1].payload, &put));
+  EXPECT_EQ(put.version, 77u);
   EXPECT_EQ(d.counters().frames, 2u);
   EXPECT_EQ(d.counters().bytes, stream.size());
   EXPECT_EQ(d.buffered(), 0u);
@@ -407,21 +395,6 @@ bool typed_decode(const Frame& f) {
       net::SetShardUpRespMsg m;
       return net::SetShardUpRespMsg::decode(f.payload, &m);
     }
-    case FrameType::kSubscribeReq:
-      return f.payload.empty();
-    case FrameType::kSubscribeResp: {
-      net::SubscribeRespMsg m;
-      return net::SubscribeRespMsg::decode(f.payload, &m);
-    }
-    case FrameType::kVersionEvent: {
-      net::VersionEventMsg m;
-      return net::VersionEventMsg::decode(f.payload, &m);
-    }
-    case FrameType::kHeartbeat:
-    case FrameType::kHeartbeatAck: {
-      net::HeartbeatMsg m;
-      return net::HeartbeatMsg::decode(f.payload, &m);
-    }
     case FrameType::kError: {
       net::ErrorMsg m;
       return net::ErrorMsg::decode(f.payload, &m);
@@ -454,8 +427,8 @@ std::vector<std::string> fuzz_corpus() {
   pub.delta.erases = {"path/2"};
   corpus.push_back(
       encoded_frame(FrameType::kPublishDeltaReq, 6, pub.encode()));
-  corpus.push_back(encoded_frame(FrameType::kHeartbeat, 7,
-                                 net::HeartbeatMsg{99}.encode()));
+  corpus.push_back(encoded_frame(FrameType::kPutResp, 7,
+                                 net::PutRespMsg{99}.encode()));
   corpus.push_back(encoded_frame(FrameType::kError, 8,
                                  net::ErrorMsg{"oops"}.encode()));
   return corpus;
@@ -670,14 +643,6 @@ TEST(ServerChannelTest, HandshakeRequestResponseAndAdminSeam) {
             static_cast<std::uint8_t>(GetStatus::kOk));
   EXPECT_EQ(mresp.entries[0].value, "dst:3");
 
-  // Heartbeat echoes its nonce.
-  ASSERT_TRUE(ch.request(FrameType::kHeartbeat,
-                         net::HeartbeatMsg{31337}.encode(),
-                         FrameType::kHeartbeatAck, &resp));
-  net::HeartbeatMsg hb;
-  ASSERT_TRUE(net::HeartbeatMsg::decode(resp, &hb));
-  EXPECT_EQ(hb.nonce, 31337u);
-
   ts.shutdown();
   EXPECT_EQ(ts.server.stats().publishes, 2u);
   EXPECT_EQ(ts.server.stats().connections, 1u);
@@ -779,36 +744,6 @@ TEST(ServerChannelTest, RecoveringServerRefusesReadsUntilFirstPublish) {
 
   ts.shutdown();
   EXPECT_FALSE(ts.server.recovering());
-}
-
-TEST(ServerChannelTest, SubscriberReceivesVersionEvents) {
-  TestServer ts;
-  ASSERT_TRUE(ts.start());
-  net::ShardChannel sub(channel_options(ts.server.port()));
-  net::ShardChannel pub(channel_options(ts.server.port()));
-  std::string resp;
-
-  ASSERT_TRUE(sub.request(FrameType::kSubscribeReq, "",
-                          FrameType::kSubscribeResp, &resp));
-  net::SubscribeRespMsg sresp;
-  ASSERT_TRUE(net::SubscribeRespMsg::decode(resp, &sresp));
-  EXPECT_EQ(sresp.version, 0u);
-
-  net::PublishDeltaReqMsg p;
-  p.version = 1;
-  p.delta.upserts = {{"path/1", "dst:1"}};
-  ASSERT_TRUE(pub.request(FrameType::kPublishDeltaReq, p.encode(),
-                          FrameType::kPublishDeltaResp, &resp));
-
-  // The push was written to the subscriber's socket before the next
-  // response (single-threaded server, per-connection FIFO): any request
-  // on `sub` surfaces it into the event queue.
-  ASSERT_TRUE(sub.request(FrameType::kVersionReq, "", FrameType::kVersionResp,
-                          &resp));
-  const std::vector<ctrl::Version> events = sub.drain_version_events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0], 1u);
-  EXPECT_TRUE(sub.drain_version_events().empty());
 }
 
 // --- reconnect / backoff state machine --------------------------------------

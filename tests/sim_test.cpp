@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "megate/sim/failure_sim.h"
 #include "megate/sim/flow_sim.h"
+#include "megate/sim/period_sim.h"
 #include "megate/sim/production.h"
 #include "megate/te/baselines.h"
 #include "megate/te/megate_solver.h"
@@ -76,7 +80,7 @@ TEST(FailureSim, FastRecomputeLosesLess) {
   EXPECT_NEAR(fast.post_failure_satisfied, slow.post_failure_satisfied,
               1e-9);
   EXPECT_GT(fast.windowed_satisfied, slow.windowed_satisfied);
-  EXPECT_DOUBLE_EQ(slow.outage_s, 100.0 + opt.sync_delay_s);
+  EXPECT_DOUBLE_EQ(slow.outage_s, 100.0 + kSyncDelayS);
 }
 
 TEST(FailureSim, GraphRestoredAfterScenario) {
@@ -111,7 +115,7 @@ TEST(FailureSim, RecomputeIncludesTunnelRepair) {
       run_failure_scenario(s->graph, s->tunnels, s->traffic, megate, opt);
   EXPECT_GT(out.repair_s, 0.0);
   EXPECT_GT(out.recompute_s, out.repair_s);  // repair, then the re-solve
-  EXPECT_DOUBLE_EQ(out.outage_s, out.recompute_s + opt.sync_delay_s);
+  EXPECT_DOUBLE_EQ(out.outage_s, out.recompute_s + kSyncDelayS);
   // An override replaces the whole fault-to-plan time; repair is still
   // measured.
   const FailureOutcome fixed = run_failure_scenario(
@@ -257,6 +261,59 @@ TEST(Production, Fig17GamingCostStable) {
   }
   EXPECT_NEAR((after / na) / (before / nb), 1.0, 0.1)
       << "class-1 app stays on the premium path";
+}
+
+// --- pinned constants ------------------------------------------------------
+
+/// Bit digests recorded at the commit before the simulations' fixed
+/// parameters became constants: the period simulation's drift sigma and
+/// EWMA alpha (kPredicted), the failure timeline's window and sync delay,
+/// and the flow simulation's queueing scale and utilization cap.
+constexpr std::uint64_t kPinnedPredictedCarriage = 0xca4002c18e37b969ULL;
+constexpr std::uint64_t kPinnedFailureWindow = 0xef107a7a61ae28b1ULL;
+constexpr std::uint64_t kPinnedFlowLatency = 0x522c3a863e468e55ULL;
+
+std::uint64_t pin_mix(std::uint64_t h, double v) {
+  return (h ^ std::bit_cast<std::uint64_t>(v)) * 0x100000001B3ULL;
+}
+
+TEST(PeriodSimPinned, PredictedCarriageMatchesParent) {
+  auto s = make_scenario(8, 12, 3, 0.2, 31);
+  PeriodSimOptions opt;
+  opt.periods = 6;
+  opt.seed = 3;
+  const auto out = run_period_simulation(s->graph, s->tunnels, s->traffic,
+                                         DemandKnowledge::kPredicted, opt);
+  ASSERT_EQ(out.size(), opt.periods);
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const PeriodOutcome& p : out) {
+    h = pin_mix(h, p.carried_gbps);
+    h = pin_mix(h, p.prediction_mape);
+  }
+  EXPECT_EQ(h, kPinnedPredictedCarriage) << std::hex << "got 0x" << h;
+}
+
+TEST(FailureSimPinned, WindowedSatisfiedMatchesParent) {
+  auto s = make_scenario(10, 18, 20, 0.5, 4);
+  te::MegaTeSolver megate;
+  FailureScenarioOptions opt;
+  opt.num_failures = 3;
+  const FailureOutcome out = run_failure_scenario(
+      s->graph, s->tunnels, s->traffic, megate, opt, 42.0);
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  h = pin_mix(h, out.outage_s);
+  h = pin_mix(h, out.windowed_satisfied);
+  EXPECT_EQ(h, kPinnedFailureWindow) << std::hex << "got 0x" << h;
+}
+
+TEST(FlowSimPinned, LatencyMatchesParent) {
+  auto s = make_scenario(8, 14, 20, 2.0, 6);  // saturated links
+  te::MegaTeSolver solver;
+  const te::TeSolution sol = solver.solve(s->problem());
+  const FlowSimResult r = simulate_flows(s->problem(), sol);
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (int q = 0; q <= 3; ++q) h = pin_mix(h, r.mean_latency_ms(q));
+  EXPECT_EQ(h, kPinnedFlowLatency) << std::hex << "got 0x" << h;
 }
 
 }  // namespace

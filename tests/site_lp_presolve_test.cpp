@@ -354,7 +354,7 @@ TEST(SiteLpPresolve, ClusteredResultIndependentOfPoolSize) {
   for (const std::size_t threads : {1u, 2u, 4u}) {
     util::ThreadPool pool(threads);
     results.push_back(solve_max_site_flow_clustered(
-        s->graph, s->tunnels, demands, {}, 0.02, 3, opt, 0, &pool));
+        s->graph, s->tunnels, demands, {}, 0.02, 3, opt, pool));
   }
   ASSERT_EQ(results[0].status, lp::Status::kOptimal);
   EXPECT_GT(results[0].pairs_fixed, 0u);

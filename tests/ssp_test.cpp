@@ -279,5 +279,14 @@ TEST(FastSsp, DeterministicForSameInput) {
   EXPECT_DOUBLE_EQ(a.total, b.total);
 }
 
+TEST(FastSspPinned, TinyCapacityHitsTheResolutionFloor) {
+  // eps'^2 * F / 9 is ~1e-7 here, so delta takes the 1e-6 floor.
+  const std::vector<double> v = {3e-5, 7e-5, 1.1e-4, 2e-5, 5e-5, 9e-5, 4e-5};
+  FastSspStats stats;
+  const Selection s = fast_ssp(v, 1e-4, {}, &stats);
+  EXPECT_EQ(stats.resolution, 1e-6);
+  EXPECT_LE(s.total, 1e-4);
+}
+
 }  // namespace
 }  // namespace megate::ssp

@@ -159,5 +159,22 @@ TEST(Telemetry, IngestAccumulatesAcrossCalls) {
   EXPECT_EQ(collector.pairs_seen(), 1u);
 }
 
+TEST(TelemetryPinned, CollectedFlowsCarryClassTwo) {
+  // Reporters carry no QoS marking: every collected flow is class 2.
+  ctrl::TelemetryCollector collector;
+  dataplane::InstancePairReport r;
+  r.src_instance = tm::make_endpoint(1, 1);
+  r.dst_ip = make_overlay_ip(2, 2);
+  r.bytes = 1'000'000;
+  collector.ingest({r});
+  const tm::TrafficMatrix m = collector.finish_period();
+  ASSERT_EQ(m.num_flows(), 1u);
+  for (const auto& [pair, flows] : m.pairs()) {
+    for (const tm::EndpointDemand& f : flows) {
+      EXPECT_EQ(f.qos, tm::QosClass::kClass2);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace megate

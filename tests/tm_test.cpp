@@ -3,8 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "megate/tm/demand_stream.h"
 #include "megate/tm/endpoints.h"
 #include "megate/tm/traffic.h"
 #include "megate/topo/generators.h"
@@ -248,6 +254,63 @@ TEST(Traffic, TotalLinkCapacityCountsUpLinksOnly) {
   const double less = total_link_capacity_gbps(g);
   EXPECT_LT(less, full);
   EXPECT_NEAR(full - less, g.link(0).capacity_gbps, 1e-9);
+}
+
+// --- pinned constants ------------------------------------------------------
+
+/// Bit digests recorded at the commit before the generators' fixed
+/// parameters became constants: the demand lognormal's mu and the class-3
+/// multiplier (no target rescale hides them here), and the churn stream's
+/// diurnal amplitude, arrival fan-out and arrival demand factor.
+constexpr std::uint64_t kPinnedTraffic = 0x8ec2d9a78ade6fc2ULL;
+constexpr std::uint64_t kPinnedChurn = 0xd2d52cc3b3eab2b2ULL;
+
+TrafficMatrix pinned_traffic() {
+  const topo::Graph g = small_graph();
+  const EndpointLayout layout(std::vector<std::uint32_t>(g.num_nodes(), 6));
+  TrafficOptions opt;
+  opt.flows_per_endpoint = 2.0;
+  return generate_traffic(g, layout, opt, 17);
+}
+
+std::uint64_t digest_matrix(const TrafficMatrix& m) {
+  std::vector<std::array<std::uint64_t, 4>> rows;
+  for (const auto& [pair, flows] : m.pairs()) {
+    for (const EndpointDemand& f : flows) {
+      rows.push_back({f.src, f.dst, std::bit_cast<std::uint64_t>(f.demand_gbps),
+                      static_cast<std::uint64_t>(f.qos)});
+    }
+  }
+  std::sort(rows.begin(), rows.end());
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const auto& r : rows) {
+    for (std::uint64_t w : r) h = (h ^ w) * 0x100000001B3ULL;
+  }
+  return h;
+}
+
+TEST(TrafficPinned, DemandsMatchParent) {
+  const std::uint64_t h = digest_matrix(pinned_traffic());
+  EXPECT_EQ(h, kPinnedTraffic) << std::hex << "got 0x" << h;
+}
+
+TEST(ChurnPinned, StreamMatchesParent) {
+  const TrafficMatrix base = pinned_traffic();
+  ChurnOptions opt;
+  opt.seed = 9;
+  opt.flow_scale_events = 4;
+  opt.diurnal_steps = 5;
+  opt.endpoint_arrivals = 3;
+  const DemandStream stream = DemandStream::generate(base, opt);
+  ASSERT_FALSE(stream.events().empty());
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const DemandEvent& ev : stream.events()) {
+    for (const FlowChange& c : ev.changes) {
+      h = (h ^ c.dst) * 0x100000001B3ULL;
+      h = (h ^ std::bit_cast<std::uint64_t>(c.after_gbps)) * 0x100000001B3ULL;
+    }
+  }
+  EXPECT_EQ(h, kPinnedChurn) << std::hex << "got 0x" << h;
 }
 
 }  // namespace

@@ -21,30 +21,31 @@
 
 namespace {
 
+/// Numeric gauge `name`, or null when it is missing. Every check below
+/// gets the gauges object of a document that validate_metrics_json
+/// accepted, so the object itself is always there.
+const megate::obs::Json* gauge_of(const megate::obs::Json& gauges,
+                                  const std::string& name) {
+  const auto* g = gauges.find(name);
+  return (g != nullptr && g->is_number()) ? g : nullptr;
+}
+
 /// Contract check beyond the generic schema: BENCH_ablation_stage1.json
 /// must carry, per topology, the joint LP's objective, dual bound and
 /// certified gap (1 - objective / dual_bound), with 0 <= gap <= 0.07 —
 /// the default te::SiteLpOptions::packing_epsilon. The gap is
 /// deterministic, so this contract cannot flake on timing. Returns the
 /// violations found (empty == valid).
-std::vector<std::string> check_stage1_gap(const megate::obs::Json& doc) {
+std::vector<std::string> check_stage1_gap(const megate::obs::Json& gauges) {
   constexpr double kMaxGap = 0.07;
   std::vector<std::string> violations;
-  const auto* gauges = doc.find("gauges");
-  if (gauges == nullptr || !gauges->is_object()) {
-    violations.push_back("missing gauges object");
-    return violations;
-  }
-  auto gauge = [&](const std::string& name) {
-    const auto* g = gauges->find(name);
-    return (g != nullptr && g->is_number()) ? g : nullptr;
-  };
+  auto gauge = [&](const std::string& n) { return gauge_of(gauges, n); };
   // Topologies are discovered from the objective gauge rather than
   // hard-coded, so adding a topology to the bench cannot silently skip
   // the gap contract.
   const std::string suffix = ".joint_objective";
   std::size_t topologies = 0;
-  for (const auto& [name, value] : gauges->members()) {
+  for (const auto& [name, value] : gauges.members()) {
     if (name.size() <= suffix.size() ||
         name.compare(name.size() - suffix.size(), suffix.size(), suffix) !=
             0) {
@@ -90,22 +91,14 @@ std::vector<std::string> check_stage1_gap(const megate::obs::Json& doc) {
 ///     (the middlepoint stage must shrink stage 1's column count on a
 ///     sparse WAN, not merely tie it).
 std::vector<std::string> check_ablation_tunnels(
-    const megate::obs::Json& doc) {
+    const megate::obs::Json& gauges) {
   std::vector<std::string> violations;
-  const auto* gauges = doc.find("gauges");
-  if (gauges == nullptr || !gauges->is_object()) {
-    violations.push_back("missing gauges object");
-    return violations;
-  }
-  auto gauge = [&](const std::string& name) {
-    const auto* g = gauges->find(name);
-    return (g != nullptr && g->is_number()) ? g : nullptr;
-  };
+  auto gauge = [&](const std::string& n) { return gauge_of(gauges, n); };
   const std::string prefix = "ablation_tunnels.";
   const std::string backend = ".ksp.budget";
   const std::string tail = ".tunnels";
   std::size_t configs = 0;
-  for (const auto& [name, value] : gauges->members()) {
+  for (const auto& [name, value] : gauges.members()) {
     // Match "ablation_tunnels.<topo>.ksp.budget<N>.tunnels" and derive
     // the per-config key stems from it.
     if (name.compare(0, prefix.size(), prefix) != 0) continue;
@@ -175,17 +168,9 @@ std::vector<std::string> check_ablation_tunnels(
 ///     solve per event), and
 ///   - violations == 0 (capacity, hop-budget, reservation-vs-demand and
 ///     unassigned-reservation audits all clean).
-std::vector<std::string> check_online_churn(const megate::obs::Json& doc) {
+std::vector<std::string> check_online_churn(const megate::obs::Json& gauges) {
   std::vector<std::string> violations;
-  const auto* gauges = doc.find("gauges");
-  if (gauges == nullptr || !gauges->is_object()) {
-    violations.push_back("missing gauges object");
-    return violations;
-  }
-  auto gauge = [&](const std::string& name) {
-    const auto* g = gauges->find(name);
-    return (g != nullptr && g->is_number()) ? g : nullptr;
-  };
+  auto gauge = [&](const std::string& n) { return gauge_of(gauges, n); };
   const std::string prefix = "online_churn.";
   for (const char* field :
        {"regret_boundary_gbps", "regret_patch_gbps",
@@ -226,21 +211,16 @@ std::vector<std::string> check_online_churn(const megate::obs::Json& doc) {
 /// empty store is at most 2x the per-key cost at 100k keys, both measured
 /// in the same run. A store that applied a large batch before sizing its
 /// table for it would grow this ratio with the key count.
-std::vector<std::string> check_micro_kvstore(const megate::obs::Json& doc) {
+std::vector<std::string> check_micro_kvstore(const megate::obs::Json& gauges) {
   std::vector<std::string> violations;
-  const auto* gauges = doc.find("gauges");
-  if (gauges == nullptr || !gauges->is_object()) {
-    violations.push_back("missing gauges object");
-    return violations;
-  }
   const std::string prefix = "micro_kvstore.first_publish.";
   for (const char* field : {"us_per_key_100k", "us_per_key_1m"}) {
-    const auto* g = gauges->find(prefix + field);
+    const auto* g = gauges.find(prefix + field);
     if (g == nullptr || !g->is_number() || g->as_number() <= 0.0) {
       violations.push_back("missing or non-positive gauge " + prefix + field);
     }
   }
-  const auto* ratio = gauges->find(prefix + "per_key_ratio_1m_vs_100k");
+  const auto* ratio = gauges.find(prefix + "per_key_ratio_1m_vs_100k");
   if (ratio == nullptr || !ratio->is_number()) {
     violations.push_back("missing gauge " + prefix +
                          "per_key_ratio_1m_vs_100k");
@@ -256,6 +236,8 @@ std::vector<std::string> check_micro_kvstore(const megate::obs::Json& doc) {
 /// allocation frontier (DESIGN.md §15). Replays are discovered from
 /// "<topo>.churn<P>.learned_speedup_vs_fastest_exact"; the fastest exact
 /// lane of a replay is the lower of its cold and incremental medians.
+///   - part A, the knowledge ablation, keeps its shape:
+///     oracle_mean_satisfied >= ewma_mean_satisfied >= stale_mean_satisfied;
 ///   - per replay, incremental_median_seconds <= 1.5x exact_median_seconds
 ///     (incremental bookkeeping must not cost more than a cold solve);
 ///   - per replay, learned_median_seconds <= 1.5x the fastest exact lane
@@ -269,31 +251,38 @@ std::vector<std::string> check_micro_kvstore(const megate::obs::Json& doc) {
 ///     shift_recovered == 1 (the x8 flash-crowd interval tripped the gate
 ///     and the fallback matched the exact solve).
 std::vector<std::string> check_ablation_prediction(
-    const megate::obs::Json& doc) {
+    const megate::obs::Json& gauges) {
   constexpr double kMaxSlowdown = 1.5;
   constexpr double kMinTwanSpeedup = 5.0;
   std::vector<std::string> violations;
-  const auto* gauges = doc.find("gauges");
-  if (gauges == nullptr || !gauges->is_object()) {
-    violations.push_back("missing gauges object");
-    return violations;
-  }
-  auto gauge = [&](const std::string& name) {
-    const auto* g = gauges->find(name);
-    return (g != nullptr && g->is_number()) ? g : nullptr;
-  };
+  auto gauge = [&](const std::string& n) { return gauge_of(gauges, n); };
   const std::string prefix = "ablation_prediction.";
-  // The original knowledge ablation must still be there.
+  // The original knowledge ablation must still be there, in its shape:
+  // knowing the period-start truth bounds the EWMA estimate, which beats
+  // solving on the last period's measurement.
   for (const char* field : {"stale_mean_satisfied", "ewma_mean_satisfied",
                             "oracle_mean_satisfied"}) {
     if (gauge(prefix + field) == nullptr) {
       violations.push_back("missing gauge " + prefix + field);
     }
   }
+  const auto* stale = gauge(prefix + "stale_mean_satisfied");
+  const auto* ewma = gauge(prefix + "ewma_mean_satisfied");
+  const auto* oracle = gauge(prefix + "oracle_mean_satisfied");
+  if (stale != nullptr && ewma != nullptr && oracle != nullptr) {
+    if (oracle->as_number() < ewma->as_number()) {
+      violations.push_back(prefix + "oracle_mean_satisfied must be >= " +
+                           prefix + "ewma_mean_satisfied");
+    }
+    if (ewma->as_number() < stale->as_number()) {
+      violations.push_back(prefix + "ewma_mean_satisfied must be >= " +
+                           prefix + "stale_mean_satisfied");
+    }
+  }
   // Discover the per-replay frontier detail.
   const std::string detail = ".learned_speedup_vs_fastest_exact";
   bool twan_seen = false;
-  for (const auto& [name, value] : gauges->members()) {
+  for (const auto& [name, value] : gauges.members()) {
     if (name.compare(0, prefix.size(), prefix) != 0) continue;
     if (name.size() <= detail.size() ||
         name.compare(name.size() - detail.size(), detail.size(), detail) !=
@@ -399,16 +388,17 @@ int main(int argc, char** argv) {
     auto violations = megate::obs::validate_metrics_json(*doc);
     const auto* source = doc->find("source");
     if (violations.empty() && source != nullptr && source->is_string()) {
+      const megate::obs::Json& gauges = *doc->find("gauges");
       if (source->as_string() == "bench/ablation_stage1") {
-        violations = check_stage1_gap(*doc);
+        violations = check_stage1_gap(gauges);
       } else if (source->as_string() == "bench/ablation_tunnels") {
-        violations = check_ablation_tunnels(*doc);
+        violations = check_ablation_tunnels(gauges);
       } else if (source->as_string() == "bench/online_churn") {
-        violations = check_online_churn(*doc);
+        violations = check_online_churn(gauges);
       } else if (source->as_string() == "bench/ablation_prediction") {
-        violations = check_ablation_prediction(*doc);
+        violations = check_ablation_prediction(gauges);
       } else if (source->as_string() == "bench/micro_kvstore") {
-        violations = check_micro_kvstore(*doc);
+        violations = check_micro_kvstore(gauges);
       }
     }
     if (!violations.empty()) {
