@@ -28,7 +28,6 @@ int main() {
   }
 
   bench::BenchReport report("ablation_hybrid_sync");
-  ctrl::SyncCostModel model;
   util::Table t("hybrid split sweep (TWAN-like, ~50k endpoints)");
   t.header({"target share", "persistent conns", "polling agents",
             "covered", "controller cores", "memory (GB)", "DB shards",
@@ -37,7 +36,7 @@ int main() {
     ctrl::HybridSyncOptions opt;
     opt.heavy_traffic_share = share;
     opt.metrics = &report.metrics();  // plan spans + last-plan gauges
-    auto plan = ctrl::plan_hybrid_sync(inst->traffic, model, opt);
+    auto plan = ctrl::plan_hybrid_sync(inst->traffic, opt);
     const std::string p = "ablation_hybrid_sync.share" +
                           std::to_string(static_cast<int>(100 * share)) + ".";
     auto& m = report.metrics();

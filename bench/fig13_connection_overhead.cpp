@@ -40,10 +40,9 @@ int main() {
   }
   t.print(std::cout);
 
-  ctrl::SyncCostModel model;
   std::cout << "\nAnalytic cross-check at 6,000 connections: "
-            << util::Table::num(model.top_down_cpu_percent(6000), 1)
-            << "% CPU, " << util::Table::num(model.top_down_memory_mb(6000), 0)
+            << util::Table::num(ctrl::top_down_cpu_percent(6000), 1)
+            << "% CPU, " << util::Table::num(ctrl::top_down_memory_mb(6000), 0)
             << " MB (paper: 90% / 750 MB).\n";
   return 0;
 }

@@ -20,14 +20,13 @@ int main() {
       "1 GB (+ DB shards, 160k QPS on two shards)");
 
   bench::BenchReport report("fig14_sync_scaling");
-  ctrl::SyncCostModel model;
   util::Table t("controller-side resources");
   t.header({"endpoints", "top-down cores", "top-down mem (GB)",
             "bottom-up cores", "bottom-up mem (GB)", "DB shards"});
   for (std::uint64_t n : {1000ull, 10000ull, 100000ull, 500000ull,
                           1000000ull, 2000000ull}) {
-    const auto td = model.top_down(n);
-    const auto bu = model.bottom_up(n);
+    const auto td = ctrl::top_down_resources(n);
+    const auto bu = ctrl::bottom_up_resources(n);
     t.add_row({util::Table::with_commas(n), util::Table::num(td.cpu_cores, 0),
                util::Table::num(td.memory_gb, 1),
                util::Table::num(bu.cpu_cores, 0),
@@ -51,9 +50,9 @@ int main() {
   constexpr std::uint64_t kFleet = 1000000;
   for (std::uint64_t batch : {1ull, 4ull, 16ull, 64ull, 256ull}) {
     const std::uint64_t hosts = (kFleet + batch - 1) / batch;
-    const auto bu = model.bottom_up(hosts);
+    const auto bu = ctrl::bottom_up_resources(hosts);
     const double qps =
-        static_cast<double>(hosts) / ctrl::SyncCostModel::kSpreadIntervalS;
+        static_cast<double>(hosts) / ctrl::kSpreadIntervalS;
     tb.add_row({util::Table::with_commas(batch),
                 util::Table::with_commas(hosts), util::Table::num(qps, 0),
                 util::Table::num(bu.db_shards)});
@@ -65,10 +64,10 @@ int main() {
   }
   tb.print(std::cout);
 
+  const auto td_1m = ctrl::top_down_resources(1000000);
   std::cout << "\nReference points: top-down 1M -> "
-            << util::Table::num(model.top_down(1000000).cpu_cores, 0)
-            << " cores / "
-            << util::Table::num(model.top_down(1000000).memory_gb, 0)
+            << util::Table::num(td_1m.cpu_cores, 0) << " cores / "
+            << util::Table::num(td_1m.memory_gb, 0)
             << " GB (paper: 167 / 125); bottom-up stays at 1 core / 1 GB "
                "because endpoint queries land on the sharded KV store, "
                "spread over the poll interval. Batched pulls divide the "

@@ -26,12 +26,16 @@ cleanup_daemons() {
 }
 trap cleanup_daemons EXIT
 
+# Every stage builds with -Werror: the tree compiles warning-free under
+# -Wall -Wextra, so a new warning fails CI instead of hiding among old ones.
+WERROR=-DCMAKE_CXX_FLAGS=-Werror
+
 # Sanitized gtest runs are wrapped in a hard wall-clock limit: a wedged
 # daemon or a lost socket must fail CI, not hang it.
 SANITIZED_TIMEOUT="${SANITIZED_TIMEOUT:-1200}"
 
 run_default() {
-  cmake -S . -B build -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+  cmake -S . -B build -DCMAKE_BUILD_TYPE=RelWithDebInfo "$WERROR" >/dev/null
   cmake --build build -j"$JOBS"
   ctest --test-dir build --output-on-failure
   run_metrics_json_check
@@ -58,7 +62,7 @@ run_header_check() {
   local fails=0 h
   while IFS= read -r h; do
     if ! printf '#include "%s"\n' "${h#src/*/include/}" |
-      c++ -std=c++20 -fsyntax-only -Wall -Wextra "${inc_flags[@]}" \
+      c++ -std=c++20 -fsyntax-only -Wall -Wextra -Werror "${inc_flags[@]}" \
         -x c++ - 2>"build/header_check.err"; then
       echo "header not self-contained: $h" >&2
       cat build/header_check.err >&2
@@ -114,7 +118,7 @@ run_metrics_json_check() {
 
 # UBSan traps (-fno-sanitize-recover) so any hit fails the run.
 run_asan() {
-  cmake -S . -B build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  cmake -S . -B build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo "$WERROR" \
     -DMEGATE_SANITIZE=address,undefined >/dev/null
   cmake --build build-asan -j"$JOBS" \
     --target megate_tests megate_shardd megate_agentd
@@ -122,7 +126,7 @@ run_asan() {
 }
 
 run_tsan() {
-  cmake -S . -B build-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  cmake -S . -B build-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo "$WERROR" \
     -DMEGATE_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j"$JOBS" \
     --target megate_tests megate_shardd megate_agentd

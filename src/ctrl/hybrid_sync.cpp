@@ -33,7 +33,6 @@ void export_plan_gauges(obs::MetricsRegistry& registry,
 }  // namespace
 
 HybridSyncPlan plan_hybrid_sync(const tm::TrafficMatrix& traffic,
-                                const SyncCostModel& model,
                                 const HybridSyncOptions& options) {
   if (options.heavy_traffic_share < 0.0 ||
       options.heavy_traffic_share > 1.0) {
@@ -59,7 +58,7 @@ HybridSyncPlan plan_hybrid_sync(const tm::TrafficMatrix& traffic,
     }
   }
   if (per_instance.empty() || total <= 0.0) {
-    plan.resources = model.bottom_up(0);
+    plan.resources = bottom_up_resources(0);
     if (options.metrics != nullptr) export_plan_gauges(*options.metrics, plan);
     return plan;
   }
@@ -84,10 +83,10 @@ HybridSyncPlan plan_hybrid_sync(const tm::TrafficMatrix& traffic,
   // Controller resources: persistent connections cost what the pressure
   // test measured; the polling tail rides the flat bottom-up machinery.
   const std::uint64_t conns = plan.persistent_instances.size();
-  const SyncResources pushed = model.top_down(conns);
-  const SyncResources pulled = model.bottom_up(plan.polling_instances);
+  const SyncResources pushed = top_down_resources(conns);
+  const SyncResources pulled = bottom_up_resources(plan.polling_instances);
   plan.db_queries_per_s = static_cast<double>(plan.polling_instances) /
-                          SyncCostModel::kSpreadIntervalS;
+                          kSpreadIntervalS;
   plan.resources.cpu_cores =
       (conns > 0 ? pushed.cpu_cores : 0.0) + pulled.cpu_cores;
   plan.resources.memory_gb =

@@ -9,7 +9,7 @@
 //
 // This module plans such a split from a traffic matrix: which source
 // instances get a persistent connection, what that costs on the
-// controller (via the calibrated SyncCostModel / ConnectionManager
+// controller (via the calibrated sync cost model / ConnectionManager
 // constants), and what the traffic-weighted expected staleness becomes.
 
 #include <cstdint>
@@ -54,7 +54,7 @@ struct HybridSyncPlan {
   /// per-connection cost, plus the flat bottom-up core for the rest.
   SyncResources resources;
   /// TE-database query rate of the polling tail (polling instances
-  /// spread over the model's spread interval).
+  /// spread over kSpreadIntervalS).
   double db_queries_per_s = 0.0;
   /// Traffic-weighted mean config staleness after an urgent update.
   double mean_staleness_s = 0.0;
@@ -62,9 +62,9 @@ struct HybridSyncPlan {
   double worst_staleness_s = 0.0;
 };
 
-/// Plans the hybrid split for `traffic` under `model`'s cost constants.
+/// Plans the hybrid split for `traffic` under the sync cost model
+/// (sync_model.h).
 HybridSyncPlan plan_hybrid_sync(const tm::TrafficMatrix& traffic,
-                                const SyncCostModel& model,
                                 const HybridSyncOptions& options = {});
 
 }  // namespace megate::ctrl

@@ -18,24 +18,23 @@ struct SyncResources {
   std::uint64_t db_shards = 0;  ///< 0 for the top-down approach
 };
 
-/// The per-connection costs, the CPU ceiling and the per-shard QPS are
-/// fixed in sync_model.cpp.
-struct SyncCostModel {
-  /// Endpoints spread their polls over this window (§3.2: e.g. 10 s).
-  static constexpr double kSpreadIntervalS = 10.0;
+// The per-connection costs, the CPU ceiling and the per-shard QPS are
+// fixed in sync_model.cpp.
 
-  /// CPU% (of one core, may exceed 100) and memory for `connections`
-  /// persistent connections on a single VM (Fig. 13).
-  double top_down_cpu_percent(std::uint64_t connections) const;
-  double top_down_memory_mb(std::uint64_t connections) const;
+/// Endpoints spread their polls over this window (§3.2: e.g. 10 s).
+inline constexpr double kSpreadIntervalS = 10.0;
 
-  /// Controller-side resources to keep `endpoints` synchronized top-down:
-  /// enough cores to stay under the ceiling (Fig. 14).
-  SyncResources top_down(std::uint64_t endpoints) const;
+/// CPU% (of one core, may exceed 100) and memory for `connections`
+/// persistent connections on a single VM (Fig. 13).
+double top_down_cpu_percent(std::uint64_t connections);
+double top_down_memory_mb(std::uint64_t connections);
 
-  /// Bottom-up: the controller needs one core and 1 GB to write configs;
-  /// the query load lands on the database, sized by QPS.
-  SyncResources bottom_up(std::uint64_t endpoints) const;
-};
+/// Controller-side resources to keep `endpoints` synchronized top-down:
+/// enough cores to stay under the ceiling (Fig. 14).
+SyncResources top_down_resources(std::uint64_t endpoints);
+
+/// Bottom-up: the controller needs one core and 1 GB to write configs;
+/// the query load lands on the database, sized by QPS.
+SyncResources bottom_up_resources(std::uint64_t endpoints);
 
 }  // namespace megate::ctrl

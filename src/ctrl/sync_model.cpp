@@ -1,5 +1,6 @@
 #include "megate/ctrl/sync_model.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace megate::ctrl {
@@ -17,15 +18,15 @@ constexpr double kShardQps = 80000.0;
 
 }  // namespace
 
-double SyncCostModel::top_down_cpu_percent(std::uint64_t connections) const {
+double top_down_cpu_percent(std::uint64_t connections) {
   return 100.0 * kCpuFractionPerConn * static_cast<double>(connections);
 }
 
-double SyncCostModel::top_down_memory_mb(std::uint64_t connections) const {
+double top_down_memory_mb(std::uint64_t connections) {
   return kMemoryMbPerConn * static_cast<double>(connections);
 }
 
-SyncResources SyncCostModel::top_down(std::uint64_t endpoints) const {
+SyncResources top_down_resources(std::uint64_t endpoints) {
   SyncResources r;
   const double raw_cores =
       kCpuFractionPerConn * static_cast<double>(endpoints) / kCpuCeiling;
@@ -37,7 +38,7 @@ SyncResources SyncCostModel::top_down(std::uint64_t endpoints) const {
   return r;
 }
 
-SyncResources SyncCostModel::bottom_up(std::uint64_t endpoints) const {
+SyncResources bottom_up_resources(std::uint64_t endpoints) {
   SyncResources r;
   // Controller: a single batched write per TE interval — flat cost.
   r.cpu_cores = 1.0;

@@ -217,7 +217,9 @@ HostStack::IngressResult HostStack::vtep_ingress(ConstBytes underlay_frame) {
       case DropReason::kBadVxlan: ++counters_.ingress_bad_vxlan; break;
       case DropReason::kBadSrHeader: ++counters_.ingress_bad_sr; break;
       case DropReason::kBadInner: ++counters_.ingress_bad_inner; break;
-      case DropReason::kNone: break;
+      // kSrTooLong is an egress verdict; ingress never reports it.
+      case DropReason::kNone:
+      case DropReason::kSrTooLong: break;
     }
     return res;
   };

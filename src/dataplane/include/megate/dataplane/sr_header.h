@@ -9,6 +9,7 @@
 // "Hop Number" is the total hop count, "Offset" the index of the *next*
 // hop to visit, and Hop[] the router-site sequence across the WAN.
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -27,7 +28,9 @@ struct SrHeader {
   std::size_t wire_size() const noexcept {
     return kSrFixedSize + hops.size() * 4;
   }
-  bool at_last_hop() const noexcept { return offset + 1 >= hops.size(); }
+  bool at_last_hop() const noexcept {
+    return std::size_t{offset} + 1 >= hops.size();
+  }
   std::uint32_t next_hop() const { return hops[offset]; }
 
   /// Serializes the header, appending to `out`. Returns false — leaving

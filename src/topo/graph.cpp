@@ -1,6 +1,7 @@
 #include "megate/topo/graph.h"
 
 #include <stdexcept>
+#include <utility>
 
 namespace megate::topo {
 
@@ -61,6 +62,20 @@ NodeId Graph::find_node(std::string_view name) const noexcept {
     if (names_[v] == name) return static_cast<NodeId>(v);
   }
   return kInvalidNode;
+}
+
+Graph Graph::reversed() const {
+  Graph r;
+  r.names_ = names_;
+  r.pos_ = pos_;
+  r.links_ = links_;
+  r.out_.resize(names_.size());
+  for (EdgeId e = 0; e < r.links_.size(); ++e) {
+    Link& l = r.links_[e];
+    std::swap(l.src, l.dst);
+    r.out_[l.src].push_back(e);
+  }
+  return r;
 }
 
 void Graph::restore_all_links() {

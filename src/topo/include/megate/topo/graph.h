@@ -86,6 +86,11 @@ class Graph {
   /// True if every node can reach every other over up links.
   bool is_connected() const;
 
+  /// The same sites and link ids, with every link's direction flipped
+  /// (state and attributes kept): the result's out-edges of v are this
+  /// graph's in-edges of v.
+  Graph reversed() const;
+
  private:
   std::vector<std::string> names_;
   std::vector<NodePos> pos_;

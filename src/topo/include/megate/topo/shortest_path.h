@@ -1,9 +1,10 @@
 #pragma once
 // Latency-weighted shortest paths over the site graph (Dijkstra). The
-// tunnel builder runs these exact rules (relaxation, equal-distance parent
-// tie-break, pop order) on reusable per-worker buffers in tunnels.cpp;
-// shortest_path is the one-shot form and the reference its tests compare
-// that builder against.
+// tunnel builder runs these relaxation and equal-distance parent rules on
+// reusable per-worker buffers in tunnels.cpp, goal-directed by exact
+// potentials in its spur searches, and returns the same paths (DESIGN.md
+// §13); shortest_path is the one-shot form and the reference its tests
+// compare that builder against.
 
 #include <optional>
 #include <unordered_set>

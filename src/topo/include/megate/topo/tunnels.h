@@ -156,13 +156,6 @@ std::vector<Path> k_shortest_paths(const Graph& g, NodeId src, NodeId dst,
                                    std::uint32_t max_candidates = 32,
                                    std::uint32_t max_hops = 0);
 
-/// Greedy group-betweenness middlepoint selection over the up-link
-/// latency-shortest-path trees: repeatedly picks the site covering the
-/// most not-yet-covered (src, dst) shortest paths as an intermediate
-/// node. Deterministic (ties on node id). `count` = 0 picks the auto
-/// size (~sqrt(sites), min 4, capped at the site count).
-std::vector<NodeId> select_middlepoints(const Graph& g, std::uint32_t count);
-
 /// Builds tunnels for every ordered pair of distinct sites with the
 /// configured backend and hop budget. Weights are the tunnel latency
 /// divided by the pair's best built latency (so the best tunnel has

@@ -73,12 +73,17 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// A goal-directed search keeps popping until the smallest key exceeds
+/// dst's label by this fraction of (label + 1): far above any rounding in
+/// a sum of link latencies, far below any real latency gap.
+constexpr double kStopMargin = 1e-9;
+
 struct QueueItem {
-  double dist;
+  double key;  ///< label, plus the node's potential in a goal-directed search
   NodeId node;
   // Ties broken on node id so pop order never depends on heap internals.
   bool operator>(const QueueItem& o) const noexcept {
-    if (dist != o.dist) return dist > o.dist;
+    if (key != o.key) return key > o.key;
     return node > o.node;
   }
 };
@@ -126,15 +131,28 @@ struct SearchTree {
   }
 };
 
-/// Per-task Dijkstra state reused across every search the task runs: flat
+/// Per-task search state reused across every search the task runs: flat
 /// dist/parent arrays, one heap vector, and epoch-stamped node/link bans.
-/// search() is shortest_path's exact rule set — relax on <, smallest
-/// parent edge on equal distance, (dist, node) pop order, early exit when
-/// dst pops — so its paths and latencies are bitwise those of
-/// shortest_path under the same bans. With dst == kInvalidNode it runs to
-/// completion and leaves the canonical full tree; because a run only
-/// differs from an early-exit one after dst pops, a full tree's path to
-/// any dst is bitwise the early-exit search's.
+/// search() is shortest_path's rule set — relax on <, smallest parent edge
+/// on equal distance (only from a strictly smaller label, so zero-latency
+/// links cannot close a parent cycle), (key, node) pop order — so its
+/// paths and latencies are bitwise those of shortest_path under the same
+/// bans. Without a potential the key is the label (Dijkstra); with dst ==
+/// kInvalidNode it runs to completion and leaves the canonical full tree.
+///
+/// With a potential row to_dst (every node's exact latency distance to dst
+/// over the up links, bans ignored) the search is A*: the key is label +
+/// to_dst[v], and a node with to_dst = +inf is never entered. On a graph
+/// that passes potentials_exact() it returns Dijkstra's path (DESIGN.md
+/// §13 has the argument):
+///   - bans only remove links, so every node that can set the label or
+///     the canonical parent of a node on the path has a key of at most
+///     dst's label D; the search pops on after dst until the keys exceed
+///     D by kStopMargin·(D + 1), so it expands such nodes even when their
+///     key ties D (a larger node id) or exceeds it by rounding;
+///   - to_dst, a sum taken in the reverse order, can miss consistency by
+///     an ulp; a node whose label drops after its expansion is pushed
+///     and expanded again (an entry is live iff key == label + to_dst).
 class Workspace {
  public:
   explicit Workspace(const Graph& g)
@@ -154,34 +172,51 @@ class Workspace {
     banned_links.clear();
   }
 
-  /// Dijkstra from src over up, unbanned links into last(). `hop_metric`
+  /// Searches from src over up, unbanned links into last(), goal-directed
+  /// by `to_dst` when it is given (see the class comment). `hop_metric`
   /// weighs every link 1.0 instead of its latency. Returns whether dst
   /// was reached.
-  bool search(NodeId src, NodeId dst, bool hop_metric = false) {
+  bool search(NodeId src, NodeId dst, const double* to_dst = nullptr,
+              bool hop_metric = false) {
     ++searches_;
     std::vector<double>& dist = last_.dist;
     std::vector<EdgeId>& parent = last_.parent;
     std::fill(dist.begin(), dist.end(), kInf);
     std::fill(parent.begin(), parent.end(), kInvalidEdge);
     heap_.clear();
+    const auto h = [to_dst](NodeId v) {
+      return to_dst == nullptr ? 0.0 : to_dst[v];
+    };
+    const auto push = [this](double key, NodeId v) {
+      heap_.push_back({key, v});
+      std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    };
     dist[src] = 0.0;
-    heap_.push_back({0.0, src});
+    push(h(src), src);
+    double last_key = kInf;  // dst's label plus the margin, once dst pops
     while (!heap_.empty()) {
       std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-      const auto [d, v] = heap_.back();
+      const auto [key, v] = heap_.back();
       heap_.pop_back();
-      if (d > dist[v]) continue;  // stale entry
-      if (v == dst) break;
+      if (key > last_key) break;
+      const double d = dist[v];
+      if (key != d + h(v)) continue;  // stale entry
+      if (v == dst) {
+        // dst is on no other node's path to dst; keep popping the nodes
+        // that may still set a path node's canonical parent.
+        last_key = d + kStopMargin * (d + 1.0);
+        continue;
+      }
       for (EdgeId e : g_.out_edges(v)) {
         const Link& l = g_.link(e);
         if (!l.up || banned_links.marked(e)) continue;
         if (l.dst != dst && banned_nodes.marked(l.dst)) continue;
+        if (h(l.dst) == kInf) continue;  // cannot reach dst at all
         const double nd = d + (hop_metric ? 1.0 : l.latency_ms);
         if (nd < dist[l.dst]) {
           dist[l.dst] = nd;
           parent[l.dst] = e;
-          heap_.push_back({nd, l.dst});
-          std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+          push(nd + h(l.dst), l.dst);
         } else if (nd == dist[l.dst] && d < dist[l.dst] &&
                    e < parent[l.dst]) {
           // Equal distance: canonical (smallest) parent edge. The d < dist
@@ -236,10 +271,13 @@ bool fits_budget(const Path& p, std::uint32_t max_hops) {
 }
 
 /// Yen's core on the task's workspace, whose source() must be seeded
-/// for `src`. `filtered_out`, when non-null, receives the number of
-/// generated loopless paths that were discarded by the hop budget.
+/// for `src`; `to_dst` is dst's potential row (see DistancesTo), which
+/// goal-directs every spur search. `filtered_out`, when non-null, receives
+/// the number of generated loopless paths that were discarded by the hop
+/// budget.
 std::vector<Path> yen_paths(Workspace& ws, NodeId src, NodeId dst,
-                            std::uint32_t k, std::uint32_t max_candidates,
+                            const double* to_dst, std::uint32_t k,
+                            std::uint32_t max_candidates,
                             std::uint32_t max_hops,
                             std::size_t* filtered_out) {
   std::vector<Path> admissible;
@@ -284,7 +322,7 @@ std::vector<Path> yen_paths(Workspace& ws, NodeId src, NodeId dst,
           ws.banned_links.mark(p.links[i]);
         }
       }
-      if (ws.search(spur_node, dst) &&
+      if (ws.search(spur_node, dst, to_dst) &&
           candidates.size() < max_candidates) {
         Path total;
         total.links.assign(prev.links.begin(), prev.links.begin() + i);
@@ -401,6 +439,55 @@ void for_each_task(const Graph& g, std::size_t n, const Task& task) {
   pool.parallel_for(pool.size(), [&](std::size_t) { drain(); });
 }
 
+/// Whether A* spur searches on `g` return Dijkstra's paths: every up link
+/// must strictly lengthen any label it extends. Labels are sums of simple
+/// paths, at most the total up latency, so a link of at least 2^-50 of
+/// that total always moves a label by an ulp or more. A zero-latency link
+/// (or one lost in rounding) leaves its head at its tail's label, and
+/// Dijkstra then takes the first such parent in its (label, node) pop
+/// order — an order a potential changes.
+bool potentials_exact(const Graph& g) {
+  double total = 0.0;
+  double shortest = kInf;
+  for (const Link& l : g.links()) {
+    if (!l.up) continue;
+    total += l.latency_ms;
+    shortest = std::min(shortest, l.latency_ms);
+  }
+  return shortest > total * 0x1p-50;
+}
+
+/// Every node's exact latency distance to each destination of a pair list
+/// over the up links: one reverse tree per distinct destination, fanned
+/// out like the pairs. Row d is the A* potential of every spur search
+/// toward d (+inf where d is unreachable). On a graph where potentials
+/// are not exact no row is taken, and row() is null: the spur searches
+/// run as Dijkstra.
+class DistancesTo {
+ public:
+  DistancesTo(const Graph& g, const std::vector<SitePair>& pairs) {
+    if (!potentials_exact(g)) return;
+    rows_.resize(g.num_nodes());
+    std::vector<NodeId> dsts;
+    dsts.reserve(pairs.size());
+    for (const SitePair& p : pairs) dsts.push_back(p.dst);
+    std::sort(dsts.begin(), dsts.end());
+    dsts.erase(std::unique(dsts.begin(), dsts.end()), dsts.end());
+    const Graph reversed = g.reversed();
+    for_each_task(reversed, dsts.size(), [&](Workspace& ws, std::size_t i) {
+      ws.search(dsts[i], kInvalidNode);
+      rows_[dsts[i]] = ws.last().dist;
+    });
+  }
+
+  const double* row(NodeId dst) const {
+    return rows_.empty() ? nullptr : rows_[dst].data();
+  }
+
+ private:
+  std::vector<std::vector<double>> rows_;
+};
+
 std::uint32_t auto_middlepoint_count(std::size_t sites) {
   const auto root = static_cast<std::uint32_t>(
       std::ceil(std::sqrt(static_cast<double>(sites))));
@@ -436,22 +523,22 @@ std::vector<std::vector<EdgeId>> all_source_trees(
     ws.search(src, kInvalidNode);
     trees[s] = ws.last().parent;
     if (hop_trees != nullptr) {
-      ws.search(src, kInvalidNode, /*hop_metric=*/true);
+      ws.search(src, kInvalidNode, nullptr, /*hop_metric=*/true);
       (*hop_trees)[s] = ws.last().parent;
     }
   });
   return trees;
 }
 
+/// Greedy group-betweenness selection over the latency trees: repeatedly
+/// picks the site covering the most not-yet-covered (src, dst) shortest
+/// paths as an intermediate node, up to the auto size (~sqrt(sites), min
+/// 4, capped at the site count). Deterministic (ties on node id).
 std::vector<NodeId> pick_middlepoints(
-    const Graph& g, const std::vector<std::vector<EdgeId>>& trees,
-    std::uint32_t count) {
+    const Graph& g, const std::vector<std::vector<EdgeId>>& trees) {
   const std::size_t n = g.num_nodes();
   if (n == 0) return {};
-  const std::uint32_t target =
-      count > 0 ? std::min<std::uint32_t>(count,
-                                          static_cast<std::uint32_t>(n))
-                : auto_middlepoint_count(n);
+  const std::uint32_t target = auto_middlepoint_count(n);
 
   // Inverted index: node -> shortest paths (pair ids) it sits on as an
   // intermediate hop. Group betweenness of a set == covered pair count.
@@ -510,8 +597,7 @@ CentralityContext make_centrality_context(const Graph& g) {
   ctx.trees = all_source_trees(g, &ctx.hop_trees);
   // Middlepoints are selected on the latency trees: group betweenness of
   // the preference metric, matching the paper's centrality definition.
-  // The group has the auto size (~sqrt(sites), min 4).
-  ctx.middlepoints = pick_middlepoints(g, ctx.trees, 0);
+  ctx.middlepoints = pick_middlepoints(g, ctx.trees);
   return ctx;
 }
 
@@ -606,10 +692,11 @@ struct PairSlot {
 };
 
 /// Builds one pair with the configured backend into `slot`. Under kKsp
-/// the workspace's source() must be seeded for `s`.
+/// the workspace's source() must be seeded for `s`, and `to_dst` must
+/// cover `d`.
 void build_pair(Workspace& ws, NodeId s, NodeId d,
                 const TunnelOptions& options, const CentralityContext& ctx,
-                PairSlot& slot) {
+                const std::optional<DistancesTo>& to_dst, PairSlot& slot) {
   TunnelBuildStats& stats = slot.stats;
   std::vector<Path>& paths = slot.paths;
   if (options.selection == TunnelSelection::kCentrality) {
@@ -624,7 +711,7 @@ void build_pair(Workspace& ws, NodeId s, NodeId d,
       }
     }
   } else {
-    paths = yen_paths(ws, s, d, options.tunnels_per_pair,
+    paths = yen_paths(ws, s, d, to_dst->row(d), options.tunnels_per_pair,
                       options.max_candidates, options.max_sr_hops,
                       &stats.paths_budget_filtered);
     if (paths.empty()) {
@@ -641,17 +728,22 @@ void build_pair(Workspace& ws, NodeId s, NodeId d,
 
 /// Builds `pairs` (sorted by source) into one slot each, fanning the
 /// sources out over for_each_task, then sums the slots' stats and
-/// Dijkstra counts in pair order.
+/// Dijkstra counts in pair order. Under kKsp it first takes the
+/// destinations' potential rows on `g` as it is (a repair's degraded
+/// graph included); those reverse trees are not counted as searches.
 std::vector<PairSlot> build_pairs(const Graph& g,
                                   const std::vector<SitePair>& pairs,
                                   const TunnelOptions& options,
                                   TunnelBuildStats& delta,
                                   std::uint64_t& dijkstra_calls) {
   CentralityContext ctx;
+  std::optional<DistancesTo> to_dst;
   if (options.selection == TunnelSelection::kCentrality) {
     ctx = make_centrality_context(g);
     delta.middlepoints = ctx.middlepoints.size();
     dijkstra_calls += 2 * g.num_nodes();
+  } else {
+    to_dst.emplace(g, pairs);
   }
   // One task per source: [starts[t], starts[t + 1]) share pairs[].src.
   std::vector<std::size_t> starts;
@@ -666,7 +758,8 @@ std::vector<PairSlot> build_pairs(const Graph& g,
       ws.seed_source(pairs[starts[t]].src);
     }
     for (std::size_t i = starts[t]; i < starts[t + 1]; ++i) {
-      build_pair(ws, pairs[i].src, pairs[i].dst, options, ctx, slots[i]);
+      build_pair(ws, pairs[i].src, pairs[i].dst, options, ctx, to_dst,
+                 slots[i]);
       slots[i].dijkstra_calls = ws.searches() - searches;
       searches = ws.searches();
     }
@@ -712,14 +805,11 @@ std::vector<Path> k_shortest_paths(const Graph& g, NodeId src, NodeId dst,
                                    std::uint32_t k,
                                    std::uint32_t max_candidates,
                                    std::uint32_t max_hops) {
+  const DistancesTo to_dst(g, {SitePair{src, dst}});
   Workspace ws(g);
   ws.seed_source(src);
-  return yen_paths(ws, src, dst, k, max_candidates, max_hops, nullptr);
-}
-
-std::vector<NodeId> select_middlepoints(const Graph& g,
-                                        std::uint32_t count) {
-  return pick_middlepoints(g, all_source_trees(g), count);
+  return yen_paths(ws, src, dst, to_dst.row(dst), k, max_candidates,
+                   max_hops, nullptr);
 }
 
 TunnelSet build_tunnels(const Graph& g, const TunnelOptions& options) {

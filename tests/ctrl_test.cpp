@@ -541,36 +541,32 @@ TEST(Agent, SyncLagsBoundedByPollInterval) {
 // --- sync cost model ---------------------------------------------------------
 
 TEST(SyncModel, MatchesPaperPressureTest) {
-  SyncCostModel m;
   // Fig. 13 anchor: 6,000 connections -> 90% CPU, 750 MB.
-  EXPECT_NEAR(m.top_down_cpu_percent(6000), 90.0, 1e-9);
-  EXPECT_NEAR(m.top_down_memory_mb(6000), 750.0, 1e-9);
+  EXPECT_NEAR(top_down_cpu_percent(6000), 90.0, 1e-9);
+  EXPECT_NEAR(top_down_memory_mb(6000), 750.0, 1e-9);
 }
 
 TEST(SyncModel, MatchesPaperMillionEndpointFigures) {
-  SyncCostModel m;
   // Fig. 14 anchor: 1M endpoints -> >= 167 cores, ~125 GB.
-  const SyncResources r = m.top_down(1'000'000);
+  const SyncResources r = top_down_resources(1'000'000);
   EXPECT_NEAR(r.cpu_cores, 167.0, 1.0);
   EXPECT_NEAR(r.memory_gb, 122.0, 3.0);
-  const SyncResources b = m.bottom_up(1'000'000);
+  const SyncResources b = bottom_up_resources(1'000'000);
   EXPECT_DOUBLE_EQ(b.cpu_cores, 1.0);
   EXPECT_DOUBLE_EQ(b.memory_gb, 1.0);
   EXPECT_EQ(b.db_shards, 2u);  // 100k QPS over two 80k shards
 }
 
 TEST(SyncModel, SmallFleetsFitOneCore) {
-  SyncCostModel m;
-  const SyncResources r = m.top_down(1000);
+  const SyncResources r = top_down_resources(1000);
   EXPECT_DOUBLE_EQ(r.cpu_cores, 1.0);
   EXPECT_LE(r.memory_gb, 0.25);
 }
 
 TEST(SyncModel, MonotoneInEndpoints) {
-  SyncCostModel m;
   double prev_cores = 0.0;
   for (std::uint64_t n : {1000ull, 10000ull, 100000ull, 1000000ull}) {
-    const SyncResources r = m.top_down(n);
+    const SyncResources r = top_down_resources(n);
     EXPECT_GE(r.cpu_cores, prev_cores);
     prev_cores = r.cpu_cores;
   }
@@ -625,10 +621,9 @@ std::uint64_t pin_mix(std::uint64_t h, double v) {
 
 TEST(SyncPinned, HybridPlanMatchesParent) {
   auto s = megate::testing::make_scenario(8, 14, 40, 0.3);
-  SyncCostModel model;
   HybridSyncOptions opt;
   opt.heavy_traffic_share = 0.5;
-  const HybridSyncPlan plan = plan_hybrid_sync(s->traffic, model, opt);
+  const HybridSyncPlan plan = plan_hybrid_sync(s->traffic, opt);
   std::uint64_t h = 0xCBF29CE484222325ULL;
   h = pin_mix(h, static_cast<double>(plan.persistent_instances.size()));
   h = pin_mix(h, plan.mean_staleness_s);
@@ -639,7 +634,7 @@ TEST(SyncPinned, HybridPlanMatchesParent) {
   h = pin_mix(h, static_cast<double>(plan.resources.db_shards));
   EXPECT_EQ(h, kPinnedHybridPlan) << std::hex << "got 0x" << h;
   // 1M queries/s over 80k-QPS shards: 12.5, rounded up.
-  EXPECT_EQ(model.bottom_up(10'000'000).db_shards, 13u);
+  EXPECT_EQ(bottom_up_resources(10'000'000).db_shards, 13u);
 }
 
 TEST(ConnectionManagerPinned, CostsMatchParent) {

@@ -59,10 +59,9 @@ TEST(HybridSync, CoversRequestedShareWithFewInstances) {
   tm::TrafficMatrix traffic =
       tm::generate_traffic(s->graph, layout, tmo, 77);
 
-  ctrl::SyncCostModel model;
   ctrl::HybridSyncOptions opt;
   opt.heavy_traffic_share = 0.9;
-  auto plan = ctrl::plan_hybrid_sync(traffic, model, opt);
+  auto plan = ctrl::plan_hybrid_sync(traffic, opt);
   EXPECT_GE(plan.covered_traffic_share, 0.9);
   const std::size_t total =
       plan.persistent_instances.size() + plan.polling_instances;
@@ -71,29 +70,27 @@ TEST(HybridSync, CoversRequestedShareWithFewInstances) {
 
 TEST(HybridSync, ExtremesMatchPureModes) {
   auto s = make_scenario(8, 14, 30, 0.3);
-  ctrl::SyncCostModel model;
   ctrl::HybridSyncOptions none;
   none.heavy_traffic_share = 0.0;
-  auto pull_only = ctrl::plan_hybrid_sync(s->traffic, model, none);
+  auto pull_only = ctrl::plan_hybrid_sync(s->traffic, none);
   EXPECT_TRUE(pull_only.persistent_instances.empty());
   EXPECT_DOUBLE_EQ(pull_only.mean_staleness_s, none.poll_interval_s / 2.0);
 
   ctrl::HybridSyncOptions all;
   all.heavy_traffic_share = 1.0;
-  auto push_only = ctrl::plan_hybrid_sync(s->traffic, model, all);
+  auto push_only = ctrl::plan_hybrid_sync(s->traffic, all);
   EXPECT_EQ(push_only.polling_instances, 0u);
   EXPECT_NEAR(push_only.mean_staleness_s, ctrl::kPushLatencyS, 1e-9);
 }
 
 TEST(HybridSync, StalenessDropsAsShareGrows) {
   auto s = make_scenario(8, 14, 40, 0.3);
-  ctrl::SyncCostModel model;
   double prev_staleness = 1e9;
   double prev_cores = 0.0;
   for (double share : {0.0, 0.5, 0.9, 0.99}) {
     ctrl::HybridSyncOptions opt;
     opt.heavy_traffic_share = share;
-    auto plan = ctrl::plan_hybrid_sync(s->traffic, model, opt);
+    auto plan = ctrl::plan_hybrid_sync(s->traffic, opt);
     EXPECT_LE(plan.mean_staleness_s, prev_staleness + 1e-9);
     EXPECT_GE(plan.resources.cpu_cores, prev_cores - 1e-9);
     prev_staleness = plan.mean_staleness_s;
@@ -103,17 +100,15 @@ TEST(HybridSync, StalenessDropsAsShareGrows) {
 
 TEST(HybridSync, RejectsBadShare) {
   auto s = make_scenario(4, 6, 5);
-  ctrl::SyncCostModel model;
   ctrl::HybridSyncOptions opt;
   opt.heavy_traffic_share = 1.5;
-  EXPECT_THROW(ctrl::plan_hybrid_sync(s->traffic, model, opt),
+  EXPECT_THROW(ctrl::plan_hybrid_sync(s->traffic, opt),
                std::invalid_argument);
 }
 
 TEST(HybridSync, EmptyTrafficYieldsEmptyPlan) {
   tm::TrafficMatrix empty;
-  ctrl::SyncCostModel model;
-  auto plan = ctrl::plan_hybrid_sync(empty, model);
+  auto plan = ctrl::plan_hybrid_sync(empty);
   EXPECT_TRUE(plan.persistent_instances.empty());
   EXPECT_EQ(plan.polling_instances, 0u);
 }

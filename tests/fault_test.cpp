@@ -489,17 +489,16 @@ TEST(PeriodSimPinned, CarriageMatchesParent) {
 
 TEST(HybridSyncFaultTest, DropRateStretchesPollingStaleness) {
   auto s = testing::make_scenario(6, 9, 2);
-  ctrl::SyncCostModel model;
   ctrl::HybridSyncOptions opt;
   opt.heavy_traffic_share = 0.5;
-  const auto clean = ctrl::plan_hybrid_sync(s->traffic, model, opt);
+  const auto clean = ctrl::plan_hybrid_sync(s->traffic, opt);
   opt.pull_drop_rate = 0.5;
-  const auto lossy = ctrl::plan_hybrid_sync(s->traffic, model, opt);
+  const auto lossy = ctrl::plan_hybrid_sync(s->traffic, opt);
   EXPECT_GT(lossy.mean_staleness_s, clean.mean_staleness_s);
   EXPECT_NEAR(lossy.worst_staleness_s, 2.0 * clean.worst_staleness_s, 1e-9);
 
   opt.pull_drop_rate = 1.0;
-  EXPECT_THROW(ctrl::plan_hybrid_sync(s->traffic, model, opt),
+  EXPECT_THROW(ctrl::plan_hybrid_sync(s->traffic, opt),
                std::invalid_argument);
 }
 

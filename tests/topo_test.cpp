@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -83,6 +84,25 @@ TEST(Graph, ConnectivityReflectsFailures) {
   g.set_link_state(ab, false);
   g.set_link_state(ba, false);
   EXPECT_FALSE(g.is_connected());
+}
+
+TEST(Graph, ReversedFlipsEveryLinkAndKeepsIdsAndState) {
+  Graph g = triangle();
+  g.add_link(0, 2, 7, 2.5);  // one-way
+  g.set_link_state(2, false);
+  const Graph r = g.reversed();
+  ASSERT_EQ(r.num_nodes(), g.num_nodes());
+  ASSERT_EQ(r.num_links(), g.num_links());
+  for (EdgeId e = 0; e < g.num_links(); ++e) {
+    EXPECT_EQ(r.link(e).src, g.link(e).dst);
+    EXPECT_EQ(r.link(e).dst, g.link(e).src);
+    EXPECT_EQ(r.link(e).latency_ms, g.link(e).latency_ms);
+    EXPECT_EQ(r.link(e).up, g.link(e).up);
+  }
+  // The one-way link 0 -> 2 leaves node 2 in the reversed graph.
+  const auto out = r.out_edges(2);
+  EXPECT_NE(std::find(out.begin(), out.end(), EdgeId{6}), out.end());
+  EXPECT_EQ(r.node_name(1), g.node_name(1));
 }
 
 // --- shortest path ------------------------------------------------------

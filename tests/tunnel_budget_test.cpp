@@ -199,17 +199,18 @@ TEST(CentralityBackend, MiddlepointSelectionIsDeterministicAndBounded) {
   GeneratorOptions gopt;
   gopt.seed = 23;
   const Graph g = make_isp_like(30, 52, gopt);
-  const auto a = select_middlepoints(g, 5);
-  const auto b = select_middlepoints(g, 5);
-  EXPECT_EQ(a, b);
-  EXPECT_LE(a.size(), 5u);
-  EXPECT_FALSE(a.empty());
-  std::set<NodeId> uniq(a.begin(), a.end());
-  EXPECT_EQ(uniq.size(), a.size()) << "duplicate middlepoint";
-  // Auto size (count = 0) is also deterministic and within the site count.
-  const auto autosel = select_middlepoints(g, 0);
-  EXPECT_EQ(autosel, select_middlepoints(g, 0));
-  EXPECT_LE(autosel.size(), g.num_nodes());
+  TunnelOptions opt;
+  opt.selection = TunnelSelection::kCentrality;
+  const TunnelSet a = build_tunnels(g, opt);
+  const TunnelSet b = build_tunnels(g, opt);
+  // The group has the auto size: ~sqrt(sites), at least 4, here
+  // ceil(sqrt(30)) = 6. Greedy selection stops early only once every
+  // shortest path is covered, which a 30-site ISP graph never reaches.
+  EXPECT_EQ(a.stats().middlepoints, 6u);
+  // A repeat build selects the same group and so the same tunnels.
+  EXPECT_EQ(b.stats().middlepoints, a.stats().middlepoints);
+  EXPECT_EQ(b.fingerprint(), a.fingerprint());
+  EXPECT_EQ(b.total_tunnels(), a.total_tunnels());
 }
 
 TEST(CentralityBackend, PairCoverageMatchesKspUnderBudget) {
@@ -251,7 +252,9 @@ TEST(CentralityBackend, TunnelsAreSortedDistinctAndCapped) {
     for (std::size_t i = 0; i < tunnels.size(); ++i) {
       expect_valid_tunnel(g, pair.src, pair.dst, tunnels[i], 0);
       EXPECT_TRUE(seen.insert(tunnels[i].links).second) << "duplicate";
-      if (i > 0) EXPECT_GE(tunnels[i].weight, tunnels[i - 1].weight);
+      if (i > 0) {
+        EXPECT_GE(tunnels[i].weight, tunnels[i - 1].weight);
+      }
     }
     if (!tunnels.empty()) {
       EXPECT_DOUBLE_EQ(tunnels.front().weight, 1.0);

@@ -15,6 +15,11 @@
 //     sample of sources to keep the suite fast.
 //   - TunnelParallel.KspRepair*: repair after inject_link_failures seeds
 //     equals the oracle rebuilding exactly the pairs that lost a tunnel.
+//   - TunnelParallel.{Ties*, ZeroLatency*, UlpApart*, Partitioned*}: build
+//     and repair on small graphs full of equal-latency paths, zero-latency
+//     links, non-associative latency sums and unreachable nodes, where an
+//     A* spur search that stopped early or never re-expanded a node would
+//     return a different path than Dijkstra.
 //   - TunnelParallel.Centrality*: repair equals a fresh build on the
 //     degraded graph for every repaired pair, and builds reproduce digests
 //     recorded from the serial implementation.
@@ -23,6 +28,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <initializer_list>
 #include <map>
@@ -382,40 +388,45 @@ std::vector<SitePair> dead_pairs(const Graph& g, const TunnelSet& ts) {
   return out;
 }
 
-/// Fails links with each seed, repairs a copy of `base`, and checks the
-/// result pair by pair: repaired pairs equal the oracle on the degraded
-/// graph, every other pair is untouched; stats and counters add up.
-void check_repairs(Graph& g, const TunnelSet& base, TunnelOptions o,
+/// Repairs a copy of `base` on `g` as it stands (links already failed)
+/// and checks the result pair by pair: repaired pairs equal the oracle on
+/// the degraded graph, every other pair is untouched; stats and counters
+/// add up.
+void check_repair(const Graph& g, const TunnelSet& base, TunnelOptions o,
+                  const std::string& where) {
+  const std::vector<SitePair> fix = dead_pairs(g, base);
+  const OracleBuild want = oracle_build(g, fix, o);
+
+  obs::MetricsRegistry reg;
+  o.metrics = &reg;
+  TunnelSet repaired = base;
+  const CounterSnapshot before = CounterSnapshot::of(reg);
+  repair_tunnels(g, repaired, o);
+  const CounterSnapshot after = CounterSnapshot::of(reg);
+
+  for (const auto& [pair, tunnels] : base.all()) {
+    const auto it = want.tunnels.find({pair.src, pair.dst});
+    expect_same_tunnels(repaired.tunnels(pair.src, pair.dst),
+                        it == want.tunnels.end() ? tunnels : it->second,
+                        pair, where);
+  }
+  EXPECT_EQ(repaired.num_pairs(), base.num_pairs()) << where;
+  TunnelBuildStats total = base.stats();
+  total.pairs_built += want.stats.pairs_built;
+  total.pairs_unreachable += want.stats.pairs_unreachable;
+  total.pairs_budget_excluded += want.stats.pairs_budget_excluded;
+  total.paths_budget_filtered += want.stats.paths_budget_filtered;
+  expect_same_stats(repaired.stats(), total, where);
+  expect_counter_delta(before, after, want, where);
+}
+
+/// check_repair after inject_link_failures with each of ten seeds.
+void check_repairs(Graph& g, const TunnelSet& base, const TunnelOptions& o,
                    const std::string& name) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    const std::string where =
-        label(name, o) + " failure seed " + std::to_string(seed);
     const auto events = inject_link_failures(g, 1 + seed % 3, seed);
-    const std::vector<SitePair> fix = dead_pairs(g, base);
-    const OracleBuild want = oracle_build(g, fix, o);
-
-    obs::MetricsRegistry reg;
-    o.metrics = &reg;
-    TunnelSet repaired = base;
-    const CounterSnapshot before = CounterSnapshot::of(reg);
-    repair_tunnels(g, repaired, o);
-    const CounterSnapshot after = CounterSnapshot::of(reg);
-    o.metrics = nullptr;
-
-    for (const auto& [pair, tunnels] : base.all()) {
-      const auto it = want.tunnels.find({pair.src, pair.dst});
-      expect_same_tunnels(repaired.tunnels(pair.src, pair.dst),
-                          it == want.tunnels.end() ? tunnels : it->second,
-                          pair, where);
-    }
-    EXPECT_EQ(repaired.num_pairs(), base.num_pairs()) << where;
-    TunnelBuildStats total = base.stats();
-    total.pairs_built += want.stats.pairs_built;
-    total.pairs_unreachable += want.stats.pairs_unreachable;
-    total.pairs_budget_excluded += want.stats.pairs_budget_excluded;
-    total.paths_budget_filtered += want.stats.paths_budget_filtered;
-    expect_same_stats(repaired.stats(), total, where);
-    expect_counter_delta(before, after, want, where);
+    check_repair(g, base, o,
+                 label(name, o) + " failure seed " + std::to_string(seed));
     restore_failures(g, events);
   }
 }
@@ -439,6 +450,114 @@ TEST(TunnelParallel, KspRepairMatchesOracleOnIspLike) {
   TunnelOptions o;  // defaults: 4 tunnels/pair, unlimited hops
   const TunnelSet base = build_tunnels(g, o);
   check_repairs(g, base, o, "isp21");
+}
+
+// --- TunnelParallel: ties and rounding --------------------------------------
+//
+// Spur searches are A* on exact reverse-latency potentials. These graphs
+// stress what could make such a search differ from Dijkstra: many equal-
+// latency paths (the canonical parent of a path node may come from a node
+// popped after dst), zero-latency links, latencies whose sums round
+// differently in forward and reverse order, and nodes that cannot reach
+// dst at all.
+
+using LatencyOf = double (*)(std::size_t link_index);
+
+/// rows x cols grid of duplex links; the i-th duplex link gets lat(i).
+Graph grid(std::uint32_t rows, std::uint32_t cols, LatencyOf lat) {
+  Graph g;
+  for (std::uint32_t v = 0; v < rows * cols; ++v) {
+    g.add_node("g" + std::to_string(v));
+  }
+  std::size_t i = 0;
+  for (std::uint32_t r = 0; r < rows; ++r) {
+    for (std::uint32_t c = 0; c < cols; ++c) {
+      const NodeId v = r * cols + c;
+      if (c + 1 < cols) g.add_duplex_link(v, v + 1, 10, lat(i++));
+      if (r + 1 < rows) g.add_duplex_link(v, v + cols, 10, lat(i++));
+    }
+  }
+  return g;
+}
+
+double unit_latency(std::size_t) { return 1.0; }
+
+/// Every other grid link is free: long zero-latency chains and cycles.
+double zero_or_unit_latency(std::size_t i) { return i % 2 == 0 ? 0.0 : 1.0; }
+
+/// Latencies whose sums are not associative in floating point (0.1 + 0.2
+/// != 0.3), some one ulp apart, so reverse-summed potentials miss forward
+/// labels by an ulp either way.
+double ulp_latency(std::size_t i) {
+  const double table[] = {0.1, 0.2, 0.3, std::nextafter(0.3, 1.0),
+                          0.7, std::nextafter(0.1, 0.0)};
+  return table[(i * 7) % 6];
+}
+
+/// Builds and repairs `g` under tunnels/pair {2, 4} x max_sr_hops
+/// {0, 3, 4} against the oracle. `repairable` graphs stay connected, so
+/// inject_link_failures can fail links on them.
+void check_tie_graph(Graph& g, const std::string& name, bool repairable) {
+  for (std::uint32_t k : {2u, 4u}) {
+    for (std::uint32_t hops : {0u, 3u, 4u}) {
+      TunnelOptions o;
+      o.tunnels_per_pair = k;
+      o.max_sr_hops = hops;
+      check_build(g, o, all_sources(g), name);
+      const TunnelSet base = build_tunnels(g, o);
+      if (repairable) {
+        check_repairs(g, base, o, name);
+        continue;
+      }
+      // Fail each duplex link in turn; on a partitioned graph a repair
+      // may cut further pairs off.
+      for (EdgeId e = 0; e + 1 < g.num_links(); e += 2) {
+        g.set_link_state(e, false);
+        g.set_link_state(e + 1, false);
+        check_repair(g, base, o,
+                     label(name, o) + " link " + std::to_string(e) + " down");
+        g.restore_all_links();
+      }
+    }
+  }
+}
+
+TEST(TunnelParallel, TiesOnUnitGridAndRingMatchOracle) {
+  Graph g = grid(4, 5, unit_latency);
+  check_tie_graph(g, "unit grid", true);
+  Graph ring;
+  for (std::uint32_t v = 0; v < 12; ++v) {
+    ring.add_node("r" + std::to_string(v));
+  }
+  for (std::uint32_t v = 0; v < 12; ++v) {
+    ring.add_duplex_link(v, (v + 1) % 12, 10, 1.0);
+  }
+  ring.add_duplex_link(0, 6, 10, 6.0);  // ties both half rings
+  ring.add_duplex_link(3, 9, 10, 2.0);
+  check_tie_graph(ring, "ring", true);
+}
+
+TEST(TunnelParallel, ZeroLatencyLinksMatchOracle) {
+  Graph g = grid(4, 4, zero_or_unit_latency);
+  check_tie_graph(g, "zero-latency grid", true);
+}
+
+TEST(TunnelParallel, UlpApartLatenciesMatchOracle) {
+  Graph g = grid(4, 5, ulp_latency);
+  check_tie_graph(g, "ulp grid", true);
+}
+
+TEST(TunnelParallel, PartitionedGraphMatchesOracle) {
+  // Two islands (a 3x3 grid and a ring) joined by one one-way link: the
+  // ring is reachable from the grid but not back, so spur searches meet
+  // nodes with an infinite potential.
+  Graph g = grid(3, 3, ulp_latency);
+  for (std::uint32_t v = 0; v < 5; ++v) g.add_node("i" + std::to_string(v));
+  for (std::uint32_t v = 0; v < 5; ++v) {
+    g.add_duplex_link(9 + v, 9 + (v + 1) % 5, 10, unit_latency(v));
+  }
+  g.add_link(4, 9, 10, 0.5);
+  check_tie_graph(g, "islands", false);
 }
 
 // --- TunnelParallel: centrality ---------------------------------------------

@@ -275,7 +275,7 @@ TEST(ThreadPool, SizeMatchesRequested) {
 TEST(Stopwatch, MeasuresElapsed) {
   Stopwatch sw;
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(sw.elapsed_seconds(), 0.0);
   EXPECT_GE(sw.elapsed_ms(), sw.elapsed_seconds());
 }

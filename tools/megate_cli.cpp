@@ -325,9 +325,8 @@ int cmd_solve(const std::map<std::string, std::string>& flags) {
 
 int cmd_sync(const std::map<std::string, std::string>& flags) {
   const std::uint64_t endpoints = flag_u64(flags, "endpoints", 1000000);
-  ctrl::SyncCostModel model;
-  const auto td = model.top_down(endpoints);
-  const auto bu = model.bottom_up(endpoints);
+  const auto td = ctrl::top_down_resources(endpoints);
+  const auto bu = ctrl::bottom_up_resources(endpoints);
   util::Table t("TE-config sync resources @ " +
                 util::Table::with_commas(endpoints) + " endpoints");
   t.header({"approach", "CPU cores", "memory (GB)", "DB shards"});
