@@ -62,6 +62,14 @@ struct InstanceOptions {
   std::uint32_t tunnels_per_pair = 3;
 };
 
+/// The tunnel build make_instance runs; a repair of the instance's
+/// tunnels must use the same options.
+inline topo::TunnelOptions tunnel_options(const InstanceOptions& opt) {
+  topo::TunnelOptions topt;
+  topt.tunnels_per_pair = opt.tunnels_per_pair;
+  return topt;
+}
+
 /// Mean hop count of the best tunnel across all site pairs.
 inline double mean_shortest_hops(const topo::TunnelSet& tunnels) {
   double hops = 0.0;
@@ -82,9 +90,7 @@ inline std::unique_ptr<Instance> make_instance(
   topo::GeneratorOptions gopt;
   gopt.seed = opt.seed;
   inst->graph = topo::make_topology(kind, gopt);
-  topo::TunnelOptions topt;
-  topt.tunnels_per_pair = opt.tunnels_per_pair;
-  inst->tunnels = topo::build_tunnels(inst->graph, topt);
+  inst->tunnels = topo::build_tunnels(inst->graph, tunnel_options(opt));
   inst->layout = tm::generate_endpoints_with_total(inst->graph, endpoints,
                                                    /*shape=*/0.8, opt.seed);
   tm::TrafficOptions tmo;

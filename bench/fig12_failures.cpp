@@ -31,6 +31,8 @@ int main() {
     iopt.load = 0.5;
     auto inst =
         bench::make_instance(topo::TopologyKind::kDeltacom, endpoints, iopt);
+    // Repairs after the failures keep the build's tunnels per pair.
+    const topo::TunnelOptions topt = bench::tunnel_options(iopt);
 
     util::Table t("Deltacom* @ " + util::Table::with_commas(endpoints) +
                   " endpoints (windowed satisfied demand, 300 s window)");
@@ -46,9 +48,9 @@ int main() {
       // NCFlow's production recompute time per the paper.
       const double ncflow_recompute_s = endpoints > 2000 ? 100.0 : 30.0;
 
-      auto mega = sim::run_failure_scenario(inst->graph, inst->tunnels,
+      auto mega = sim::run_failure_scenario(inst->graph, inst->tunnels, topt,
                                             inst->traffic, megate, fopt);
-      auto nc = sim::run_failure_scenario(inst->graph, inst->tunnels,
+      auto nc = sim::run_failure_scenario(inst->graph, inst->tunnels, topt,
                                           inst->traffic, ncflow, fopt,
                                           ncflow_recompute_s);
       auto row = [&](const sim::FailureOutcome& o, double gap) {

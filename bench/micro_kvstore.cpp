@@ -64,9 +64,11 @@ void BM_KvGet(benchmark::State& state) {
   static KvStore* store = nullptr;
   if (state.thread_index() == 0) {
     store = new KvStore(static_cast<std::size_t>(state.range(0)));
+    KvDelta seed;
     for (int i = 0; i < 10000; ++i) {
-      store->put("path/" + std::to_string(i), "*:1,2,3");
+      seed.upserts.emplace_back("path/" + std::to_string(i), "*:1,2,3");
     }
+    store->publish_delta(seed);
   }
   int i = state.thread_index();
   for (auto _ : state) {
@@ -87,10 +89,12 @@ void BM_KvMultiGet(benchmark::State& state) {
   // One consistent batched pull of `range` keys — the host-agent path.
   KvStore store(2);
   std::vector<std::string> keys;
+  KvDelta seed;
   for (int i = 0; i < state.range(0); ++i) {
     keys.push_back("path/" + std::to_string(i));
-    store.put(keys.back(), "7:1,2,3|9:1,4");
+    seed.upserts.emplace_back(keys.back(), "7:1,2,3|9:1,4");
   }
+  store.publish_delta(seed);
   for (auto _ : state) {
     benchmark::DoNotOptimize(store.multi_get(keys));
   }
@@ -101,7 +105,7 @@ BENCHMARK(BM_KvMultiGet)->Arg(1)->Arg(16)->Arg(256);
 void BM_KvVersionPoll(benchmark::State& state) {
   // The cheap query each endpoint issues every poll interval.
   KvStore store(2);
-  store.publish({{"path/1", "*:1"}});
+  store.publish_delta({.upserts = {{"path/1", "*:1"}}});
   for (auto _ : state) {
     benchmark::DoNotOptimize(store.version());
   }
@@ -112,12 +116,12 @@ BENCHMARK(BM_KvVersionPoll);
 void BM_KvPublishBatch(benchmark::State& state) {
   // A controller publish of `range` endpoint entries (one TE interval).
   KvStore store(2);
-  std::vector<std::pair<std::string, std::string>> batch;
+  KvDelta batch;
   for (int i = 0; i < state.range(0); ++i) {
-    batch.emplace_back("path/" + std::to_string(i), "7:1,2,3|9:1,4");
+    batch.upserts.emplace_back("path/" + std::to_string(i), "7:1,2,3|9:1,4");
   }
   for (auto _ : state) {
-    store.publish(batch);
+    store.publish_delta(batch);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -127,11 +131,11 @@ void BM_KvPublishDelta(benchmark::State& state) {
   // Same interval with 10% churn published as a delta against a 10k-key
   // live table: snapshot rebuild cost scales with the delta, not the table.
   KvStore store(2);
-  std::vector<std::pair<std::string, std::string>> full;
+  KvDelta full;
   for (int i = 0; i < 10000; ++i) {
-    full.emplace_back("path/" + std::to_string(i), "7:1,2,3|9:1,4");
+    full.upserts.emplace_back("path/" + std::to_string(i), "7:1,2,3|9:1,4");
   }
-  store.publish(full);
+  store.publish_delta(full);
   KvDelta delta;
   for (int i = 0; i < state.range(0); ++i) {
     delta.upserts.emplace_back("path/" + std::to_string(i * 9973 % 10000),
@@ -268,10 +272,12 @@ int main(int argc, char** argv) {
   KvStore store(kShards);
   store.bind_metrics(m);
   MutexShardedMap baseline(kShards);
+  KvDelta seed;
   for (std::size_t i = 0; i < kKeys; ++i) {
-    store.put(keys[i], "*:1,2,3");
+    seed.upserts.emplace_back(keys[i], "*:1,2,3");
     baseline.put(keys[i], "*:1,2,3");
   }
+  store.publish_delta(seed);
 
   for (const int threads : {1, kReaders}) {
     const std::string suffix = "_" + std::to_string(threads) + "t";
@@ -333,13 +339,13 @@ int main(int argc, char** argv) {
   m.gauge("micro_kvstore.get_qps").set(s > 0.0 ? kGets / s : 0.0);
 
   // --- experiment 2: delta publish bytes at 10% churn ---------------------
-  std::vector<std::pair<std::string, std::string>> full;
-  full.reserve(kKeys);
+  KvDelta full;
+  full.upserts.reserve(kKeys);
   for (std::size_t i = 0; i < kKeys; ++i) {
-    full.emplace_back(keys[i], route_table_value(static_cast<int>(i)));
+    full.upserts.emplace_back(keys[i], route_table_value(static_cast<int>(i)));
   }
   const std::uint64_t before_full = store.delta_bytes();
-  store.publish(full);
+  store.publish_delta(full);
   const std::uint64_t full_bytes = store.delta_bytes() - before_full;
 
   KvDelta delta;
@@ -372,21 +378,23 @@ int main(int argc, char** argv) {
   constexpr std::size_t kSweepSmall = 100000;
   constexpr std::size_t kSweepLarge = 1000000;
   constexpr int kSweepReps = 5;
-  std::vector<std::pair<std::string, std::string>> large;
-  large.reserve(kSweepLarge);
+  // Both deltas are built before any clock starts: the sweep times the
+  // publish alone.
+  KvDelta large;
+  large.upserts.reserve(kSweepLarge);
   for (std::size_t i = 0; i < kSweepLarge; ++i) {
-    large.emplace_back("path/" + std::to_string(i), "7:1,2,3|9:1,4");
+    large.upserts.emplace_back("path/" + std::to_string(i), "7:1,2,3|9:1,4");
   }
-  const std::vector<std::pair<std::string, std::string>> small(
-      large.begin(), large.begin() + kSweepSmall);
-  const auto publish_us_per_key =
-      [](const std::vector<std::pair<std::string, std::string>>& batch) {
-        KvStore fresh(kShards);
-        const std::clock_t start = std::clock();
-        fresh.publish(batch);
-        return static_cast<double>(std::clock() - start) * 1e6 /
-               CLOCKS_PER_SEC / static_cast<double>(batch.size());
-      };
+  KvDelta small;
+  small.upserts.assign(large.upserts.begin(),
+                       large.upserts.begin() + kSweepSmall);
+  const auto publish_us_per_key = [](const KvDelta& batch) {
+    KvStore fresh(kShards);
+    const std::clock_t start = std::clock();
+    fresh.publish_delta(batch);
+    return static_cast<double>(std::clock() - start) * 1e6 / CLOCKS_PER_SEC /
+           static_cast<double>(batch.upserts.size());
+  };
   double per_key_small = 0.0, per_key_large = 0.0;
   for (int r = 0; r < kSweepReps; ++r) {
     const double s_us = publish_us_per_key(small);

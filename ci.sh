@@ -94,6 +94,7 @@ run_metrics_json_check() {
     --metrics-json "$out/cli_chaos.json" >/dev/null
   (cd "$out" &&
     ../bench/fig08_endpoint_cdf >/dev/null &&
+    ../bench/fig12_failures >/dev/null &&
     ../bench/fig16_availability >/dev/null &&
     ../bench/fig17_cost >/dev/null &&
     ../bench/ablation_stage1 >/dev/null &&
@@ -104,11 +105,12 @@ run_metrics_json_check() {
     ../bench/micro_kvstore --benchmark_filter=skip_all >/dev/null 2>&1)
   # check_metrics_json additionally enforces the per-bench contracts
   # (stage-1 certified gap, tunnel-selection hop-budget frontier, online
-  # churn regret/violation bars, kvstore first-publish scaling, the
-  # knowledge ablation's oracle >= EWMA >= stale shape, and the
-  # learned-allocation frontier: every lane against the fastest exact
-  # lane of the same replay, >= 5x on the TWAN 100k replay, quality and
-  # audit bars). ablation_prediction runs its TWAN replay every time
+  # churn regret/violation bars, kvstore first-publish scaling, Fig. 12's
+  # shape (MegaTE ahead of NCFlow at every point, the gap growing with
+  # endpoints), the knowledge ablation's oracle >= EWMA >= stale shape,
+  # and the learned-allocation frontier: every lane against the fastest
+  # exact lane of the same replay, >= 5x on the TWAN 100k replay, quality
+  # and audit bars). ablation_prediction runs its TWAN replay every time
   # (~15 s of this stage). ablation_incremental gates itself: it exits
   # non-zero unless the stage-2 memo cuts the median solve's process CPU
   # time >= 2x against a cold solve (CPU, not wall: the cold lane's

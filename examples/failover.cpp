@@ -22,7 +22,8 @@ int main() {
   topo::GeneratorOptions gopt;
   gopt.seed = 5;
   topo::Graph wan = topo::make_topology(topo::TopologyKind::kDeltacom, gopt);
-  topo::TunnelSet tunnels = topo::build_tunnels(wan);
+  const topo::TunnelOptions topt;  // every build and repair below
+  topo::TunnelSet tunnels = topo::build_tunnels(wan, topt);
   auto layout = tm::generate_endpoints_with_total(wan, 1130, 0.8, 6);
   tm::TrafficOptions tmo;
   // ~0.1 of raw capacity: a flow crossing h links consumes h units, so
@@ -49,7 +50,7 @@ int main() {
             << " duplex link failures; links up: " << wan.num_links_up()
             << "/" << wan.num_links() << "\n";
 
-  topo::repair_tunnels(wan, tunnels);  // re-run Yen for affected pairs
+  topo::repair_tunnels(wan, tunnels, topt);  // re-run Yen where needed
   te::TeSolution after = solver.solve(problem, {}).solution;
   std::cout << "Recomputed: "
             << util::Table::num(100 * after.satisfied_ratio(), 1)
@@ -80,9 +81,10 @@ int main() {
   topo::restore_failures(wan, events);
   sim::FailureScenarioOptions fopt;
   fopt.num_failures = 2;
-  auto fast = sim::run_failure_scenario(wan, tunnels, traffic, solver, fopt);
-  auto slow = sim::run_failure_scenario(wan, tunnels, traffic, solver, fopt,
-                                        /*recompute_override_s=*/100.0);
+  auto fast = sim::run_failure_scenario(wan, tunnels, topt, traffic, solver,
+                                        fopt);
+  auto slow = sim::run_failure_scenario(wan, tunnels, topt, traffic, solver,
+                                        fopt, /*recompute_override_s=*/100.0);
   std::cout << "\nWindowed satisfied demand over a 300 s TE interval:\n"
             << "  sub-second recompute (MegaTE): "
             << util::Table::num(100 * fast.windowed_satisfied, 1) << "%\n"

@@ -215,9 +215,9 @@ std::vector<double> measure_sync_lags(KvTransport& db,
   std::vector<EndpointAgent> agents;
   agents.reserve((n_instances + instances_per_agent - 1) /
                  instances_per_agent);
-  std::vector<std::pair<std::string, std::string>> seed;
+  KvDelta seed;
   for (std::size_t i = 0; i < n_instances; ++i) {
-    seed.emplace_back(path_key(i), "*:1,2");
+    seed.upserts.emplace_back(path_key(i), "*:1,2");
   }
   for (std::size_t i = 0; i < n_instances; i += instances_per_agent) {
     std::vector<std::uint64_t> ids;
@@ -231,7 +231,7 @@ std::vector<double> measure_sync_lags(KvTransport& db,
   bool published = false;
   for (double now = 0.0; now <= horizon_s; now += tick_step_s) {
     if (!published && now >= publish_at_s) {
-      db.publish(seed);  // the config update whose spread we measure
+      db.publish_delta(seed);  // the config update whose spread we measure
       published = true;
     }
     for (auto& a : agents) a.tick(now);

@@ -13,14 +13,15 @@
 // per second using two shards" claim (bench/micro_kvstore compares it
 // against the mutex-per-shard design it replaced).
 //
-// Write path: copy-on-write deltas. publish/publish_delta clone only the
-// buckets the changed keys land in and share every other bucket with the
-// previous snapshot, so a publish copies O(churn) entries (plus the
-// shard's bucket-pointer array). A batch that would push the load factor
-// past its bound is applied into a table first rehashed to fit it, so a
-// large first publish costs O(keys), not O(keys²). Old snapshots are
-// retired through the epoch domain and freed once no reader can still
-// hold them.
+// Write path: one versioned publish. publish_delta is the only way to
+// change the table (reset_to only replaces it for replica catch-up). It
+// clones just the buckets the changed keys land in and shares every other
+// bucket with the previous snapshot, so a publish copies O(churn) entries
+// (plus the shard's bucket-pointer array). A batch that would push the
+// load factor past its bound is applied into a table first rehashed to
+// fit it, so a large first publish costs O(keys), not O(keys²). Old
+// snapshots are retired through the epoch domain and freed once no reader
+// can still hold them.
 //
 // Consistency: every publish tags the snapshots it installs with the new
 // version *before* bumping the global version counter. A single read
@@ -31,13 +32,12 @@
 //
 // Shard availability: for the fault-injection experiments a shard can be
 // marked down (set_shard_up). A down shard refuses reads (kUnavailable)
-// and buffers writes — versioned delta entries and plain puts alike —
-// into a redo log replayed in arrival order on recovery, so interleaved
-// put/publish sequences recover exactly (the catch-up behaviour of a
-// replicated store). The version counter itself stays available (in
-// production it is served by a tiny front cache, not the shards), so
-// readers can always tell that an update exists even while its payload
-// shard is down.
+// and buffers its share of each publish, tagged with that publish's
+// version, into a redo log replayed in version order on recovery (the
+// catch-up behaviour of a replicated store). The version counter itself
+// stays available (in production it is served by a tiny front cache, not
+// the shards), so readers can always tell that an update exists even
+// while its payload shard is down.
 
 #include <atomic>
 #include <cstdint>
@@ -92,9 +92,11 @@ struct MultiGetResult {
 };
 
 /// Changed keys of one publish: what the controller writes per interval.
+/// Both lists have default initializers, so a designated initializer
+/// names only the one it fills: publish_delta({.erases = {key}}).
 struct KvDelta {
-  std::vector<std::pair<std::string, std::string>> upserts;
-  std::vector<std::string> erases;
+  std::vector<std::pair<std::string, std::string>> upserts{};
+  std::vector<std::string> erases{};
 
   bool empty() const noexcept { return upserts.empty() && erases.empty(); }
   /// Logical write volume (key + value payload bytes) — what lands in
@@ -110,23 +112,13 @@ class KvStore {
   KvStore(const KvStore&) = delete;
   KvStore& operator=(const KvStore&) = delete;
 
-  /// Writes one key (no version bump; use publish for config pushes).
-  /// Writes to a down shard are buffered and applied on recovery.
-  void put(const std::string& key, std::string value);
-
-  /// Atomically writes a batch and bumps the config version — what the
-  /// controller does each TE interval or on failure (§3.2). Equivalent
-  /// to publish_delta with upserts only.
-  Version publish(const std::vector<std::pair<std::string, std::string>>&
-                      batch);
-
-  /// Publishes changed keys only: clones just the touched buckets and
-  /// structurally shares the rest with the previous snapshot, then bumps
-  /// the version. Keys landing on a down shard are buffered in that
-  /// shard's redo log, tagged with this publish's version so recovery
-  /// replays them in order against later writes; the version still
-  /// advances (eventual consistency: readers learn an update exists and
-  /// retry the payload).
+  /// Atomically applies the changed keys and bumps the config version —
+  /// what the controller does each TE interval or on failure (§3.2), and
+  /// the only write. Clones just the touched buckets and structurally
+  /// shares the rest with the previous snapshot. Keys landing on a down
+  /// shard are buffered in that shard's redo log, tagged with this
+  /// publish's version; the version still advances (eventual consistency:
+  /// readers learn an update exists and retry the payload).
   Version publish_delta(const KvDelta& delta);
 
   /// Replication catch-up (graceful restart): atomically replaces the
@@ -154,12 +146,8 @@ class KvStore {
   /// publish is mid-flight). The batched pull primitive.
   MultiGetResult multi_get(const std::vector<std::string>& keys) const;
 
-  /// Removes a key (no version bump; for versioned removals use
-  /// publish_delta erases). Returns false if absent or the shard is down.
-  bool erase(const std::string& key);
-
   /// Marks one shard down/up. Recovery replays the shard's buffered
-  /// writes in arrival order before new reads are served.
+  /// publishes in version order before new reads are served.
   void set_shard_up(std::size_t shard, bool up);
   bool shard_up(std::size_t shard) const;
   /// Shard a key lives on (stable hash; for tests and fault planning).
@@ -181,7 +169,7 @@ class KvStore {
   /// GET queries served by one shard (query_count() == sum over shards).
   std::uint64_t shard_query_count(std::size_t shard) const;
 
-  /// Snapshots installed across all shards (puts, publishes, recoveries).
+  /// Snapshots installed across all shards (publishes, recoveries, resets).
   std::uint64_t snapshot_installs() const noexcept {
     return snapshot_installs_.load(std::memory_order_relaxed);
   }
@@ -233,12 +221,12 @@ class KvStore {
     std::size_t bytes = 0;  ///< key + value payload bytes
     std::vector<std::shared_ptr<const Bucket>> buckets;
   };
-  /// One buffered write of a down shard, replayed in arrival order.
+  /// One buffered key of a down shard's publish, replayed in order.
   struct RedoEntry {
     std::string key;
     std::string value;
     bool is_erase = false;
-    Version publish_version = 0;  ///< 0 for unversioned put/erase
+    Version publish_version = 0;  ///< the publish that wrote it
   };
   struct Shard {
     /// Writer-side state; guards owner/up/redo and serializes installs.
@@ -255,9 +243,6 @@ class KvStore {
   struct Op;  // internal upsert/erase unit applied to a snapshot
 
   void install_locked(Shard& shard, std::shared_ptr<const Snapshot> next);
-  Version publish_impl(
-      const std::vector<std::pair<std::string, std::string>>& upserts,
-      const std::vector<std::string>& erases);
   std::shared_ptr<const Snapshot> apply_ops(const Snapshot& base,
                                             const std::vector<Op>& ops,
                                             Version version);
@@ -267,7 +252,7 @@ class KvStore {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<Version> version_{0};
   /// Serializes publishes so versions are assigned and installed in
-  /// order (puts/erases only take their shard's mutex).
+  /// order.
   std::mutex publish_mu_;
   mutable std::atomic<std::uint64_t> queries_{0};
   mutable std::atomic<std::uint64_t> unavailable_{0};

@@ -50,14 +50,6 @@ void register_counters(obs::MetricsRegistry& registry,
                        const ControlCounters& counters,
                        const std::string& prefix = "ctrl");
 
-/// Invokes `fn(name, value)` once per ControlCounters cell (same names
-/// and order as register_counters). Lets short-lived owners — e.g. the
-/// chaos loop, whose counters die with its stack frame — freeze final
-/// values into a registry without leaving dangling read callbacks.
-void for_each_counter(
-    const ControlCounters& counters,
-    const std::function<void(const char*, std::uint64_t)>& fn);
-
 struct TelemetryOptions {
   /// TE period length; volume (bytes) over this window becomes Gbps.
   double period_s = 300.0;

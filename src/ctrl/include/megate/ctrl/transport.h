@@ -49,15 +49,16 @@ class KvTransport {
   /// One consistent (version, values) cut — the batched pull primitive.
   virtual MultiGetResult multi_get(const std::vector<std::string>& keys) = 0;
 
-  /// Atomically writes a batch and bumps the config version.
-  virtual Version publish(
-      const std::vector<std::pair<std::string, std::string>>& batch) = 0;
-
-  /// Publishes changed keys only; down shards buffer their share.
+  /// Publishes changed keys only; down shards buffer their share. The
+  /// one write every implementation provides.
   virtual Version publish_delta(const KvDelta& delta) = 0;
 
-  /// Unversioned single-key write.
-  virtual void put(const std::string& key, std::string value) = 0;
+  /// A publish_delta of `batch` as upserts.
+  virtual Version publish(
+      const std::vector<std::pair<std::string, std::string>>& batch);
+
+  /// A publish_delta of the one key: it bumps the version too.
+  virtual void put(const std::string& key, std::string value);
 
   /// Shard fan-out of the keyspace (targets for the fault planner).
   virtual std::size_t num_shards() const = 0;
@@ -83,10 +84,7 @@ class InProcessTransport final : public KvTransport {
   Version version() override;
   GetResult get(const std::string& key) override;
   MultiGetResult multi_get(const std::vector<std::string>& keys) override;
-  Version publish(
-      const std::vector<std::pair<std::string, std::string>>& batch) override;
   Version publish_delta(const KvDelta& delta) override;
-  void put(const std::string& key, std::string value) override;
   std::size_t num_shards() const override;
   std::size_t shard_index(const std::string& key) const override;
   void set_shard_up(std::size_t shard, bool up) override;

@@ -181,72 +181,25 @@ std::shared_ptr<const KvStore::Snapshot> KvStore::apply_ops(
   return next;
 }
 
-void KvStore::put(const std::string& key, std::string value) {
-  Shard& s = *shards_[shard_index(key)];
-  std::lock_guard lock(s.mu);
-  if (!s.up) {
-    RedoEntry e;
-    e.key = key;
-    e.value = std::move(value);
-    s.redo.push_back(std::move(e));
-    redo_buffered_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  const Op op{&key, &value, key_hash(key)};
-  // Unversioned write: the snapshot keeps its consistency tag.
-  install_locked(s, apply_ops(*s.owner, {op}, s.owner->version));
-}
-
-bool KvStore::erase(const std::string& key) {
-  Shard& s = *shards_[shard_index(key)];
-  std::lock_guard lock(s.mu);
-  if (!s.up) return false;
-  const std::size_t h = key_hash(key);
-  const Snapshot& snap = *s.owner;
-  const Bucket& b = *snap.buckets[mix64(h) & snap.mask];
-  const bool present = std::any_of(
-      b.entries.begin(), b.entries.end(),
-      [&](const auto& e) { return e.first == key; });
-  if (!present) return false;
-  const Op op{&key, nullptr, h};
-  install_locked(s, apply_ops(snap, {op}, snap.version));
-  return true;
-}
-
-Version KvStore::publish(
-    const std::vector<std::pair<std::string, std::string>>& batch) {
-  static const std::vector<std::string> kNoErases;
-  return publish_impl(batch, kNoErases);
-}
-
 Version KvStore::publish_delta(const KvDelta& delta) {
-  return publish_impl(delta.upserts, delta.erases);
-}
-
-Version KvStore::publish_impl(
-    const std::vector<std::pair<std::string, std::string>>& upserts,
-    const std::vector<std::string>& erases) {
   // Serialized: versions are assigned and installed in order, so a
   // reader can rely on "shard tag <= observed version" to detect a
   // publish in flight (multi_get's seqlock check).
   std::lock_guard publish_lock(publish_mu_);
   const Version next = version_.load(std::memory_order_relaxed) + 1;
 
-  std::size_t bytes = 0;
   std::vector<std::vector<Op>> per_shard(shards_.size());
-  for (const auto& [key, value] : upserts) {
+  for (const auto& [key, value] : delta.upserts) {
     const std::size_t h = key_hash(key);
     per_shard[h % shards_.size()].push_back(Op{&key, &value, h});
-    bytes += key.size() + value.size();
   }
-  for (const std::string& key : erases) {
+  for (const std::string& key : delta.erases) {
     const std::size_t h = key_hash(key);
     per_shard[h % shards_.size()].push_back(Op{&key, nullptr, h});
-    bytes += key.size();
   }
-  delta_keys_.fetch_add(upserts.size() + erases.size(),
+  delta_keys_.fetch_add(delta.upserts.size() + delta.erases.size(),
                         std::memory_order_relaxed);
-  delta_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  delta_bytes_.fetch_add(delta.bytes(), std::memory_order_relaxed);
 
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     if (per_shard[i].empty()) continue;
@@ -254,8 +207,7 @@ Version KvStore::publish_impl(
     std::lock_guard lock(s.mu);
     if (!s.up) {
       // Buffer this publish's share into the redo log, tagged with the
-      // version, so recovery replays it in order against surrounding
-      // puts and later publishes.
+      // version, so recovery replays it in order against later publishes.
       for (const Op& op : per_shard[i]) {
         RedoEntry e;
         e.key = *op.key;
@@ -290,21 +242,20 @@ void KvStore::set_shard_up(std::size_t shard, bool up) {
     s.up_flag.store(false, std::memory_order_seq_cst);
     return;
   }
-  // Recovery: replay the redo log in arrival order — interleaved puts
-  // and versioned publish-delta entries land exactly as they would have
-  // with the shard up — and tag the snapshot with the newest replayed
-  // publish version so consistent batched reads account for the
-  // catch-up state correctly.
+  // Recovery: replay the redo log in version order (publishes are
+  // serialized, so that is arrival order) — every entry lands exactly as
+  // it would have with the shard up — and tag the snapshot with the
+  // newest replayed publish version so consistent batched reads account
+  // for the catch-up state correctly.
   if (!s.redo.empty()) {
     std::vector<Op> ops;
     ops.reserve(s.redo.size());
-    Version tag = s.owner->version;
     for (const RedoEntry& e : s.redo) {
       ops.push_back(Op{&e.key, e.is_erase ? nullptr : &e.value,
                        key_hash(e.key)});
-      tag = std::max(tag, e.publish_version);
     }
-    install_locked(s, apply_ops(*s.owner, ops, tag));
+    install_locked(s,
+                   apply_ops(*s.owner, ops, s.redo.back().publish_version));
     redo_replayed_.fetch_add(ops.size(), std::memory_order_relaxed);
     s.redo.clear();
   }

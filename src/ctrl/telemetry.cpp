@@ -73,12 +73,4 @@ void register_counters(obs::MetricsRegistry& registry,
   }
 }
 
-void for_each_counter(
-    const ControlCounters& counters,
-    const std::function<void(const char*, std::uint64_t)>& fn) {
-  for (const CounterField& f : kCounterFields) {
-    fn(f.name, counters.*f.member);
-  }
-}
-
 }  // namespace megate::ctrl

@@ -1,6 +1,7 @@
 #include "megate/ctrl/transport.h"
 
 #include <stdexcept>
+#include <utility>
 
 namespace megate::ctrl {
 
@@ -8,6 +9,19 @@ InProcessTransport::InProcessTransport(KvStore* store) : store_(store) {
   if (store_ == nullptr) {
     throw std::invalid_argument("InProcessTransport needs a store");
   }
+}
+
+Version KvTransport::publish(
+    const std::vector<std::pair<std::string, std::string>>& batch) {
+  KvDelta delta;
+  delta.upserts = batch;
+  return publish_delta(delta);
+}
+
+void KvTransport::put(const std::string& key, std::string value) {
+  KvDelta delta;
+  delta.upserts.emplace_back(key, std::move(value));
+  publish_delta(delta);
 }
 
 Version InProcessTransport::version() { return store_->version(); }
@@ -21,17 +35,8 @@ MultiGetResult InProcessTransport::multi_get(
   return store_->multi_get(keys);
 }
 
-Version InProcessTransport::publish(
-    const std::vector<std::pair<std::string, std::string>>& batch) {
-  return store_->publish(batch);
-}
-
 Version InProcessTransport::publish_delta(const KvDelta& delta) {
   return store_->publish_delta(delta);
-}
-
-void InProcessTransport::put(const std::string& key, std::string value) {
-  store_->put(key, std::move(value));
 }
 
 std::size_t InProcessTransport::num_shards() const {

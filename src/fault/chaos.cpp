@@ -15,6 +15,8 @@
 #include "megate/fault/injector.h"
 #include "megate/fault/process.h"
 #include "megate/net/tcp_transport.h"
+#include "megate/obs/metrics.h"
+#include "megate/obs/span.h"
 #include "megate/te/checker.h"
 #include "megate/te/megate_solver.h"
 #include "megate/te/online_allocator.h"
@@ -175,16 +177,8 @@ class ShardFaultSeam final : public ctrl::KvTransport {
       const std::vector<std::string>& keys) override {
     return inner_->multi_get(keys);
   }
-  ctrl::Version publish(
-      const std::vector<std::pair<std::string, std::string>>& batch)
-      override {
-    return inner_->publish(batch);
-  }
   ctrl::Version publish_delta(const ctrl::KvDelta& delta) override {
     return inner_->publish_delta(delta);
-  }
-  void put(const std::string& key, std::string value) override {
-    inner_->put(key, std::move(value));
   }
   std::size_t num_shards() const override { return inner_->num_shards(); }
   std::size_t shard_index(const std::string& key) const override {
@@ -585,57 +579,29 @@ ChaosReport run_chaos(const ChaosOptions& options) {
   report.fingerprint = h;
 
   // --- freeze run totals into the registry --------------------------------
-  // The KvStore and report.counters die with this frame (the report is
-  // returned by value), so every callback-exported name is re-bound to a
-  // value-capturing closure: same names as the live bindings, final
-  // values, nothing dangling after return.
+  // The KvStore, the TCP transport and report.counters die with this
+  // frame (the report is returned by value), so their owners' own
+  // bindings go into a scratch registry and its final snapshot is copied
+  // over as value-capturing closures: the live names, final values,
+  // nothing dangling after return.
   if (reg != nullptr) {
-    ctrl::for_each_counter(
-        report.counters, [&](const char* name, std::uint64_t v) {
-          reg->expose_counter(std::string("ctrl.") + name,
-                              [v]() { return v; });
-        });
-    const auto freeze = [&](const std::string& name, std::uint64_t v) {
-      reg->expose_counter(name, [v]() { return v; });
-    };
+    obs::MetricsRegistry scratch;
+    ctrl::register_counters(scratch, report.counters);
     if (options.transport == ChaosTransportMode::kInProcess) {
       // The shared KvStore only carries traffic in in-process mode; in
       // TCP mode the per-daemon stores live (and die) in the children.
-      freeze("kv.queries", kv.query_count());
-      freeze("kv.unavailable", kv.unavailable_count());
-      freeze("kv.version", kv.version());
-      for (std::size_t i = 0; i < kv.num_shards(); ++i) {
-        freeze("kv.shard" + std::to_string(i) + ".queries",
-               kv.shard_query_count(i));
-      }
-      freeze("kv.snapshot.installs", kv.snapshot_installs());
-      freeze("kv.snapshot.rebuilds", kv.snapshot_rebuilds());
-      freeze("kv.delta_bytes", kv.delta_bytes());
-      freeze("kv.delta_keys", kv.delta_keys());
-      freeze("kv.multi_gets", kv.multi_get_count());
-      freeze("kv.multi_get.retries", kv.multi_get_retries());
-      freeze("kv.redo.buffered", kv.redo_buffered());
-      freeze("kv.redo.replayed", kv.redo_replayed());
-      reg->gauge("kv.keys").set(static_cast<double>(kv.size()));
-      reg->gauge("kv.bytes").set(static_cast<double>(kv.payload_bytes()));
+      kv.bind_metrics(scratch);
     } else if (tcp != nullptr) {
-      std::uint64_t connects = 0, requests = 0, failures = 0, timeouts = 0,
-                    backoffs = 0;
-      for (std::size_t i = 0; i < tcp->num_shards(); ++i) {
-        const net::ShardChannel::Stats& s = tcp->channel(i).stats();
-        connects += s.connects;
-        requests += s.requests;
-        failures += s.request_failures;
-        timeouts += s.timeouts;
-        backoffs += s.backoffs;
-      }
-      freeze("net.client.connects", connects);
-      freeze("net.client.requests", requests);
-      freeze("net.client.request_failures", failures);
-      freeze("net.client.timeouts", timeouts);
-      freeze("net.client.backoffs", backoffs);
-      freeze("net.client.unavailable", tcp->unavailable_results());
-      freeze("kv.version", report.final_version);
+      tcp->bind_metrics(scratch);
+      scratch.expose_counter("kv.version",
+                             [v = report.final_version]() { return v; });
+    }
+    const obs::MetricsSnapshot final_values = scratch.snapshot();
+    for (const auto& [name, v] : final_values.counters) {
+      reg->expose_counter(name, [v]() { return v; });
+    }
+    for (const auto& [name, v] : final_values.gauges) {
+      reg->expose_gauge(name, [v]() { return v; });
     }
     reg->counter("chaos.violations").inc(report.violations.size());
     reg->counter("chaos.fault_events").inc(report.event_log.size());

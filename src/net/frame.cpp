@@ -25,8 +25,6 @@ const char* frame_type_name(FrameType t) noexcept {
     case FrameType::kMultiGetResp: return "MULTI_GET_RESP";
     case FrameType::kPublishDeltaReq: return "PUBLISH_DELTA_REQ";
     case FrameType::kPublishDeltaResp: return "PUBLISH_DELTA_RESP";
-    case FrameType::kPutReq: return "PUT_REQ";
-    case FrameType::kPutResp: return "PUT_RESP";
     case FrameType::kSetShardUpReq: return "SET_SHARD_UP_REQ";
     case FrameType::kSetShardUpResp: return "SET_SHARD_UP_RESP";
     case FrameType::kError: return "ERROR";
@@ -300,33 +298,6 @@ bool PublishDeltaRespMsg::decode(std::string_view payload,
   if (status > static_cast<std::uint8_t>(PublishStatus::kStale)) return false;
   out->status = static_cast<PublishStatus>(status);
   return true;
-}
-
-// --- PutReqMsg / PutRespMsg ------------------------------------------------
-
-std::string PutReqMsg::encode() const {
-  std::string out;
-  WireWriter w(&out);
-  w.str(key);
-  w.str(value);
-  return out;
-}
-
-bool PutReqMsg::decode(std::string_view payload, PutReqMsg* out) {
-  WireReader r(payload);
-  return r.str(&out->key) && r.str(&out->value) && finish(r);
-}
-
-std::string PutRespMsg::encode() const {
-  std::string out;
-  WireWriter w(&out);
-  w.u64(version);
-  return out;
-}
-
-bool PutRespMsg::decode(std::string_view payload, PutRespMsg* out) {
-  WireReader r(payload);
-  return r.u64(&out->version) && finish(r);
 }
 
 // --- SetShardUpReqMsg / SetShardUpRespMsg ----------------------------------

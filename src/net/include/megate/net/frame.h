@@ -48,11 +48,9 @@ enum class FrameType : std::uint8_t {
   kMultiGetResp = 6,
   kPublishDeltaReq = 7,
   kPublishDeltaResp = 8,
-  kPutReq = 9,
-  kPutResp = 10,
-  kSetShardUpReq = 11,   ///< admin fault seam (chaos kAdmin mode)
-  kSetShardUpResp = 12,
-  kError = 13,  ///< the last value: frame_type_known checks [kHello, kError]
+  kSetShardUpReq = 9,   ///< admin fault seam (chaos kAdmin mode)
+  kSetShardUpResp = 10,
+  kError = 11,  ///< the last value: frame_type_known checks [kHello, kError]
 };
 
 /// True iff `t` is a value the protocol defines.
@@ -202,21 +200,6 @@ struct PublishDeltaRespMsg {
 
   std::string encode() const;
   static bool decode(std::string_view payload, PublishDeltaRespMsg* out);
-};
-
-struct PutReqMsg {
-  std::string key;
-  std::string value;
-
-  std::string encode() const;
-  static bool decode(std::string_view payload, PutReqMsg* out);
-};
-
-struct PutRespMsg {
-  ctrl::Version version = 0;
-
-  std::string encode() const;
-  static bool decode(std::string_view payload, PutRespMsg* out);
 };
 
 struct SetShardUpReqMsg {

@@ -57,10 +57,7 @@ class TcpKvTransport final : public ctrl::KvTransport {
   ctrl::GetResult get(const std::string& key) override;
   ctrl::MultiGetResult multi_get(
       const std::vector<std::string>& keys) override;
-  ctrl::Version publish(
-      const std::vector<std::pair<std::string, std::string>>& batch) override;
   ctrl::Version publish_delta(const ctrl::KvDelta& delta) override;
-  void put(const std::string& key, std::string value) override;
   std::size_t num_shards() const override { return channels_.size(); }
   std::size_t shard_index(const std::string& key) const override;
   /// Admin fault seam: forwards SET_SHARD_UP to the shard's server (the

@@ -188,15 +188,6 @@ void ShardServer::handle_frame(Connection& c, const Frame& f) {
       send_frame(c, FrameType::kPublishDeltaResp, id, resp.encode());
       return;
     }
-    case FrameType::kPutReq: {
-      PutReqMsg req;
-      if (!PutReqMsg::decode(f.payload, &req)) break;
-      kv_->put(req.key, std::move(req.value));
-      PutRespMsg resp;
-      resp.version = kv_->version();
-      send_frame(c, FrameType::kPutResp, id, resp.encode());
-      return;
-    }
     case FrameType::kSetShardUpReq: {
       SetShardUpReqMsg req;
       if (!SetShardUpReqMsg::decode(f.payload, &req)) break;

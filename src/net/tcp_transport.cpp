@@ -163,13 +163,6 @@ ctrl::MultiGetResult TcpKvTransport::multi_get(
   return result;
 }
 
-ctrl::Version TcpKvTransport::publish(
-    const std::vector<std::pair<std::string, std::string>>& batch) {
-  ctrl::KvDelta delta;
-  delta.upserts = batch;
-  return publish_delta(delta);
-}
-
 ctrl::Version TcpKvTransport::publish_delta(const ctrl::KvDelta& delta) {
   const ctrl::Version new_version = self_version_ + 1;
   // Mirror first: the mirror at new_version is the snapshot source if
@@ -259,19 +252,6 @@ bool TcpKvTransport::finish_publish(std::size_t shard, std::uint32_t id,
     }
   }
   return false;
-}
-
-void TcpKvTransport::put(const std::string& key, std::string value) {
-  table_[key] = value;
-  const std::size_t s = shard_index(key);
-  PutReqMsg req;
-  req.key = key;
-  req.value = std::move(value);
-  std::string payload;
-  if (!channels_[s]->request(FrameType::kPutReq, req.encode(),
-                             FrameType::kPutResp, &payload)) {
-    ++unavailable_;  // the mirror still carries it; resync repairs
-  }
 }
 
 void TcpKvTransport::set_shard_up(std::size_t shard, bool up) {

@@ -140,9 +140,6 @@ class MetricsRegistry {
 
   MetricsSnapshot snapshot() const;
 
-  /// Process-wide default registry, for call sites with no better home.
-  static MetricsRegistry& global();
-
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;

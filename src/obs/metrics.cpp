@@ -135,9 +135,4 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return snap;
 }
 
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry* instance = new MetricsRegistry();
-  return *instance;
-}
-
 }  // namespace megate::obs

@@ -15,6 +15,7 @@ constexpr double kWindowS = 300.0;
 
 FailureOutcome run_failure_scenario(topo::Graph& graph,
                                     const topo::TunnelSet& tunnels,
+                                    const topo::TunnelOptions& tunnel_options,
                                     const tm::TrafficMatrix& traffic,
                                     te::Solver& solver,
                                     const FailureScenarioOptions& options,
@@ -65,7 +66,7 @@ FailureOutcome run_failure_scenario(topo::Graph& graph,
   // --- recompute on the degraded topology ---
   topo::TunnelSet repaired = tunnels;  // keep the caller's set intact
   const util::Stopwatch repair_clock;
-  topo::repair_tunnels(graph, repaired);
+  topo::repair_tunnels(graph, repaired, tunnel_options);
   out.repair_s = repair_clock.elapsed_seconds();
   te::TeProblem degraded = problem;
   degraded.tunnels = &repaired;

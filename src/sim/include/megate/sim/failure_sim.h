@@ -12,6 +12,7 @@
 
 #include "megate/te/types.h"
 #include "megate/topo/failures.h"
+#include "megate/topo/tunnels.h"
 
 namespace megate::sim {
 
@@ -39,13 +40,16 @@ struct FailureOutcome {
 };
 
 /// Runs the scenario for `solver`: solve, fail links, re-solve on the
-/// degraded topology (tunnels repaired via repair_tunnels), compute the
+/// degraded topology (tunnels repaired via repair_tunnels with
+/// `tunnel_options`, the options `tunnels` was built with, so a repaired
+/// pair gets as many tunnels as the build gave it), compute the
 /// time-averaged satisfied demand. `recompute_override_s`, when >= 0,
 /// replaces the measured recompute time (used to model the paper's
 /// reported 100 s NCFlow recomputation on production-scale hardware).
 /// The graph is restored before returning.
 FailureOutcome run_failure_scenario(topo::Graph& graph,
                                     const topo::TunnelSet& tunnels,
+                                    const topo::TunnelOptions& tunnel_options,
                                     const tm::TrafficMatrix& traffic,
                                     te::Solver& solver,
                                     const FailureScenarioOptions& options,

@@ -6,7 +6,6 @@
 #include "megate/lp/packing.h"
 #include "megate/te/baselines.h"
 #include "megate/topo/clustering.h"
-#include "megate/topo/shortest_path.h"
 #include "megate/util/stopwatch.h"
 
 namespace megate::te {

@@ -17,6 +17,25 @@ EdgeId find_reverse(const Graph& g, EdgeId e) {
   return kInvalidEdge;
 }
 
+/// True if `to` is reachable from `from` over up links.
+bool reaches(const Graph& g, NodeId from, NodeId to) {
+  std::vector<bool> seen(g.num_nodes(), false);
+  std::vector<NodeId> stack{from};
+  seen[from] = true;
+  while (!stack.empty()) {
+    const NodeId v = stack.back();
+    stack.pop_back();
+    if (v == to) return true;
+    for (EdgeId e : g.out_edges(v)) {
+      const Link& l = g.link(e);
+      if (!l.up || seen[l.dst]) continue;
+      seen[l.dst] = true;
+      stack.push_back(l.dst);
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 std::vector<FailureEvent> inject_link_failures(Graph& g, std::uint32_t count,
@@ -43,10 +62,12 @@ std::vector<FailureEvent> inject_link_failures(Graph& g, std::uint32_t count,
     if (events.size() >= count) break;
     g.set_link_state(ev.forward, false);
     if (ev.reverse != kInvalidEdge) g.set_link_state(ev.reverse, false);
-    if (g.is_connected()) {
+    const Link& l = g.link(ev.forward);
+    if (reaches(g, l.src, l.dst) && reaches(g, l.dst, l.src)) {
       events.push_back(ev);
     } else {
-      // Would partition the WAN: revert and try the next candidate.
+      // Would cut the link's two ends apart: revert and try the next
+      // candidate.
       g.set_link_state(ev.forward, true);
       if (ev.reverse != kInvalidEdge) g.set_link_state(ev.reverse, true);
     }

@@ -15,9 +15,12 @@ struct FailureEvent {
 };
 
 /// Fails `count` distinct duplex links chosen uniformly at random among
-/// links whose removal keeps the graph connected (the paper's failure
-/// scenarios assume the WAN stays connected and TE reroutes). Returns the
-/// failed links; the graph is modified in place. Deterministic in `seed`.
+/// links whose two ends still reach each other after the removal (the
+/// paper's failure scenarios assume the WAN stays connected and TE
+/// reroutes). On a connected duplex graph that is exactly "the graph
+/// stays connected"; on a partitioned one, links inside an island can
+/// still fail. Returns the failed links (fewer than `count` when no more
+/// qualify); the graph is modified in place. Deterministic in `seed`.
 std::vector<FailureEvent> inject_link_failures(Graph& g, std::uint32_t count,
                                                std::uint64_t seed);
 

@@ -25,30 +25,16 @@ namespace {
 
 // --- KvStore ---------------------------------------------------------------
 
-TEST(KvStore, PutGetErase) {
-  KvStore kv(2);
-  kv.put("a", "1");
-  const GetResult hit = kv.try_get("a");
-  EXPECT_EQ(hit.status, GetStatus::kOk);
-  EXPECT_EQ(hit.value, "1");
-  EXPECT_EQ(kv.try_get("missing").status, GetStatus::kMiss);
-  kv.put("a", "2");
-  EXPECT_EQ(kv.try_get("a").value, "2");
-  EXPECT_TRUE(kv.erase("a"));
-  EXPECT_FALSE(kv.erase("a"));
-  EXPECT_EQ(kv.size(), 0u);
-}
-
 TEST(KvStore, PublishBumpsVersionAtomically) {
   KvStore kv(2);
   EXPECT_EQ(kv.version(), 0u);
-  const Version v1 = kv.publish({{"x", "1"}, {"y", "2"}});
+  const Version v1 = kv.publish_delta({.upserts = {{"x", "1"}, {"y", "2"}}});
   EXPECT_EQ(v1, 1u);
   EXPECT_EQ(kv.version(), 1u);
   EXPECT_EQ(kv.try_get("x").value, "1");
   // The GetResult's version stamps the snapshot the read observed.
   EXPECT_GE(kv.try_get("x").version, v1);
-  const Version v2 = kv.publish({{"x", "3"}});
+  const Version v2 = kv.publish_delta({.upserts = {{"x", "3"}}});
   EXPECT_EQ(v2, 2u);
   EXPECT_EQ(kv.try_get("x").value, "3");
   EXPECT_EQ(kv.try_get("y").value, "2");
@@ -60,7 +46,7 @@ TEST(KvStore, RejectsZeroShards) {
 
 TEST(KvStore, CountsQueries) {
   KvStore kv(2);
-  kv.put("k", "v");
+  kv.publish_delta({.upserts = {{"k", "v"}}});
   const auto before = kv.query_count();
   (void)kv.try_get("k");
   (void)kv.try_get("k");
@@ -70,7 +56,11 @@ TEST(KvStore, CountsQueries) {
 
 TEST(KvStore, KeysSpreadAcrossShards) {
   KvStore kv(4);
-  for (int i = 0; i < 100; ++i) kv.put("key" + std::to_string(i), "v");
+  KvDelta delta;
+  for (int i = 0; i < 100; ++i) {
+    delta.upserts.emplace_back("key" + std::to_string(i), "v");
+  }
+  kv.publish_delta(delta);
   EXPECT_EQ(kv.size(), 100u);
 }
 
@@ -80,13 +70,16 @@ TEST(KvStore, ConcurrentReadersAndWriters) {
   for (int w = 0; w < 4; ++w) {
     threads.emplace_back([&kv, w] {
       for (int i = 0; i < 500; ++i) {
-        kv.put("k" + std::to_string(w) + "/" + std::to_string(i), "v");
+        kv.publish_delta(
+            {.upserts = {{"k" + std::to_string(w) + "/" + std::to_string(i),
+                          "v"}}});
         (void)kv.try_get("k0/" + std::to_string(i % 100));
       }
     });
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(kv.size(), 4u * 500u);
+  EXPECT_EQ(kv.version(), 4u * 500u);  // one version per write
 }
 
 // --- controller encode/decode ---------------------------------------------
@@ -400,7 +393,7 @@ TEST(Agent, PullsOnVersionChange) {
   EndpointAgent agent(5, &db, nullptr, opt);
   agent.tick(0.5);  // before any publish: nothing to apply
   EXPECT_EQ(agent.applied_version(), 0u);
-  kv.publish({{path_key(5), "*:1,2,3"}});
+  kv.publish_delta({.upserts = {{path_key(5), "*:1,2,3"}}});
   agent.tick(3.0);
   EXPECT_EQ(agent.applied_version(), 1u);
   EXPECT_EQ(agent.hops_for(99), (std::vector<std::uint32_t>{1, 2, 3}))
@@ -423,7 +416,7 @@ TEST(Agent, InstallsIntoHostStack) {
   AgentOptions opt;
   opt.poll_interval_s = 1.0;
   EndpointAgent agent(5, &db, &stack, opt);
-  kv.publish({{path_key(5), "*:9,10"}});
+  kv.publish_delta({.upserts = {{path_key(5), "*:9,10"}}});
   agent.tick(5.0);
   // The stack now encapsulates this instance's packets with SR.
   dataplane::Buffer frame;
@@ -463,8 +456,9 @@ TEST(Agent, AppliesOnlyChangedEntriesAndKeepsLastGoodOnDrop) {
   };
   using Hops = std::vector<std::uint32_t>;
 
-  kv.publish({{path_key(1), "5:1,5"}, {path_key(2), "6:2,6"},
-              {path_key(3), "*:3"}});
+  kv.publish_delta({.upserts = {{path_key(1), "5:1,5"},
+                                {path_key(2), "6:2,6"},
+                                {path_key(3), "*:3"}}});
   agent.tick(1.0);
   ASSERT_EQ(agent.applied_version(), 1u);
   EXPECT_EQ(route(1, 5), (Hops{1, 5}));
@@ -491,14 +485,14 @@ TEST(Agent, AppliesOnlyChangedEntriesAndKeepsLastGoodOnDrop) {
   // A dropped pull of v3 changes neither the routes nor the stored raw
   // values: once v4 restores instance 1's v2 entry, the agent sees it as
   // unchanged and skips it.
-  kv.publish({{path_key(1), "5:1,9"}});
+  kv.publish_delta({.upserts = {{path_key(1), "5:1,9"}}});
   hooks.drop = true;
   agent.tick(3.0);
   EXPECT_EQ(agent.applied_version(), 2u);
   EXPECT_EQ(agent.routes_for(1), (std::vector<RouteEntry>{{5, {1, 5}}}));
   EXPECT_EQ(route(1, 5), (Hops{99}));
   hooks.drop = false;
-  kv.publish({{path_key(1), "5:1,5"}});
+  kv.publish_delta({.upserts = {{path_key(1), "5:1,5"}}});
   agent.tick(10.0);
   ASSERT_EQ(agent.applied_version(), 4u);
   EXPECT_EQ(route(1, 5), (Hops{99})) << "failed pull overwrote last-good";

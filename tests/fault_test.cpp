@@ -85,7 +85,7 @@ TEST(FaultPlanTest, EmptyTargetSpacesAreSkipped) {
 
 TEST(KvStoreFaultTest, DownShardRefusesReadsAndBuffersWrites) {
   ctrl::KvStore kv(4);
-  kv.put("alpha", "1");
+  kv.publish_delta({.upserts = {{"alpha", "1"}}});
   const std::size_t shard = kv.shard_index("alpha");
   ASSERT_TRUE(kv.shard_up(shard));
 
@@ -97,12 +97,13 @@ TEST(KvStoreFaultTest, DownShardRefusesReadsAndBuffersWrites) {
   EXPECT_GE(kv.unavailable_count(), 1u);
 
   // Writes while down are buffered; the redo log replays in order.
-  kv.put("alpha", "2");
-  kv.put("alpha", "3");
+  kv.publish_delta({.upserts = {{"alpha", "2"}}});
+  const ctrl::Version last = kv.publish_delta({.upserts = {{"alpha", "3"}}});
   kv.set_shard_up(shard, true);
   const ctrl::GetResult up = kv.try_get("alpha");
   ASSERT_EQ(up.status, ctrl::GetStatus::kOk);
   EXPECT_EQ(up.value, "3");
+  EXPECT_EQ(up.version, last);  // tagged with the last replayed publish
 }
 
 TEST(KvStoreFaultTest, PublishAdvancesVersionWhileShardDown) {
@@ -110,7 +111,7 @@ TEST(KvStoreFaultTest, PublishAdvancesVersionWhileShardDown) {
   kv.set_shard_up(0, false);
   kv.set_shard_up(1, false);
   const ctrl::Version before = kv.version();
-  kv.publish({{"k1", "v1"}, {"k2", "v2"}});
+  kv.publish_delta({.upserts = {{"k1", "v1"}, {"k2", "v2"}}});
   EXPECT_EQ(kv.version(), before + 1);  // readers learn an update exists
   kv.set_shard_up(0, true);
   kv.set_shard_up(1, true);
@@ -127,11 +128,16 @@ TEST(KvStoreFaultTest, PublishAdvancesVersionWhileShardDown) {
 TEST(KvStoreFaultTest, MissVsUnavailableAndEraseOnDownShard) {
   ctrl::KvStore kv(1);
   EXPECT_EQ(kv.try_get("absent").status, ctrl::GetStatus::kMiss);
-  kv.put("key", "v");
+  kv.publish_delta({.upserts = {{"key", "v"}}});
   kv.set_shard_up(0, false);
-  EXPECT_FALSE(kv.erase("key"));
+  // A delta erase on a down shard is buffered: the key is unavailable,
+  // not missing, until recovery replays the erase.
+  kv.publish_delta({.erases = {"key"}});
+  EXPECT_EQ(kv.try_get("key").status, ctrl::GetStatus::kUnavailable);
+  EXPECT_EQ(kv.size(), 1u);
   kv.set_shard_up(0, true);
-  EXPECT_TRUE(kv.erase("key"));
+  EXPECT_EQ(kv.try_get("key").status, ctrl::GetStatus::kMiss);
+  EXPECT_EQ(kv.size(), 0u);
 }
 
 TEST(KvStoreFaultTest, ShardIndexOutOfRangeThrows) {

@@ -1,7 +1,7 @@
 // Tests for the epoch-snapshot TE database (PR 4): GetResult semantics
 // and version tags, copy-on-write delta publishes with erases, snapshot
-// growth/rebuild accounting, the versioned redo log's put/publish
-// interleaving, multi_get's consistent cut — plus a concurrency suite
+// growth/rebuild accounting, the versioned redo log's replay order,
+// multi_get's consistent cut — plus a concurrency suite
 // (readers + publisher + shard flaps, run under TSan in ci.sh) and the
 // batched-pull property suite asserting KvStore::multi_get-based agent
 // pulls are behaviourally identical to per-key pulls under every fault
@@ -42,7 +42,7 @@ TEST(KvSnapshotTest, GetResultCarriesStatusValueAndVersion) {
   EXPECT_TRUE(kv.try_get("absent").value.empty());
   EXPECT_EQ(kv.try_get("absent").version, 0u);
 
-  const Version v1 = kv.publish({{"a", "1"}, {"b", "2"}});
+  const Version v1 = kv.publish_delta({.upserts = {{"a", "1"}, {"b", "2"}}});
   const GetResult hit = kv.try_get("a");
   EXPECT_EQ(hit.status, GetStatus::kOk);
   EXPECT_TRUE(hit.ok());
@@ -54,22 +54,12 @@ TEST(KvSnapshotTest, GetResultCarriesStatusValueAndVersion) {
   EXPECT_EQ(kv.try_get("absent").version, v1);
 }
 
-TEST(KvSnapshotTest, PutDoesNotBumpVersionButPublishDoes) {
-  KvStore kv(2);
-  kv.put("k", "v");
-  EXPECT_EQ(kv.version(), 0u);
-  EXPECT_EQ(kv.try_get("k").value, "v");
-  const Version v = kv.publish({{"k", "w"}});
-  EXPECT_EQ(v, 1u);
-  EXPECT_EQ(kv.version(), 1u);
-  EXPECT_EQ(kv.try_get("k").value, "w");
-}
-
 TEST(KvSnapshotTest, VersionTagIsMonotonePerKey) {
   KvStore kv(4);
   Version last = 0;
   for (int round = 0; round < 5; ++round) {
-    const Version v = kv.publish({{"key", std::to_string(round)}});
+    const Version v =
+        kv.publish_delta({.upserts = {{"key", std::to_string(round)}}});
     const GetResult r = kv.try_get("key");
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r.value, std::to_string(round));
@@ -83,7 +73,7 @@ TEST(KvSnapshotTest, VersionTagIsMonotonePerKey) {
 
 TEST(KvSnapshotTest, PublishDeltaAppliesUpsertsAndErases) {
   KvStore kv(2);
-  kv.publish({{"a", "1"}, {"b", "2"}, {"c", "3"}});
+  kv.publish_delta({.upserts = {{"a", "1"}, {"b", "2"}, {"c", "3"}}});
 
   KvDelta delta;
   delta.upserts = {{"b", "20"}, {"d", "4"}};
@@ -109,7 +99,7 @@ TEST(KvSnapshotTest, DeltaBytesCountLogicalPayload) {
   EXPECT_EQ(kv.delta_keys(), 3u);
   // Accounting is the same for full publishes (upserts-only deltas).
   const std::uint64_t mid = kv.delta_bytes();
-  kv.publish({{"abc", "de"}});
+  kv.publish_delta({.upserts = {{"abc", "de"}}});
   EXPECT_EQ(kv.delta_bytes() - mid, 5u);
 }
 
@@ -123,11 +113,11 @@ TEST(KvSnapshotTest, EmptyDeltaStillBumpsVersion) {
 TEST(KvSnapshotTest, SmallDeltaDoesNotRebuildStableTable) {
   KvStore kv(1);
   // Build a table large enough that its bucket array is settled.
-  std::vector<std::pair<std::string, std::string>> batch;
+  KvDelta table;
   for (int i = 0; i < 256; ++i) {
-    batch.emplace_back("key/" + std::to_string(i), "*:1,2,3");
+    table.upserts.emplace_back("key/" + std::to_string(i), "*:1,2,3");
   }
-  kv.publish(batch);
+  kv.publish_delta(table);
   const std::uint64_t rebuilds = kv.snapshot_rebuilds();
   const std::uint64_t installs = kv.snapshot_installs();
 
@@ -145,11 +135,11 @@ TEST(KvSnapshotTest, SmallDeltaDoesNotRebuildStableTable) {
 TEST(KvSnapshotTest, GrowthTriggersRebuild) {
   KvStore kv(1);
   EXPECT_EQ(kv.snapshot_rebuilds(), 0u);
-  std::vector<std::pair<std::string, std::string>> batch;
+  KvDelta batch;
   for (int i = 0; i < 512; ++i) {
-    batch.emplace_back("grow/" + std::to_string(i), "v");
+    batch.upserts.emplace_back("grow/" + std::to_string(i), "v");
   }
-  kv.publish(batch);
+  kv.publish_delta(batch);
   EXPECT_GT(kv.snapshot_rebuilds(), 0u);
   for (int i = 0; i < 512; ++i) {
     EXPECT_TRUE(kv.try_get("grow/" + std::to_string(i)).ok());
@@ -158,7 +148,7 @@ TEST(KvSnapshotTest, GrowthTriggersRebuild) {
 
 TEST(KvSnapshotTest, PayloadBytesTrackUpsertsAndErases) {
   KvStore kv(2);
-  kv.publish({{"ab", "cd"}});  // 4 payload bytes
+  kv.publish_delta({.upserts = {{"ab", "cd"}}});  // 4 payload bytes
   EXPECT_EQ(kv.payload_bytes(), 4u);
   KvDelta delta;
   delta.upserts = {{"ab", "cdef"}};  // value grows by 2
@@ -173,45 +163,9 @@ TEST(KvSnapshotTest, PayloadBytesTrackUpsertsAndErases) {
 
 // --- versioned redo log (satellite: replay ordering) ------------------------
 
-TEST(KvSnapshotTest, RedoLogReplaysPutsAndPublishesInArrivalOrder) {
-  KvStore kv(1);
-  kv.publish({{"key", "v0"}});
-  kv.set_shard_up(0, false);
-
-  // Interleave unversioned puts with versioned publish deltas while the
-  // shard is down. Recovery must apply them in arrival order — the last
-  // arrival wins, whether or not it carried a publish version.
-  kv.put("key", "put1");
-  KvDelta d1;
-  d1.upserts = {{"key", "pub1"}};
-  const Version v_pub1 = kv.publish_delta(d1);
-  kv.put("key", "put2");
-  EXPECT_EQ(kv.redo_buffered(), 3u);
-
-  kv.set_shard_up(0, true);
-  EXPECT_EQ(kv.redo_replayed(), 3u);
-  const GetResult r = kv.try_get("key");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value, "put2");  // arrival order, not version order
-  // The recovered shard's tag reflects the replayed publish: reads are
-  // consistent with v_pub1 even though a plain put arrived after it.
-  EXPECT_GE(r.version, v_pub1);
-}
-
-TEST(KvSnapshotTest, RedoLogReplaysPublishAfterPutOverwrite) {
-  KvStore kv(1);
-  kv.set_shard_up(0, false);
-  kv.put("key", "put1");
-  KvDelta d;
-  d.upserts = {{"key", "pub1"}};
-  kv.publish_delta(d);
-  kv.set_shard_up(0, true);
-  EXPECT_EQ(kv.try_get("key").value, "pub1");  // publish arrived last
-}
-
 TEST(KvSnapshotTest, RedoLogReplaysVersionedErase) {
   KvStore kv(1);
-  kv.publish({{"gone", "x"}, {"kept", "y"}});
+  kv.publish_delta({.upserts = {{"gone", "x"}, {"kept", "y"}}});
   kv.set_shard_up(0, false);
   KvDelta d;
   d.erases = {"gone"};
@@ -228,7 +182,8 @@ TEST(KvSnapshotTest, RedoLogReplaysVersionedErase) {
 
 TEST(KvSnapshotTest, MultiGetReturnsOneConsistentCut) {
   KvStore kv(4);
-  const Version v = kv.publish({{"a", "1"}, {"b", "2"}, {"c", "3"}});
+  const Version v =
+      kv.publish_delta({.upserts = {{"a", "1"}, {"b", "2"}, {"c", "3"}}});
   const MultiGetResult r = kv.multi_get({"a", "missing", "c"});
   EXPECT_TRUE(r.consistent);
   EXPECT_EQ(r.version, v);
@@ -242,7 +197,7 @@ TEST(KvSnapshotTest, MultiGetReturnsOneConsistentCut) {
 
 TEST(KvSnapshotTest, MultiGetFlagsDownShardEntries) {
   KvStore kv(4);
-  kv.publish({{"a", "1"}, {"b", "2"}});
+  kv.publish_delta({.upserts = {{"a", "1"}, {"b", "2"}}});
   kv.set_shard_up(kv.shard_index("a"), false);
   const MultiGetResult r = kv.multi_get({"a", "b"});
   EXPECT_EQ(r.entries[0].status, GetStatus::kUnavailable);
@@ -254,7 +209,7 @@ TEST(KvSnapshotTest, MultiGetFlagsDownShardEntries) {
 
 TEST(KvSnapshotTest, MultiGetCountsOneQueryPerKey) {
   KvStore kv(2);
-  kv.publish({{"a", "1"}, {"b", "2"}, {"c", "3"}});
+  kv.publish_delta({.upserts = {{"a", "1"}, {"b", "2"}, {"c", "3"}}});
   const std::uint64_t before = kv.query_count();
   kv.multi_get({"a", "b", "c"});
   EXPECT_EQ(kv.query_count() - before, 3u);
@@ -269,8 +224,8 @@ TEST(KvSnapshotTest, MultiGetCountsOneQueryPerKey) {
 
 TEST(KvSnapshotTest, ResetToReplacesStateAndJumpsVersion) {
   KvStore kv(2);
-  kv.publish({{"a", "1"}, {"b", "2"}});
-  kv.publish({{"c", "3"}});
+  kv.publish_delta({.upserts = {{"a", "1"}, {"b", "2"}}});
+  kv.publish_delta({.upserts = {{"c", "3"}}});
   ASSERT_EQ(kv.version(), 2u);
 
   // A restarted replica catches up: full snapshot at a later version.
@@ -295,11 +250,12 @@ TEST(KvSnapshotTest, ResetToReplacesStateAndJumpsVersion) {
 
 TEST(KvSnapshotTest, ResetToRevivesDownShardWithoutRedoReplay) {
   KvStore kv(2);
-  kv.publish({{"a", "1"}});
+  kv.publish_delta({.upserts = {{"a", "1"}}});
   for (std::size_t i = 0; i < kv.num_shards(); ++i) {
     kv.set_shard_up(i, false);
   }
-  kv.publish({{"a", "2"}, {"b", "9"}});  // buffered in the redo log
+  // Buffered in the redo log.
+  kv.publish_delta({.upserts = {{"a", "2"}, {"b", "9"}}});
   KvDelta snapshot;
   snapshot.upserts = {{"a", "2"}, {"b", "9"}};
   kv.reset_to(snapshot, kv.version());
@@ -365,12 +321,12 @@ TEST(KvSnapshotConcurrency, MultiGetCutIsUniformWhileConsistent) {
   KvStore kv(4);
   constexpr int kKeys = 32;
   std::vector<std::string> keys;
-  std::vector<std::pair<std::string, std::string>> batch;
+  KvDelta batch;
   for (int i = 0; i < kKeys; ++i) {
     keys.push_back("k/" + std::to_string(i));
-    batch.emplace_back(keys.back(), "0");
+    batch.upserts.emplace_back(keys.back(), "0");
   }
-  kv.publish(batch);
+  kv.publish_delta(batch);
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> consistent_cuts{0};
@@ -393,8 +349,8 @@ TEST(KvSnapshotConcurrency, MultiGetCutIsUniformWhileConsistent) {
   }
 
   for (int round = 1; round <= 300; ++round) {
-    for (auto& kvp : batch) kvp.second = std::to_string(round);
-    kv.publish(batch);
+    for (auto& kvp : batch.upserts) kvp.second = std::to_string(round);
+    kv.publish_delta(batch);
   }
   stop.store(true);
   for (auto& t : readers) t.join();
@@ -410,7 +366,7 @@ TEST(KvSnapshotConcurrency, MultiGetCutIsUniformWhileConsistent) {
 
 TEST(KvSnapshotConcurrency, ShardFlapsWithReadersAndWriters) {
   KvStore kv(2);
-  kv.publish({{"stable", "s"}});
+  kv.publish_delta({.upserts = {{"stable", "s"}}});
   std::atomic<bool> stop{false};
 
   std::thread flapper([&] {
@@ -423,7 +379,8 @@ TEST(KvSnapshotConcurrency, ShardFlapsWithReadersAndWriters) {
   std::thread writer([&] {
     int i = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      kv.put("w/" + std::to_string(i % 16), std::to_string(i));
+      kv.publish_delta(
+          {.upserts = {{"w/" + std::to_string(i % 16), std::to_string(i)}}});
       ++i;
     }
   });
@@ -457,8 +414,8 @@ TEST(KvSnapshotConcurrency, PutsAndErasesRaceWithReaders) {
       while (!stop.load(std::memory_order_relaxed)) {
         const std::string key =
             "t" + std::to_string(t) + "/" + std::to_string(i % 32);
-        kv.put(key, std::to_string(i));
-        if (i % 3 == 0) kv.erase(key);
+        kv.publish_delta({.upserts = {{key, std::to_string(i)}}});
+        if (i % 3 == 0) kv.publish_delta({.erases = {key}});
         ++i;
       }
     });

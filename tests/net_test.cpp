@@ -160,15 +160,6 @@ TEST(CodecTest, EveryMessageRoundTripsAndRejectsEveryTruncation) {
   presp.applied = 2;
   ExpectStrictCodec(presp);
 
-  net::PutReqMsg put;
-  put.key = "meta/x";
-  put.value = "y";
-  ExpectStrictCodec(put);
-
-  net::PutRespMsg putresp;
-  putresp.version = 5;
-  ExpectStrictCodec(putresp);
-
   net::SetShardUpReqMsg up;
   up.up = true;
   ExpectStrictCodec(up);
@@ -237,8 +228,8 @@ std::string encoded_frame(FrameType type, std::uint32_t request_id,
 TEST(FrameDecoderTest, DecodesFramesAcrossArbitraryChunking) {
   const std::string a =
       encoded_frame(FrameType::kVersionReq, 1, "");
-  const std::string b =
-      encoded_frame(FrameType::kPutResp, 2, net::PutRespMsg{77}.encode());
+  const std::string b = encoded_frame(FrameType::kVersionResp, 2,
+                                      net::VersionRespMsg{77}.encode());
   const std::string stream = a + b;
 
   // Byte-at-a-time feeding produces exactly the two frames.
@@ -252,10 +243,10 @@ TEST(FrameDecoderTest, DecodesFramesAcrossArbitraryChunking) {
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0].header.type, FrameType::kVersionReq);
   EXPECT_EQ(got[0].header.request_id, 1u);
-  EXPECT_EQ(got[1].header.type, FrameType::kPutResp);
-  net::PutRespMsg put;
-  ASSERT_TRUE(net::PutRespMsg::decode(got[1].payload, &put));
-  EXPECT_EQ(put.version, 77u);
+  EXPECT_EQ(got[1].header.type, FrameType::kVersionResp);
+  net::VersionRespMsg resp;
+  ASSERT_TRUE(net::VersionRespMsg::decode(got[1].payload, &resp));
+  EXPECT_EQ(resp.version, 77u);
   EXPECT_EQ(d.counters().frames, 2u);
   EXPECT_EQ(d.counters().bytes, stream.size());
   EXPECT_EQ(d.buffered(), 0u);
@@ -379,14 +370,6 @@ bool typed_decode(const Frame& f) {
       net::PublishDeltaRespMsg m;
       return net::PublishDeltaRespMsg::decode(f.payload, &m);
     }
-    case FrameType::kPutReq: {
-      net::PutReqMsg m;
-      return net::PutReqMsg::decode(f.payload, &m);
-    }
-    case FrameType::kPutResp: {
-      net::PutRespMsg m;
-      return net::PutRespMsg::decode(f.payload, &m);
-    }
     case FrameType::kSetShardUpReq: {
       net::SetShardUpReqMsg m;
       return net::SetShardUpReqMsg::decode(f.payload, &m);
@@ -427,8 +410,10 @@ std::vector<std::string> fuzz_corpus() {
   pub.delta.erases = {"path/2"};
   corpus.push_back(
       encoded_frame(FrameType::kPublishDeltaReq, 6, pub.encode()));
-  corpus.push_back(encoded_frame(FrameType::kPutResp, 7,
-                                 net::PutRespMsg{99}.encode()));
+  net::PublishDeltaRespMsg presp;
+  presp.applied = 99;
+  corpus.push_back(
+      encoded_frame(FrameType::kPublishDeltaResp, 7, presp.encode()));
   corpus.push_back(encoded_frame(FrameType::kError, 8,
                                  net::ErrorMsg{"oops"}.encode()));
   return corpus;
@@ -884,16 +869,20 @@ TEST(TcpTransportTest, MatchesInProcessKvStoreSemantics) {
   }
 
   // publish / publish_delta / put produce the same versions and reads.
+  // The base-class publish and put are publish_deltas, so each one bumps
+  // the version on both transports.
   std::vector<std::pair<std::string, std::string>> batch;
   for (int i = 0; i < 16; ++i) batch.emplace_back(keys[i], "v" + std::to_string(i));
   EXPECT_EQ(tcp.publish(batch), inproc.publish(batch));
   ctrl::KvDelta delta;
   delta.upserts = {{"path/3", "updated"}};
   delta.erases = {"path/5"};
-  EXPECT_EQ(tcp.publish_delta(delta), inproc.publish_delta(delta));
+  const ctrl::Version v_delta = tcp.publish_delta(delta);
+  EXPECT_EQ(v_delta, inproc.publish_delta(delta));
   tcp.put("meta/epoch", "7");
   inproc.put("meta/epoch", "7");
 
+  EXPECT_EQ(tcp.version(), v_delta + 1);
   EXPECT_EQ(tcp.version(), inproc.version());
 
   auto all_keys = keys;

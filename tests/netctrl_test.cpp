@@ -35,6 +35,8 @@
 #include "megate/fault/process.h"
 #include "megate/net/tcp_transport.h"
 #include "megate/obs/json.h"
+#include "megate/obs/metrics.h"
+#include "megate/obs/span.h"
 
 namespace megate {
 namespace {
@@ -271,6 +273,37 @@ TEST(ChaosTransportParityTest, AllFaultKindsBatchedPullOverKillRestart) {
   o.batch_pull = true;
   expect_transport_parity(o, fault::ShardFaultMode::kKillRestart,
                           "all-kinds/kill-restart/batched");
+}
+
+TEST(ChaosTransportParityTest, TcpFreezeCarriesEveryOwnerBinding) {
+  // The frozen export of a TCP chaos run carries every name the owners'
+  // own bindings expose: TcpKvTransport::bind_metrics and
+  // ctrl::register_counters, plus the run's final kv.version.
+  REQUIRE_DAEMON(shardd_path());
+  fault::ChaosOptions o = tcp_chaos_base();
+  o.intervals = 3;
+  o.transport = fault::ChaosTransportMode::kTcp;
+  o.shardd_binary = shardd_path();
+  obs::MetricsRegistry reg;
+  o.metrics = &reg;
+  (void)fault::run_chaos(o);
+  const auto snap = reg.snapshot();
+
+  obs::MetricsRegistry owners;
+  const net::TcpKvTransport unused(controller_options({1, 2}));
+  unused.bind_metrics(owners);
+  ctrl::ControlCounters counters;
+  ctrl::register_counters(owners, counters);
+  const auto names = owners.snapshot();
+  for (const auto& [name, v] : names.counters) {
+    EXPECT_TRUE(snap.counters.count(name)) << name;
+  }
+  for (const auto& [name, v] : names.gauges) {
+    EXPECT_TRUE(snap.gauges.count(name)) << name;
+  }
+  EXPECT_TRUE(snap.counters.count("net.client.connect_failures"));
+  EXPECT_TRUE(snap.gauges.count("net.client.version"));
+  EXPECT_TRUE(snap.counters.count("kv.version"));
 }
 
 // --- transport-differential batched-pull suite ------------------------------

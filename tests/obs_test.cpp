@@ -11,10 +11,12 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "megate/ctrl/kvstore.h"
@@ -261,31 +263,49 @@ TEST(ObsConcurrency, SnapshotRacesRecordingCleanly) {
 // --- Parity: one metrics path, no duplicate counting -------------------
 
 TEST(MetricsParity, ControlCountersExposureIsBitEqual) {
+  // Every ControlCounters cell, each set to a distinct value, so a field
+  // exported under another field's name shows.
+  const std::pair<const char*, std::uint64_t ctrl::ControlCounters::*>
+      fields[] = {
+          {"polls", &ctrl::ControlCounters::polls},
+          {"pulls", &ctrl::ControlCounters::pulls},
+          {"pull_drops", &ctrl::ControlCounters::pull_drops},
+          {"pull_retries", &ctrl::ControlCounters::pull_retries},
+          {"shard_unavailable", &ctrl::ControlCounters::shard_unavailable},
+          {"stale_version_reads",
+           &ctrl::ControlCounters::stale_version_reads},
+          {"fallbacks_last_good",
+           &ctrl::ControlCounters::fallbacks_last_good},
+          {"publishes", &ctrl::ControlCounters::publishes},
+          {"publish_upserts", &ctrl::ControlCounters::publish_upserts},
+          {"publish_erases", &ctrl::ControlCounters::publish_erases},
+          {"publish_delta_bytes",
+           &ctrl::ControlCounters::publish_delta_bytes},
+      };
   MetricsRegistry reg;
   ctrl::ControlCounters counters;
-  counters.polls = 3;
-  counters.pulls = 2;
   ctrl::register_counters(reg, counters, "ctrl");
-  counters.polls = 10;  // mutate after registration: live view
-  auto snap = reg.snapshot();
-  std::size_t checked = 0;
-  ctrl::for_each_counter(counters,
-                         [&](const char* name, std::uint64_t v) {
-                           EXPECT_EQ(snap.counters.at(std::string("ctrl.") +
-                                                      name),
-                                     v)
-                               << name;
-                           ++checked;
-                         });
-  EXPECT_GE(checked, 10u);  // the whole field table, not a subset
+  // Set after registration: the registry reads the live fields.
+  std::uint64_t value = 3;
+  for (const auto& [name, member] : fields) counters.*member = value++;
+  const auto snap = reg.snapshot();
+  std::size_t exported = 0;
+  for (const auto& [name, v] : snap.counters) {
+    exported += name.rfind("ctrl.", 0) == 0;
+  }
+  EXPECT_EQ(exported, std::size(fields));  // the whole struct, no extras
+  for (const auto& [name, member] : fields) {
+    EXPECT_EQ(snap.counters.at(std::string("ctrl.") + name),
+              counters.*member)
+        << name;
+  }
 }
 
 TEST(MetricsParity, KvStoreShardQueriesSumToTotal) {
   MetricsRegistry reg;
   ctrl::KvStore kv(4);
   kv.bind_metrics(reg, "kv");
-  kv.put("path/1", "a");
-  kv.put("path/2", "b");
+  kv.publish_delta({.upserts = {{"path/1", "a"}, {"path/2", "b"}}});
   for (int i = 0; i < 257; ++i) {
     (void)kv.try_get("path/" + std::to_string(i % 5));
   }
@@ -330,13 +350,11 @@ TEST(MetricsParity, ChaosRunFreezesExactFinalTotals) {
       << "metrics wiring must not perturb the deterministic control loop";
 
   auto snap = reg.snapshot();
-  ctrl::for_each_counter(observed.counters,
-                         [&](const char* name, std::uint64_t v) {
-                           EXPECT_EQ(snap.counters.at(std::string("ctrl.") +
-                                                      name),
-                                     v)
-                               << name;
-                         });
+  MetricsRegistry expected;
+  ctrl::register_counters(expected, observed.counters);
+  for (const auto& [name, v] : expected.snapshot().counters) {
+    EXPECT_EQ(snap.counters.at(name), v) << name;
+  }
   // Shard query counts were frozen at run end and sum to the total.
   std::uint64_t shard_sum = 0;
   for (std::size_t s = 0; s < opt.kv_shards; ++s) {
@@ -351,6 +369,37 @@ TEST(MetricsParity, ChaosRunFreezesExactFinalTotals) {
   EXPECT_TRUE(obs::validate_metrics_json(
                   obs::metrics_to_json(snap, "parity-test"))
                   .empty());
+}
+
+TEST(MetricsParity, ChaosFreezeCarriesEveryOwnerBinding) {
+  // The frozen export of an in-process chaos run carries every name the
+  // owners' own bindings expose: KvStore::bind_metrics and
+  // ctrl::register_counters.
+  fault::ChaosOptions opt;
+  opt.sites = 6;
+  opt.duplex_links = 9;
+  opt.endpoints_per_site = 2;
+  opt.intervals = 3;
+  opt.interval_s = 10.0;
+  opt.plan.seed = 5;
+  MetricsRegistry reg;
+  opt.metrics = &reg;
+  (void)fault::run_chaos(opt);
+  const auto snap = reg.snapshot();
+
+  MetricsRegistry owners;
+  ctrl::KvStore kv(opt.kv_shards);
+  kv.bind_metrics(owners);
+  ctrl::ControlCounters counters;
+  ctrl::register_counters(owners, counters);
+  const auto names = owners.snapshot();
+  for (const auto& [name, v] : names.counters) {
+    EXPECT_TRUE(snap.counters.count(name)) << name;
+  }
+  for (const auto& [name, v] : names.gauges) {
+    EXPECT_TRUE(snap.gauges.count(name)) << name;
+  }
+  EXPECT_TRUE(snap.gauges.count("kv.snapshot.pending"));
 }
 
 }  // namespace

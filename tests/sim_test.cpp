@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <algorithm>
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "megate/sim/failure_sim.h"
 #include "megate/sim/flow_sim.h"
@@ -18,6 +21,9 @@ namespace megate::sim {
 namespace {
 
 using megate::testing::make_scenario;
+
+/// The options every make_scenario tunnel set was built with.
+const topo::TunnelOptions kTunnels = megate::testing::scenario_tunnel_options();
 
 // --- flow sim ----------------------------------------------------------
 
@@ -73,10 +79,10 @@ TEST(FailureSim, FastRecomputeLosesLess) {
   opt.num_failures = 2;
   // Same solver, but once pretending it needs 100 s to recompute (the
   // paper's NCFlow figure): the windowed satisfied demand must drop.
-  FailureOutcome fast = run_failure_scenario(s->graph, s->tunnels,
-                                             s->traffic, megate, opt, 0.5);
-  FailureOutcome slow = run_failure_scenario(s->graph, s->tunnels,
-                                             s->traffic, megate, opt, 100.0);
+  FailureOutcome fast = run_failure_scenario(
+      s->graph, s->tunnels, kTunnels, s->traffic, megate, opt, 0.5);
+  FailureOutcome slow = run_failure_scenario(
+      s->graph, s->tunnels, kTunnels, s->traffic, megate, opt, 100.0);
   EXPECT_NEAR(fast.post_failure_satisfied, slow.post_failure_satisfied,
               1e-9);
   EXPECT_GT(fast.windowed_satisfied, slow.windowed_satisfied);
@@ -88,7 +94,8 @@ TEST(FailureSim, GraphRestoredAfterScenario) {
   const std::size_t links_up = s->graph.num_links_up();
   te::MegaTeSolver megate;
   FailureScenarioOptions opt;
-  run_failure_scenario(s->graph, s->tunnels, s->traffic, megate, opt);
+  run_failure_scenario(s->graph, s->tunnels, kTunnels, s->traffic, megate,
+                       opt);
   EXPECT_EQ(s->graph.num_links_up(), links_up);
 }
 
@@ -98,7 +105,8 @@ TEST(FailureSim, WindowedBetweenZeroAndPre) {
   FailureScenarioOptions opt;
   opt.num_failures = 3;
   FailureOutcome out =
-      run_failure_scenario(s->graph, s->tunnels, s->traffic, megate, opt);
+      run_failure_scenario(s->graph, s->tunnels, kTunnels, s->traffic,
+                           megate, opt);
   EXPECT_GE(out.windowed_satisfied, 0.0);
   EXPECT_LE(out.windowed_satisfied,
             std::max(out.pre_failure_satisfied, out.post_failure_satisfied) +
@@ -112,14 +120,15 @@ TEST(FailureSim, RecomputeIncludesTunnelRepair) {
   FailureScenarioOptions opt;
   opt.num_failures = 3;
   const FailureOutcome out =
-      run_failure_scenario(s->graph, s->tunnels, s->traffic, megate, opt);
+      run_failure_scenario(s->graph, s->tunnels, kTunnels, s->traffic,
+                           megate, opt);
   EXPECT_GT(out.repair_s, 0.0);
   EXPECT_GT(out.recompute_s, out.repair_s);  // repair, then the re-solve
   EXPECT_DOUBLE_EQ(out.outage_s, out.recompute_s + kSyncDelayS);
   // An override replaces the whole fault-to-plan time; repair is still
   // measured.
   const FailureOutcome fixed = run_failure_scenario(
-      s->graph, s->tunnels, s->traffic, megate, opt, 42.0);
+      s->graph, s->tunnels, kTunnels, s->traffic, megate, opt, 42.0);
   EXPECT_EQ(fixed.recompute_s, 42.0);
   EXPECT_GT(fixed.repair_s, 0.0);
 }
@@ -132,10 +141,50 @@ TEST(FailureSim, MoreFailuresNoBetter) {
   FailureScenarioOptions five;
   five.num_failures = 5;
   FailureOutcome o2 =
-      run_failure_scenario(s->graph, s->tunnels, s->traffic, megate, two);
+      run_failure_scenario(s->graph, s->tunnels, kTunnels, s->traffic,
+                           megate, two);
   FailureOutcome o5 =
-      run_failure_scenario(s->graph, s->tunnels, s->traffic, megate, five);
+      run_failure_scenario(s->graph, s->tunnels, kTunnels, s->traffic,
+                           megate, five);
   EXPECT_LE(o5.post_failure_satisfied, o2.post_failure_satisfied + 0.05);
+}
+
+/// Solves with MegaTE and records, per solve, the fingerprint of the
+/// tunnel set it was handed and its largest per-pair tunnel count.
+class TunnelCountingSolver final : public te::Solver {
+ public:
+  std::string name() const override { return "counting"; }
+  te::TeSolution solve(const te::TeProblem& problem) override {
+    std::size_t most = 0;
+    for (const auto& [pair, tunnels] : problem.tunnels->all()) {
+      most = std::max(most, tunnels.size());
+    }
+    most_tunnels.push_back(most);
+    fingerprints.push_back(problem.tunnels->fingerprint());
+    return inner_.solve(problem);
+  }
+
+  std::vector<std::size_t> most_tunnels;
+  std::vector<std::uint64_t> fingerprints;
+
+ private:
+  te::MegaTeSolver inner_;
+};
+
+TEST(FailureSim, RepairKeepsTheBuildsTunnelsPerPair) {
+  auto s = make_scenario(10, 18, 20, 0.5, 4);
+  FailureScenarioOptions opt;
+  opt.num_failures = 3;
+  TunnelCountingSolver solver;
+  run_failure_scenario(s->graph, s->tunnels, kTunnels, s->traffic, solver,
+                       opt);
+  // One solve before the failures, one on the repaired tunnels.
+  ASSERT_EQ(solver.most_tunnels.size(), 2u);
+  EXPECT_NE(solver.fingerprints[1], solver.fingerprints[0])
+      << "the failures must have forced a repair";
+  for (const std::size_t most : solver.most_tunnels) {
+    EXPECT_LE(most, kTunnels.tunnels_per_pair);
+  }
 }
 
 // --- production scenarios ---------------------------------------------------
@@ -268,9 +317,11 @@ TEST(Production, Fig17GamingCostStable) {
 /// Bit digests recorded at the commit before the simulations' fixed
 /// parameters became constants: the period simulation's drift sigma and
 /// EWMA alpha (kPredicted), the failure timeline's window and sync delay,
-/// and the flow simulation's queueing scale and utilization cap.
+/// and the flow simulation's queueing scale and utilization cap. The
+/// failure timeline's digest was recorded again once its tunnel repair
+/// kept the build's tunnels per pair (3 here, not the default 4).
 constexpr std::uint64_t kPinnedPredictedCarriage = 0xca4002c18e37b969ULL;
-constexpr std::uint64_t kPinnedFailureWindow = 0xef107a7a61ae28b1ULL;
+constexpr std::uint64_t kPinnedFailureWindow = 0x4ee7a5fd5b1a88f7ULL;
 constexpr std::uint64_t kPinnedFlowLatency = 0x522c3a863e468e55ULL;
 
 std::uint64_t pin_mix(std::uint64_t h, double v) {
@@ -299,7 +350,7 @@ TEST(FailureSimPinned, WindowedSatisfiedMatchesParent) {
   FailureScenarioOptions opt;
   opt.num_failures = 3;
   const FailureOutcome out = run_failure_scenario(
-      s->graph, s->tunnels, s->traffic, megate, opt, 42.0);
+      s->graph, s->tunnels, kTunnels, s->traffic, megate, opt, 42.0);
   std::uint64_t h = 0xCBF29CE484222325ULL;
   h = pin_mix(h, out.outage_s);
   h = pin_mix(h, out.windowed_satisfied);

@@ -29,6 +29,14 @@ struct Scenario {
 
 /// `load` scales total demand relative to total link capacity; ~0.15
 /// produces the partially-satisfiable regime the paper's plots live in.
+/// The tunnel build every make_scenario runs; repairs of a scenario's
+/// tunnels must use the same options.
+inline topo::TunnelOptions scenario_tunnel_options() {
+  topo::TunnelOptions topt;
+  topt.tunnels_per_pair = 3;
+  return topt;
+}
+
 inline std::unique_ptr<Scenario> make_scenario(std::uint32_t sites,
                                                std::uint32_t links,
                                                std::uint32_t eps_per_site,
@@ -38,9 +46,7 @@ inline std::unique_ptr<Scenario> make_scenario(std::uint32_t sites,
   topo::GeneratorOptions gopt;
   gopt.seed = seed;
   s->graph = topo::make_isp_like(sites, links, gopt);
-  topo::TunnelOptions topt;
-  topt.tunnels_per_pair = 3;
-  s->tunnels = topo::build_tunnels(s->graph, topt);
+  s->tunnels = topo::build_tunnels(s->graph, scenario_tunnel_options());
   tm::EndpointLayout layout(
       std::vector<std::uint32_t>(s->graph.num_nodes(), eps_per_site));
   tm::TrafficOptions topts;

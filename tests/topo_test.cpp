@@ -433,6 +433,38 @@ TEST(Failures, DeterministicInSeed) {
   }
 }
 
+TEST(Failures, FailsLinksInsideIslandsOfAPartitionedGraph) {
+  // Two disjoint triangles: each survives the loss of any one link, but
+  // not of two, so at most one link per triangle may fail.
+  Graph g;
+  for (int v = 0; v < 6; ++v) g.add_node("n" + std::to_string(v));
+  for (NodeId base : {0u, 3u}) {
+    g.add_duplex_link(base, base + 1, 10, 1);
+    g.add_duplex_link(base + 1, base + 2, 10, 1);
+    g.add_duplex_link(base + 2, base, 10, 1);
+  }
+  ASSERT_FALSE(g.is_connected());
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    const auto one = inject_link_failures(g, 1, seed);
+    EXPECT_EQ(one.size(), 1u) << "seed " << seed;
+    restore_failures(g, one);
+
+    const auto all = inject_link_failures(g, 3, seed);
+    ASSERT_EQ(all.size(), 2u) << "seed " << seed;
+    for (const FailureEvent& ev : all) {
+      // Both halves of each failed duplex link are down.
+      EXPECT_NE(ev.reverse, kInvalidEdge);
+      EXPECT_FALSE(g.link(ev.forward).up);
+      EXPECT_FALSE(g.link(ev.reverse).up);
+    }
+    // One failure per triangle.
+    EXPECT_NE(g.link(all[0].forward).src < 3, g.link(all[1].forward).src < 3)
+        << "seed " << seed;
+    restore_failures(g, all);
+    EXPECT_EQ(g.num_links_up(), g.num_links());
+  }
+}
+
 TEST(Failures, ZeroCountIsNoop) {
   Graph g = triangle();
   auto events = inject_link_failures(g, 0, 1);

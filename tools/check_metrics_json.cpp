@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <iterator>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -232,6 +234,70 @@ std::vector<std::string> check_micro_kvstore(const megate::obs::Json& gauges) {
   return violations;
 }
 
+/// Contract check for BENCH_fig12_failures.json — Fig. 12's shape.
+/// Points are discovered from "fig12.eps<E>.fail<F>.megate_windowed".
+///   - at every point, megate_windowed > ncflow_windowed (MegaTE's short
+///     outage keeps more demand satisfied over the window), and
+///   - for each failure count, the gap (megate - ncflow) grows with the
+///     endpoint count: NCFlow's recompute time grows with scale, so its
+///     outage eats more of the window. Each failure count needs at least
+///     two scales.
+std::vector<std::string> check_fig12(const megate::obs::Json& gauges) {
+  std::vector<std::string> violations;
+  auto gauge = [&](const std::string& n) { return gauge_of(gauges, n); };
+  const std::string prefix = "fig12.eps";
+  const std::string tail = ".megate_windowed";
+  // failure count -> (endpoints -> gap)
+  std::map<unsigned long, std::map<unsigned long, double>> gaps;
+  for (const auto& [name, value] : gauges.members()) {
+    if (name.compare(0, prefix.size(), prefix) != 0) continue;
+    if (name.size() <= tail.size() ||
+        name.compare(name.size() - tail.size(), tail.size(), tail) != 0) {
+      continue;
+    }
+    const std::size_t fail = name.find(".fail", prefix.size());
+    if (fail == std::string::npos) continue;
+    const std::string stem = name.substr(0, name.size() - tail.size());
+    const unsigned long endpoints =
+        std::stoul(name.substr(prefix.size(), fail - prefix.size()));
+    const unsigned long failures = std::stoul(stem.substr(fail + 5));
+    const auto* ncflow = gauge(stem + ".ncflow_windowed");
+    if (!value.is_number() || ncflow == nullptr) {
+      violations.push_back("missing gauge " + stem + ".ncflow_windowed");
+      continue;
+    }
+    if (!(value.as_number() > ncflow->as_number())) {
+      violations.push_back(name + " must be > " + stem +
+                           ".ncflow_windowed (MegaTE's faster recompute "
+                           "must keep more demand satisfied)");
+    }
+    gaps[failures][endpoints] = value.as_number() - ncflow->as_number();
+  }
+  if (gaps.empty()) {
+    violations.push_back("no fig12.eps<E>.fail<F>.megate_windowed gauges — "
+                         "the failure experiment is missing");
+  }
+  for (const auto& [failures, by_scale] : gaps) {
+    const std::string f = std::to_string(failures);
+    if (by_scale.size() < 2) {
+      violations.push_back("fail" + f + " has fewer than two endpoint "
+                           "scales; the gap's growth cannot be checked");
+      continue;
+    }
+    for (auto it = std::next(by_scale.begin()); it != by_scale.end(); ++it) {
+      const auto prev = std::prev(it);
+      if (!(it->second > prev->second)) {
+        violations.push_back(
+            "fig12 gap at fail" + f + " must grow with scale: eps" +
+            std::to_string(it->first) + " " + std::to_string(it->second) +
+            " <= eps" + std::to_string(prev->first) + " " +
+            std::to_string(prev->second));
+      }
+    }
+  }
+  return violations;
+}
+
 /// Contract check for BENCH_ablation_prediction.json — the learned-
 /// allocation frontier (DESIGN.md §15). Replays are discovered from
 /// "<topo>.churn<P>.learned_speedup_vs_fastest_exact"; the fastest exact
@@ -399,6 +465,8 @@ int main(int argc, char** argv) {
         violations = check_ablation_prediction(gauges);
       } else if (source->as_string() == "bench/micro_kvstore") {
         violations = check_micro_kvstore(gauges);
+      } else if (source->as_string() == "bench/fig12_failures") {
+        violations = check_fig12(gauges);
       }
     }
     if (!violations.empty()) {
