@@ -28,6 +28,7 @@
 #include <cmath>
 #include <iostream>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -102,16 +103,27 @@ struct FrontierResult {
 constexpr std::uint32_t kSrHopBudget = 6;
 constexpr std::size_t kWarmup = 2;
 
+/// `make_instance` with its tunnels rebuilt under the SR hop budget; the
+/// offered load keeps make_instance's scaling.
+std::unique_ptr<bench::Instance> make_budgeted_instance(
+    topo::TopologyKind kind, std::uint64_t endpoints) {
+  bench::InstanceOptions iopt;
+  iopt.load = 0.6;
+  auto inst = bench::make_instance(kind, endpoints, iopt);
+  topo::TunnelOptions topt = bench::tunnel_options(iopt);
+  topt.max_sr_hops = kSrHopBudget;
+  inst->tunnels = topo::build_tunnels(inst->graph, topt);
+  return inst;
+}
+
 /// Replays `intervals` jittered intervals of `inst` through the three
 /// lanes (shared demand path), then the x8 flash-crowd interval through
 /// the learned lane.
 FrontierResult run_frontier(const bench::Instance& inst, double churn,
                             std::size_t intervals, std::uint64_t seed) {
-  te::MegaTeOptions opts;
-  opts.site_lp.max_sr_hops = kSrHopBudget;
-  te::MegaTeSolver exact_solver(opts);
-  te::MegaTeSolver incremental_solver(opts);
-  te::MegaTeSolver learned_solver(opts);
+  te::MegaTeSolver exact_solver;
+  te::MegaTeSolver incremental_solver;
+  te::MegaTeSolver learned_solver;
 
   te::SolveContext exact_ctx;
   te::SolveContext inc_ctx;
@@ -149,15 +161,15 @@ FrontierResult run_frontier(const bench::Instance& inst, double churn,
     if (rl.learned.accepted) ++r.accepted;
 
     // Audit every learned-lane solution (accepted or fallback): no link
-    // over capacity, every satisfied flow assigned, no tunnel over the
-    // SR hop budget.
+    // over capacity, every satisfied flow assigned, no flow on a tunnel
+    // over the SR hop budget.
     te::CheckOptions copts;
     copts.require_flow_assignment = true;
     const te::CheckResult chk =
         te::check_solution(problem, rl.solution, copts);
     if (!chk.ok) r.violations += chk.violations.size();
     r.violations +=
-        te::count_hop_budget_violations(problem, rl.solution, kSrHopBudget);
+        bench::flows_over_hop_budget(problem, rl.solution, kSrHopBudget);
     (void)re;
   }
   r.exact_median_s = median(t_exact);
@@ -312,10 +324,7 @@ int main() {
   };
 
   {
-    bench::InstanceOptions iopt;
-    iopt.load = 0.6;
-    auto inst =
-        bench::make_instance(topo::TopologyKind::kCogentco, 2000, iopt);
+    auto inst = make_budgeted_instance(topo::TopologyKind::kCogentco, 2000);
     for (double churn : {0.10, 0.30}) {
       score("Cogentco", churn, run_frontier(*inst, churn, 10, 77));
     }
@@ -323,10 +332,7 @@ int main() {
   {
     // Fig. 9's hyper-scale instance: the learned path's O(pairs x
     // tunnels) cost is where the frontier gap widens.
-    bench::InstanceOptions iopt;
-    iopt.load = 0.6;
-    auto inst =
-        bench::make_instance(topo::TopologyKind::kTwan, 100000, iopt);
+    auto inst = make_budgeted_instance(topo::TopologyKind::kTwan, 100000);
     const FrontierResult r = run_frontier(*inst, 0.20, 5, 78);
     score("Twan", 0.20, r);
     twan_speedup = r.learned_speedup();

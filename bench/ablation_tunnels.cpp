@@ -7,9 +7,10 @@
 //   - tunnel count (every tunnel is a stage-1 LP column candidate),
 //   - satisfied demand (same traffic matrix for every config),
 //   - stage-1 runtime (fewer columns -> smaller LP),
-// plus the solver's plan/encap audit (hop_budget_violations must be 0:
-// with max_sr_hops threaded end to end, no planned route is ever refused
-// by SrHeader::serialize).
+// plus the plan/encap audit, computed from each plan: assigned flows on
+// tunnels over the budget (hop_budget_violations must be 0: the tunnel
+// set carries the budget, so no planned route is ever refused by
+// SrHeader::serialize).
 //
 // The checker contract (tools/check_metrics_json) enforces on the emitted
 // BENCH_ablation_tunnels.json: both backends present, zero violations,
@@ -43,7 +44,7 @@ int main() {
 
   for (const auto& [kind, endpoints] : topologies) {
     // Graph + endpoints + traffic are fixed per topology; only the tunnel
-    // set (and the solver's budget) changes per config, so satisfied
+    // set (and the budget it carries) changes per config, so satisfied
     // demand is comparable across the whole frontier.
     bench::InstanceOptions iopt;
     iopt.load = 0.5;
@@ -73,12 +74,12 @@ int main() {
         const topo::TunnelSet tunnels = topo::build_tunnels(inst->graph, topt);
         const double build_s = build_sw.elapsed_seconds();
 
-        te::MegaTeOptions mopt;
-        mopt.site_lp.max_sr_hops = budget;
-        te::MegaTeSolver solver(mopt);
+        te::MegaTeSolver solver;
         te::TeProblem problem = inst->problem();
         problem.tunnels = &tunnels;
         const te::SolveReport solve = solver.solve(problem, {});
+        const std::size_t violations =
+            bench::flows_over_hop_budget(problem, solve.solution, budget);
 
         const std::string key = topo_key +
                                 (centrality ? "centrality" : "ksp") +
@@ -93,7 +94,7 @@ int main() {
         m.gauge(key + "stage1_seconds").set(solve.stage1_seconds);
         m.gauge(key + "build_seconds").set(build_s);
         m.gauge(key + "hop_budget_violations")
-            .set(static_cast<double>(solve.hop_budget_violations));
+            .set(static_cast<double>(violations));
 
         t.add_row({centrality ? "centrality" : "ksp",
                    budget == 0 ? "-" : std::to_string(budget),
@@ -102,9 +103,10 @@ int main() {
                    util::Table::num(100.0 * solve.solution.satisfied_ratio(),
                                     2),
                    util::Table::num(solve.stage1_seconds, 2),
-                   std::to_string(solve.hop_budget_violations)});
-        if (!solve.ok()) {
-          std::cerr << "plan/encap audit FAILED: " << solve.error << "\n";
+                   std::to_string(violations)});
+        if (violations > 0) {
+          std::cerr << "plan/encap audit FAILED: " << violations
+                    << " flow(s) over max_sr_hops=" << budget << "\n";
         }
       }
     }

@@ -82,6 +82,26 @@ inline double mean_shortest_hops(const topo::TunnelSet& tunnels) {
   return n > 0 ? hops / static_cast<double>(n) : 1.0;
 }
 
+/// Plan/encap audit computed from the plan itself: assigned flows of
+/// `sol` on tunnels with more than `max_sr_hops` links (0 = unlimited).
+/// A TunnelSet built under the budget refuses such tunnels, so this
+/// reads 0 unless the set was built under a looser budget.
+inline std::size_t flows_over_hop_budget(const te::TeProblem& problem,
+                                         const te::TeSolution& sol,
+                                         std::uint32_t max_sr_hops) {
+  if (max_sr_hops == 0) return 0;
+  std::size_t over = 0;
+  for (const auto& [pair, alloc] : sol.pairs) {
+    const auto& ts = problem.tunnels->tunnels(pair.src, pair.dst);
+    for (const std::int32_t t : alloc.flow_tunnel) {
+      if (t >= 0 && ts[static_cast<std::size_t>(t)].hops() > max_sr_hops) {
+        ++over;
+      }
+    }
+  }
+  return over;
+}
+
 /// Builds a paper topology with ~`endpoints` endpoints and its traffic.
 inline std::unique_ptr<Instance> make_instance(
     topo::TopologyKind kind, std::uint64_t endpoints,

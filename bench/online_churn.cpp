@@ -162,6 +162,11 @@ int main() {
   iopt.load = 0.5;
   auto inst = bench::make_instance(topo::TopologyKind::kCogentco,
                                    bench::full_scale() ? 20000 : 1500, iopt);
+  // Every policy plans on tunnels built under the SR hop budget; the
+  // offered load keeps make_instance's scaling.
+  topo::TunnelOptions topt = bench::tunnel_options(iopt);
+  topt.max_sr_hops = kMaxSrHops;
+  inst->tunnels = topo::build_tunnels(inst->graph, topt);
   const te::TeProblem problem = inst->problem();
 
   tm::ChurnOptions copt;
@@ -175,9 +180,7 @@ int main() {
   const tm::DemandStream stream =
       tm::DemandStream::generate(inst->traffic, copt);
 
-  te::MegaTeOptions mopt;
-  mopt.site_lp.max_sr_hops = kMaxSrHops;
-  te::MegaTeSolver boundary_solver(mopt);
+  te::MegaTeSolver boundary_solver;
   const te::TeSolution s0 =
       boundary_solver.solve(problem, {}).solution;
 
@@ -187,13 +190,12 @@ int main() {
   // Policy B: allocator with the drift trigger disabled — pure patching,
   // no mid-interval full solves.
   te::OnlineOptions oopt;
-  oopt.max_sr_hops = kMaxSrHops;
   oopt.resolve_drift_fraction = 0.0;
   te::OnlineAllocator allocator(oopt);
   allocator.rebase(problem, s0);
 
   // Policy C: a cold full solve after every event.
-  te::MegaTeSolver resolve_solver(mopt);
+  te::MegaTeSolver resolve_solver;
 
   tm::TrafficMatrix evolving = inst->traffic;
   te::TeProblem evolving_problem = problem;

@@ -154,8 +154,8 @@ TcVerdict HostStack::tc_egress(ConstBytes frame,
     // (e.g. > kSrMaxHops). The planner promised this route; silently
     // passing here would black-hole the TE decision while every counter
     // reads healthy. Drop loudly instead: the plan/encap contract is the
-    // planner's to keep (TunnelOptions/SiteLpOptions::max_sr_hops), and a
-    // violation must surface as a drop, not as conventional routing.
+    // planner's to keep (the tunnel set's max_sr_hops), and a violation
+    // must surface as a drop, not as conventional routing.
     ++counters_.sr_serialize_errors;
     ++counters_.egress_route_drops;
     verdict.action = TcVerdict::Action::kDropMalformed;

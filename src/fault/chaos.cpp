@@ -368,10 +368,9 @@ ChaosReport run_chaos(const ChaosOptions& options) {
 
   // Online patching between full solves (ISSUE 9). The allocator plans
   // on the derated solver graph, so patched routes keep the mixed-state
-  // safety argument; hop budget mirrors the stage-1 filter.
+  // safety argument.
   const bool churn_enabled = !churn_stream.empty();
   te::OnlineOptions oopt;
-  oopt.max_sr_hops = options.site_lp.max_sr_hops;
   oopt.resolve_drift_fraction = options.online_resolve_drift;
   oopt.metrics = options.metrics;
   te::OnlineAllocator allocator(oopt);

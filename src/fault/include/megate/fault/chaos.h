@@ -117,9 +117,9 @@ struct ChaosOptions {
   /// te::OnlineAllocator (rebased on every full publish) and publish the
   /// patched routes; without it churn only moves the offered traffic and
   /// the boundary solves go stale against it. The allocator plans
-  /// against the same derated (kSolveHeadroom) capacities as the solver
-  /// and inherits site_lp.max_sr_hops, so patched routes keep both the
-  /// mixed-state safety argument and the plan/encap contract.
+  /// against the same derated (kSolveHeadroom) capacities as the solver,
+  /// so patched routes keep the mixed-state safety argument, and on the
+  /// same tunnel set, whose hop budget keeps the plan/encap contract.
   bool online_patch = false;
   /// Drift fraction (of solve-time demand) that triggers an early full
   /// re-solve when online_patch is on (te::OnlineOptions threshold).

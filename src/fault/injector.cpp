@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <map>
 
+#include "megate/topo/failures.h"
+
 namespace megate::fault {
 
 FaultInjector::FaultInjector(const FaultPlan& plan, Bindings bindings)
@@ -61,7 +63,7 @@ void FaultInjector::activate(const FaultEvent& e) {
         return;
       }
       // Probe from the planned ordinal for a duplex link that is up and
-      // whose removal keeps the WAN connected (the paper's failure
+      // whose removal keeps its two ends connected (the paper's failure
       // scenarios assume TE reroutes, not partitions). Deterministic:
       // probing order depends only on current link state.
       bool placed = false;
@@ -71,11 +73,7 @@ void FaultInjector::activate(const FaultEvent& e) {
         if (!bind_.graph->link(fwd).up || !bind_.graph->link(rev).up) {
           continue;
         }
-        bind_.graph->set_link_state(fwd, false);
-        bind_.graph->set_link_state(rev, false);
-        if (!bind_.graph->is_connected()) {
-          bind_.graph->set_link_state(fwd, true);
-          bind_.graph->set_link_state(rev, true);
+        if (!topo::try_fail_link(*bind_.graph, {fwd, rev})) {
           continue;
         }
         a.forward = fwd;

@@ -17,15 +17,13 @@ namespace megate::te {
 
 /// LP-all: one fractional multi-commodity-flow LP over every endpoint
 /// pair (the paper's optimality reference). Exact on small instances
-/// (dense simplex), (1-eps)-approximate packing solve on larger ones, and
-/// an explicit refusal ("out of memory" in the paper) beyond max_flows.
+/// (dense simplex up to 2M tableau cells), (1-eps)-approximate packing
+/// solve (eps = 0.05) on larger ones, and an explicit refusal ("out of
+/// memory" in the paper) beyond max_flows.
 struct LpAllOptions {
-  double packing_epsilon = 0.05;
   /// Refuse instances with more endpoint flows than this (emulates the
   /// paper's OOM wall for hyper-scale topologies).
   std::size_t max_flows = 2'000'000;
-  /// Use the exact simplex below this many tableau cells.
-  std::size_t max_simplex_cells = 2'000'000;
 };
 
 class LpAllSolver final : public Solver {
@@ -38,17 +36,15 @@ class LpAllSolver final : public Solver {
   LpAllOptions options_;
 };
 
-/// NCFlow-like: contracts sites into ~sqrt(V) clusters; each site pair is
-/// restricted to tunnels following its best tunnel's cluster sequence, and
-/// link capacity is statically partitioned across cluster-pair subproblems,
-/// which are then solved independently (parallelizable) at endpoint
-/// granularity. Faster than LP-all, loses a few percent of demand to the
-/// restriction + static partitioning — the behaviour reported in Figs. 9-10.
+/// NCFlow-like: contracts sites into max(2, ceil(cbrt(V))) clusters; each
+/// site pair is restricted to tunnels following its best tunnel's cluster
+/// sequence, and link capacity is statically partitioned across
+/// cluster-pair subproblems, which are then solved independently
+/// (parallelizable, packing solver at eps = 0.07) at endpoint granularity.
+/// Faster than LP-all, loses a few percent of demand to the restriction +
+/// static partitioning — the behaviour reported in Figs. 9-10.
 struct NcFlowOptions {
-  double packing_epsilon = 0.07;
   std::size_t max_flows = 4'000'000;
-  /// 0 -> ceil(sqrt(num sites)).
-  std::size_t num_clusters = 0;
 };
 
 class NcFlowSolver final : public Solver {
@@ -67,7 +63,6 @@ class NcFlowSolver final : public Solver {
 /// the dense flow x tunnel allocation array — fast, GPU-friendly shape,
 /// slightly sub-optimal, memory linear in endpoint flows.
 struct TealOptions {
-  std::size_t admm_iterations = 12;
   std::size_t max_flows = 4'000'000;
 };
 
@@ -75,6 +70,8 @@ class TealSolver final : public Solver {
  public:
   /// Sharpness of the initial split: exp(-T * (weight - 1)) per tunnel.
   static constexpr double kSoftmaxTemperature = 2.0;
+  /// ADMM-style capacity-projection passes per solve.
+  static constexpr std::size_t kAdmmIterations = 12;
 
   explicit TealSolver(TealOptions options = {}) : options_(options) {}
   std::string name() const override { return "TEAL"; }

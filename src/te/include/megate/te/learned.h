@@ -32,8 +32,9 @@
 //
 // The allocator never decides on its own whether its answer ships —
 // MegaTeSolver's quality gate does (SolveContext::learned): predict ->
-// repair -> audit (checker + count_hop_budget_violations) -> accept, or
-// fall back to the exact solve and fold that outcome back into training.
+// repair -> audit (check_solution) -> accept, or fall back to the exact
+// solve and fold that outcome back into training. The SR hop budget needs
+// no audit: every tunnel of a topo::TunnelSet fits the set's budget.
 // See DESIGN.md §15.
 
 #include <array>
@@ -57,7 +58,7 @@ struct LearnedStats {
   bool attempted = false;  ///< SolveContext::learned was set
   bool accepted = false;   ///< the learned solution was returned
   /// Why the call fell back to the exact solve; empty when accepted.
-  /// One of "untrained", "drift", "quality", "capacity", "hop_budget".
+  /// One of "untrained", "drift", "quality", "capacity".
   std::string fallback_reason;
   double predicted_satisfied_gbps = 0.0;  ///< learned solution, post-repair
   double exact_estimate_gbps = 0.0;       ///< gate threshold basis (EWMA)
@@ -92,15 +93,12 @@ class LearnedAllocator {
   /// the flow predictor's MAPE against the incoming matrix exceeds this.
   static constexpr double kDriftMapeThreshold = 0.5;
 
-  /// `max_sr_hops` is the SR hop budget for usable tunnels (0 =
-  /// unlimited); MegaTeSolver passes its SiteLpOptions::max_sr_hops so the
-  /// learned path plans under the same encap contract as the exact path.
-  explicit LearnedAllocator(std::uint32_t max_sr_hops = 0);
+  LearnedAllocator();
 
   /// Proposes a full solution for `problem`: model forward pass ->
   /// feasibility repair -> per-flow quantization + residual top-up. The
   /// result always has flow_tunnel assignments, never exceeds any link
-  /// capacity, and only uses alive tunnels within max_sr_hops.
+  /// capacity, and only uses alive tunnels.
   /// Deterministic for a given model state.
   TeSolution allocate(const TeProblem& problem);
 
@@ -135,7 +133,6 @@ class LearnedAllocator {
                        double qos1_fraction, double surge, bool fp_changed,
                        std::array<double, kFeatures>& f);
 
-  std::uint32_t max_sr_hops_;
   mutable std::mutex mu_;
   std::array<double, kFeatures> theta_;
   std::unordered_map<topo::SitePair, PairModel, topo::SitePairHash> pairs_;

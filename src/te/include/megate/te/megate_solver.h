@@ -122,18 +122,12 @@ struct SolveReport {
   /// Telemetry of the incremental machinery (default-initialized when
   /// the call ran cold).
   IncrementalStats incremental;
-  /// Plan/encap contract audit (count_hop_budget_violations): allocations
-  /// the solve placed on tunnels exceeding SiteLpOptions::max_sr_hops.
-  /// Always 0 when the budget is unset. Non-zero means an internal bug
-  /// (stage 1 and residual repair both filter by the budget): the solve
-  /// fails loudly — solution.solved flips false, `error` is set, and the
-  /// "te.hop_budget_violations" counter is bumped — rather than handing
-  /// the dataplane routes it must refuse to encapsulate.
-  std::size_t hop_budget_violations = 0;
   /// Learned-path telemetry (default-initialized unless the call ran with
   /// SolveContext::learned).
   LearnedStats learned;
-  /// Human-readable failure description; empty on success.
+  /// Human-readable failure description; empty on success. No solve path
+  /// sets it today (a bad problem throws); callers such as loopbench
+  /// still report it.
   std::string error;
 
   bool ok() const noexcept { return error.empty(); }
@@ -169,8 +163,7 @@ class MegaTeSolver final : public Solver {
 
  private:
   /// The learned allocator backing SolveContext::learned, created lazily
-  /// under site_lp.max_sr_hops and retained across solves (its training
-  /// state is the point).
+  /// and retained across solves (its training state is the point).
   LearnedAllocator& learned_allocator();
   SolveReport solve_learned(const TeProblem& problem,
                             const SolveContext& ctx);

@@ -16,12 +16,13 @@
 //     DemandStream's stable-index contract);
 //   - growing and newly arrived flows are admitted onto residual tunnel
 //     capacity: first topped up on their standing tunnel, then (for
-//     whole flows) moved to another admissible tunnel with room, then
+//     whole flows) moved to another alive tunnel with room, then
 //     partially admitted, and only then shed — loudly, through the
 //     PatchResult and the "te.online.shed_*" metrics;
-//   - a tunnel is admissible iff it is alive on the current graph AND
-//     within the max_sr_hops budget — the allocator never un-does the
-//     planner's plan/encap contract;
+//   - only tunnels alive on the current graph take reservations; the SR
+//     hop budget needs no check here, because every tunnel of a
+//     topo::TunnelSet fits the set's budget (the plan/encap contract is
+//     the tunnel set's to keep);
 //   - changes inside one event are processed in QoS priority order
 //     (class 1 first), so scarce residual capacity goes to the highest
 //     class. Standing lower-class reservations are never preempted; that
@@ -34,7 +35,7 @@
 //   I1  sum of reservations over any link <= its capacity (a caller that
 //       plans with headroom hands in a derated graph, as the chaos loop
 //       does);
-//   I2  no reservation on a dead or over-hop-budget tunnel;
+//   I2  no reservation on a dead tunnel;
 //   I3  0 <= reservation[i] <= demand[i] for every flow;
 //   I4  solution().satisfied_gbps == sum of all reservations, and
 //       tunnel_alloc is the per-tunnel sum of its flows' reservations.
@@ -58,9 +59,6 @@ class MetricsRegistry;
 namespace megate::te {
 
 struct OnlineOptions {
-  /// SR hop budget: tunnels with more links are never reserved on
-  /// (0 = unlimited). Keep equal to SiteLpOptions::max_sr_hops.
-  std::uint32_t max_sr_hops = 0;
   /// Once cumulative |demand change| since rebase exceeds this fraction
   /// of the rebase-time total demand, PatchResult::resolve_recommended
   /// turns on (<= 0 disables the trigger).
@@ -133,7 +131,6 @@ class OnlineAllocator {
   /// reservations, against link capacity.
   double bottleneck(const std::vector<topo::EdgeId>& links) const;
   void reserve_on(const std::vector<topo::EdgeId>& links, double gbps);
-  bool admissible(const topo::Tunnel& t) const;
 
   OnlineOptions options_;
   mutable std::mutex mu_;

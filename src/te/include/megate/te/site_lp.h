@@ -38,13 +38,6 @@ struct SiteLpOptions {
   /// kAuto picks the simplex while (rows+1)*(rows+vars+1) of the presolved
   /// LP stays below this.
   std::size_t max_simplex_cells = 4'000'000;
-  /// Maximum SR hops (= tunnel link count) a column may represent; 0 =
-  /// unlimited. Tunnels over the budget never become LP variables, so
-  /// stage 1 cannot allocate demand the dataplane could not encapsulate.
-  /// Normally build_tunnels already enforces this (same knob, one value,
-  /// threaded by MegaTeSolver); the stage-1 filter is the belt-and-braces
-  /// layer for tunnel sets built elsewhere.
-  std::uint32_t max_sr_hops = 0;
 };
 
 struct SiteLpResult {

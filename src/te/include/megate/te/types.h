@@ -90,15 +90,4 @@ double mean_latency_ms(const TeProblem& problem, const TeSolution& sol,
 double mean_latency_hops(const TeProblem& problem, const TeSolution& sol,
                          int qos_filter);
 
-/// Plan/encap contract audit: counts allocations placed on tunnels whose
-/// SR hop count (= link count) exceeds `max_sr_hops`. Each assigned
-/// endpoint flow on an over-budget tunnel counts once; for pairs without
-/// per-flow assignments (fractional solvers) each positive F_{k,t} cell
-/// on an over-budget tunnel counts once. 0 = every planned route is
-/// encodable by the dataplane under the budget. `max_sr_hops` == 0 always
-/// returns 0.
-std::size_t count_hop_budget_violations(const TeProblem& problem,
-                                        const TeSolution& sol,
-                                        std::uint32_t max_sr_hops);
-
 }  // namespace megate::te

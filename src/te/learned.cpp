@@ -41,9 +41,8 @@ void softmax(std::vector<double>& logits) {
 
 }  // namespace
 
-LearnedAllocator::LearnedAllocator(std::uint32_t max_sr_hops)
-    : max_sr_hops_(max_sr_hops),
-      predictor_(tm::PredictorKind::kEwma, kEwmaAlpha) {
+LearnedAllocator::LearnedAllocator()
+    : predictor_(tm::PredictorKind::kEwma, kEwmaAlpha) {
   // Feature 0 is log(prior + eps) with unit weight: before any SGD step
   // the softmax reproduces the per-pair prior splits (uniform for unseen
   // pairs), so a freshly seeded model is already a sane allocator.
@@ -95,7 +94,7 @@ TeSolution LearnedAllocator::allocate(const TeProblem& problem) {
   // per-flow granularity returns at quantization.
   struct PairPlan {
     const tm::TrafficMatrix::PairMap::value_type* entry = nullptr;
-    std::vector<std::size_t> usable;  ///< tunnel indices: alive + in budget
+    std::vector<std::size_t> usable;  ///< alive tunnel indices
     std::size_t kernel_row = 0;
   };
   std::vector<PairPlan> plans;
@@ -114,11 +113,7 @@ TeSolution LearnedAllocator::allocate(const TeProblem& problem) {
     PairPlan plan;
     plan.entry = entry;
     for (std::size_t t = 0; t < ts.size(); ++t) {
-      if (!ts[t].alive(g)) continue;
-      if (max_sr_hops_ > 0 && ts[t].links.size() > max_sr_hops_) {
-        continue;
-      }
-      plan.usable.push_back(t);
+      if (ts[t].alive(g)) plan.usable.push_back(t);
     }
     if (plan.usable.empty()) continue;  // pair stays fully rejected
 
@@ -308,11 +303,7 @@ void LearnedAllocator::observe(const TeProblem& problem,
       const std::vector<double>& ta = exact_it->second.tunnel_alloc;
       usable.clear();
       for (std::size_t t = 0; t < ts.size(); ++t) {
-        if (!ts[t].alive(g)) continue;
-        if (max_sr_hops_ > 0 && ts[t].links.size() > max_sr_hops_) {
-          continue;
-        }
-        usable.push_back(t);
+        if (ts[t].alive(g)) usable.push_back(t);
       }
       double sum_usable = 0.0;
       for (std::size_t t : usable) sum_usable += ta[t];

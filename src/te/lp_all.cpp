@@ -7,6 +7,15 @@
 
 namespace megate::te {
 
+namespace {
+
+/// Approximation parameter of the packing solve on large instances.
+constexpr double kPackingEpsilon = 0.05;
+/// The exact simplex runs up to this many tableau cells.
+constexpr std::size_t kMaxSimplexCells = 2'000'000;
+
+}  // namespace
+
 TeSolution LpAllSolver::solve(const TeProblem& problem) {
   if (!problem.valid()) throw std::invalid_argument("invalid TE problem");
   const topo::Graph& g = *problem.graph;
@@ -75,12 +84,12 @@ TeSolution LpAllSolver::solve(const TeProblem& problem) {
   const std::size_t cells =
       (model.num_constraints() + 1) *
       (model.num_constraints() + model.num_variables() + 1);
-  if (cells <= options_.max_simplex_cells) {
+  if (cells <= kMaxSimplexCells) {
     lp_sol = lp::SimplexSolver().solve(model);
     sol.est_memory_bytes = cells * sizeof(double);
   } else {
     lp::PackingOptions popt;
-    popt.epsilon = options_.packing_epsilon;
+    popt.epsilon = kPackingEpsilon;
     lp_sol = lp::PackingSolver(popt).solve(model);
     sol.est_memory_bytes = model.num_nonzeros() * 16 +
                            model.num_variables() * 16 +

@@ -102,10 +102,7 @@ void solve_pair_stage2(const std::vector<tm::EndpointDemand>& flows,
 }  // namespace
 
 LearnedAllocator& MegaTeSolver::learned_allocator() {
-  if (!learned_) {
-    learned_ =
-        std::make_unique<LearnedAllocator>(options_.site_lp.max_sr_hops);
-  }
+  if (!learned_) learned_ = std::make_unique<LearnedAllocator>();
   return *learned_;
 }
 
@@ -142,9 +139,10 @@ SolveReport MegaTeSolver::solve_learned(const TeProblem& problem,
   }
 
   // Gate, part 2 — predict -> repair, then audit the result with the same
-  // machinery every exact solve is held to: the constraint checker (link
-  // capacities, flow assignment consistency) and the plan/encap hop-budget
-  // audit. A learned solution is never returned unaudited.
+  // constraint checker every exact solve is held to (link capacities, flow
+  // assignment consistency). A learned solution is never returned
+  // unaudited. The hop budget needs no audit: every tunnel of the set
+  // fits it (topo::TunnelSet::set_tunnels).
   if (reason.empty()) {
     util::Stopwatch sw;
     TeSolution sol = la.allocate(problem);
@@ -152,20 +150,14 @@ SolveReport MegaTeSolver::solve_learned(const TeProblem& problem,
     stats.predicted_satisfied_gbps = sol.satisfied_gbps;
     stats.exact_estimate_gbps =
         la.exact_satisfied_fraction() * sol.total_demand_gbps;
-    const std::uint32_t budget = options_.site_lp.max_sr_hops;
-    if (budget > 0 &&
-        count_hop_budget_violations(problem, sol, budget) > 0) {
-      reason = "hop_budget";
-    } else {
-      CheckOptions chk_opts;
-      chk_opts.require_flow_assignment = true;
-      if (!check_solution(problem, sol, chk_opts)) {
-        reason = "capacity";
-      } else if (sol.satisfied_gbps + 1e-9 <
-                 LearnedAllocator::kAcceptFraction *
-                     stats.exact_estimate_gbps) {
-        reason = "quality";
-      }
+    CheckOptions chk_opts;
+    chk_opts.require_flow_assignment = true;
+    if (!check_solution(problem, sol, chk_opts)) {
+      reason = "capacity";
+    } else if (sol.satisfied_gbps + 1e-9 <
+               LearnedAllocator::kAcceptFraction *
+                   stats.exact_estimate_gbps) {
+      reason = "quality";
     }
     if (reason.empty()) {
       stats.accepted = true;
@@ -498,17 +490,10 @@ SolveReport MegaTeSolver::solve_impl(const TeProblem& problem,
                 [](const Unassigned& a, const Unassigned& b) {
                   return a.demand > b.demand;
                 });
-      const std::uint32_t repair_budget = options_.site_lp.max_sr_hops;
       for (const Unassigned& u : left) {
         const auto& ts = *pairs[u.pair_index].tunnels;
         PairAllocation& alloc = *pairs[u.pair_index].alloc;
         for (std::size_t t = 0; t < ts.size(); ++t) {
-          // Repair walks *all* tunnels of the pair, including ones stage 1
-          // never saw — re-apply the hop budget or repair would reopen the
-          // plan/encap hole the stage-1 filter just closed.
-          if (repair_budget > 0 && ts[t].links.size() > repair_budget) {
-            continue;
-          }
           bool fits = true;
           for (topo::EdgeId e : ts[t].links) {
             if (residual[e] < u.demand) {
@@ -528,41 +513,15 @@ SolveReport MegaTeSolver::solve_impl(const TeProblem& problem,
     }
   }
 
-  // Satisfied demand = sum of assigned flows. The same pass runs the
-  // plan/encap contract audit (count_hop_budget_violations over the
-  // solve's pairs): every allocation is one assigned flow here, and a flow
-  // on a tunnel over max_sr_hops counts once.
-  const std::uint32_t hop_budget = options_.site_lp.max_sr_hops;
+  // Satisfied demand = sum of assigned flows.
   double satisfied = 0.0;
-  std::size_t violations = 0;
   for (const PairState& ps : pairs) {
     const auto& flows = *ps.flows;
     for (std::size_t i = 0; i < flows.size(); ++i) {
-      const std::int32_t t = ps.alloc->flow_tunnel[i];
-      if (t < 0) continue;
-      satisfied += flows[i].demand_gbps;
-      if (hop_budget > 0 && (*ps.tunnels)[t].links.size() > hop_budget) {
-        ++violations;
-      }
+      if (ps.alloc->flow_tunnel[i] >= 0) satisfied += flows[i].demand_gbps;
     }
   }
   sol.satisfied_gbps = satisfied;
-
-  // Stage 1 and residual repair both filter by the budget, so a non-zero
-  // count is an internal bug — fail loudly (solved=false + counter +
-  // SolveReport::error) instead of letting the dataplane discover it one
-  // refused encapsulation at a time.
-  if (violations > 0) {
-    sol.solved = false;
-    report.hop_budget_violations = violations;
-    report.error = "plan/encap contract violated: " +
-                   std::to_string(violations) +
-                   " allocation(s) exceed max_sr_hops=" +
-                   std::to_string(hop_budget);
-    if (reg != nullptr) {
-      reg->counter("te.hop_budget_violations").inc(violations);
-    }
-  }
   sol.solve_time_s = total_clock.elapsed_seconds();
 
   if (reg != nullptr) {

@@ -11,6 +11,9 @@
 namespace megate::te {
 namespace {
 
+/// Approximation parameter of every cluster-pair packing solve.
+constexpr double kPackingEpsilon = 0.07;
+
 /// Sequence of clusters a tunnel traverses (deduplicated consecutive).
 std::vector<std::uint32_t> cluster_sequence(
     const topo::Graph& g, const std::vector<std::uint32_t>& cluster,
@@ -51,12 +54,9 @@ TeSolution NcFlowSolver::solve(const TeProblem& problem) {
   // Cluster count ~ cbrt(V): coarse enough that the static capacity
   // partition between cluster-pair subproblems stays mild (NCFlow's
   // published loss is a few percent), fine enough to contract the graph.
-  const std::size_t num_clusters =
-      options_.num_clusters
-          ? options_.num_clusters
-          : std::max<std::size_t>(
-                2, static_cast<std::size_t>(std::ceil(
-                       std::cbrt(static_cast<double>(g.num_nodes())))));
+  const std::size_t num_clusters = std::max<std::size_t>(
+      2, static_cast<std::size_t>(
+             std::ceil(std::cbrt(static_cast<double>(g.num_nodes())))));
   const std::vector<std::uint32_t> cluster =
       topo::cluster_sites(g, num_clusters);
 
@@ -190,7 +190,7 @@ TeSolution NcFlowSolver::solve(const TeProblem& problem) {
     if (model.num_variables() == 0) continue;
     peak_nnz = std::max(peak_nnz, model.num_nonzeros());
     lp::PackingOptions popt;
-    popt.epsilon = options_.packing_epsilon;
+    popt.epsilon = kPackingEpsilon;
     lp::Solution lp_sol = lp::PackingSolver(popt).solve(model);
     sol.iterations += lp_sol.iterations;
     for (std::size_t j = 0; j < refs.size(); ++j) {

@@ -106,13 +106,6 @@ void OnlineAllocator::reserve_on(const std::vector<topo::EdgeId>& links,
   for (topo::EdgeId e : links) residual_[e] -= gbps;
 }
 
-bool OnlineAllocator::admissible(const topo::Tunnel& t) const {
-  if (options_.max_sr_hops > 0 && t.hops() > options_.max_sr_hops) {
-    return false;
-  }
-  return t.alive(*graph_);
-}
-
 PatchResult OnlineAllocator::apply(const tm::DemandEvent& event) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!has_base_) {
@@ -173,7 +166,7 @@ PatchResult OnlineAllocator::apply(const tm::DemandEvent& event) {
     double admitted = 0.0;
     bool moved = false;
 
-    if (ft >= 0 && !admissible(tuns[static_cast<std::size_t>(ft)])) {
+    if (ft >= 0 && !tuns[static_cast<std::size_t>(ft)].alive(*graph_)) {
       // Standing tunnel died under us (mid-interval fault): release and
       // re-place the whole flow below.
       const auto t = static_cast<std::size_t>(ft);
@@ -197,12 +190,12 @@ PatchResult OnlineAllocator::apply(const tm::DemandEvent& event) {
         admitted += top;
         need -= top;
       }
-      // 2. Move the whole flow to another admissible tunnel with room.
+      // 2. Move the whole flow to another alive tunnel with room.
       if (need > kTiny) {
         const double committed = res;
         reserve_on(tuns[t].links, -committed);  // tentative release
         for (std::size_t t2 = 0; t2 < tuns.size(); ++t2) {
-          if (t2 == t || !admissible(tuns[t2])) continue;
+          if (t2 == t || !tuns[t2].alive(*graph_)) continue;
           if (bottleneck(tuns[t2].links) + kTiny < after) continue;
           reserve_on(tuns[t2].links, after);
           pa.tunnel_alloc[t] -= committed;
@@ -223,7 +216,7 @@ PatchResult OnlineAllocator::apply(const tm::DemandEvent& event) {
       std::size_t best = tuns.size();
       double best_bn = 0.0;
       for (std::size_t t2 = 0; t2 < tuns.size(); ++t2) {
-        if (!admissible(tuns[t2])) continue;
+        if (!tuns[t2].alive(*graph_)) continue;
         const double bn = bottleneck(tuns[t2].links);
         if (bn + kTiny >= need) {
           best = t2;

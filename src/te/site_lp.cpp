@@ -61,7 +61,7 @@ SiteLpResult solve_max_site_flow(
 
   // --- Presolve (DESIGN.md §16) -------------------------------------------
   // Pairs with demand and at least one usable column (alive, every link
-  // live, within the hop budget), in site_demands order. Per pair: its
+  // live), in site_demands order. Per pair: its
   // usable tunnel indices, its best column t* (highest profit, lowest index
   // on ties), and its distinct links e with a_{k,e}, the most times any one
   // of its columns crosses e, and whether t* crosses e.
@@ -104,9 +104,7 @@ SiteLpResult solve_max_site_flow(
     double best_profit = -1.0;
     for (std::size_t t = 0; t < ts.size(); ++t) {
       const auto& links = ts[t].links;
-      bool ok = !links.empty() &&
-                (options.max_sr_hops == 0 ||
-                 links.size() <= options.max_sr_hops);
+      bool ok = !links.empty();
       for (std::size_t i = 0; ok && i < links.size(); ++i) {
         ok = cap[links[i]] > 0.0;
       }
@@ -341,14 +339,12 @@ SiteLpResult solve_max_site_flow_clustered(
     Bucket& b = *slot;
     b.demands[pair] = demand;
     const auto& ts = tunnels.tunnels(pair.src, pair.dst);
-    // Mirror the per-bucket LP's admissibility (alive + hop budget) so the
-    // capacity partition never reserves headroom for unusable tunnels.
+    // Mirror the per-bucket LP's admissibility (alive) so the capacity
+    // partition never reserves headroom for dead tunnels.
     admissible.resize(ts.size());
     double wsum = 0.0;
     for (std::size_t t = 0; t < ts.size(); ++t) {
-      admissible[t] = (options.max_sr_hops == 0 ||
-                       ts[t].links.size() <= options.max_sr_hops) &&
-                      ts[t].alive(g);
+      admissible[t] = ts[t].alive(g);
       if (admissible[t]) wsum += 1.0 / ts[t].weight;
     }
     if (wsum <= 0.0) continue;

@@ -85,7 +85,7 @@ TeSolution TealSolver::solve(const TeProblem& problem) {
   }
 
   // --- ADMM-style capacity projection + refill --------------------------
-  kernel_.run(options_.admm_iterations);
+  kernel_.run(kAdmmIterations);
 
   // --- Emit solution -----------------------------------------------------
   std::size_t dense_elems = 0;
@@ -104,7 +104,7 @@ TeSolution TealSolver::solve(const TeProblem& problem) {
       }
     }
   }
-  sol.iterations = options_.admm_iterations;
+  sol.iterations = kAdmmIterations;
   sol.est_memory_bytes = dense_elems * sizeof(double) * 2;
   sol.solve_time_s = clock.elapsed_seconds();
   return sol;

@@ -110,30 +110,4 @@ double mean_latency_hops(const TeProblem& problem, const TeSolution& sol,
   return mean_latency_impl(problem, sol, qos_filter, /*hops=*/true);
 }
 
-std::size_t count_hop_budget_violations(const TeProblem& problem,
-                                        const TeSolution& sol,
-                                        std::uint32_t max_sr_hops) {
-  if (max_sr_hops == 0) return 0;
-  std::size_t violations = 0;
-  for (const auto& [pair, alloc] : sol.pairs) {
-    const auto& tunnels = problem.tunnels->tunnels(pair.src, pair.dst);
-    auto over = [&](std::int64_t t) {
-      return t >= 0 && static_cast<std::size_t>(t) < tunnels.size() &&
-             tunnels[t].links.size() > max_sr_hops;
-    };
-    if (!alloc.flow_tunnel.empty()) {
-      for (std::int32_t t : alloc.flow_tunnel) {
-        if (over(t)) ++violations;
-      }
-    } else {
-      for (std::size_t t = 0; t < alloc.tunnel_alloc.size(); ++t) {
-        if (alloc.tunnel_alloc[t] > 0.0 && over(static_cast<std::int64_t>(t))) {
-          ++violations;
-        }
-      }
-    }
-  }
-  return violations;
-}
-
 }  // namespace megate::te

@@ -38,6 +38,16 @@ bool reaches(const Graph& g, NodeId from, NodeId to) {
 
 }  // namespace
 
+bool try_fail_link(Graph& g, const FailureEvent& link) {
+  g.set_link_state(link.forward, false);
+  if (link.reverse != kInvalidEdge) g.set_link_state(link.reverse, false);
+  const Link& l = g.link(link.forward);
+  if (reaches(g, l.src, l.dst) && reaches(g, l.dst, l.src)) return true;
+  g.set_link_state(link.forward, true);
+  if (link.reverse != kInvalidEdge) g.set_link_state(link.reverse, true);
+  return false;
+}
+
 std::vector<FailureEvent> inject_link_failures(Graph& g, std::uint32_t count,
                                                std::uint64_t seed) {
   util::Rng rng(seed);
@@ -60,17 +70,7 @@ std::vector<FailureEvent> inject_link_failures(Graph& g, std::uint32_t count,
 
   for (const FailureEvent& ev : candidates) {
     if (events.size() >= count) break;
-    g.set_link_state(ev.forward, false);
-    if (ev.reverse != kInvalidEdge) g.set_link_state(ev.reverse, false);
-    const Link& l = g.link(ev.forward);
-    if (reaches(g, l.src, l.dst) && reaches(g, l.dst, l.src)) {
-      events.push_back(ev);
-    } else {
-      // Would cut the link's two ends apart: revert and try the next
-      // candidate.
-      g.set_link_state(ev.forward, true);
-      if (ev.reverse != kInvalidEdge) g.set_link_state(ev.reverse, true);
-    }
+    if (try_fail_link(g, ev)) events.push_back(ev);
   }
   return events;
 }

@@ -14,11 +14,14 @@
 //     Yen's enumeration). Comparable allocations with fewer tunnels,
 //     which directly shrinks every stage-1 LP.
 //
-// Both backends honor `max_sr_hops`: the SR header carries one u32 per
-// hop and the dataplane refuses to encapsulate over-long hop lists
-// (dataplane::kSrMaxHops), so the hop budget must be a *planning*
-// constraint, not a runtime surprise. A tunnel's SR hop count equals its
-// link count (one hop per traversed link).
+// The SR hop budget belongs to the TunnelSet: the SR header carries one
+// u32 per hop and the dataplane refuses to encapsulate over-long hop lists
+// (dataplane::kSrMaxHops), so the budget must be a *planning* constraint,
+// not a runtime surprise. build_tunnels records TunnelOptions::max_sr_hops
+// on the set it returns, both backends search under it, and set_tunnels
+// refuses any tunnel over it — so every tunnel a solver can see fits, and
+// no solver re-checks it. A tunnel's SR hop count equals its link count
+// (one hop per traversed link).
 //
 // Each tunnel carries the paper's weight w_t (derived from its latency:
 // higher latency -> larger weight), which both the MaxSiteFlow objective
@@ -79,10 +82,12 @@ struct TunnelOptions {
   /// also bounds how many inadmissible paths the search may generate
   /// while hunting for admissible ones under a hop budget.
   std::uint32_t max_candidates = 32;
-  /// Maximum SR hops (= links) a tunnel may have; 0 = unlimited. When
-  /// set, no built tunnel ever exceeds it, so every planned tunnel is
-  /// encodable by dataplane::SrHeader (whose own hard cap is
-  /// dataplane::kSrMaxHops = 32).
+  /// Maximum SR hops (= links) a tunnel may have; 0 = unlimited. Only
+  /// build_tunnels reads it: the set it returns carries the budget
+  /// (TunnelSet::max_sr_hops) and enforces it, and repair_tunnels repairs
+  /// under the set's own budget. Every planned tunnel is then encodable
+  /// by dataplane::SrHeader (whose own hard cap is dataplane::kSrMaxHops
+  /// = 32).
   std::uint32_t max_sr_hops = 0;
   /// Candidate selection backend (see TunnelSelection).
   TunnelSelection selection = TunnelSelection::kKsp;
@@ -115,7 +120,13 @@ class TunnelSet {
   const std::vector<Tunnel>& tunnels(NodeId src, NodeId dst) const;
 
   /// Replaces the tunnels of (src, dst) and updates fingerprint().
+  /// Throws std::invalid_argument, leaving the set unchanged, when a
+  /// tunnel has more links than max_sr_hops().
   void set_tunnels(NodeId src, NodeId dst, std::vector<Tunnel> tunnels);
+
+  /// The SR hop budget every tunnel of the set fits (0 = unlimited).
+  /// build_tunnels records it; copies carry it. Not part of fingerprint().
+  std::uint32_t max_sr_hops() const noexcept { return max_sr_hops_; }
 
   /// Fingerprint of the set's content: the XOR over every stored pair of
   /// a word-wise hash of (src, dst, tunnel count, and per tunnel its link
@@ -139,10 +150,13 @@ class TunnelSet {
   }
 
  private:
+  friend TunnelSet build_tunnels(const Graph& g, const TunnelOptions& options);
+
   std::unordered_map<SitePair, std::vector<Tunnel>, SitePairHash> map_;
   std::vector<Tunnel> empty_;
   TunnelBuildStats stats_;
   std::uint64_t fingerprint_ = 0;
+  std::uint32_t max_sr_hops_ = 0;
 };
 
 /// Yen's K shortest loopless paths from src to dst (ascending latency).
@@ -163,9 +177,9 @@ std::vector<Path> k_shortest_paths(const Graph& g, NodeId src, NodeId dst,
 TunnelSet build_tunnels(const Graph& g, const TunnelOptions& options = {});
 
 /// Rebuilds tunnels for pairs whose tunnel lists lost members to link
-/// failures, keeping surviving tunnels' identities stable. Uses the same
-/// backend/budget as `options`, so repaired tunnels keep the plan/encap
-/// contract.
+/// failures, keeping surviving tunnels' identities stable. Uses the
+/// backend of `options` under the set's own max_sr_hops() (the options'
+/// budget is not read), so repaired tunnels keep the plan/encap contract.
 void repair_tunnels(const Graph& g, TunnelSet& tunnels,
                     const TunnelOptions& options = {});
 

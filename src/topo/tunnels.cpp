@@ -9,6 +9,8 @@
 #include <limits>
 #include <optional>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "megate/obs/metrics.h"
@@ -56,6 +58,16 @@ std::uint64_t pair_fingerprint(SitePair pair, const std::vector<Tunnel>& ts) {
 
 void TunnelSet::set_tunnels(NodeId src, NodeId dst,
                             std::vector<Tunnel> tunnels) {
+  if (max_sr_hops_ > 0) {
+    for (const Tunnel& t : tunnels) {
+      if (t.links.size() > max_sr_hops_) {
+        throw std::invalid_argument(
+            "tunnel of " + std::to_string(t.links.size()) +
+            " links exceeds the set's max_sr_hops=" +
+            std::to_string(max_sr_hops_));
+      }
+    }
+  }
   const SitePair pair{src, dst};
   auto [it, inserted] = map_.try_emplace(pair);
   if (!inserted) fingerprint_ ^= pair_fingerprint(pair, it->second);
@@ -829,6 +841,7 @@ TunnelSet build_tunnels(const Graph& g, const TunnelOptions& options) {
   std::uint64_t dijkstra_calls = 0;
   auto slots = build_pairs(g, pairs, options, delta, dijkstra_calls);
   TunnelSet set;
+  set.max_sr_hops_ = options.max_sr_hops;
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     if (!slots[i].paths.empty()) {
       set.set_tunnels(pairs[i].src, pairs[i].dst,
@@ -860,10 +873,13 @@ void repair_tunnels(const Graph& g, TunnelSet& tunnels,
               return a.dst < b.dst;
             });
   // Under kCentrality, middlepoints are re-selected on the degraded graph
-  // so repaired tunnels keep the backend's invariants (and the hop budget).
+  // so repaired tunnels keep the backend's invariants. The search runs
+  // under the set's budget, which set_tunnels enforces anyway.
+  TunnelOptions under_budget = options;
+  under_budget.max_sr_hops = tunnels.max_sr_hops();
   TunnelBuildStats delta;
   std::uint64_t dijkstra_calls = 0;
-  auto slots = build_pairs(g, to_fix, options, delta, dijkstra_calls);
+  auto slots = build_pairs(g, to_fix, under_budget, delta, dijkstra_calls);
   for (std::size_t i = 0; i < to_fix.size(); ++i) {
     tunnels.set_tunnels(to_fix[i].src, to_fix[i].dst,
                         paths_to_tunnels(slots[i].paths));

@@ -82,16 +82,6 @@ TEST(NcFlow, RefusesOversizedInstance) {
   EXPECT_FALSE(solver.solve(s->problem()).solved);
 }
 
-TEST(NcFlow, ClusterCountOverride) {
-  auto s = make_scenario(9, 16, 10, 0.3);
-  NcFlowOptions opt;
-  opt.num_clusters = 2;
-  NcFlowSolver solver(opt);
-  TeSolution sol = solver.solve(s->problem());
-  EXPECT_TRUE(sol.solved);
-  EXPECT_TRUE(check_solution(s->problem(), sol).ok);
-}
-
 // --- TEAL -------------------------------------------------------------
 
 TEST(Teal, FeasibleAfterProjection) {
@@ -127,14 +117,13 @@ TEST(Teal, RefusesOversizedInstance) {
   EXPECT_FALSE(TealSolver(opt).solve(s->problem()).solved);
 }
 
-TEST(Teal, MoreIterationsNeverOverload) {
-  auto s = make_scenario(8, 14, 20, 1.2);
-  for (std::size_t iters : {1u, 3u, 10u, 25u}) {
-    TealOptions opt;
-    opt.admm_iterations = iters;
-    TeSolution sol = TealSolver(opt).solve(s->problem());
+TEST(Teal, NeverOverloadsAcrossLoads) {
+  for (const double load : {0.3, 1.2, 2.5}) {
+    auto s = make_scenario(8, 14, 20, load);
+    TeSolution sol = TealSolver().solve(s->problem());
+    EXPECT_EQ(sol.iterations, TealSolver::kAdmmIterations);
     auto res = check_solution(s->problem(), sol);
-    EXPECT_TRUE(res.ok) << "iters=" << iters;
+    EXPECT_TRUE(res.ok) << "load=" << load;
   }
 }
 
@@ -234,16 +223,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SolverRanking,
 
 // --- pinned constants ------------------------------------------------------
 
-/// Bit digest of a Teal plan, recorded at the commit before the softmax
-/// temperature became a constant. TealRepairParity cannot see that value:
-/// its oracle reads the same constant.
-constexpr std::uint64_t kPinnedTealPlan = 0xfc116716a79cf009ULL;
-
-TEST(TealPinned, PlanDigestMatchesParent) {
-  auto s = make_scenario(9, 16, 25, 0.8);
-  TealSolver teal;
-  const TeSolution sol = teal.solve(s->problem());
-  ASSERT_TRUE(sol.solved);
+/// Bit digest of a fractional plan: every pair's per-tunnel allocation
+/// bits in sorted pair order, then the satisfied-demand bits.
+std::uint64_t plan_digest(const TeSolution& sol) {
   std::vector<std::pair<topo::SitePair, const PairAllocation*>> pairs;
   for (const auto& [pair, alloc] : sol.pairs) pairs.emplace_back(pair, &alloc);
   std::sort(pairs.begin(), pairs.end(), [](const auto& a, const auto& b) {
@@ -257,7 +239,58 @@ TEST(TealPinned, PlanDigestMatchesParent) {
     }
   }
   h = (h ^ std::bit_cast<std::uint64_t>(sol.satisfied_gbps)) * 0x100000001B3ULL;
+  return h;
+}
+
+/// Bit digest of a Teal plan, recorded at the commit before the softmax
+/// temperature became a constant. TealRepairParity cannot see that value:
+/// its oracle reads the same constant. The plan needs projection, so it
+/// also moves with the ADMM iteration count.
+constexpr std::uint64_t kPinnedTealPlan = 0xfc116716a79cf009ULL;
+
+TEST(TealPinned, PlanDigestMatchesParent) {
+  auto s = make_scenario(9, 16, 25, 0.8);
+  TealSolver teal;
+  const TeSolution sol = teal.solve(s->problem());
+  ASSERT_TRUE(sol.solved);
+  const std::uint64_t h = plan_digest(sol);
   EXPECT_EQ(h, kPinnedTealPlan) << std::hex << "got 0x" << h;
+}
+
+/// LP-all's two paths, recorded at the commit before the simplex cutoff
+/// and the packing epsilon became constants. The first instance's tableau
+/// has 1.53M cells and the second's 2.4M, so halving or doubling the 2M
+/// cutoff moves one of them to the other backend (est_memory_bytes is
+/// cells * 8 on the simplex path); the packing plan moves with epsilon.
+constexpr std::uint64_t kPinnedLpAllSimplexBytes = 12224080;
+constexpr std::uint64_t kPinnedLpAllPackingBytes = 175936;
+constexpr std::uint64_t kPinnedLpAllPackingPlan = 0x329ef6e688698ecaULL;
+
+TEST(LpAllPinned, BackendCutoffAndPackingPlanMatchParent) {
+  auto simplex = make_scenario(10, 18, 40, 0.5);
+  const TeSolution exact = LpAllSolver().solve(simplex->problem());
+  ASSERT_TRUE(exact.solved);
+  EXPECT_EQ(exact.est_memory_bytes, kPinnedLpAllSimplexBytes);
+
+  auto packing = make_scenario(10, 18, 50, 0.5);
+  const TeSolution approx = LpAllSolver().solve(packing->problem());
+  ASSERT_TRUE(approx.solved);
+  EXPECT_EQ(approx.est_memory_bytes, kPinnedLpAllPackingBytes);
+  const std::uint64_t h = plan_digest(approx);
+  EXPECT_EQ(h, kPinnedLpAllPackingPlan) << std::hex << "got 0x" << h;
+}
+
+/// NCFlow plan on 10 sites, recorded at the commit before its packing
+/// epsilon and cluster count became constants: max(2, ceil(cbrt(10))) = 3
+/// clusters, where ceil(sqrt(10)) would give 4.
+constexpr std::uint64_t kPinnedNcFlowPlan = 0x22a033fa1d75625aULL;
+
+TEST(NcFlowPinned, PlanDigestMatchesParent) {
+  auto s = make_scenario(10, 18, 30, 0.5);
+  const TeSolution sol = NcFlowSolver().solve(s->problem());
+  ASSERT_TRUE(sol.solved);
+  const std::uint64_t h = plan_digest(sol);
+  EXPECT_EQ(h, kPinnedNcFlowPlan) << std::hex << "got 0x" << h;
 }
 
 }  // namespace

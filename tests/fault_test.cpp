@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <set>
@@ -333,6 +334,53 @@ TEST(FaultInjectorTest, LinkFailuresNeverPartitionTheGraph) {
   for (double t = 0.0; t <= opt.horizon_s; t += 1.0) {
     injector.advance_to(t);
     EXPECT_TRUE(s->graph.is_connected()) << "partitioned at t=" << t;
+  }
+}
+
+TEST(FaultInjectorTest, LinkFailuresStrikeInsideIslandsOfAPartitionedGraph) {
+  // Two disjoint triangles: the graph is partitioned from the start, but
+  // each triangle survives one lost link.
+  topo::Graph g;
+  for (int i = 0; i < 6; ++i) g.add_node("n" + std::to_string(i));
+  for (const topo::NodeId base : {0u, 3u}) {
+    g.add_duplex_link(base, base + 1, 10.0, 1.0);
+    g.add_duplex_link(base + 1, base + 2, 10.0, 1.0);
+    g.add_duplex_link(base + 2, base, 10.0, 1.0);
+  }
+  ASSERT_FALSE(g.is_connected());
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    auto opt = small_plan_options(seed);
+    opt.shard_crashes = 0;
+    opt.pull_drop_windows = 0;
+    opt.stale_windows = 0;
+    opt.connection_drops = 0;
+    opt.link_failures = 2;
+    const auto plan = fault::FaultPlan::generate(opt, 0, 6);
+    fault::FaultInjector::Bindings bind;
+    bind.graph = &g;
+    fault::FaultInjector injector(plan, bind);
+    std::size_t most_down = 0;
+    for (double t = 0.0; t <= opt.horizon_s; t += 1.0) {
+      injector.advance_to(t);
+      std::size_t down = 0;
+      for (topo::EdgeId e = 0; e < g.num_links(); ++e) {
+        if (!g.link(e).up) ++down;
+      }
+      most_down = std::max(most_down, down);
+    }
+    std::size_t activated = 0;
+    for (const std::string& line : injector.event_log()) {
+      EXPECT_EQ(line.find("skipped"), std::string::npos)
+          << "seed " << seed << ": " << line;
+      if (line.find("activated link-failure") != std::string::npos) {
+        ++activated;
+      }
+    }
+    EXPECT_EQ(activated, 2u) << "seed " << seed;
+    EXPECT_GE(most_down, 2u) << "seed " << seed;  // both halves of a link
+    for (topo::EdgeId e = 0; e < g.num_links(); ++e) {
+      EXPECT_TRUE(g.link(e).up) << "seed " << seed;
+    }
   }
 }
 

@@ -226,22 +226,15 @@ struct OnlineFixture {
 
   explicit OnlineFixture(double load = 0.15, std::uint64_t seed = 42) {
     s = testing::make_scenario(8, 14, 3, load, seed);
+    testing::rebuild_tunnels_under_budget(*s, kBudget);
     problem = s->problem();
-    te::MegaTeOptions mopt;
-    mopt.site_lp.max_sr_hops = kBudget;
-    sol = te::MegaTeSolver(mopt).solve(problem, {}).solution;
+    sol = te::MegaTeSolver().solve(problem, {}).solution;
   }
 };
 
-te::OnlineOptions budgeted_options() {
-  te::OnlineOptions o;
-  o.max_sr_hops = kBudget;
-  return o;
-}
-
 TEST(OnlineAllocatorTest, InvariantsHoldThroughBusyChurn) {
   OnlineFixture f(0.4);
-  te::OnlineAllocator alloc(budgeted_options());
+  te::OnlineAllocator alloc;
   alloc.rebase(f.problem, f.sol);
   audit_invariants(*f.s, f.s->traffic, alloc, "after rebase");
 
@@ -265,7 +258,7 @@ TEST(OnlineAllocatorPinned, BusyChurnMatchesParent) {
   std::size_t moved = 0;
   for (const double load : {0.4, 0.8}) {
     OnlineFixture f(load);
-    te::OnlineAllocator alloc(budgeted_options());
+    te::OnlineAllocator alloc;
     alloc.rebase(f.problem, f.sol);
     const tm::DemandStream stream =
         tm::DemandStream::generate(f.s->traffic, busy_churn());
@@ -320,7 +313,7 @@ first_assigned(const OnlineFixture& f) {
 
 TEST(OnlineAllocatorTest, ShrinkReleasesAndDepartureUnassigns) {
   OnlineFixture f;
-  te::OnlineAllocator alloc(budgeted_options());
+  te::OnlineAllocator alloc;
   alloc.rebase(f.problem, f.sol);
   auto [pair, index, flow] = first_assigned(f);
 
@@ -342,7 +335,7 @@ TEST(OnlineAllocatorTest, ShrinkReleasesAndDepartureUnassigns) {
 
 TEST(OnlineAllocatorTest, GrowthTopsUpOnResidualCapacity) {
   OnlineFixture f(0.05);  // light load: plenty of residual
-  te::OnlineAllocator alloc(budgeted_options());
+  te::OnlineAllocator alloc;
   alloc.rebase(f.problem, f.sol);
   auto [pair, index, flow] = first_assigned(f);
 
@@ -357,7 +350,7 @@ TEST(OnlineAllocatorTest, GrowthTopsUpOnResidualCapacity) {
 TEST(OnlineAllocatorTest, ImpossibleGrowthShedsLoudly) {
   OnlineFixture f;
   obs::MetricsRegistry metrics;
-  te::OnlineOptions oopt = budgeted_options();
+  te::OnlineOptions oopt;
   oopt.metrics = &metrics;
   te::OnlineAllocator alloc(oopt);
   alloc.rebase(f.problem, f.sol);
@@ -377,7 +370,7 @@ TEST(OnlineAllocatorTest, ImpossibleGrowthShedsLoudly) {
 
 TEST(OnlineAllocatorTest, DriftCrossingRecommendsResolve) {
   OnlineFixture f;
-  te::OnlineOptions oopt = budgeted_options();
+  te::OnlineOptions oopt;
   oopt.resolve_drift_fraction = 0.05;
   te::OnlineAllocator alloc(oopt);
   alloc.rebase(f.problem, f.sol);
@@ -419,7 +412,7 @@ TEST(OnlineAllocatorTest, FractionalOnlySolutionRejected) {
     break;
   }
   ASSERT_TRUE(stripped);
-  te::OnlineAllocator alloc(budgeted_options());
+  te::OnlineAllocator alloc;
   EXPECT_THROW(alloc.rebase(f.problem, fractional), std::invalid_argument);
 }
 
@@ -427,7 +420,7 @@ TEST(OnlineAllocatorTest, FractionalOnlySolutionRejected) {
 
 TEST(OnlineDifferential, PatchedStaysWithinBoundedRegret) {
   OnlineFixture f(0.3, 17);
-  te::OnlineAllocator alloc(budgeted_options());
+  te::OnlineAllocator alloc;
   alloc.rebase(f.problem, f.sol);
 
   tm::TrafficMatrix m = f.s->traffic;
@@ -457,13 +450,10 @@ TEST(OnlineDifferential, PatchedStaysWithinBoundedRegret) {
     }
   }
   const double patched = alloc.snapshot().satisfied_gbps;
-  te::MegaTeOptions mopt;
-  mopt.site_lp.max_sr_hops = kBudget;
   te::TeProblem final_problem = f.problem;
   final_problem.traffic = &m;
   const double resolved =
-      te::MegaTeSolver(mopt).solve(final_problem, {}).solution
-          .satisfied_gbps;
+      te::MegaTeSolver().solve(final_problem, {}).solution.satisfied_gbps;
 
   // Fault-free, the patcher never does worse than going stale and stays
   // within bounded regret of a full re-solve (it can exceed it: partial
@@ -476,7 +466,7 @@ TEST(OnlineDifferential, PatchedStaysWithinBoundedRegret) {
 
 TEST(OnlineConcurrency, SnapshotsRaceApplyCleanly) {
   OnlineFixture f(0.4);
-  te::OnlineAllocator alloc(budgeted_options());
+  te::OnlineAllocator alloc;
   alloc.rebase(f.problem, f.sol);
   const tm::DemandStream stream =
       tm::DemandStream::generate(f.s->traffic, busy_churn());

@@ -159,6 +159,10 @@ TEST(SiteLpPresolve, MatchesUnreducedOptimumAcrossSweep) {
     for (const double load : {0.1, 0.5, 1.5}) {
       for (const std::uint32_t failures : {0u, 3u}) {
         auto s = megate::testing::make_scenario(10, 18, 10, load, seed);
+        // The scenario's tunnel build under a budget of 4 SR hops.
+        topo::TunnelOptions topt = megate::testing::scenario_tunnel_options();
+        topt.max_sr_hops = 4;
+        const topo::TunnelSet budgeted = topo::build_tunnels(s->graph, topt);
         if (failures > 0) {
           topo::inject_link_failures(s->graph, failures, seed * 7 + 1);
         }
@@ -180,20 +184,22 @@ TEST(SiteLpPresolve, MatchesUnreducedOptimumAcrossSweep) {
                          << "seed " << seed << " load " << load
                          << " failures " << failures << " residual "
                          << use_residual << " max_sr_hops " << hops);
+            const topo::TunnelSet& tunnels =
+                hops == 0 ? s->tunnels : budgeted;
+            ASSERT_EQ(tunnels.max_sr_hops(), hops);
             SiteLpOptions opt;
             opt.backend = SiteLpOptions::Backend::kSimplex;
-            opt.max_sr_hops = hops;
             const SiteLpResult got = solve_max_site_flow(
-                s->graph, s->tunnels, demands, caps, epsilon, opt);
+                s->graph, tunnels, demands, caps, epsilon, opt);
             const lp::Solution want = reference_solve(
-                s->graph, s->tunnels, demands, caps, epsilon, hops);
+                s->graph, tunnels, demands, caps, epsilon, hops);
             ASSERT_EQ(want.status, lp::Status::kOptimal);
             ASSERT_EQ(got.status, lp::Status::kOptimal);
             EXPECT_TRUE(relative_equal(got.objective, want.objective, 1e-9))
                 << got.objective << " vs " << want.objective;
             EXPECT_TRUE(relative_equal(got.dual_bound, got.objective, 1e-12));
-            EXPECT_EQ(find_violation(s->graph, s->tunnels, demands, caps,
-                                     hops, got),
+            EXPECT_EQ(find_violation(s->graph, tunnels, demands, caps, hops,
+                                     got),
                       "");
             ++sweep.cases;
             sweep.pairs_fixed += got.pairs_fixed;

@@ -56,4 +56,13 @@ inline std::unique_ptr<Scenario> make_scenario(std::uint32_t sites,
   return s;
 }
 
+/// Rebuilds a scenario's tunnels as make_scenario does, but under an SR
+/// hop budget; make_scenario's traffic does not depend on the tunnels.
+inline void rebuild_tunnels_under_budget(Scenario& s,
+                                         std::uint32_t max_sr_hops) {
+  topo::TunnelOptions topt = scenario_tunnel_options();
+  topt.max_sr_hops = max_sr_hops;
+  s.tunnels = topo::build_tunnels(s.graph, topt);
+}
+
 }  // namespace megate::testing

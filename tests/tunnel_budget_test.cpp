@@ -5,7 +5,9 @@
 //     round-trips through dataplane::SrHeader::serialize, fuzzed across
 //     seeds x budgets {3..8} x both selection backends. This is the
 //     end-to-end claim behind max_sr_hops: planning never emits a route
-//     the dataplane refuses to encapsulate.
+//     the dataplane refuses to encapsulate. The set keeps the budget it
+//     was built under: set_tunnels refuses an over-budget tunnel, and
+//     repair runs under the set's budget whatever its options say.
 //   - KspDeterminism: Yen's output is a total order — equal-latency
 //     parallel paths tie-break on the link-id sequence, so rebuilds are
 //     byte-stable.
@@ -20,6 +22,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "megate/dataplane/sr_header.h"
@@ -58,6 +61,18 @@ void expect_valid_tunnel(const Graph& g, NodeId src, NodeId dst,
     EXPECT_TRUE(nodes.insert(g.link(t.links[i]).dst).second)
         << "loop in tunnel";
   }
+}
+
+/// The link most tunnels of `ts` cross: failing it gives repair real work.
+EdgeId hottest_link(const Graph& g, const TunnelSet& ts) {
+  std::vector<std::size_t> uses(g.num_links(), 0);
+  for (const auto& [pair, tunnels] : ts.all()) {
+    for (const Tunnel& t : tunnels) {
+      for (EdgeId e : t.links) ++uses[e];
+    }
+  }
+  return static_cast<EdgeId>(std::max_element(uses.begin(), uses.end()) -
+                             uses.begin());
 }
 
 // --- TunnelBudgetProperty ---------------------------------------------------
@@ -120,21 +135,84 @@ TEST(TunnelBudgetProperty, RepairKeepsTheBudget) {
   opt.max_sr_hops = 4;
   TunnelSet ts = build_tunnels(g, opt);
   // Fail the most-used link so repair has real work to do.
-  std::vector<std::size_t> uses(g.num_links(), 0);
-  for (const auto& [pair, tunnels] : ts.all()) {
-    for (const Tunnel& t : tunnels) {
-      for (EdgeId e : t.links) ++uses[e];
-    }
-  }
-  const EdgeId hot = static_cast<EdgeId>(
-      std::max_element(uses.begin(), uses.end()) - uses.begin());
-  g.set_link_state(hot, false);
+  g.set_link_state(hottest_link(g, ts), false);
   repair_tunnels(g, ts, opt);
   for (const auto& [pair, tunnels] : ts.all()) {
     for (const Tunnel& t : tunnels) {
       EXPECT_TRUE(t.alive(g));
       EXPECT_LE(t.links.size(), 4u) << "repair broke the hop budget";
     }
+  }
+}
+
+TEST(TunnelBudgetProperty, SetTunnelsRefusesAnOverBudgetTunnel) {
+  GeneratorOptions gopt;
+  gopt.seed = 31;
+  const Graph g = make_isp_like(12, 20, gopt);
+  TunnelOptions opt;
+  opt.max_sr_hops = 4;
+  TunnelSet ts = build_tunnels(g, opt);
+  EXPECT_EQ(ts.max_sr_hops(), 4u);
+  EXPECT_EQ(TunnelSet(ts).max_sr_hops(), 4u) << "copies carry the budget";
+  EXPECT_EQ(build_tunnels(g).max_sr_hops(), 0u);
+
+  const std::uint64_t fingerprint = ts.fingerprint();
+  const std::size_t pairs = ts.num_pairs();
+  const std::size_t total = ts.total_tunnels();
+  const std::vector<Tunnel> before = ts.tunnels(0, 1);
+  ASSERT_FALSE(before.empty());
+  Tunnel five;
+  five.links = {0, 1, 2, 3, 4};
+  five.weight = 1.0;
+  // The over-budget tunnel comes last, so a check that stored the first
+  // ones before throwing would show in the pair's list.
+  std::vector<Tunnel> replacement = before;
+  replacement.push_back(five);
+  EXPECT_THROW(ts.set_tunnels(0, 1, replacement), std::invalid_argument);
+  EXPECT_THROW(ts.set_tunnels(1, 0, {five}), std::invalid_argument);
+  EXPECT_EQ(ts.fingerprint(), fingerprint);
+  EXPECT_EQ(ts.num_pairs(), pairs);
+  EXPECT_EQ(ts.total_tunnels(), total);
+  const auto& after = ts.tunnels(0, 1);
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i].links, before[i].links);
+  }
+
+  // At the budget is fine.
+  Tunnel four = five;
+  four.links.pop_back();
+  ts.set_tunnels(0, 1, {four});
+  EXPECT_NE(ts.fingerprint(), fingerprint);
+}
+
+TEST(TunnelBudgetProperty, RepairRunsUnderTheSetsBudget) {
+  for (const auto selection :
+       {TunnelSelection::kKsp, TunnelSelection::kCentrality}) {
+    GeneratorOptions gopt;
+    gopt.seed = 29;
+    Graph g = make_isp_like(20, 34, gopt);
+    TunnelOptions opt;
+    opt.max_sr_hops = 4;
+    opt.selection = selection;
+    TunnelSet ts = build_tunnels(g, opt);
+    TunnelSet same = ts;
+    g.set_link_state(hottest_link(g, ts), false);
+    const std::size_t built_before = ts.stats().pairs_built;
+    // Default options but for the backend: no budget of their own.
+    TunnelOptions repair;
+    repair.selection = selection;
+    repair_tunnels(g, ts, repair);
+    EXPECT_GT(ts.stats().pairs_built, built_before) << "nothing repaired";
+    for (const auto& [pair, tunnels] : ts.all()) {
+      for (const Tunnel& t : tunnels) {
+        EXPECT_TRUE(t.alive(g));
+        EXPECT_LE(t.links.size(), 4u) << "repair broke the hop budget";
+      }
+    }
+    // The options' budget is not read: the budgeted repair is identical.
+    repair_tunnels(g, same, opt);
+    EXPECT_EQ(ts.fingerprint(), same.fingerprint());
   }
 }
 

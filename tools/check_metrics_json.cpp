@@ -86,8 +86,8 @@ std::vector<std::string> check_stage1_gap(const megate::obs::Json& gauges) {
 /// "<topo>.<backend>.budget<N>.tunnels" gauges. For every discovered
 /// (topo, budget) the contract requires:
 ///   - both backends present (ksp AND centrality),
-///   - hop_budget_violations == 0 (the plan/encap audit never fires
-///     when max_sr_hops is threaded through planning),
+///   - hop_budget_violations == 0 (the bench counts, from each plan,
+///     assigned flows on tunnels over the budget it built under),
 ///   - centrality satisfied_ratio >= ksp - 0.02 at finite budgets, and
 ///   - on Cogentco* at budgets <= 5, strictly fewer centrality tunnels
 ///     (the middlepoint stage must shrink stage 1's column count on a

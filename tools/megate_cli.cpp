@@ -189,9 +189,8 @@ int cmd_solve(const std::map<std::string, std::string>& flags) {
       flags.contains("solver") ? flags.at("solver") : "megate";
 
   obs::MetricsRegistry registry;
-  // Hop budget + selection backend are planning knobs: every solver sees
-  // only admissible tunnels (the megate solver additionally re-checks the
-  // budget in stage 1 and audits the final plan).
+  // Hop budget + selection backend are planning knobs: the tunnel set
+  // carries the budget, so every solver sees only tunnels that fit it.
   topo::TunnelOptions topt;
   topt.max_sr_hops =
       static_cast<std::uint32_t>(flag_u64(flags, "max-sr-hops", 0));
@@ -234,7 +233,6 @@ int cmd_solve(const std::map<std::string, std::string>& flags) {
   if (solver_name == "megate") {
     te::MegaTeOptions mopt;
     mopt.metrics = &registry;
-    mopt.site_lp.max_sr_hops = topt.max_sr_hops;
     auto ms = std::make_unique<te::MegaTeSolver>(mopt);
     megate_solver = ms.get();
     solver = std::move(ms);
