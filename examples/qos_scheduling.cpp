@@ -4,10 +4,11 @@
 // flow is pinned to exactly one tunnel. Compare against a QoS-blind run
 // and against conventional hash-based TE to see why sequencing matters.
 
+#include <array>
 #include <iostream>
 
-#include "megate/sim/flow_sim.h"
 #include "megate/te/baselines.h"
+#include "megate/te/checker.h"
 #include "megate/te/megate_solver.h"
 #include "megate/tm/endpoints.h"
 #include "megate/topo/generators.h"
@@ -17,28 +18,23 @@ namespace {
 
 using namespace megate;
 
+/// Satisfied share (%) and demand-weighted mean propagation latency (ms)
+/// of each class's assigned flows, index 0..2 for classes 1..3.
 struct ClassStats {
-  double satisfied[4] = {0, 0, 0, 0};
-  double total[4] = {0, 0, 0, 0};
-  double latency[4] = {0, 0, 0, 0};
+  std::array<double, 3> satisfied_pct{};
+  std::array<double, 3> latency_ms{};
 };
 
 ClassStats per_class(const te::TeProblem& problem,
                      const te::TeSolution& sol) {
   ClassStats cs;
-  sim::FlowSimResult r = sim::simulate_flows(problem, sol);
-  double weight[4] = {0, 0, 0, 0};
-  for (const auto& f : r.flows) {
-    const int q = static_cast<int>(f.qos);
-    cs.total[q] += f.demand_gbps;
-    if (f.assigned) {
-      cs.satisfied[q] += f.demand_gbps;
-      cs.latency[q] += f.demand_gbps * f.latency_ms;
-      weight[q] += f.demand_gbps;
-    }
-  }
+  const std::array<double, 3> satisfied = te::satisfied_by_class(problem, sol);
   for (int q = 1; q <= 3; ++q) {
-    if (weight[q] > 0) cs.latency[q] /= weight[q];
+    const double total = problem.traffic->total_demand_gbps(
+        static_cast<tm::QosClass>(q));
+    cs.satisfied_pct[q - 1] =
+        total > 0 ? 100.0 * satisfied[q - 1] / total : 0.0;
+    cs.latency_ms[q - 1] = te::mean_latency_ms(problem, sol, q);
   }
   return cs;
 }
@@ -83,10 +79,8 @@ int main() {
   auto row = [&](const std::string& name, const te::TeSolution& sol) {
     ClassStats cs = per_class(problem, sol);
     auto cell = [&](int q) {
-      const double pct =
-          cs.total[q] > 0 ? 100.0 * cs.satisfied[q] / cs.total[q] : 0.0;
-      return util::Table::num(pct, 1) + "% / " +
-             util::Table::num(cs.latency[q], 1) + "ms";
+      return util::Table::num(cs.satisfied_pct[q - 1], 1) + "% / " +
+             util::Table::num(cs.latency_ms[q - 1], 1) + "ms";
     };
     t.add_row({name, cell(1), cell(2), cell(3)});
   };

@@ -183,24 +183,6 @@ Version Controller::publish_solution(const te::TeProblem& problem,
   last_erases_ = delta.erases.size();
   last_bytes_ = delta.bytes();
   published_ += delta.upserts.size();
-  erased_ += delta.erases.size();
-  return db_->publish_delta(delta);
-}
-
-Version Controller::publish_path(std::uint64_t instance_id,
-                                 const std::vector<std::uint32_t>& hops) {
-  ++published_;
-  RouteEntry r;
-  r.dst_site = dataplane::kAnyDstSite;
-  r.hops = hops;
-  KvDelta delta;
-  delta.upserts.emplace_back(path_key(instance_id), encode_routes({r}));
-  last_upserts_ = 1;
-  last_erases_ = 0;
-  last_bytes_ = delta.bytes();
-  // Stamped with the last publish_solution, so the next one erases the
-  // entry unless its plan still routes the instance.
-  live_[instance_id] = {delta.upserts.front().second, stamp_};
   return db_->publish_delta(delta);
 }
 

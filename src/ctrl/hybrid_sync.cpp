@@ -38,9 +38,6 @@ HybridSyncPlan plan_hybrid_sync(const tm::TrafficMatrix& traffic,
       options.heavy_traffic_share > 1.0) {
     throw std::invalid_argument("heavy_traffic_share must be in [0, 1]");
   }
-  if (options.pull_drop_rate < 0.0 || options.pull_drop_rate >= 1.0) {
-    throw std::invalid_argument("pull_drop_rate must be in [0, 1)");
-  }
   std::unique_ptr<obs::Span> span;
   if (options.metrics != nullptr) {
     span = std::make_unique<obs::Span>(*options.metrics,
@@ -94,18 +91,13 @@ HybridSyncPlan plan_hybrid_sync(const tm::TrafficMatrix& traffic,
   plan.resources.db_shards = pulled.db_shards;
 
   // Staleness: pushed traffic updates in kPushLatencyS; polling traffic
-  // in poll_interval/2 on average, poll_interval worst case. Dropped pulls
-  // stretch the polling tail by the expected attempt count 1/(1-p) —
-  // geometric retries, each a poll interval apart in the worst case.
-  const double retry_stretch = 1.0 / (1.0 - options.pull_drop_rate);
-  const double poll_mean = options.poll_interval_s / 2.0 * retry_stretch;
+  // in poll_interval/2 on average, poll_interval worst case.
+  const double poll_mean = options.poll_interval_s / 2.0;
   plan.mean_staleness_s =
       plan.covered_traffic_share * kPushLatencyS +
       (1.0 - plan.covered_traffic_share) * poll_mean;
   plan.worst_staleness_s =
-      plan.polling_instances > 0
-          ? options.poll_interval_s * retry_stretch
-          : kPushLatencyS;
+      plan.polling_instances > 0 ? options.poll_interval_s : kPushLatencyS;
   if (options.metrics != nullptr) export_plan_gauges(*options.metrics, plan);
   return plan;
 }

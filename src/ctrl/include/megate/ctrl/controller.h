@@ -58,16 +58,8 @@ class Controller {
   Version publish_solution(const te::TeProblem& problem,
                            const te::TeSolution& sol);
 
-  /// Publishes a single wildcard path for one instance (tests / targeted
-  /// updates).
-  Version publish_path(std::uint64_t instance_id,
-                       const std::vector<std::uint32_t>& hops);
-
   /// Entries written (upserted) across all publishes.
   std::uint64_t entries_published() const noexcept { return published_; }
-  /// Entries erased across all publishes (instances dropped from the TE
-  /// solution).
-  std::uint64_t entries_erased() const noexcept { return erased_; }
   /// Upserts / erases / payload bytes of the most recent publish — what
   /// the delta actually wrote.
   std::uint64_t last_publish_upserts() const noexcept {
@@ -84,7 +76,6 @@ class Controller {
  private:
   KvTransport* db_;
   std::uint64_t published_ = 0;
-  std::uint64_t erased_ = 0;
   std::uint64_t last_upserts_ = 0;
   std::uint64_t last_erases_ = 0;
   std::uint64_t last_bytes_ = 0;

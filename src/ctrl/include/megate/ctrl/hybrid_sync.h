@@ -32,12 +32,6 @@ struct HybridSyncOptions {
   /// Polling endpoints apply a new config after on average half the poll
   /// interval (uniform phase), worst case a full interval.
   double poll_interval_s = 10.0;
-  /// Probability that a poll's pull attempt fails (dropped connection or
-  /// unavailable shard) and the endpoint keeps its last-good config until
-  /// the next attempt. Each attempt fails independently, so the expected
-  /// number of attempts is 1/(1-p) and the polling tail's staleness
-  /// stretches by that factor. Must be in [0, 1).
-  double pull_drop_rate = 0.0;
   /// Observability registry; null = no spans/gauges. Planning time lands
   /// in the "ctrl.hybrid_sync.plan" span and the plan's headline numbers
   /// (persistent/polling split, coverage, staleness) in gauges.

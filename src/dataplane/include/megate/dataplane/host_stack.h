@@ -12,7 +12,7 @@
 //                            path_map when a TE path is installed.
 //
 // The endpoint agent reads inf_map JOIN traffic_map (collect_flow_report)
-// and installs TE decisions into path_map (install_path).
+// and installs TE decisions into path_map (install_route).
 
 #include <cstdint>
 #include <optional>
@@ -188,11 +188,6 @@ class HostStack {
   /// towards `dst_site`. An empty vector uninstalls the route.
   void install_route(InstanceId instance, std::uint32_t dst_site,
                      std::vector<std::uint32_t> hops);
-
-  /// Wildcard convenience: one route for all of the instance's traffic.
-  void install_path(InstanceId instance, std::vector<std::uint32_t> hops) {
-    install_route(instance, kAnyDstSite, std::move(hops));
-  }
 
   /// inf_map JOIN traffic_map, aggregated per instance; clears traffic
   /// counters when `reset` (the per-TE-period collection).

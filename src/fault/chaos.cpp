@@ -385,6 +385,15 @@ ChaosReport run_chaos(const ChaosOptions& options) {
   problem.tunnels = &repaired;
   problem.traffic = &traffic;
 
+  // Publishes `sol` and adds what the delta wrote to the run's counters.
+  auto publish = [&](const te::TeSolution& sol) {
+    controller.publish_solution(problem, sol);
+    ++report.counters.publishes;
+    report.counters.publish_upserts += controller.last_publish_upserts();
+    report.counters.publish_erases += controller.last_publish_erases();
+    report.counters.publish_delta_bytes += controller.last_publish_bytes();
+  };
+
   auto rebuild_police = [&](const te::TeSolution& sol) {
     police.clear();
     for (const auto& [pair, flows] : traffic.pairs()) {
@@ -416,11 +425,7 @@ ChaosReport run_chaos(const ChaosOptions& options) {
     for (const std::string& v : check.violations) {
       report.violations.push_back(time_tag(now_s) + "check_solution: " + v);
     }
-    controller.publish_solution(problem, sol);
-    ++report.counters.publishes;
-    report.counters.publish_upserts += controller.last_publish_upserts();
-    report.counters.publish_erases += controller.last_publish_erases();
-    report.counters.publish_delta_bytes += controller.last_publish_bytes();
+    publish(sol);
     ++stats.resolves;
     last_satisfied = sol.satisfied_ratio();
     last_solution_util = check.max_link_utilization;
@@ -443,15 +448,9 @@ ChaosReport run_chaos(const ChaosOptions& options) {
       ++stats.churn_events;
       if (!options.online_patch) continue;
       const te::PatchResult pr = allocator.apply(*ev);
-      const te::TeSolution patched = allocator.snapshot();
-      controller.publish_solution(problem, patched);
-      ++report.counters.publishes;
-      report.counters.publish_upserts += controller.last_publish_upserts();
-      report.counters.publish_erases += controller.last_publish_erases();
-      report.counters.publish_delta_bytes +=
-          controller.last_publish_bytes();
+      publish(allocator.snapshot());
       ++stats.online_patches;
-      police = allocator.reservations();
+      police = allocator.reservations_snapshot();
       if (pr.resolve_recommended) solve_and_publish(now_s, stats);
     }
   };

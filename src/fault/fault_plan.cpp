@@ -13,7 +13,6 @@ const char* to_string(FaultKind k) noexcept {
     case FaultKind::kLinkFailure: return "link-failure";
     case FaultKind::kPullDropWindow: return "pull-drop-window";
     case FaultKind::kStaleVersionWindow: return "stale-version-window";
-    case FaultKind::kConnectionDrop: return "connection-drop";
   }
   return "?";
 }
@@ -32,7 +31,6 @@ constexpr double kPullWindowMaxS = 20.0;
 constexpr std::uint64_t kStaleDepth = 1;
 constexpr double kStaleWindowMinS = 5.0;
 constexpr double kStaleWindowMaxS = 15.0;
-constexpr std::uint64_t kConnsPerDrop = 100;
 
 /// Samples `count` events of one kind. Each kind forks its own Rng stream
 /// so adding events of one kind never perturbs another kind's draws.
@@ -45,7 +43,7 @@ void sample_kind(std::vector<FaultEvent>& out, util::Rng& base,
   for (std::size_t i = 0; i < count; ++i) {
     FaultEvent e;
     e.kind = kind;
-    e.duration_s = dur_max > dur_min ? rng.uniform(dur_min, dur_max) : dur_min;
+    e.duration_s = rng.uniform(dur_min, dur_max);
     // The whole event must fit before the quiet tail.
     e.duration_s = std::min(e.duration_s, window_s);
     const double latest = std::max(0.0, window_s - e.duration_s);
@@ -78,9 +76,6 @@ FaultPlan FaultPlan::generate(const FaultPlanOptions& options,
   sample_kind(plan.events_, base, 4, FaultKind::kStaleVersionWindow,
               options.stale_windows, window, kStaleWindowMinS,
               kStaleWindowMaxS, 1, static_cast<double>(kStaleDepth));
-  sample_kind(plan.events_, base, 5, FaultKind::kConnectionDrop,
-              options.connection_drops, window, 0.0, 0.0, 1,
-              static_cast<double>(kConnsPerDrop));
 
   std::sort(plan.events_.begin(), plan.events_.end(),
             [](const FaultEvent& a, const FaultEvent& b) {

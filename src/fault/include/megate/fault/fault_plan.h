@@ -2,9 +2,9 @@
 // Seeded, deterministic fault schedules for the chaos experiments.
 //
 // A FaultPlan is a pre-computed list of fault events — shard crashes,
-// duplex-link failures, pull-drop windows, stale-version windows and
-// persistent-connection drops — each with a start time, a duration and a
-// target drawn from a seeded Rng. The same (options, topology shape)
+// duplex-link failures, pull-drop windows and stale-version windows —
+// each with a start time, a duration and a target drawn from a seeded
+// Rng. The same (options, topology shape)
 // always produces the same plan, so a chaos run is reproducible
 // bit-for-bit from a single 64-bit seed: the injector's event log and the
 // final routing state are part of the repo's regression surface.
@@ -25,18 +25,17 @@ enum class FaultKind : std::uint8_t {
   kLinkFailure,         ///< duplex WAN link down mid-interval
   kPullDropWindow,      ///< agent pulls dropped with probability `magnitude`
   kStaleVersionWindow,  ///< version queries served `magnitude` versions late
-  kConnectionDrop,      ///< `magnitude` persistent connections severed
 };
 
 const char* to_string(FaultKind k) noexcept;
 
 struct FaultEvent {
   double start_s = 0.0;
-  double duration_s = 0.0;  ///< 0 for instantaneous events (kConnectionDrop)
+  double duration_s = 0.0;
   FaultKind kind = FaultKind::kShardCrash;
   /// Shard index, duplex-link ordinal, or unused, per kind.
   std::uint64_t target = 0;
-  /// Drop probability, staleness depth, or connection count, per kind.
+  /// Drop probability or staleness depth, per kind.
   double magnitude = 0.0;
 
   double end_s() const noexcept { return start_s + duration_s; }
@@ -54,7 +53,6 @@ struct FaultPlanOptions {
   std::size_t link_failures = 2;
   std::size_t pull_drop_windows = 2;
   std::size_t stale_windows = 2;
-  std::size_t connection_drops = 0;
 };
 
 class FaultPlan {

@@ -6,10 +6,9 @@
 // increasing times; events whose start passed are activated (shard taken
 // down, duplex link failed, drop/stale window opened) and events whose
 // end passed are reverted. Side effects go through the bound components'
-// public APIs — KvStore::set_shard_up, Graph::set_link_state,
-// ConnectionManager::drop_connections — and through the ctrl::FaultHooks
-// interface for per-pull decisions, so production code carries no
-// chaos-specific branches beyond the hook seam.
+// public APIs — KvStore::set_shard_up, Graph::set_link_state — and
+// through the ctrl::FaultHooks interface for per-pull decisions, so
+// production code carries no chaos-specific branches beyond the hook seam.
 //
 // Determinism: activation order is fixed by the plan's sort; per-pull
 // drop decisions come from an Rng forked off the plan seed and are drawn
@@ -20,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "megate/ctrl/connection_manager.h"
 #include "megate/ctrl/fault_hooks.h"
 #include "megate/ctrl/telemetry.h"
 #include "megate/ctrl/transport.h"
@@ -37,9 +35,8 @@ class FaultInjector final : public ctrl::FaultHooks {
     /// admin frame or a real process kill/restart over TCP — whatever
     /// the bound transport maps the fault seam onto.
     ctrl::KvTransport* store = nullptr;
-    topo::Graph* graph = nullptr;              ///< link failures
-    ctrl::ConnectionManager* connections = nullptr;  ///< connection drops
-    ctrl::ControlCounters* counters = nullptr;       ///< stale-read counts
+    topo::Graph* graph = nullptr;                ///< link failures
+    ctrl::ControlCounters* counters = nullptr;  ///< stale-read counts
   };
 
   FaultInjector(const FaultPlan& plan, Bindings bindings);

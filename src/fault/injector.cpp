@@ -91,15 +91,6 @@ void FaultInjector::activate(const FaultEvent& e) {
     case FaultKind::kPullDropWindow:
     case FaultKind::kStaleVersionWindow:
       break;  // consulted via the hook methods while active
-    case FaultKind::kConnectionDrop:
-      if (bind_.connections == nullptr) {
-        log_event("skipped (no connection manager)", e);
-        return;
-      }
-      bind_.connections->drop_connections(
-          static_cast<std::uint64_t>(e.magnitude));
-      log_event("fired", e);
-      return;  // instantaneous: never becomes an active window
   }
   log_event("activated", e);
   active_.push_back(a);
@@ -129,7 +120,6 @@ void FaultInjector::deactivate(const Active& a) {
       break;
     case FaultKind::kPullDropWindow:
     case FaultKind::kStaleVersionWindow:
-    case FaultKind::kConnectionDrop:
       break;
   }
   log_event("recovered", a.event);
@@ -152,7 +142,7 @@ void FaultInjector::advance_to(double now_s) {
   while (next_event_ < events.size() &&
          events[next_event_].start_s <= now_s) {
     const FaultEvent e = events[next_event_++];
-    if (e.end_s() <= now_s && e.kind != FaultKind::kConnectionDrop) {
+    if (e.end_s() <= now_s) {
       // The whole window fell between two ticks; it can't affect anything.
       log_event("elapsed between ticks", e);
       continue;

@@ -117,7 +117,6 @@ class Model {
     return ColumnView(arena_rows_.data() + r.begin,
                       arena_coefs_.data() + r.begin, r.count);
   }
-  const std::vector<double>& rhs_vector() const noexcept { return rhs_; }
 
   /// Objective value c'x for an arbitrary assignment.
   double objective_value(const std::vector<double>& x) const;

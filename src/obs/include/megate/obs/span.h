@@ -74,9 +74,6 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  /// Seconds elapsed since this span opened.
-  double elapsed_s() const noexcept;
-
  private:
   SpanTracer* tracer_;
   double start_s_;

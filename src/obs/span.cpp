@@ -79,10 +79,6 @@ Span::Span(SpanTracer& tracer, std::string_view name)
 Span::Span(MetricsRegistry& registry, std::string_view name)
     : Span(registry.tracer(), name) {}
 
-double Span::elapsed_s() const noexcept {
-  return tracer_->now_s() - start_s_;
-}
-
 Span::~Span() {
   SpanRecord rec;
   rec.path = current_path(tracer_);

@@ -55,12 +55,6 @@ struct ProductionScenario {
                                   const) const;
 
   double tunnel_latency(std::size_t i) const { return tunnels[i].latency_ms; }
-  double tunnel_unavailability(std::size_t i) const {
-    return 1.0 - tunnels[i].availability;
-  }
-  double tunnel_cost(std::size_t i) const {
-    return tunnels[i].cost_per_gbps;
-  }
 
   /// Picks the tunnel a single five-tuple lands on conventionally:
   /// ECMP hash into buckets proportional to conventional_share.

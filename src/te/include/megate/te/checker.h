@@ -39,8 +39,7 @@ std::vector<double> link_usage_gbps(const TeProblem& problem,
 
 /// Satisfied demand per QoS class, index 0..2 for kClass1..kClass3.
 /// Requires flow_tunnel assignments (endpoint-granular solvers); pairs
-/// without them contribute nothing. The differential incremental tests
-/// compare these totals between cold and incremental solves.
+/// without them contribute nothing.
 std::array<double, 3> satisfied_by_class(const TeProblem& problem,
                                          const TeSolution& sol);
 

@@ -110,15 +110,9 @@ class OnlineAllocator {
   /// thread while events are applied.
   TeSolution snapshot() const;
 
-  /// Per-pair, flow-index-aligned reservations (Gbps). The policing view
-  /// in sim/chaos carries min(reservation, demand) per flow. Only valid
-  /// between apply() calls on the applying thread; copy under snapshot()
-  /// semantics via reservations_snapshot() from other threads.
-  const std::unordered_map<topo::SitePair, std::vector<double>,
-                           topo::SitePairHash>&
-  reservations() const noexcept {
-    return reserved_;
-  }
+  /// Copy of the per-pair, flow-index-aligned reservations (Gbps), under
+  /// snapshot() semantics. The policing view in chaos carries
+  /// min(reservation, demand) per flow.
   std::unordered_map<topo::SitePair, std::vector<double>,
                      topo::SitePairHash>
   reservations_snapshot() const;

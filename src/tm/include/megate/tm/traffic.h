@@ -52,9 +52,6 @@ class TrafficMatrix {
   std::unordered_map<topo::SitePair, double, topo::SitePairHash>
   site_demands(int qos_filter = 0) const;
 
-  /// A new matrix containing only flows of class `q`.
-  TrafficMatrix filter(QosClass q) const;
-
  private:
   PairMap pairs_;
 };

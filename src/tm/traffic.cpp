@@ -69,16 +69,6 @@ TrafficMatrix::site_demands(int qos_filter) const {
   return out;
 }
 
-TrafficMatrix TrafficMatrix::filter(QosClass q) const {
-  TrafficMatrix out;
-  for (const auto& [k, flows] : pairs_) {
-    for (const EndpointDemand& d : flows) {
-      if (d.qos == q) out.add(d);
-    }
-  }
-  return out;
-}
-
 TrafficMatrix generate_traffic(const topo::Graph& g,
                                const EndpointLayout& layout,
                                const TrafficOptions& options,

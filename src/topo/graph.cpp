@@ -78,10 +78,6 @@ Graph Graph::reversed() const {
   return r;
 }
 
-void Graph::restore_all_links() {
-  for (Link& l : links_) l.up = true;
-}
-
 bool Graph::is_connected() const {
   if (names_.empty()) return true;
   std::vector<bool> seen(names_.size(), false);

@@ -80,8 +80,6 @@ class Graph {
 
   /// Marks a link (single direction) down/up.
   void set_link_state(EdgeId e, bool up) { links_[e].up = up; }
-  /// Restores every link to up.
-  void restore_all_links();
 
   /// True if every node can reach every other over up links.
   bool is_connected() const;

@@ -37,7 +37,4 @@ struct PathConstraints {
 std::optional<Path> shortest_path(const Graph& g, NodeId src, NodeId dst,
                                   const PathConstraints& constraints = {});
 
-/// One-to-all latency distances (unreachable -> +inf).
-std::vector<double> shortest_distances(const Graph& g, NodeId src);
-
 }  // namespace megate::topo

@@ -4,15 +4,19 @@
 // For every ordered site pair k the control plane pre-establishes up to
 // `tunnels_per_pair` low-latency paths. Two selection backends exist:
 //
-//   - TunnelSelection::kKsp (default): Yen's k-shortest-paths per pair.
+//   - TunnelSelection::kKsp (default): Yen's k-shortest-paths per pair;
+//     a reachable pair Yen leaves without an in-budget path gets its
+//     hop-shortest path when that fits the hop budget.
 //   - TunnelSelection::kCentrality: a middlepoint stage first picks a
 //     small group of high-betweenness sites (greedy group betweenness
 //     over the latency-shortest-path trees), then each pair's candidates
 //     are its direct latency- and hop-shortest paths plus <= 2-segment
-//     compositions through the selected middlepoints (on both metrics —
-//     the hop-shortest trees make coverage under a hop budget match
-//     Yen's enumeration). Comparable allocations with fewer tunnels,
-//     which directly shrinks every stage-1 LP.
+//     compositions through the selected middlepoints (on both metrics).
+//     Comparable allocations with fewer tunnels, which directly shrinks
+//     every stage-1 LP.
+//
+// Under either backend a reachable pair gets a tunnel exactly when its
+// fewest-hops path fits the hop budget.
 //
 // The SR hop budget belongs to the TunnelSet: the SR header carries one
 // u32 per hop and the dataplane refuses to encapsulate over-long hop lists
@@ -80,7 +84,8 @@ struct TunnelOptions {
   std::uint32_t tunnels_per_pair = 4;
   /// Yen's spur search explores up to this many candidates per pair; it
   /// also bounds how many inadmissible paths the search may generate
-  /// while hunting for admissible ones under a hop budget.
+  /// while hunting for admissible ones under a hop budget (a pair left
+  /// with none falls back to its hop-shortest path).
   std::uint32_t max_candidates = 32;
   /// Maximum SR hops (= links) a tunnel may have; 0 = unlimited. Only
   /// build_tunnels reads it: the set it returns carries the budget
@@ -158,17 +163,6 @@ class TunnelSet {
   std::uint64_t fingerprint_ = 0;
   std::uint32_t max_sr_hops_ = 0;
 };
-
-/// Yen's K shortest loopless paths from src to dst (ascending latency).
-/// `max_hops` > 0 returns only paths of at most that many links; the
-/// search keeps generating candidates (bounded by `max_candidates`) until
-/// it has K admissible ones, so a pair whose latency-shortest path blows
-/// the budget can still yield admissible alternatives. Ties are broken
-/// deterministically on (latency, hop count, link-id sequence).
-std::vector<Path> k_shortest_paths(const Graph& g, NodeId src, NodeId dst,
-                                   std::uint32_t k,
-                                   std::uint32_t max_candidates = 32,
-                                   std::uint32_t max_hops = 0);
 
 /// Builds tunnels for every ordered pair of distinct sites with the
 /// configured backend and hop budget. Weights are the tunnel latency

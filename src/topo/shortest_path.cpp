@@ -76,27 +76,4 @@ std::optional<Path> shortest_path(const Graph& g, NodeId src, NodeId dst,
   return p;
 }
 
-std::vector<double> shortest_distances(const Graph& g, NodeId src) {
-  const std::size_t n = g.num_nodes();
-  std::vector<double> dist(n, kInf);
-  std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>> pq;
-  dist[src] = 0.0;
-  pq.push({0.0, src});
-  while (!pq.empty()) {
-    auto [d, v] = pq.top();
-    pq.pop();
-    if (d > dist[v]) continue;
-    for (EdgeId e : g.out_edges(v)) {
-      const Link& l = g.link(e);
-      if (!l.up) continue;
-      const double nd = d + l.latency_ms;
-      if (nd < dist[l.dst]) {
-        dist[l.dst] = nd;
-        pq.push({nd, l.dst});
-      }
-    }
-  }
-  return dist;
-}
-
 }  // namespace megate::topo

@@ -284,9 +284,8 @@ bool fits_budget(const Path& p, std::uint32_t max_hops) {
 
 /// Yen's core on the task's workspace, whose source() must be seeded
 /// for `src`; `to_dst` is dst's potential row (see DistancesTo), which
-/// goal-directs every spur search. `filtered_out`, when non-null, receives
-/// the number of generated loopless paths that were discarded by the hop
-/// budget.
+/// goal-directs every spur search. `filtered_out` receives the number of
+/// generated loopless paths that were discarded by the hop budget.
 std::vector<Path> yen_paths(Workspace& ws, NodeId src, NodeId dst,
                             const double* to_dst, std::uint32_t k,
                             std::uint32_t max_candidates,
@@ -365,9 +364,7 @@ std::vector<Path> yen_paths(Workspace& ws, NodeId src, NodeId dst,
     }
     if (!advanced) break;  // exhausted
   }
-  if (filtered_out != nullptr) {
-    *filtered_out += generated.size() - admissible.size();
-  }
+  *filtered_out += generated.size() - admissible.size();
   return admissible;
 }
 
@@ -388,6 +385,14 @@ Path tree_path(const Graph& g, const std::vector<EdgeId>& parent,
   std::reverse(p.links.begin(), p.links.end());
   for (EdgeId e : p.links) p.latency_ms += g.link(e).latency_ms;
   return p;
+}
+
+/// The fewest-hops path from src to dst by the canonical search rules
+/// (empty if unreachable), with its latency summed in link order.
+Path hop_shortest_path(Workspace& ws, NodeId src, NodeId dst) {
+  ws.clear_bans();
+  ws.search(src, dst, nullptr, /*hop_metric=*/true);
+  return tree_path(ws.graph(), ws.last().parent, src, dst);
 }
 
 std::vector<Tunnel> paths_to_tunnels(const std::vector<Path>& paths) {
@@ -643,7 +648,8 @@ Path compose_segments(Workspace& ws, NodeId src, const Path& seg1,
 /// budget-filtered, best `tunnels_per_pair` by (latency, hops, links).
 /// Because the hop-shortest direct path has the minimum possible hop
 /// count, a pair is budget-excluded here exactly when NO loop-free path
-/// fits the budget — the same coverage Yen's enumeration reaches.
+/// fits the budget — the same coverage kKsp's hop-shortest fallback
+/// gives.
 std::vector<Path> centrality_paths(Workspace& ws,
                                    const CentralityContext& ctx,
                                    NodeId src, NodeId dst,
@@ -727,11 +733,19 @@ void build_pair(Workspace& ws, NodeId s, NodeId d,
                       options.max_candidates, options.max_sr_hops,
                       &stats.paths_budget_filtered);
     if (paths.empty()) {
-      // Attribute the emptiness: partitioned graph vs hop budget.
-      if (options.max_sr_hops > 0 && ws.source().reaches(d)) {
-        ++stats.pairs_budget_excluded;
-      } else {
+      // Attribute the emptiness: partitioned graph vs hop budget. Yen
+      // gives up after max_candidates paths in latency order, so a pair
+      // whose in-budget paths all rank lower gets none from it; the
+      // hop-shortest path has the fewest hops any path has, so it becomes
+      // the pair's one tunnel, or no path fits the budget.
+      if (options.max_sr_hops == 0 || !ws.source().reaches(d)) {
         ++stats.pairs_unreachable;
+      } else if (Path fewest = hop_shortest_path(ws, s, d);
+                 options.tunnels_per_pair > 0 &&
+                 fits_budget(fewest, options.max_sr_hops)) {
+        paths.push_back(std::move(fewest));
+      } else {
+        ++stats.pairs_budget_excluded;
       }
     }
   }
@@ -812,17 +826,6 @@ void accumulate_stats(TunnelBuildStats& total, const TunnelBuildStats& d) {
 }
 
 }  // namespace
-
-std::vector<Path> k_shortest_paths(const Graph& g, NodeId src, NodeId dst,
-                                   std::uint32_t k,
-                                   std::uint32_t max_candidates,
-                                   std::uint32_t max_hops) {
-  const DistancesTo to_dst(g, {SitePair{src, dst}});
-  Workspace ws(g);
-  ws.seed_source(src);
-  return yen_paths(ws, src, dst, to_dst.row(dst), k, max_candidates,
-                   max_hops, nullptr);
-}
 
 TunnelSet build_tunnels(const Graph& g, const TunnelOptions& options) {
   std::optional<obs::Span> span;

@@ -68,12 +68,6 @@ class Rng {
   /// flow demands.
   double lognormal(double mu, double sigma) noexcept;
 
-  /// Exponential with the given rate (lambda > 0).
-  double exponential(double rate) noexcept;
-
-  /// Pareto with scale x_m > 0 and tail index alpha > 0.
-  double pareto(double x_m, double alpha) noexcept;
-
   /// Creates an independent stream (jump-free fork via splitmix64 of a
   /// freshly drawn value mixed with the stream id).
   Rng fork(std::uint64_t stream_id) noexcept;

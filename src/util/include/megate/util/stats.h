@@ -9,19 +9,6 @@
 
 namespace megate::util {
 
-/// Summary of a sample: count, sum, mean, min, max, stddev (population).
-struct Summary {
-  std::size_t count = 0;
-  double sum = 0.0;
-  double mean = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double stddev = 0.0;
-};
-
-/// Computes a Summary of the sample. Empty input yields a zero Summary.
-Summary summarize(std::span<const double> xs);
-
 /// p-th percentile (p in [0,100]) using linear interpolation between order
 /// statistics (the "linear" / type-7 method used by numpy). The input does
 /// not need to be sorted. Empty input returns 0.
@@ -31,26 +18,5 @@ double percentile(std::span<const double> xs, double p);
 /// returns (value, P[X <= value]) pairs for every distinct sorted sample.
 std::vector<std::pair<double, double>> empirical_cdf(
     std::span<const double> xs);
-
-/// Streaming mean/variance accumulator (Welford).
-class Accumulator {
- public:
-  void add(double x) noexcept;
-  std::size_t count() const noexcept { return n_; }
-  double mean() const noexcept { return mean_; }
-  /// Population variance; 0 for fewer than 2 samples.
-  double variance() const noexcept;
-  double stddev() const noexcept;
-  double min() const noexcept { return min_; }
-  double max() const noexcept { return max_; }
-  double sum() const noexcept { return mean_ * static_cast<double>(n_); }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 }  // namespace megate::util

@@ -14,7 +14,6 @@ class Stopwatch {
   double elapsed_seconds() const noexcept {
     return std::chrono::duration<double>(clock::now() - start_).count();
   }
-  double elapsed_ms() const noexcept { return elapsed_seconds() * 1e3; }
 
  private:
   using clock = std::chrono::steady_clock;

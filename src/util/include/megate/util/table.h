@@ -1,9 +1,8 @@
 #pragma once
-// Plain-text table / CSV emission for the benchmark harnesses.
+// Plain-text table emission for the benchmark harnesses.
 //
 // Every bench binary reproduces one table or figure of the paper; the
-// harness prints an aligned human-readable table to stdout and can
-// additionally emit CSV so the series can be re-plotted.
+// harness prints an aligned human-readable table to stdout.
 
 #include <iosfwd>
 #include <string>
@@ -30,8 +29,6 @@ class Table {
 
   /// Renders the aligned table.
   void print(std::ostream& os) const;
-  /// Renders as CSV (header + rows, comma separated, quotes when needed).
-  void print_csv(std::ostream& os) const;
 
   std::size_t rows() const noexcept { return rows_.size(); }
 

@@ -85,16 +85,6 @@ double Rng::lognormal(double mu, double sigma) noexcept {
   return std::exp(normal(mu, sigma));
 }
 
-double Rng::exponential(double rate) noexcept {
-  double u = 1.0 - uniform();
-  return -std::log(u) / rate;
-}
-
-double Rng::pareto(double x_m, double alpha) noexcept {
-  double u = 1.0 - uniform();
-  return x_m / std::pow(u, 1.0 / alpha);
-}
-
 Rng Rng::fork(std::uint64_t stream_id) noexcept {
   // Mix a fresh draw with the stream id so forked streams are independent
   // of each other and of the parent's future output.

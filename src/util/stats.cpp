@@ -1,23 +1,8 @@
 #include "megate/util/stats.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace megate::util {
-
-Summary summarize(std::span<const double> xs) {
-  Summary s;
-  if (xs.empty()) return s;
-  Accumulator acc;
-  for (double x : xs) acc.add(x);
-  s.count = acc.count();
-  s.sum = acc.sum();
-  s.mean = acc.mean();
-  s.min = acc.min();
-  s.max = acc.max();
-  s.stddev = acc.stddev();
-  return s;
-}
 
 double percentile(std::span<const double> xs, double p) {
   if (xs.empty()) return 0.0;
@@ -46,25 +31,5 @@ std::vector<std::pair<double, double>> empirical_cdf(
   }
   return cdf;
 }
-
-void Accumulator::add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double Accumulator::variance() const noexcept {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_);
-}
-
-double Accumulator::stddev() const noexcept { return std::sqrt(variance()); }
 
 }  // namespace megate::util

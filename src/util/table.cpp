@@ -63,29 +63,4 @@ void Table::print(std::ostream& os) const {
   for (const auto& row : rows_) emit(row);
 }
 
-namespace {
-std::string csv_escape(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char ch : s) {
-    if (ch == '"') out += "\"\"";
-    else out.push_back(ch);
-  }
-  out += "\"";
-  return out;
-}
-}  // namespace
-
-void Table::print_csv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) os << ',';
-      os << csv_escape(row[c]);
-    }
-    os << '\n';
-  };
-  emit(header_);
-  for (const auto& row : rows_) emit(row);
-}
-
 }  // namespace megate::util

@@ -320,7 +320,7 @@ TEST(HostStack, EncapsulatesWithSrHeader) {
   hs.on_sys_enter_execve(100, 777);
   const FiveTuple t = tuple();
   hs.on_conntrack_event(t, 100);
-  hs.install_path(777, {5, 9, 13});
+  hs.install_route(777, kAnyDstSite, {5, 9, 13});
 
   Buffer frame = make_inner_frame(t, 50);
   auto v = hs.tc_egress(frame, 0x0A0000FE);
@@ -356,11 +356,11 @@ TEST(HostStack, UninstallRevertsToPass) {
   hs.on_sys_enter_execve(1, 10);
   const FiveTuple t = tuple();
   hs.on_conntrack_event(t, 1);
-  hs.install_path(10, {2});
+  hs.install_route(10, kAnyDstSite, {2});
   Buffer frame = make_inner_frame(t);
   EXPECT_EQ(hs.tc_egress(frame, 0).action,
             TcVerdict::Action::kEncapsulated);
-  hs.install_path(10, {});
+  hs.install_route(10, kAnyDstSite, {});
   EXPECT_EQ(hs.tc_egress(frame, 0).action, TcVerdict::Action::kPass);
 }
 
@@ -397,7 +397,7 @@ Buffer encapsulated_frame(HostStack& hs, const FiveTuple& t,
                           std::vector<std::uint32_t> hops) {
   hs.on_sys_enter_execve(1, 500);
   hs.on_conntrack_event(t, 1);
-  hs.install_path(500, std::move(hops));
+  hs.install_route(500, kAnyDstSite, std::move(hops));
   auto v = hs.tc_egress(make_inner_frame(t), 0x0A0000FE);
   EXPECT_EQ(v.action, TcVerdict::Action::kEncapsulated);
   return v.packet;
@@ -499,7 +499,7 @@ TEST(HostStackPinned, EncapBytesAndMapCapacityMatchParent) {
   hs.on_sys_enter_execve(100, 777);
   const FiveTuple t = tuple();
   hs.on_conntrack_event(t, 100);
-  hs.install_path(777, {5, 9, 13});
+  hs.install_route(777, kAnyDstSite, {5, 9, 13});
   const Buffer frame = make_inner_frame(t, 50);
   const auto v = hs.tc_egress(frame, 0x0A0000FE);
   ASSERT_EQ(v.action, TcVerdict::Action::kEncapsulated);

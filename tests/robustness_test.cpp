@@ -215,7 +215,6 @@ TEST(SolverEdge, AllLinksDown) {
   EXPECT_EQ(sol.satisfied_gbps, 0.0);
   auto res = te::check_solution(s->problem(), sol);
   EXPECT_TRUE(res.ok);
-  s->graph.restore_all_links();
 }
 
 TEST(SolverEdge, SingleFlowLargerThanAnyLink) {

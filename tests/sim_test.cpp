@@ -1,5 +1,5 @@
-// Tests for megate::sim — flow-level latency, the failure timeline
-// (Fig. 12) and the production scenarios (Figs. 2, 15-17).
+// Tests for megate::sim — the failure timeline (Fig. 12), the period
+// simulation and the production scenarios (Figs. 2, 15-17).
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "megate/sim/failure_sim.h"
-#include "megate/sim/flow_sim.h"
 #include "megate/sim/period_sim.h"
 #include "megate/sim/production.h"
 #include "megate/te/baselines.h"
@@ -24,51 +23,6 @@ using megate::testing::make_scenario;
 
 /// The options every make_scenario tunnel set was built with.
 const topo::TunnelOptions kTunnels = megate::testing::scenario_tunnel_options();
-
-// --- flow sim ----------------------------------------------------------
-
-TEST(FlowSim, LatencyAtLeastPropagation) {
-  auto s = make_scenario(8, 14, 20, 0.3);
-  te::MegaTeSolver solver;
-  te::TeSolution sol = solver.solve(s->problem(), {}).solution;
-  FlowSimResult r = simulate_flows(s->problem(), sol);
-  EXPECT_FALSE(r.flows.empty());
-  for (const FlowRecord& f : r.flows) {
-    if (!f.assigned) continue;
-    EXPECT_GT(f.latency_ms, 0.0);
-    EXPECT_GE(f.hops, 1.0);
-  }
-  EXPECT_GT(r.assigned_fraction(), 0.0);
-  EXPECT_LE(r.assigned_fraction(), 1.0);
-}
-
-TEST(FlowSim, CongestionRaisesLatency) {
-  auto light = make_scenario(8, 14, 20, 0.05, 3);
-  auto heavy = make_scenario(8, 14, 20, 1.2, 3);
-  te::MegaTeSolver solver;
-  te::TeSolution sol_l = solver.solve(light->problem(), {}).solution;
-  te::TeSolution sol_h = solver.solve(heavy->problem(), {}).solution;
-  FlowSimResult rl = simulate_flows(light->problem(), sol_l);
-  FlowSimResult rh = simulate_flows(heavy->problem(), sol_h);
-  // Same topology/seed: queueing under heavy load adds delay on top of
-  // identical propagation floors.
-  EXPECT_GE(rh.mean_latency_ms() + 1e-9, rl.mean_latency_ms() * 0.9);
-  EXPECT_LT(rh.assigned_fraction(), rl.assigned_fraction());
-}
-
-TEST(FlowSim, MeanHelpersFilterByQos) {
-  auto s = make_scenario(8, 14, 20, 0.3);
-  te::MegaTeSolver solver;
-  te::TeSolution sol = solver.solve(s->problem(), {}).solution;
-  FlowSimResult r = simulate_flows(s->problem(), sol);
-  const double all = r.mean_latency_ms(0);
-  EXPECT_GT(all, 0.0);
-  // The filtered means exist for each class that has assigned flows.
-  for (int q = 1; q <= 3; ++q) {
-    const double m = r.mean_latency_ms(q);
-    EXPECT_GE(m, 0.0);
-  }
-}
 
 // --- failure sim ----------------------------------------------------------
 
@@ -316,13 +270,11 @@ TEST(Production, Fig17GamingCostStable) {
 
 /// Bit digests recorded at the commit before the simulations' fixed
 /// parameters became constants: the period simulation's drift sigma and
-/// EWMA alpha (kPredicted), the failure timeline's window and sync delay,
-/// and the flow simulation's queueing scale and utilization cap. The
-/// failure timeline's digest was recorded again once its tunnel repair
+/// EWMA alpha (kPredicted) and the failure timeline's window and sync
+/// delay. The failure timeline's digest was recorded again once its tunnel repair
 /// kept the build's tunnels per pair (3 here, not the default 4).
 constexpr std::uint64_t kPinnedPredictedCarriage = 0xca4002c18e37b969ULL;
 constexpr std::uint64_t kPinnedFailureWindow = 0x4ee7a5fd5b1a88f7ULL;
-constexpr std::uint64_t kPinnedFlowLatency = 0x522c3a863e468e55ULL;
 
 std::uint64_t pin_mix(std::uint64_t h, double v) {
   return (h ^ std::bit_cast<std::uint64_t>(v)) * 0x100000001B3ULL;
@@ -355,16 +307,6 @@ TEST(FailureSimPinned, WindowedSatisfiedMatchesParent) {
   h = pin_mix(h, out.outage_s);
   h = pin_mix(h, out.windowed_satisfied);
   EXPECT_EQ(h, kPinnedFailureWindow) << std::hex << "got 0x" << h;
-}
-
-TEST(FlowSimPinned, LatencyMatchesParent) {
-  auto s = make_scenario(8, 14, 20, 2.0, 6);  // saturated links
-  te::MegaTeSolver solver;
-  const te::TeSolution sol = solver.solve(s->problem());
-  const FlowSimResult r = simulate_flows(s->problem(), sol);
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (int q = 0; q <= 3; ++q) h = pin_mix(h, r.mean_latency_ms(q));
-  EXPECT_EQ(h, kPinnedFlowLatency) << std::hex << "got 0x" << h;
 }
 
 }  // namespace

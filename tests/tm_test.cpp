@@ -200,18 +200,6 @@ TEST(Traffic, SiteDemandsQosFilter) {
   EXPECT_LT(sum1, tm.total_demand_gbps());
 }
 
-TEST(Traffic, FilterExtractsOneClass) {
-  auto g = small_graph();
-  EndpointLayout layout(std::vector<std::uint32_t>(g.num_nodes(), 50));
-  auto tm = generate_traffic(g, layout, default_opts(), 37);
-  auto q3 = tm.filter(QosClass::kClass3);
-  for (const auto& [pair, flows] : q3.pairs()) {
-    for (const auto& d : flows) EXPECT_EQ(d.qos, QosClass::kClass3);
-  }
-  EXPECT_NEAR(q3.total_demand_gbps(),
-              tm.total_demand_gbps(QosClass::kClass3), 1e-9);
-}
-
 TEST(Traffic, RejectsBadQosFractions) {
   auto g = small_graph();
   EndpointLayout layout(std::vector<std::uint32_t>(g.num_nodes(), 10));

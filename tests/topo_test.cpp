@@ -71,7 +71,7 @@ TEST(Graph, LinkStateToggles) {
   EXPECT_EQ(g.num_links_up(), 6u);
   g.set_link_state(0, false);
   EXPECT_EQ(g.num_links_up(), 5u);
-  g.restore_all_links();
+  g.set_link_state(0, true);
   EXPECT_EQ(g.num_links_up(), 6u);
 }
 
@@ -148,25 +148,18 @@ TEST(ShortestPath, BannedLinksAreAvoided) {
   EXPECT_DOUBLE_EQ(p->latency_ms, 5.0);
 }
 
-TEST(ShortestPath, DistancesOneToAll) {
-  Graph g = triangle();
-  auto dist = shortest_distances(g, 0);
-  EXPECT_DOUBLE_EQ(dist[0], 0.0);
-  EXPECT_DOUBLE_EQ(dist[1], 1.0);
-  EXPECT_DOUBLE_EQ(dist[2], 2.0);
-}
-
 // --- Yen's KSP ------------------------------------------------------------
 
 TEST(Ksp, ReturnsSortedLooplessDistinctPaths) {
   GeneratorOptions opt;
   opt.seed = 3;
   Graph g = make_isp_like(20, 32, opt);
-  auto paths = k_shortest_paths(g, 0, 15, 4);
+  const TunnelSet ts = build_tunnels(g, {.tunnels_per_pair = 4});
+  const auto& paths = ts.tunnels(0, 15);
   ASSERT_GE(paths.size(), 2u);
   std::set<std::vector<EdgeId>> seen;
   double prev = 0.0;
-  for (const Path& p : paths) {
+  for (const Tunnel& p : paths) {
     EXPECT_GE(p.latency_ms, prev);
     prev = p.latency_ms;
     EXPECT_TRUE(seen.insert(p.links).second) << "duplicate path";
@@ -187,16 +180,11 @@ TEST(Ksp, ReturnsSortedLooplessDistinctPaths) {
 
 TEST(Ksp, FirstPathIsShortest) {
   Graph g = triangle();
-  auto paths = k_shortest_paths(g, 0, 2, 3);
+  const TunnelSet ts = build_tunnels(g, {.tunnels_per_pair = 3});
+  const auto& paths = ts.tunnels(0, 2);
   ASSERT_GE(paths.size(), 2u);
   EXPECT_DOUBLE_EQ(paths[0].latency_ms, 2.0);
   EXPECT_DOUBLE_EQ(paths[1].latency_ms, 5.0);
-}
-
-TEST(Ksp, KZeroOrSameNode) {
-  Graph g = triangle();
-  EXPECT_TRUE(k_shortest_paths(g, 0, 2, 0).empty());
-  EXPECT_TRUE(k_shortest_paths(g, 1, 1, 4).empty());
 }
 
 TEST(Tunnels, BuildCoversAllConnectedPairs) {

@@ -7,13 +7,16 @@
 //     end-to-end claim behind max_sr_hops: planning never emits a route
 //     the dataplane refuses to encapsulate. The set keeps the budget it
 //     was built under: set_tunnels refuses an over-budget tunnel, and
-//     repair runs under the set's budget whatever its options say.
+//     repair runs under the set's budget whatever its options say. Under
+//     either backend a pair gets a tunnel exactly when its fewest-hops
+//     path fits the budget, on generated graphs, Cogentco* and TWAN, after
+//     builds and repairs.
 //   - KspDeterminism: Yen's output is a total order — equal-latency
 //     parallel paths tie-break on the link-id sequence, so rebuilds are
 //     byte-stable.
 //   - CentralityBackend: middlepoint selection is deterministic, its
-//     tunnels are loopless/contiguous/within budget, and its pair
-//     coverage under a budget matches the ksp backend's.
+//     tunnels are loopless/contiguous/within budget, and it covers
+//     exactly the pairs the ksp backend covers under a budget.
 //   - TunnelStats: "no tunnels for this pair" is attributable —
 //     unreachable vs budget-excluded — on the TunnelSet and through the
 //     metrics registry.
@@ -23,6 +26,7 @@
 #include <algorithm>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "megate/dataplane/sr_header.h"
@@ -75,7 +79,111 @@ EdgeId hottest_link(const Graph& g, const TunnelSet& ts) {
                              uses.begin());
 }
 
+/// Fewest links from `src` to every node over up links (-1: unreachable).
+std::vector<int> bfs_hops(const Graph& g, NodeId src) {
+  std::vector<int> hops(g.num_nodes(), -1);
+  std::vector<NodeId> frontier{src};
+  hops[src] = 0;
+  for (std::size_t i = 0; i < frontier.size(); ++i) {
+    const NodeId v = frontier[i];
+    for (EdgeId e : g.out_edges(v)) {
+      const Link& l = g.link(e);
+      if (!l.up || hops[l.dst] >= 0) continue;
+      hops[l.dst] = hops[v] + 1;
+      frontier.push_back(l.dst);
+    }
+  }
+  return hops;
+}
+
+/// Checks `ts` against `g`: a pair has a tunnel exactly when its
+/// fewest-hops path fits `budget`. Returns the reachable pairs whose
+/// fewest hops exceed the budget.
+std::size_t expect_budget_coverage(const Graph& g, const TunnelSet& ts,
+                                   std::uint32_t budget,
+                                   const std::string& where) {
+  std::size_t over = 0;
+  std::size_t wrong = 0;
+  for (NodeId s = 0; s < g.num_nodes(); ++s) {
+    const std::vector<int> hops = bfs_hops(g, s);
+    for (NodeId d = 0; d < g.num_nodes(); ++d) {
+      if (d == s) continue;
+      const bool fits =
+          hops[d] >= 0 && static_cast<std::uint32_t>(hops[d]) <= budget;
+      if (hops[d] >= 0 && !fits) ++over;
+      if (ts.tunnels(s, d).empty() == fits) {
+        if (++wrong <= 3) {
+          ADD_FAILURE() << where << ": pair (" << s << "," << d
+                        << ") has fewest hops " << hops[d] << " but "
+                        << ts.tunnels(s, d).size() << " tunnels";
+        }
+      }
+    }
+  }
+  EXPECT_EQ(wrong, 0u) << where;
+  return over;
+}
+
 // --- TunnelBudgetProperty ---------------------------------------------------
+
+TEST(TunnelBudgetProperty, PairHasATunnelExactlyWhenItsFewestHopsFit) {
+  struct Case {
+    std::string name;
+    Graph g;
+    std::uint32_t max_candidates;
+  };
+  std::vector<Case> cases;
+  for (const std::uint64_t seed : {11u, 37u, 53u}) {
+    GeneratorOptions gopt;
+    gopt.seed = seed;
+    cases.push_back({"isp" + std::to_string(seed),
+                     make_isp_like(26, 44, gopt), 32});
+  }
+  cases.push_back({"twan", make_topology(TopologyKind::kTwan), 32});
+  // Cogentco*'s budget-bound pairs run Yen's hunt to its cap; a cap of 2
+  // keeps the suite fast and leaves more pairs to the fewest-hops path.
+  cases.push_back({"cogentco", make_topology(TopologyKind::kCogentco), 2});
+  for (const auto& [name, g, max_candidates] : cases) {
+    for (const std::uint32_t budget : {3u, 4u, 5u}) {
+      for (const auto selection :
+           {TunnelSelection::kKsp, TunnelSelection::kCentrality}) {
+        TunnelOptions opt;
+        opt.tunnels_per_pair = 3;
+        opt.max_candidates = max_candidates;
+        opt.max_sr_hops = budget;
+        opt.selection = selection;
+        const std::string where =
+            name + (selection == TunnelSelection::kKsp ? " ksp" : " cen") +
+            " budget " + std::to_string(budget);
+        const TunnelSet ts = build_tunnels(g, opt);
+        const std::size_t over = expect_budget_coverage(g, ts, budget, where);
+        EXPECT_EQ(ts.stats().pairs_budget_excluded, over) << where;
+      }
+    }
+  }
+}
+
+TEST(TunnelBudgetProperty, RepairKeepsTheCoverageRule) {
+  for (const std::uint64_t seed : {11u, 37u, 53u}) {
+    GeneratorOptions gopt;
+    gopt.seed = seed;
+    for (const auto selection :
+         {TunnelSelection::kKsp, TunnelSelection::kCentrality}) {
+      Graph g = make_isp_like(26, 44, gopt);
+      TunnelOptions opt;
+      opt.tunnels_per_pair = 3;
+      opt.max_sr_hops = 3;
+      opt.selection = selection;
+      TunnelSet ts = build_tunnels(g, opt);
+      // Losing a link only lengthens fewest-hops paths, so the pairs
+      // repair skips (tunnels alive, or none before) keep the rule too.
+      g.set_link_state(hottest_link(g, ts), false);
+      repair_tunnels(g, ts, opt);
+      expect_budget_coverage(g, ts, opt.max_sr_hops,
+                             "isp" + std::to_string(seed) + " repaired");
+    }
+  }
+}
 
 TEST(TunnelBudgetProperty, EveryBuiltTunnelSerializesUnderBudget) {
   for (const std::uint64_t seed : {7u, 19u, 101u}) {
@@ -236,9 +344,10 @@ Graph parallel_paths_graph() {
 
 TEST(KspDeterminism, EqualLatencyPathsOrderByHopsThenLinkIds) {
   const Graph g = parallel_paths_graph();
-  const auto paths = k_shortest_paths(g, 0, 1, 8);
+  const TunnelSet ts = build_tunnels(g, {.tunnels_per_pair = 8});
+  const auto& paths = ts.tunnels(0, 1);
   ASSERT_EQ(paths.size(), 4u);
-  for (const Path& p : paths) EXPECT_DOUBLE_EQ(p.latency_ms, 2.0);
+  for (const Tunnel& p : paths) EXPECT_DOUBLE_EQ(p.latency_ms, 2.0);
   // Ties break on hop count first (the three directs before the detour),
   // then on the link-id sequence (ascending).
   EXPECT_EQ(paths[0].hops(), 1u);
@@ -303,13 +412,15 @@ TEST(CentralityBackend, PairCoverageMatchesKspUnderBudget) {
       cen.selection = TunnelSelection::kCentrality;
       const TunnelSet kt = build_tunnels(g, ksp);
       const TunnelSet ct = build_tunnels(g, cen);
-      for (const auto& [pair, tunnels] : kt.all()) {
-        if (tunnels.empty()) continue;
-        EXPECT_FALSE(ct.tunnels(pair.src, pair.dst).empty())
-            << "centrality missed pair (" << pair.src << "," << pair.dst
-            << ") that ksp covers at budget " << budget
-            << " (seed=" << seed << ")";
+      for (NodeId s = 0; s < g.num_nodes(); ++s) {
+        for (NodeId d = 0; d < g.num_nodes(); ++d) {
+          EXPECT_EQ(kt.tunnels(s, d).empty(), ct.tunnels(s, d).empty())
+              << "pair (" << s << "," << d << ") covered by one backend "
+              << "only at budget " << budget << " (seed=" << seed << ")";
+        }
       }
+      EXPECT_EQ(kt.stats().pairs_budget_excluded,
+                ct.stats().pairs_budget_excluded);
       EXPECT_GT(ct.stats().middlepoints, 0u);
       EXPECT_EQ(kt.stats().middlepoints, 0u);
     }

@@ -4,15 +4,18 @@
 // pool and run Yen's search on reusable flat workspaces. Their output
 // must not change: this suite compares them against a test-local copy of
 // the original serial Yen loop, built only on the public shortest_path +
-// PathConstraints (hash-set bans, fresh buffers per search).
+// PathConstraints (hash-set bans, fresh buffers per search). Like the
+// builder, the oracle gives a reachable pair that Yen leaves without an
+// in-budget path its fewest-hops path when that fits the budget.
 //
 //   - TunnelParallel.KspBuild*: Cogentco*, Deltacom* and make_isp_like
 //     seeds x tunnels/pair {2, 4} x max_sr_hops {0, 4, 5}: equal links,
 //     bitwise-equal latency and weight. On the small graphs the oracle
 //     covers every pair, so TunnelBuildStats and the topo.tunnels.*
-//     counter delta (incl. dijkstra_calls = the oracle's spur searches
-//     plus one tree per source) must match too; on Cogentco*/Deltacom* it covers a fixed
-//     sample of sources to keep the suite fast.
+//     counter delta (incl. dijkstra_calls = the oracle's spur and
+//     fewest-hops searches plus one tree per source) must match too; on
+//     Cogentco*/Deltacom* it covers a fixed sample of sources to keep the
+//     suite fast.
 //   - TunnelParallel.KspRepair*: repair after inject_link_failures seeds
 //     equals the oracle rebuilding exactly the pairs that lost a tunnel.
 //   - TunnelParallel.{Ties*, ZeroLatency*, UlpApart*, Partitioned*}: build
@@ -165,17 +168,29 @@ std::vector<Tunnel> oracle_tunnels(const std::vector<Path>& paths) {
 struct OracleBuild {
   std::map<std::pair<NodeId, NodeId>, std::vector<Tunnel>> tunnels;
   TunnelBuildStats stats;
-  /// The builder's counted work for the same pairs: every spur search,
-  /// plus one full tree per source that serves all of that source's
-  /// unconstrained searches (Yen's first path, reachability).
+  /// The builder's counted work for the same pairs: every spur and
+  /// fewest-hops search, plus one full tree per source that serves all of
+  /// that source's unconstrained searches (Yen's first path,
+  /// reachability).
   std::uint64_t dijkstra_calls = 0;
 };
 
-/// Serial per-pair build with the original emptiness attribution.
+/// `g` with every link's latency set to 1: its latency-shortest paths are
+/// `g`'s fewest-hops paths under the same tie rules.
+Graph unit_latency(const Graph& g) {
+  Graph unit = g;
+  for (EdgeId e = 0; e < unit.num_links(); ++e) unit.link(e).latency_ms = 1.0;
+  return unit;
+}
+
+/// Serial per-pair build: Yen, then for a reachable pair Yen left without
+/// an in-budget path, the fewest-hops path if it fits (one more search);
+/// a pair still empty is budget-excluded or unreachable.
 OracleBuild oracle_build(const Graph& g, const std::vector<SitePair>& pairs,
                          const TunnelOptions& o) {
   OracleBuild out;
   std::set<NodeId> sources;
+  const Graph unit = unit_latency(g);
   for (const SitePair& p : pairs) {
     sources.insert(p.src);
     auto paths = oracle_yen(g, p.src, p.dst, o,
@@ -184,11 +199,21 @@ OracleBuild oracle_build(const Graph& g, const std::vector<SitePair>& pairs,
     if (paths.empty()) {
       const bool reachable =
           o.max_sr_hops > 0 && shortest_path(g, p.src, p.dst).has_value();
-      ++(reachable ? out.stats.pairs_budget_excluded
-                   : out.stats.pairs_unreachable);
-    } else {
-      ++out.stats.pairs_built;
+      if (reachable) {
+        ++out.dijkstra_calls;
+        Path fewest = *shortest_path(unit, p.src, p.dst);
+        fewest.latency_ms = 0.0;
+        for (EdgeId e : fewest.links) fewest.latency_ms += g.link(e).latency_ms;
+        if (o.tunnels_per_pair > 0 && oracle_fits(fewest, o.max_sr_hops)) {
+          paths.push_back(std::move(fewest));
+        }
+      }
+      if (paths.empty()) {
+        ++(reachable ? out.stats.pairs_budget_excluded
+                     : out.stats.pairs_unreachable);
+      }
     }
+    if (!paths.empty()) ++out.stats.pairs_built;
     out.tunnels[{p.src, p.dst}] = oracle_tunnels(paths);
   }
   out.dijkstra_calls += sources.size();

@@ -8,6 +8,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "megate/util/rng.h"
 #include "megate/util/stats.h"
@@ -17,6 +18,19 @@
 
 namespace megate::util {
 namespace {
+
+/// Sample mean and population standard deviation of `n` draws.
+template <typename Draw>
+std::pair<double, double> moments(int n, Draw draw) {
+  double sum = 0.0, sum_sq = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const double x = draw();
+    sum += x;
+    sum_sq += x * x;
+  }
+  const double mean = sum / n;
+  return {mean, std::sqrt(sum_sq / n - mean * mean)};
+}
 
 // --- Rng ----------------------------------------------------------------
 
@@ -69,19 +83,18 @@ TEST(Rng, UniformIntSingleValue) {
 
 TEST(Rng, NormalMoments) {
   Rng rng(11);
-  Accumulator acc;
-  for (int i = 0; i < 200000; ++i) acc.add(rng.normal());
-  EXPECT_NEAR(acc.mean(), 0.0, 0.02);
-  EXPECT_NEAR(acc.stddev(), 1.0, 0.02);
+  const auto [mean, stddev] = moments(200000, [&] { return rng.normal(); });
+  EXPECT_NEAR(mean, 0.0, 0.02);
+  EXPECT_NEAR(stddev, 1.0, 0.02);
 }
 
 TEST(Rng, WeibullMeanMatchesTheory) {
   Rng rng(13);
   const double shape = 0.8, scale = 100.0;
-  Accumulator acc;
-  for (int i = 0; i < 200000; ++i) acc.add(rng.weibull(shape, scale));
+  const double mean =
+      moments(200000, [&] { return rng.weibull(shape, scale); }).first;
   const double expected = scale * std::tgamma(1.0 + 1.0 / shape);
-  EXPECT_NEAR(acc.mean() / expected, 1.0, 0.03);
+  EXPECT_NEAR(mean / expected, 1.0, 0.03);
 }
 
 TEST(Rng, WeibullNonNegative) {
@@ -94,18 +107,6 @@ TEST(Rng, LognormalMedianIsExpMu) {
   std::vector<double> xs;
   for (int i = 0; i < 50000; ++i) xs.push_back(rng.lognormal(1.0, 0.8));
   EXPECT_NEAR(percentile(xs, 50) / std::exp(1.0), 1.0, 0.05);
-}
-
-TEST(Rng, ExponentialMean) {
-  Rng rng(23);
-  Accumulator acc;
-  for (int i = 0; i < 100000; ++i) acc.add(rng.exponential(4.0));
-  EXPECT_NEAR(acc.mean(), 0.25, 0.01);
-}
-
-TEST(Rng, ParetoLowerBound) {
-  Rng rng(29);
-  for (int i = 0; i < 10000; ++i) EXPECT_GE(rng.pareto(2.0, 1.5), 2.0);
 }
 
 TEST(Rng, ForkedStreamsIndependent) {
@@ -125,23 +126,6 @@ TEST(Rng, ForkDeterministic) {
 }
 
 // --- stats -----------------------------------------------------------------
-
-TEST(Stats, SummarizeBasics) {
-  const double xs[] = {1.0, 2.0, 3.0, 4.0};
-  Summary s = summarize(xs);
-  EXPECT_EQ(s.count, 4u);
-  EXPECT_DOUBLE_EQ(s.mean, 2.5);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 4.0);
-  EXPECT_DOUBLE_EQ(s.sum, 10.0);
-  EXPECT_NEAR(s.stddev, std::sqrt(1.25), 1e-12);
-}
-
-TEST(Stats, SummarizeEmpty) {
-  Summary s = summarize({});
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_EQ(s.mean, 0.0);
-}
 
 TEST(Stats, PercentileInterpolates) {
   const double xs[] = {10.0, 20.0, 30.0, 40.0};
@@ -176,22 +160,6 @@ TEST(Stats, EmpiricalCdfStepsAreMonotone) {
   EXPECT_DOUBLE_EQ(cdf[1].second, 0.6);  // P[X <= 2] = 3/5
 }
 
-TEST(Stats, AccumulatorMatchesBatch) {
-  Rng rng(37);
-  Accumulator acc;
-  std::vector<double> xs;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.uniform(-5, 5);
-    xs.push_back(x);
-    acc.add(x);
-  }
-  Summary s = summarize(xs);
-  EXPECT_NEAR(acc.mean(), s.mean, 1e-9);
-  EXPECT_NEAR(acc.stddev(), s.stddev, 1e-9);
-  EXPECT_EQ(acc.min(), s.min);
-  EXPECT_EQ(acc.max(), s.max);
-}
-
 // --- table ---------------------------------------------------------------
 
 TEST(Table, RendersAlignedColumns) {
@@ -205,16 +173,6 @@ TEST(Table, RendersAlignedColumns) {
   EXPECT_NE(s.find("== demo =="), std::string::npos);
   EXPECT_NE(s.find("bbbb"), std::string::npos);
   EXPECT_EQ(t.rows(), 2u);
-}
-
-TEST(Table, CsvEscapesSpecials) {
-  Table t;
-  t.header({"a", "b"});
-  t.add_row({"x,y", "he said \"hi\""});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_NE(os.str().find("\"x,y\""), std::string::npos);
-  EXPECT_NE(os.str().find("\"he said \"\"hi\"\"\""), std::string::npos);
 }
 
 TEST(Table, ShortRowsArePadded) {
@@ -277,7 +235,6 @@ TEST(Stopwatch, MeasuresElapsed) {
   volatile double sink = 0.0;
   for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(sw.elapsed_seconds(), 0.0);
-  EXPECT_GE(sw.elapsed_ms(), sw.elapsed_seconds());
 }
 
 }  // namespace
