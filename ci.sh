@@ -102,10 +102,12 @@ run_metrics_json_check() {
     ../bench/ablation_tunnels >/dev/null &&
     ../bench/online_churn >/dev/null &&
     ../bench/ablation_prediction >/dev/null &&
-    ../bench/micro_kvstore --benchmark_filter=skip_all >/dev/null 2>&1)
+    ../bench/micro_kvstore --benchmark_filter=skip_all >/dev/null 2>&1 &&
+    ../bench/micro_lp --benchmark_filter=skip_all >/dev/null 2>&1)
   # check_metrics_json additionally enforces the per-bench contracts
   # (stage-1 certified gap, tunnel-selection hop-budget frontier, online
-  # churn regret/violation bars, kvstore first-publish scaling, Fig. 12's
+  # churn regret/violation bars, kvstore first-publish scaling, the exact
+  # simplex's sparse memory and optimality on micro_lp, Fig. 12's
   # shape (MegaTE ahead of NCFlow at every point, the gap growing with
   # endpoints), the knowledge ablation's oracle >= EWMA >= stale shape,
   # and the learned-allocation frontier: every lane against the fastest

@@ -47,14 +47,10 @@ struct ProductionScenario {
   /// QoS-2 -> best availability among the rest, QoS-3 -> cheapest.
   std::size_t megate_tunnel_for(tm::QosClass qos) const;
 
-  /// Expected value of `metric` under conventional hashing with
-  /// `connections` independent five-tuples (seeded, uses the data-plane
-  /// ECMP hash). metric(i) reads tunnels[i].
-  double conventional_mixture(std::uint32_t connections, std::uint64_t seed,
-                              double (ProductionScenario::*)(std::size_t)
-                                  const) const;
-
-  double tunnel_latency(std::size_t i) const { return tunnels[i].latency_ms; }
+  /// Mean tunnel latency under conventional hashing with `connections`
+  /// independent five-tuples (seeded, uses the data-plane ECMP hash).
+  double conventional_latency_ms(std::uint32_t connections,
+                                 std::uint64_t seed) const;
 
   /// Picks the tunnel a single five-tuple lands on conventionally:
   /// ECMP hash into buckets proportional to conventional_share.

@@ -81,12 +81,11 @@ std::size_t ProductionScenario::hash_tunnel(std::uint64_t flow_id,
   return tunnels.size() - 1;
 }
 
-double ProductionScenario::conventional_mixture(
-    std::uint32_t connections, std::uint64_t seed,
-    double (ProductionScenario::*metric)(std::size_t) const) const {
+double ProductionScenario::conventional_latency_ms(
+    std::uint32_t connections, std::uint64_t seed) const {
   double sum = 0.0;
   for (std::uint32_t c = 0; c < connections; ++c) {
-    sum += (this->*metric)(hash_tunnel(c + 1, seed));
+    sum += tunnels[hash_tunnel(c + 1, seed)].latency_ms;
   }
   return connections > 0 ? sum / connections : 0.0;
 }
@@ -139,8 +138,8 @@ std::vector<AppLatencyResult> evaluate_app_latency(
     AppLatencyResult r;
     r.app = app.name;
     // Conventional: the app's connections are hashed QoS-blind.
-    r.conventional_ms = scenario.conventional_mixture(
-        app.connections, ++app_seed, &ProductionScenario::tunnel_latency);
+    r.conventional_ms =
+        scenario.conventional_latency_ms(app.connections, ++app_seed);
     // MegaTE: every flow of the class is pinned to the class's tunnel.
     r.megate_ms =
         scenario.tunnels[scenario.megate_tunnel_for(app.qos)].latency_ms;

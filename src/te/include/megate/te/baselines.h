@@ -17,9 +17,9 @@ namespace megate::te {
 
 /// LP-all: one fractional multi-commodity-flow LP over every endpoint
 /// pair (the paper's optimality reference). Exact on small instances
-/// (dense simplex up to 2M tableau cells), (1-eps)-approximate packing
-/// solve (eps = 0.05) on larger ones, and an explicit refusal ("out of
-/// memory" in the paper) beyond max_flows.
+/// (simplex while (rows+1)*(rows+vars+1) <= 2M), (1-eps)-approximate
+/// packing solve (eps = 0.05) on larger ones, and an explicit refusal
+/// ("out of memory" in the paper) beyond max_flows.
 struct LpAllOptions {
   /// Refuse instances with more endpoint flows than this (emulates the
   /// paper's OOM wall for hyper-scale topologies).

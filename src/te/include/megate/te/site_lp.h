@@ -6,8 +6,9 @@
 //        sum_{k,t} F_{k,t} L(t,e) <= c_e (link capacity)
 //        F_{k,t} >= 0
 //
-// Solved either exactly (dense simplex; small instances, tests) or by the
-// approximate packing solver (hyper-scale). kAuto picks by tableau size.
+// Solved either exactly (sparse tableau simplex; small and medium
+// instances, tests) or by the approximate packing solver (hyper-scale).
+// kAuto picks by model size.
 //
 // An exact presolve runs before either backend (DESIGN.md §16): a link
 // row whose reachable demand fits its capacity is implied by the demand
@@ -30,13 +31,15 @@ namespace megate::te {
 
 struct SiteLpOptions {
   /// kAuto picks the simplex or the packing solver by the presolved LP's
-  /// tableau size (max_simplex_cells below).
+  /// size (max_simplex_cells below).
   enum class Backend { kAuto, kSimplex, kPacking };
   Backend backend = Backend::kAuto;
   /// Approximation parameter for the packing backend.
   double packing_epsilon = 0.07;
-  /// kAuto picks the simplex while (rows+1)*(rows+vars+1) of the presolved
-  /// LP stays below this.
+  /// kAuto picks the exact simplex while (rows+1)*(rows+vars+1) of the
+  /// presolved LP stays below this, and the packing solver above it. The
+  /// measure sizes the model (the simplex stores only its nonzeros), so it
+  /// trades solve time and exactness, not memory.
   std::size_t max_simplex_cells = 4'000'000;
 };
 

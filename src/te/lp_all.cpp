@@ -11,7 +11,9 @@ namespace {
 
 /// Approximation parameter of the packing solve on large instances.
 constexpr double kPackingEpsilon = 0.05;
-/// The exact simplex runs up to this many tableau cells.
+/// The exact simplex runs while (rows+1)*(rows+vars+1) stays below this;
+/// larger models go to the packing solver. It sizes the model, not the
+/// simplex's memory.
 constexpr std::size_t kMaxSimplexCells = 2'000'000;
 
 }  // namespace

@@ -246,7 +246,7 @@ SiteLpResult solve_max_site_flow(
     return result;
   }
 
-  // Backend choice: exact simplex when the dense tableau is small enough.
+  // Backend choice: the exact simplex up to max_simplex_cells.
   const std::size_t cells = (model.num_constraints() + 1) *
                             (model.num_constraints() +
                              model.num_variables() + 1);

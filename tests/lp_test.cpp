@@ -140,18 +140,6 @@ TEST(Simplex, NegativeProfitStaysAtZero) {
   EXPECT_NEAR(s.x[x], 0.0, 1e-12);
 }
 
-TEST(Simplex, RefusesOversizedTableau) {
-  SimplexOptions opt;
-  opt.max_tableau_doubles = 10;  // absurdly small
-  Model m;
-  for (int i = 0; i < 4; ++i) {
-    const auto x = m.add_variable(1.0);
-    m.add_coefficient(m.add_constraint(1.0), x, 1.0);
-  }
-  Solution s = SimplexSolver(opt).solve(m);
-  EXPECT_EQ(s.status, Status::kInvalidModel);
-}
-
 TEST(Simplex, SharedResourceSplit) {
   // Two variables share one unit-capacity row; higher profit wins fully.
   Model m;

@@ -234,6 +234,47 @@ std::vector<std::string> check_micro_kvstore(const megate::obs::Json& gauges) {
   return violations;
 }
 
+/// Contract check for BENCH_micro_lp.json — the exact simplex's memory
+/// and optimality:
+///   - on the Cogentco*-bucket-sized LP, the simplex's peak stored entries
+///     are at most 10% of the (rows+1)*(rows+cols+1) cells a dense tableau
+///     holds (the tableau is sparse; a dense one fails this), and
+///   - on both sample LPs the simplex objective is >= the packing
+///     objective: the simplex is exact and the packing solve feasible.
+/// Every gauge is deterministic, so the contract cannot flake on timing.
+std::vector<std::string> check_micro_lp(const megate::obs::Json& gauges) {
+  constexpr double kMaxPeakShare = 0.10;
+  std::vector<std::string> violations;
+  auto positive = [&](const std::string& n) -> const megate::obs::Json* {
+    const auto* g = gauge_of(gauges, n);
+    if (g == nullptr || g->as_number() <= 0.0) {
+      violations.push_back("missing or non-positive gauge " + n);
+      return nullptr;
+    }
+    return g;
+  };
+  const auto* peak = positive("micro_lp.bucket.peak_entries");
+  const auto* cells = positive("micro_lp.bucket.tableau_cells");
+  if (peak != nullptr && cells != nullptr &&
+      peak->as_number() > kMaxPeakShare * cells->as_number()) {
+    violations.push_back(
+        "micro_lp.bucket.peak_entries must be <= 10% of "
+        "micro_lp.bucket.tableau_cells (the simplex stores a dense "
+        "tableau)");
+  }
+  for (const std::string prefix : {"micro_lp.", "micro_lp.bucket."}) {
+    const auto* exact = positive(prefix + "simplex_objective");
+    const auto* packing = positive(prefix + "packing_objective");
+    if (exact != nullptr && packing != nullptr &&
+        exact->as_number() < packing->as_number() * (1.0 - 1e-9)) {
+      violations.push_back(prefix + "simplex_objective must be >= " +
+                           prefix + "packing_objective (the exact optimum "
+                           "lost to a feasible solution)");
+    }
+  }
+  return violations;
+}
+
 /// Contract check for BENCH_fig12_failures.json — Fig. 12's shape.
 /// Points are discovered from "fig12.eps<E>.fail<F>.megate_windowed".
 ///   - at every point, megate_windowed > ncflow_windowed (MegaTE's short
@@ -465,6 +506,8 @@ int main(int argc, char** argv) {
         violations = check_ablation_prediction(gauges);
       } else if (source->as_string() == "bench/micro_kvstore") {
         violations = check_micro_kvstore(gauges);
+      } else if (source->as_string() == "bench/micro_lp") {
+        violations = check_micro_lp(gauges);
       } else if (source->as_string() == "bench/fig12_failures") {
         violations = check_fig12(gauges);
       }
