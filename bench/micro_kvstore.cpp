@@ -32,6 +32,14 @@
 //      check_metrics_json bounds at 2. The store sizes its table for the
 //      batch before applying it, so the per-key cost stays flat; applying
 //      into the 8 starting buckets would make it grow with the key count.
+//
+//   4. The TE database over the wire: two in-thread ShardServers on
+//      loopback and an agent-role TcpKvTransport polling the way a host
+//      agent does (a VERSION round trip, then one pipelined MULTI_GET of
+//      a 32-key batch). Gauges micro_kvstore.tcp.version_rtt_us and
+//      micro_kvstore.tcp.multi_get_us are the p50 round trips, which
+//      check_metrics_json requires present and positive. They carry no
+//      bound: a VM's loopback latency drifts by tens of percent.
 
 #include <benchmark/benchmark.h>
 
@@ -49,6 +57,9 @@
 
 #include "bench_common.h"
 #include "megate/ctrl/kvstore.h"
+#include "megate/net/shard_server.h"
+#include "megate/net/tcp_transport.h"
+#include "megate/util/stats.h"
 
 namespace {
 
@@ -242,6 +253,65 @@ std::string route_table_value(int salt) {
   return v;
 }
 
+// p50 round trips of an agent's poll against two in-thread shard servers
+// on loopback: {VERSION µs, 32-key MULTI_GET µs}.
+std::pair<double, double> tcp_poll_rtt_us(int polls) {
+  constexpr std::size_t kTcpShards = 2;
+  constexpr std::size_t kTcpKeys = 4096;
+  constexpr std::size_t kAgentBatch = 32;
+  struct Shard {
+    KvStore kv{1};
+    megate::net::ShardServer server{&kv, {}};
+    std::thread thread;
+  };
+  std::atomic<bool> stop{false};
+  std::vector<std::unique_ptr<Shard>> shards;
+  megate::net::TcpTransportOptions o;
+  for (std::size_t i = 0; i < kTcpShards; ++i) {
+    auto sh = std::make_unique<Shard>();
+    if (!sh->server.start()) return {0.0, 0.0};
+    o.ports.push_back(sh->server.port());
+    sh->thread = std::thread([&stop, s = sh.get()] { s->server.run(stop); });
+    shards.push_back(std::move(sh));
+  }
+  std::vector<double> version_us, multi_get_us;
+  {
+    megate::net::TcpKvTransport controller(o);
+    KvDelta table;
+    for (std::size_t i = 0; i < kTcpKeys; ++i) {
+      table.upserts.emplace_back("path/" + std::to_string(i),
+                                 route_table_value(static_cast<int>(i)));
+    }
+    controller.publish_delta(table);
+
+    o.role = megate::net::HelloMsg::kRoleAgent;
+    o.peer_name = "agent";
+    megate::net::TcpKvTransport agent(o);
+    std::vector<std::string> batch(kAgentBatch);
+    for (int p = 0; p < polls; ++p) {
+      const std::size_t base = (static_cast<std::size_t>(p) * kAgentBatch) %
+                               (kTcpKeys - kAgentBatch);
+      for (std::size_t k = 0; k < kAgentBatch; ++k) {
+        batch[k] = "path/" + std::to_string(base + k);
+      }
+      megate::util::Stopwatch sw;
+      benchmark::DoNotOptimize(agent.version());
+      version_us.push_back(sw.elapsed_seconds() * 1e6);
+      sw.reset();
+      auto r = agent.multi_get(batch);
+      multi_get_us.push_back(sw.elapsed_seconds() * 1e6);
+      benchmark::DoNotOptimize(r);
+    }
+  }
+  stop = true;
+  for (auto& sh : shards) {
+    sh->server.wake();
+    sh->thread.join();
+  }
+  return {megate::util::percentile(version_us, 50.0),
+          megate::util::percentile(multi_get_us, 50.0)};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -406,6 +476,12 @@ int main(int argc, char** argv) {
   m.gauge("micro_kvstore.first_publish.us_per_key_1m").set(per_key_large);
   m.gauge("micro_kvstore.first_publish.per_key_ratio_1m_vs_100k")
       .set(per_key_small > 0.0 ? per_key_large / per_key_small : 0.0);
+
+  // --- experiment 4: agent poll round trips over loopback TCP -------------
+  constexpr int kPolls = 4000;
+  const auto [version_rtt, multi_get_rtt] = tcp_poll_rtt_us(kPolls);
+  m.gauge("micro_kvstore.tcp.version_rtt_us").set(version_rtt);
+  m.gauge("micro_kvstore.tcp.multi_get_us").set(multi_get_rtt);
 
   // Write while the store is alive: bind_metrics callbacks read its cells.
   return report.write() ? 0 : 1;

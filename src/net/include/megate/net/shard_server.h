@@ -13,6 +13,7 @@
 // snapshot-flagged publish applied via KvStore::reset_to.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -58,6 +59,8 @@ class ShardServer {
   std::uint16_t port() const noexcept { return port_; }
 
   /// One event-loop iteration; returns epoll dispatch count (-1 error).
+  /// Within a short window after the last dispatched event it polls
+  /// without sleeping, and only then blocks up to `timeout_ms`.
   int poll(int timeout_ms);
   /// Serves until `stop` becomes true.
   void run(const std::atomic<bool>& stop);
@@ -75,11 +78,14 @@ class ShardServer {
                     const std::string& prefix = "net.server") const;
 
  private:
+  using Clock = std::chrono::steady_clock;
+
   struct Connection {
     Fd fd;
     FrameDecoder decoder;
     std::string outbuf;
     std::size_t out_pos = 0;
+    bool want_write = false;  ///< kWritable is in the loop's interest mask
   };
 
   void accept_pending();
@@ -91,6 +97,8 @@ class ShardServer {
                   const std::string& message);
   /// Flushes outbuf; toggles kWritable interest on partial writes.
   void flush(Connection& c);
+  /// Changes c's kWritable interest, calling into epoll only on a change.
+  void set_write_interest(Connection& c, bool want);
   void close_connection(int fd);
 
   ctrl::KvStore* kv_;
@@ -100,6 +108,8 @@ class ShardServer {
   std::uint16_t port_ = 0;
   bool recovering_ = false;
   std::unordered_map<int, std::unique_ptr<Connection>> connections_;
+  /// When poll() last dispatched an event: opens its spin window.
+  Clock::time_point last_dispatch_{};
   Stats stats_;
   CodecCounters codec_;
 };

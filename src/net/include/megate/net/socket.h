@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace megate::net {
 
@@ -66,10 +65,16 @@ bool set_nodelay(int fd);
 /// unknown prefix was delivered).
 bool send_all(int fd, const char* data, std::size_t size, int timeout_ms);
 
-/// Reads at least one byte into `out` (appends, up to `max_chunk`),
-/// waiting up to `timeout_ms`. Returns bytes read; 0 = orderly close or
-/// timeout; -1 = error. `*timed_out` distinguishes timeout from close.
-long recv_some(int fd, std::string* out, std::size_t max_chunk,
-               int timeout_ms, bool* timed_out);
+/// Reads at least one and at most `size` bytes into `buf`, waiting up to
+/// `timeout_ms` for the first; 0 makes it one non-blocking recv (the
+/// spin-wait's probe). Returns bytes read; 0 = orderly close or timeout;
+/// -1 = error. `*timed_out` distinguishes timeout from close.
+long recv_some(int fd, char* buf, std::size_t size, int timeout_ms,
+               bool* timed_out);
+
+/// True when a spin-wait can pay: with one CPU the peer being waited for
+/// cannot run while the waiter spins, so both ends of the wire go
+/// straight to blocking.
+bool spin_waits_pay();
 
 }  // namespace megate::net

@@ -21,6 +21,12 @@
 // shard is accepted only at exactly the cut version, so the cut stays
 // consistent either way.
 //
+// Waits spin before they block: each channel probes its socket with
+// non-blocking recvs for ~100 µs before it sleeps in poll(), and a shard
+// server that has just served a request keeps polling epoll without
+// sleeping for ~100 µs, so a round trip inside a pull round pays no
+// cross-CPU wakeup on either end (DESIGN.md §11, "Wait strategy").
+//
 // Thread model: single-threaded by contract, like the chaos loop that
 // drives it. Not a general-purpose concurrent client.
 

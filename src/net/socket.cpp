@@ -10,6 +10,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <thread>
 
 namespace megate::net {
 
@@ -126,25 +127,32 @@ bool send_all(int fd, const char* data, std::size_t size, int timeout_ms) {
   return true;
 }
 
-long recv_some(int fd, std::string* out, std::size_t max_chunk,
-               int timeout_ms, bool* timed_out) {
+long recv_some(int fd, char* buf, std::size_t size, int timeout_ms,
+               bool* timed_out) {
   if (timed_out != nullptr) *timed_out = false;
-  pollfd p{fd, POLLIN, 0};
-  int rc = ::poll(&p, 1, timeout_ms);
-  if (rc == 0) {
-    if (timed_out != nullptr) *timed_out = true;
-    return 0;
+  int flags = 0;
+  if (timeout_ms == 0) {
+    flags = MSG_DONTWAIT;
+  } else {
+    pollfd p{fd, POLLIN, 0};
+    const int rc = ::poll(&p, 1, timeout_ms);
+    if (rc == 0) {
+      if (timed_out != nullptr) *timed_out = true;
+      return 0;
+    }
+    if (rc < 0) return -1;
   }
-  if (rc < 0) return -1;
-  char buf[4096];
-  const std::size_t want = max_chunk < sizeof(buf) ? max_chunk : sizeof(buf);
-  long n = ::recv(fd, buf, want, 0);
-  if (n > 0) out->append(buf, static_cast<std::size_t>(n));
-  if (n < 0 && errno == EINTR) {
+  const long n = ::recv(fd, buf, size, flags);
+  if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
     if (timed_out != nullptr) *timed_out = true;
     return 0;  // caller retries against its own deadline
   }
   return n;
+}
+
+bool spin_waits_pay() {
+  static const bool pays = std::thread::hardware_concurrency() > 1;
+  return pays;
 }
 
 }  // namespace megate::net

@@ -5,10 +5,15 @@
 // including the reconnect/backoff state machine and the resync protocol.
 
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <pthread.h>
+#include <sys/socket.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -731,6 +736,70 @@ TEST(ServerChannelTest, RecoveringServerRefusesReadsUntilFirstPublish) {
   EXPECT_FALSE(ts.server.recovering());
 }
 
+// CPU seconds `t` has run so far (-1 when the clock is unavailable).
+double thread_cpu_seconds(std::thread& t) {
+  clockid_t clock = 0;
+  timespec now{};
+  if (pthread_getcpuclockid(t.native_handle(), &clock) != 0 ||
+      clock_gettime(clock, &now) != 0) {
+    return -1.0;
+  }
+  return static_cast<double>(now.tv_sec) +
+         static_cast<double>(now.tv_nsec) * 1e-9;
+}
+
+TEST(ServerChannelTest, ResponseLargerThanSendBufferThenSmallRequest) {
+  TestServer ts;
+  ASSERT_TRUE(ts.start());
+  net::ShardChannel ch(channel_options(ts.server.port()));
+  std::string resp;
+
+  // 8 MiB of values, twice a loopback socket's largest send buffer: the
+  // server's send stops at EAGAIN and the rest of the response goes out
+  // through the kWritable path.
+  constexpr std::size_t kKeys = 8;
+  constexpr std::size_t kValueBytes = std::size_t{1} << 20;
+  const auto value_of = [](std::size_t i) {
+    return std::string(kValueBytes, static_cast<char>('a' + i));
+  };
+  net::PublishDeltaReqMsg pub;
+  pub.version = 1;
+  net::MultiGetReqMsg mreq;
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    mreq.keys.push_back("path/" + std::to_string(i));
+    pub.delta.upserts.emplace_back(mreq.keys.back(), value_of(i));
+  }
+  ASSERT_TRUE(ch.request(FrameType::kPublishDeltaReq, pub.encode(),
+                         FrameType::kPublishDeltaResp, &resp));
+  ASSERT_TRUE(ch.request(FrameType::kMultiGetReq, mreq.encode(),
+                         FrameType::kMultiGetResp, &resp));
+  net::MultiGetRespMsg mresp;
+  ASSERT_TRUE(net::MultiGetRespMsg::decode(resp, &mresp));
+  ASSERT_EQ(mresp.entries.size(), kKeys);
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    EXPECT_EQ(mresp.entries[i].status,
+              static_cast<std::uint8_t>(GetStatus::kOk));
+    EXPECT_TRUE(mresp.entries[i].value == value_of(i)) << "key " << i;
+  }
+
+  // Write interest went back to read-only once the response was out: a
+  // small request on the same connection is answered...
+  ASSERT_TRUE(ch.request(FrameType::kVersionReq, "", FrameType::kVersionResp,
+                         &resp));
+  net::VersionRespMsg ver;
+  ASSERT_TRUE(net::VersionRespMsg::decode(resp, &ver));
+  EXPECT_EQ(ver.version, 1u);
+
+  // ...and the idle server sleeps instead of waking on a writable socket.
+  const double before = thread_cpu_seconds(ts.thread);
+  ASSERT_GE(before, 0.0);
+  ::usleep(100000);
+  EXPECT_LT(thread_cpu_seconds(ts.thread) - before, 0.03);
+
+  ts.shutdown();
+  EXPECT_EQ(ts.server.stats().connections, 1u);
+}
+
 // --- reconnect / backoff state machine --------------------------------------
 
 // A port with no listener: bind, record, close — nothing listens there
@@ -802,6 +871,73 @@ TEST(BackoffTest, UnreachableFailsFastAndReenableResetsBackoff) {
   EXPECT_EQ(ch.state(), net::ShardChannel::State::kDisconnected);
   EXPECT_FALSE(ch.ensure_connected());  // still nothing listening
   EXPECT_EQ(ch.stats().connect_failures, dials + 1);
+}
+
+// A listener that completes the handshake on one connection and then
+// never answers another frame.
+struct MuteServer {
+  std::uint16_t port = 0;
+  net::Fd listener = net::tcp_listen(0, &port);
+  std::atomic<bool> stop{false};
+  std::thread thread;
+
+  MuteServer() {
+    if (listener.valid()) thread = std::thread([this] { serve(); });
+  }
+  ~MuteServer() {
+    stop = true;
+    if (thread.joinable()) thread.join();
+  }
+
+  void serve() {
+    net::Fd conn;
+    while (!stop && !conn.valid()) {
+      pollfd p{listener.get(), POLLIN, 0};
+      ::poll(&p, 1, 10);
+      conn = net::tcp_accept(listener.get());
+    }
+    FrameDecoder d;
+    bool greeted = false;
+    char buf[4096];
+    while (!stop) {
+      pollfd p{conn.get(), POLLIN, 0};
+      if (::poll(&p, 1, 10) <= 0) continue;
+      const long n = ::recv(conn.get(), buf, sizeof(buf), 0);
+      if (n <= 0) break;  // the client gave up and closed
+      d.feed(buf, static_cast<std::size_t>(n));
+      Frame f;
+      while (!greeted && d.next(&f)) {
+        if (f.header.type != FrameType::kHello) continue;
+        FrameHeader h;
+        h.type = FrameType::kHelloAck;
+        h.request_id = f.header.request_id;
+        std::string wire;
+        net::encode_frame(h, net::HelloAckMsg{}.encode(), &wire);
+        greeted = net::send_all(conn.get(), wire.data(), wire.size(), 1000);
+      }
+    }
+  }
+};
+
+TEST(BackoffTest, MuteServerTimesOutAtTheRequestDeadline) {
+  // The client's spin-then-block wait must neither cut the request
+  // deadline short nor overrun it.
+  MuteServer mute;
+  ASSERT_TRUE(mute.listener.valid());
+  net::ChannelOptions o = channel_options(mute.port);
+  o.request_timeout_ms = 300;
+  net::ShardChannel ch(o);
+  ASSERT_TRUE(ch.ensure_connected());
+  std::uint32_t id = 0;
+  ASSERT_TRUE(ch.send_request(FrameType::kVersionReq, "", &id));
+  const auto start = std::chrono::steady_clock::now();
+  std::string resp;
+  EXPECT_FALSE(ch.await_reply(id, FrameType::kVersionResp, &resp));
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_GE(waited, std::chrono::milliseconds(o.request_timeout_ms));
+  EXPECT_LT(waited, std::chrono::milliseconds(2 * o.request_timeout_ms));
+  EXPECT_EQ(ch.stats().timeouts, 1u);
+  EXPECT_EQ(ch.state(), net::ShardChannel::State::kBackoff);
 }
 
 TEST(BackoffTest, ReconnectsAfterServerComesBack) {

@@ -208,20 +208,29 @@ std::vector<std::string> check_online_churn(const megate::obs::Json& gauges) {
   return violations;
 }
 
-/// Contract check for BENCH_micro_kvstore.json — the TE database's
-/// first-publish scaling: the per-key cost of publishing 1M keys into an
-/// empty store is at most 2x the per-key cost at 100k keys, both measured
-/// in the same run. A store that applied a large batch before sizing its
-/// table for it would grow this ratio with the key count.
+/// Contract check for BENCH_micro_kvstore.json:
+///   - the TE database's first-publish scaling: the per-key cost of
+///     publishing 1M keys into an empty store is at most 2x the per-key
+///     cost at 100k keys, both measured in the same run. A store that
+///     applied a large batch before sizing its table for it would grow
+///     this ratio with the key count;
+///   - the agent poll's loopback round trips (VERSION and a 32-key
+///     MULTI_GET) are measured: both gauges present and positive. They
+///     carry no bound, since loopback latency on a VM drifts by tens of
+///     percent.
 std::vector<std::string> check_micro_kvstore(const megate::obs::Json& gauges) {
   std::vector<std::string> violations;
-  const std::string prefix = "micro_kvstore.first_publish.";
-  for (const char* field : {"us_per_key_100k", "us_per_key_1m"}) {
-    const auto* g = gauges.find(prefix + field);
+  for (const char* name : {"micro_kvstore.first_publish.us_per_key_100k",
+                           "micro_kvstore.first_publish.us_per_key_1m",
+                           "micro_kvstore.tcp.version_rtt_us",
+                           "micro_kvstore.tcp.multi_get_us"}) {
+    const auto* g = gauges.find(name);
     if (g == nullptr || !g->is_number() || g->as_number() <= 0.0) {
-      violations.push_back("missing or non-positive gauge " + prefix + field);
+      violations.push_back(std::string("missing or non-positive gauge ") +
+                           name);
     }
   }
+  const std::string prefix = "micro_kvstore.first_publish.";
   const auto* ratio = gauges.find(prefix + "per_key_ratio_1m_vs_100k");
   if (ratio == nullptr || !ratio->is_number()) {
     violations.push_back("missing gauge " + prefix +
