@@ -205,28 +205,60 @@ void EndpointAgent::tick(double now_s) {
   }
 }
 
+AgentFleet::AgentFleet(const std::vector<std::uint64_t>& instance_ids,
+                       std::size_t instances_per_agent, KvTransport* db,
+                       const AgentOptions& options) {
+  const std::size_t n = instance_ids.size();
+  const std::size_t per_agent = std::max<std::size_t>(instances_per_agent, 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    agent_index_[instance_ids[i]] = i / per_agent;
+  }
+  for (std::size_t i = 0; i < n; i += per_agent) {
+    const std::uint64_t* first = instance_ids.data() + i;
+    std::vector<std::uint64_t> ids(first, first + std::min(per_agent, n - i));
+    agents_.emplace_back(std::move(ids), db, nullptr, options);
+  }
+}
+
+void AgentFleet::tick(double now_s) {
+  for (EndpointAgent& a : agents_) a.tick(now_s);
+}
+
+std::size_t AgentFleet::at_version(Version v) const {
+  return static_cast<std::size_t>(std::count_if(
+      agents_.begin(), agents_.end(),
+      [v](const EndpointAgent& a) { return a.applied_version() == v; }));
+}
+
+const EndpointAgent* AgentFleet::agent_of(std::uint64_t instance_id) const {
+  const auto it = agent_index_.find(instance_id);
+  return it == agent_index_.end() ? nullptr : &agents_[it->second];
+}
+
+std::vector<std::uint64_t> source_instances(
+    const tm::TrafficMatrix& traffic) {
+  std::vector<std::uint64_t> ids;
+  for (const auto& [pair, flows] : traffic.pairs()) {
+    for (const tm::EndpointDemand& f : flows) ids.push_back(f.src);
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
+}
+
 std::vector<double> measure_sync_lags(KvTransport& db,
                                       std::size_t n_instances,
                                       const AgentOptions& options,
                                       double publish_at_s, double horizon_s,
                                       double tick_step_s,
                                       std::size_t instances_per_agent) {
-  instances_per_agent = std::max<std::size_t>(instances_per_agent, 1);
-  std::vector<EndpointAgent> agents;
-  agents.reserve((n_instances + instances_per_agent - 1) /
-                 instances_per_agent);
+  std::vector<std::uint64_t> ids(n_instances);
   KvDelta seed;
   for (std::size_t i = 0; i < n_instances; ++i) {
+    ids[i] = i;
     seed.upserts.emplace_back(path_key(i), "*:1,2");
   }
-  for (std::size_t i = 0; i < n_instances; i += instances_per_agent) {
-    std::vector<std::uint64_t> ids;
-    for (std::size_t j = i;
-         j < std::min(i + instances_per_agent, n_instances); ++j) {
-      ids.push_back(j);
-    }
-    agents.emplace_back(std::move(ids), &db, nullptr, options);
-  }
+  AgentFleet fleet(ids, instances_per_agent, &db, options);
 
   bool published = false;
   for (double now = 0.0; now <= horizon_s; now += tick_step_s) {
@@ -234,13 +266,13 @@ std::vector<double> measure_sync_lags(KvTransport& db,
       db.publish_delta(seed);  // the config update whose spread we measure
       published = true;
     }
-    for (auto& a : agents) a.tick(now);
+    fleet.tick(now);
   }
 
   std::vector<double> lags;
   lags.reserve(n_instances);
   const Version target = db.version();
-  for (const auto& a : agents) {
+  for (const auto& a : fleet.agents()) {
     if (a.applied_version() == target && a.last_apply_time_s() >= 0.0) {
       // Every instance of the host applied together.
       for (std::size_t i = 0; i < a.instance_ids().size(); ++i) {

@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "megate/ctrl/controller.h"
@@ -41,6 +42,7 @@
 #include "megate/ctrl/telemetry.h"
 #include "megate/ctrl/transport.h"
 #include "megate/dataplane/host_stack.h"
+#include "megate/tm/traffic.h"
 
 namespace megate::ctrl {
 
@@ -140,6 +142,34 @@ class EndpointAgent {
   obs::Histogram* pull_latency_ = nullptr;  ///< stable registry reference
   obs::Histogram* pull_batch_size_ = nullptr;
 };
+
+/// The agents of a control loop: one host agent per consecutive chunk of
+/// `instances_per_agent` (>= 1) ids of the ascending, duplicate-free
+/// `instance_ids`, all polling `db`. Agents tick in id order, so the
+/// fault hooks' seeded draws repeat run to run.
+class AgentFleet {
+ public:
+  AgentFleet(const std::vector<std::uint64_t>& instance_ids,
+             std::size_t instances_per_agent, KvTransport* db,
+             const AgentOptions& options);
+
+  void tick(double now_s);
+  /// Agents whose applied version is `v`.
+  std::size_t at_version(Version v) const;
+  /// The agent serving `instance_id`; null when none does.
+  const EndpointAgent* agent_of(std::uint64_t instance_id) const;
+  const std::vector<EndpointAgent>& agents() const noexcept {
+    return agents_;
+  }
+
+ private:
+  std::vector<EndpointAgent> agents_;
+  std::unordered_map<std::uint64_t, std::size_t> agent_index_;
+};
+
+/// Source instances of `traffic`'s flows, ascending and unique: the ids
+/// whose route tables the controller publishes.
+std::vector<std::uint64_t> source_instances(const tm::TrafficMatrix& traffic);
 
 /// Convergence experiment: agents polling the database behind `db`,
 /// each serving `instances_per_agent` consecutive instance ids out of

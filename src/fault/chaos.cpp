@@ -9,7 +9,7 @@
 #include <utility>
 
 #include "megate/ctrl/agent.h"
-#include "megate/ctrl/controller.h"
+#include "megate/ctrl/iteration.h"
 #include "megate/ctrl/kvstore.h"
 #include "megate/ctrl/transport.h"
 #include "megate/fault/injector.h"
@@ -24,6 +24,7 @@
 #include "megate/tm/traffic.h"
 #include "megate/topo/generators.h"
 #include "megate/topo/tunnels.h"
+#include "megate/util/rng.h"
 
 namespace megate::fault {
 namespace {
@@ -38,19 +39,6 @@ constexpr double kTickS = 1.0;
 /// old/new data-plane states of the eventual-consistency window stay
 /// feasible.
 constexpr double kSolveHeadroom = 0.5;
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
-std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
-  return fnv1a(h, s.data(), s.size());
-}
 
 std::string time_tag(double t) {
   char buf[32];
@@ -69,11 +57,10 @@ using PoliceMap = std::unordered_map<topo::SitePair, std::vector<double>,
 /// demand whose full source-routed path is currently up. Returns the max
 /// utilization and fills `routed_gbps` with the demand actually carried.
 /// `police` (nullable) caps each flow's carried rate at its reservation.
-double installed_utilization(
-    const topo::Graph& graph, const tm::TrafficMatrix& traffic,
-    const std::unordered_map<std::uint64_t, const ctrl::EndpointAgent*>&
-        agents,
-    const PoliceMap* police, double* routed_gbps) {
+double installed_utilization(const topo::Graph& graph,
+                             const tm::TrafficMatrix& traffic,
+                             const ctrl::AgentFleet& fleet,
+                             const PoliceMap* police, double* routed_gbps) {
   std::vector<double> usage(graph.num_links(), 0.0);
   double routed = 0.0;
   for (const auto& [pair, flows] : traffic.pairs()) {
@@ -90,9 +77,9 @@ double installed_utilization(
             rate, caps != nullptr && fi < caps->size() ? (*caps)[fi] : 0.0);
       }
       if (rate <= 0.0) continue;
-      auto it = agents.find(f.src);
-      if (it == agents.end()) continue;
-      const auto& hops = it->second->hops_for(f.src, pair.dst);
+      const ctrl::EndpointAgent* agent = fleet.agent_of(f.src);
+      if (agent == nullptr) continue;
+      const auto& hops = agent->hops_for(f.src, pair.dst);
       if (hops.empty()) continue;  // unassigned: falls back to hashing
       // Walk src site -> hops[0] -> ... resolving each step to an up link.
       std::vector<topo::EdgeId> path;
@@ -130,112 +117,6 @@ double installed_utilization(
   return max_util;
 }
 
-/// One spawned megate_shardd child and its announced listen port.
-struct Shardd {
-  ChildProcess proc;
-  std::uint16_t port = 0;
-};
-
-/// Spawns a shardd child (`port` 0 = kernel-assigned) and parses its
-/// "LISTENING <port>" stdout announcement.
-bool spawn_shardd(const std::string& binary, std::uint16_t port,
-                  bool recover, std::size_t shard, Shardd* out) {
-  std::vector<std::string> args = {
-      "--port", std::to_string(port),
-      "--name", "shardd" + std::to_string(shard)};
-  if (recover) args.push_back("--recover");
-  if (!out->proc.spawn(binary, args)) return false;
-  std::string line;
-  if (!out->proc.read_line(&line, 10000)) return false;
-  constexpr const char kTag[] = "LISTENING ";
-  if (line.rfind(kTag, 0) != 0) return false;
-  const unsigned long parsed = std::stoul(line.substr(sizeof(kTag) - 1));
-  if (parsed == 0 || parsed > 0xFFFF) return false;
-  out->port = static_cast<std::uint16_t>(parsed);
-  return true;
-}
-
-/// The injector-facing transport in TCP mode: forwards everything to the
-/// real TcpKvTransport, but maps the set_shard_up fault seam onto the
-/// configured process-level fault (admin frame, SIGKILL+restart+resync,
-/// SIGSTOP/SIGCONT+resync). Recovery is performed synchronously inside
-/// the seam call — exactly where the in-process redo-log replay happens
-/// in KvStore::set_shard_up(true) — so event ordering, and with it the
-/// chaos fingerprint, is identical across transports.
-class ShardFaultSeam final : public ctrl::KvTransport {
- public:
-  ShardFaultSeam(net::TcpKvTransport* inner, ShardFaultMode mode,
-                 std::vector<Shardd>* procs, std::string binary)
-      : inner_(inner), mode_(mode), procs_(procs),
-        binary_(std::move(binary)) {}
-
-  ctrl::Version version() override { return inner_->version(); }
-  ctrl::GetResult get(const std::string& key) override {
-    return inner_->get(key);
-  }
-  ctrl::MultiGetResult multi_get(
-      const std::vector<std::string>& keys) override {
-    return inner_->multi_get(keys);
-  }
-  ctrl::Version publish_delta(const ctrl::KvDelta& delta) override {
-    return inner_->publish_delta(delta);
-  }
-  std::size_t num_shards() const override { return inner_->num_shards(); }
-  std::size_t shard_index(const std::string& key) const override {
-    return inner_->shard_index(key);
-  }
-  bool shard_up(std::size_t shard) const override {
-    return inner_->shard_up(shard);
-  }
-  const char* name() const noexcept override { return "tcp-chaos"; }
-
-  void set_shard_up(std::size_t shard, bool up) override {
-    Shardd& sd = (*procs_)[shard];
-    switch (mode_) {
-      case ShardFaultMode::kAdmin:
-        // Daemon stays up; its single-shard KvStore flips availability
-        // and buffers publishes in its redo log like the in-process one.
-        inner_->set_shard_up(shard, up);
-        return;
-      case ShardFaultMode::kKillRestart:
-        if (!up) {
-          // Failure-detector hint first: requests fail fast instead of
-          // eating a wall-clock timeout against a dead peer.
-          inner_->set_reachable(shard, false);
-          sd.proc.terminate();
-        } else {
-          Shardd fresh;
-          if (!spawn_shardd(binary_, sd.port, /*recover=*/true, shard,
-                            &fresh)) {
-            throw std::runtime_error("chaos: shardd restart failed");
-          }
-          sd = std::move(fresh);
-          if (!inner_->resync_shard(shard)) {
-            throw std::runtime_error("chaos: shard resync failed");
-          }
-        }
-        return;
-      case ShardFaultMode::kSigstop:
-        if (!up) {
-          inner_->set_reachable(shard, false);
-          sd.proc.stop();
-        } else {
-          sd.proc.resume();
-          if (!inner_->resync_shard(shard)) {
-            throw std::runtime_error("chaos: shard resync failed");
-          }
-        }
-        return;
-    }
-  }
-
- private:
-  net::TcpKvTransport* inner_;
-  ShardFaultMode mode_;
-  std::vector<Shardd>* procs_;
-  std::string binary_;
-};
-
 }  // namespace
 
 ChaosReport run_chaos(const ChaosOptions& options) {
@@ -258,9 +139,10 @@ ChaosReport run_chaos(const ChaosOptions& options) {
   double total_demand = traffic.total_demand_gbps();
 
   // Demand churn timeline over the whole run (empty when disabled).
-  tm::ChurnOptions churn_opt = options.churn;
-  churn_opt.horizon_s =
+  const double horizon_s =
       static_cast<double>(options.intervals) * options.interval_s;
+  tm::ChurnOptions churn_opt = options.churn;
+  churn_opt.horizon_s = horizon_s;
   tm::DemandStream churn_stream =
       tm::DemandStream::generate(traffic, churn_opt);
 
@@ -278,9 +160,7 @@ ChaosReport run_chaos(const ChaosOptions& options) {
   ctrl::InProcessTransport local(&kv);
   std::vector<Shardd> shardds;
   std::unique_ptr<net::TcpKvTransport> tcp;
-  std::unique_ptr<ShardFaultSeam> seam;
   ctrl::KvTransport* db = &local;
-  ctrl::KvTransport* fault_store = &local;
   if (options.transport == ChaosTransportMode::kTcp) {
     if (options.shardd_binary.empty()) {
       throw std::invalid_argument("kTcp chaos requires shardd_binary");
@@ -296,38 +176,53 @@ ChaosReport run_chaos(const ChaosOptions& options) {
       topts.ports.push_back(shardds[i].port);
     }
     tcp = std::make_unique<net::TcpKvTransport>(topts);
-    seam = std::make_unique<ShardFaultSeam>(
-        tcp.get(), options.shard_fault_mode, &shardds,
-        options.shardd_binary);
     db = tcp.get();
-    fault_store = seam.get();
   }
-  ctrl::Controller controller(db);
 
   FaultPlanOptions popt = options.plan;
-  if (popt.horizon_s <= 0.0) {
-    popt.horizon_s =
-        static_cast<double>(options.intervals) * options.interval_s;
-  }
+  if (popt.horizon_s <= 0.0) popt.horizon_s = horizon_s;
   const FaultPlan plan = FaultPlan::generate(
       popt, options.kv_shards, graph.num_links() / 2);
   report.last_fault_end_s = plan.last_fault_end_s();
 
   FaultInjector::Bindings bind;
-  bind.store = fault_store;
+  // A shard crash is the transport's own seam in process and in TCP
+  // kAdmin mode (the daemon's KvStore flips availability and buffers
+  // publishes in its redo log); otherwise it is a process-level fault.
+  // Recovery runs synchronously inside the call, where the in-process
+  // redo-log replay happens in KvStore::set_shard_up(true), so event
+  // order, and with it the fingerprint, is the same over every transport.
+  bind.set_shard_up = [&](std::size_t shard, bool up) {
+    const ShardFaultMode mode = options.shard_fault_mode;
+    if (tcp == nullptr || mode == ShardFaultMode::kAdmin) {
+      return db->set_shard_up(shard, up);
+    }
+    Shardd& sd = shardds[shard];
+    if (!up) {
+      // Failure-detector hint first: requests fail fast instead of
+      // eating a wall-clock timeout against a dead peer.
+      tcp->set_reachable(shard, false);
+      mode == ShardFaultMode::kKillRestart ? sd.proc.terminate()
+                                           : (void)sd.proc.stop();
+      return;
+    }
+    if (mode == ShardFaultMode::kKillRestart) {
+      Shardd fresh;
+      if (!spawn_shardd(options.shardd_binary, sd.port, /*recover=*/true,
+                        shard, &fresh)) {
+        throw std::runtime_error("chaos: shardd restart failed");
+      }
+      sd = std::move(fresh);
+    } else {
+      sd.proc.resume();
+    }
+    if (!tcp->resync_shard(shard)) {
+      throw std::runtime_error("chaos: shard resync failed");
+    }
+  };
   bind.graph = &graph;
   bind.counters = &report.counters;
   FaultInjector injector(plan, bind);
-
-  // One agent per distinct source instance, id-ascending for determinism.
-  std::vector<std::uint64_t> instance_ids;
-  for (const auto& [pair, flows] : traffic.pairs()) {
-    for (const tm::EndpointDemand& f : flows) instance_ids.push_back(f.src);
-  }
-  std::sort(instance_ids.begin(), instance_ids.end());
-  instance_ids.erase(
-      std::unique(instance_ids.begin(), instance_ids.end()),
-      instance_ids.end());
 
   obs::MetricsRegistry* reg = options.metrics;
 
@@ -339,43 +234,25 @@ ChaosReport run_chaos(const ChaosOptions& options) {
   aopt.fault_hooks = &injector;
   aopt.counters = &report.counters;
   aopt.metrics = reg;
-  // Hosts serve consecutive chunks of the id-sorted instance list; with
-  // instances_per_agent == 1 this degenerates to one agent per instance
-  // (the original fleet shape, preserved for the golden fingerprints).
-  const std::size_t per_agent =
-      std::max<std::size_t>(options.instances_per_agent, 1);
-  std::vector<ctrl::EndpointAgent> agents;
-  agents.reserve((instance_ids.size() + per_agent - 1) / per_agent);
-  std::unordered_map<std::uint64_t, const ctrl::EndpointAgent*> by_id;
-  for (std::size_t i = 0; i < instance_ids.size(); i += per_agent) {
-    std::vector<std::uint64_t> ids(
-        instance_ids.begin() + static_cast<std::ptrdiff_t>(i),
-        instance_ids.begin() + static_cast<std::ptrdiff_t>(
-                                   std::min(i + per_agent,
-                                            instance_ids.size())));
-    agents.emplace_back(std::move(ids), db, nullptr, aopt);
-  }
-  for (const auto& a : agents) {
-    for (std::uint64_t id : a.instance_ids()) by_id[id] = &a;
-  }
+  ctrl::AgentFleet fleet(ctrl::source_instances(traffic),
+                         options.instances_per_agent, db, aopt);
 
   te::MegaTeOptions sopt;
   sopt.metrics = reg;
   sopt.site_lp = options.site_lp;
   te::MegaTeSolver solver(sopt);
-  double last_satisfied = 0.0;
-  double last_solution_util = 0.0;
 
-  // Online patching between full solves (ISSUE 9). The allocator plans
-  // on the derated solver graph, so patched routes keep the mixed-state
-  // safety argument.
+  // Under churn the allocator is the ledger of what the control plane
+  // reserved: rebased on every full publish, and with online_patch it
+  // also patches the plan between solves. It plans on the derated solver
+  // graph, so patched routes keep the mixed-state safety argument.
   const bool churn_enabled = !churn_stream.empty();
   te::OnlineOptions oopt;
   oopt.resolve_drift_fraction = options.online_resolve_drift;
   oopt.metrics = options.metrics;
   te::OnlineAllocator allocator(oopt);
   // Policing caps for the installed-routes view: under churn, carried
-  // traffic is min(demand, reservation). Rebuilt at every publish.
+  // traffic is min(demand, reservation). Reread at every publish.
   PoliceMap police;
   // Problem/tunnels live at loop scope so patched publishes between
   // solves reuse the last solve's topology view.
@@ -384,55 +261,40 @@ ChaosReport run_chaos(const ChaosOptions& options) {
   problem.graph = &solver_graph;
   problem.tunnels = &repaired;
   problem.traffic = &traffic;
+  ctrl::ControlIteration driver(db, solver, topo::TunnelOptions{},
+                                churn_enabled ? &allocator : nullptr);
+  te::CheckOptions copt;
+  copt.capacity_tolerance = options.capacity_tolerance;
+  copt.require_flow_assignment = true;
 
-  // Publishes `sol` and adds what the delta wrote to the run's counters.
-  auto publish = [&](const te::TeSolution& sol) {
-    controller.publish_solution(problem, sol);
+  // Adds what a publish wrote to the run's counters.
+  auto count = [&](const ctrl::PublishResult& p) {
     ++report.counters.publishes;
-    report.counters.publish_upserts += controller.last_publish_upserts();
-    report.counters.publish_erases += controller.last_publish_erases();
-    report.counters.publish_delta_bytes += controller.last_publish_bytes();
+    report.counters.publish_upserts += p.upserts;
+    report.counters.publish_erases += p.erases;
+    report.counters.publish_delta_bytes += p.bytes;
   };
 
-  auto rebuild_police = [&](const te::TeSolution& sol) {
-    police.clear();
-    for (const auto& [pair, flows] : traffic.pairs()) {
-      auto it = sol.pairs.find(pair);
-      std::vector<double>& caps = police[pair];
-      caps.assign(flows.size(), 0.0);
-      if (it == sol.pairs.end()) continue;
-      const auto& ft = it->second.flow_tunnel;
-      for (std::size_t i = 0; i < flows.size() && i < ft.size(); ++i) {
-        if (ft[i] >= 0) caps[i] = flows[i].demand_gbps;
-      }
-    }
-  };
-
+  // One driver iteration on the current topology: dead tunnels are
+  // rebuilt from the pristine set, so surviving tunnel identities stay
+  // stable and unaffected routes do not churn.
   auto solve_and_publish = [&](double now_s, IntervalStats& stats) {
     // Mirror the real graph's link states onto the derated solver view.
     for (topo::EdgeId e = 0; e < graph.num_links(); ++e) {
       solver_graph.set_link_state(e, graph.link(e).up);
     }
-    // Rebuild dead tunnels against the current topology; surviving tunnel
-    // identities stay stable so unaffected routes do not churn.
     repaired = pristine;
-    topo::repair_tunnels(solver_graph, repaired);
-    const te::TeSolution sol = solver.solve(problem);
-    te::CheckOptions copt;
-    copt.capacity_tolerance = options.capacity_tolerance;
-    copt.require_flow_assignment = true;
-    const te::CheckResult check = te::check_solution(problem, sol, copt);
-    for (const std::string& v : check.violations) {
+    const ctrl::IterationResult it =
+        driver.run(problem, repaired, te::SolveContext{}, copt);
+    for (const std::string& v : it.check.violations) {
       report.violations.push_back(time_tag(now_s) + "check_solution: " + v);
     }
-    publish(sol);
     ++stats.resolves;
-    last_satisfied = sol.satisfied_ratio();
-    last_solution_util = check.max_link_utilization;
-    if (churn_enabled) {
-      if (options.online_patch) allocator.rebase(problem, sol);
-      rebuild_police(sol);
-    }
+    stats.satisfied_ratio = it.report.solution.satisfied_ratio();
+    stats.max_link_utilization = it.check.max_link_utilization;
+    if (!it.check.ok) return;  // nothing was published
+    count(it.delta);
+    if (churn_enabled) police = allocator.reservations_snapshot();
   };
 
   // Applies every churn event due at `now_s`: the believed matrix moves,
@@ -448,7 +310,7 @@ ChaosReport run_chaos(const ChaosOptions& options) {
       ++stats.churn_events;
       if (!options.online_patch) continue;
       const te::PatchResult pr = allocator.apply(*ev);
-      publish(allocator.snapshot());
+      count(driver.publish(problem, allocator.snapshot()));
       ++stats.online_patches;
       police = allocator.reservations_snapshot();
       if (pr.resolve_recommended) solve_and_publish(now_s, stats);
@@ -463,16 +325,14 @@ ChaosReport run_chaos(const ChaosOptions& options) {
     IntervalStats stats;
     stats.interval = interval;
     stats.start_s = t0;
-    stats.agents_total = agents.size();
+    stats.agents_total = fleet.agents().size();
 
     injector.advance_to(t0);
     (void)injector.take_topology_changed();  // this solve sees the change
-    if (churn_enabled) {
-      // Events due at the boundary land before the solve: the boundary
-      // solve measures the churned truth (the believed/actual gap opens
-      // with the first mid-interval event instead).
-      drain_churn(t0, stats);
-    }
+    // Churn due at the boundary lands before the solve: the boundary
+    // solve measures the churned truth (the believed/actual gap opens
+    // with the first mid-interval event instead).
+    drain_churn(t0, stats);
     solve_and_publish(t0, stats);
 
     double routed_sum = 0.0;
@@ -483,13 +343,12 @@ ChaosReport run_chaos(const ChaosOptions& options) {
       if (injector.take_topology_changed()) {
         solve_and_publish(t, stats);
       }
-      if (churn_enabled) drain_churn(t, stats);
-      for (auto& a : agents) a.tick(t);
+      drain_churn(t, stats);
+      fleet.tick(t);
 
       double routed = 0.0;
       const double util = installed_utilization(
-          graph, traffic, by_id, churn_enabled ? &police : nullptr,
-          &routed);
+          graph, traffic, fleet, churn_enabled ? &police : nullptr, &routed);
       stats.installed_max_utilization =
           std::max(stats.installed_max_utilization, util);
       if (util > overload_limit) {
@@ -504,11 +363,7 @@ ChaosReport run_chaos(const ChaosOptions& options) {
     stats.routed_demand_ratio =
         ticks > 0 ? routed_sum / static_cast<double>(ticks) : 0.0;
     stats.version = db->version();
-    stats.satisfied_ratio = last_satisfied;
-    stats.max_link_utilization = last_solution_util;
-    for (const auto& a : agents) {
-      if (a.applied_version() == stats.version) ++stats.agents_converged;
-    }
+    stats.agents_converged = fleet.at_version(stats.version);
     if (reg != nullptr) {
       reg->histogram("chaos.interval.routed_demand_ratio")
           .observe(stats.routed_demand_ratio);
@@ -521,10 +376,8 @@ ChaosReport run_chaos(const ChaosOptions& options) {
 
   // --- convergence invariant ---------------------------------------------
   report.final_version = db->version();
-  report.all_converged = std::all_of(
-      agents.begin(), agents.end(), [&](const ctrl::EndpointAgent& a) {
-        return a.applied_version() == report.final_version;
-      });
+  const std::size_t final_converged = fleet.at_version(report.final_version);
+  report.all_converged = final_converged == fleet.agents().size();
   std::size_t after_fault = 0;
   for (const IntervalStats& s : report.intervals) {
     const double end_s = s.start_s + options.interval_s;
@@ -543,12 +396,7 @@ ChaosReport run_chaos(const ChaosOptions& options) {
     std::snprintf(msg, sizeof(msg),
                   "convergence: %zu/%zu agents on v%llu within %zu "
                   "intervals after faults (limit %zu)",
-                  static_cast<std::size_t>(std::count_if(
-                      agents.begin(), agents.end(),
-                      [&](const ctrl::EndpointAgent& a) {
-                        return a.applied_version() == report.final_version;
-                      })),
-                  agents.size(),
+                  final_converged, fleet.agents().size(),
                   static_cast<unsigned long long>(report.final_version),
                   report.convergence_intervals_used,
                   options.convergence_intervals);
@@ -557,23 +405,23 @@ ChaosReport run_chaos(const ChaosOptions& options) {
 
   // --- deterministic fingerprint -----------------------------------------
   report.event_log = injector.event_log();
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const std::string& line : report.event_log) h = fnv1a(h, line);
+  std::uint64_t h = util::kFnv1aBasis;
+  for (const std::string& line : report.event_log) h = util::fnv1a(h, line);
   // Per *instance*, in id order — with one instance per agent this is
   // the original byte stream, so existing golden fingerprints hold.
-  for (const auto& a : agents) {
+  for (const auto& a : fleet.agents()) {
     const ctrl::Version v = a.applied_version();
     for (const std::uint64_t id : a.instance_ids()) {
-      h = fnv1a(h, &id, sizeof(id));
-      h = fnv1a(h, &v, sizeof(v));
-      h = fnv1a(h, ctrl::encode_routes(a.routes_for(id)));
+      h = util::fnv1a(h, id);
+      h = util::fnv1a(h, v);
+      h = util::fnv1a(h, ctrl::encode_routes(a.routes_for(id)));
     }
   }
-  h = fnv1a(h, &report.final_version, sizeof(report.final_version));
-  for (const std::string& v : report.violations) h = fnv1a(h, v);
+  h = util::fnv1a(h, report.final_version);
+  for (const std::string& v : report.violations) h = util::fnv1a(h, v);
   // Churn timeline last: empty without churn, so churn-free fingerprints
   // are unchanged from the pre-churn harness.
-  for (const std::string& c : report.churn_log) h = fnv1a(h, c);
+  for (const std::string& c : report.churn_log) h = util::fnv1a(h, c);
   report.fingerprint = h;
 
   // --- freeze run totals into the registry --------------------------------

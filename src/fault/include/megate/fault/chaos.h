@@ -1,28 +1,20 @@
 #pragma once
-// The chaos harness: a closed control loop — MegaTE solver, controller,
-// sharded TE database, endpoint agents — hammered by a seeded FaultPlan
-// and validated every step against the paper's §7.4 availability claims.
+// The chaos harness: the closed control loop hammered by a seeded
+// FaultPlan and checked every tick against the paper's §7.4 availability
+// claims. Each TE interval runs one ctrl::ControlIteration (repair,
+// cold solve, check, publish) on the current, possibly degraded,
+// topology and ticks the agent fleet through the interval while the
+// injector fires shard crashes, link failures, pull drops and stale
+// version reads. A mid-interval link change runs another iteration at
+// once (the paper's <1 s reaction).
 //
-// Per TE interval the loop solves cold on the *current* (possibly
-// degraded) topology, publishes per-instance routes, and ticks every agent
-// through the interval while the injector activates shard crashes,
-// mid-interval link failures, pull drops and stale version reads. When a
-// link fails or recovers mid-interval the controller recomputes
-// immediately (the paper's <1 s reaction) instead of waiting for the next
-// interval.
-//
-// Invariants checked continuously:
-//   1. every published solution passes te::check_solution (constraints
-//      (1a)-(1c): no link overload, one tunnel per flow);
-//   2. the traffic implied by the agents' *installed* route tables never
-//      overloads an up link at any tick (covers mixed old/new states
-//      during convergence);
-//   3. within K intervals after the last fault ends, every agent has
-//      applied the latest TE-db version (eventual consistency bound).
-//
-// Determinism: same ChaosOptions (including the FaultPlan seed) produce a
-// bit-identical event log, violation list and final routing state; the
-// report's fingerprint makes that a one-line assertion.
+// Invariants: (1) every solved plan passes te::check_solution (a plan
+// that fails is reported and not published); (2) the traffic the agents'
+// *installed* tables imply never overloads an up link at any tick, old
+// and new configs mixed; (3) within K intervals of the last fault every
+// agent has applied the latest TE-db version. The same ChaosOptions give
+// a bit-identical event log, violation list and final routing state, so
+// the report's fingerprint is a one-line assertion.
 
 #include <cstdint>
 #include <string>
@@ -88,38 +80,34 @@ struct ChaosOptions {
   /// the id-sorted instance list, modelling hosts that run many
   /// VMs/containers behind one agent.
   std::size_t instances_per_agent = 1;
-  /// Pull each host's entries as one KvStore::multi_get (consistent
-  /// batched pull) instead of per-key reads. Off by default so the
-  /// per-key golden fingerprints keep covering the original path; the
-  /// batched-pull property suite asserts the two modes fingerprint
-  /// identically under every fault plan.
+  /// Pull each host's entries as one KvStore::multi_get instead of
+  /// per-key reads; the batched-pull property suite asserts both modes
+  /// fingerprint identically under every fault plan.
   bool batch_pull = false;
 
   // --- faults -------------------------------------------------------------
   /// plan.horizon_s <= 0 auto-sizes to intervals * interval_s.
   FaultPlanOptions plan;
-  /// Stage-1 LP backend knobs forwarded to the solver. The defaults keep
-  /// the golden fingerprints on the historical auto/simplex path; the
-  /// stage-1 determinism suite forces the packing backend and asserts the
-  /// report fingerprint repeats bit for bit (DESIGN.md §12).
+  /// Stage-1 LP backend knobs forwarded to the solver; the stage-1
+  /// determinism suite forces the packing backend and asserts the report
+  /// fingerprint repeats bit for bit (DESIGN.md §12).
   te::SiteLpOptions site_lp;
 
-  // --- demand churn (ISSUE 9) ---------------------------------------------
-  /// Mid-interval demand churn: a tm::DemandStream is generated against
-  /// the scenario's traffic matrix and drained tick by tick, so faults
-  /// and churn strike in the same intervals. The stream's horizon is
-  /// always the full run (intervals * interval_s); churn.horizon_s is
-  /// ignored. All-zero event counts (the default) leave the loop — and
-  /// every golden fingerprint — byte-identical. Churn events land in
-  /// ChaosReport::churn_log and the fingerprint.
+  // --- demand churn -------------------------------------------------------
+  /// Mid-interval demand churn: a tm::DemandStream generated against the
+  /// scenario's traffic over the whole run (churn.horizon_s is ignored)
+  /// and drained tick by tick, so faults and churn strike in the same
+  /// intervals. Events land in ChaosReport::churn_log and the
+  /// fingerprint; all-zero counts (the default) leave the loop as is.
+  /// Under churn a te::OnlineAllocator is rebased on every full publish:
+  /// its reservations cap what each flow carries in the installed view.
   tm::ChurnOptions churn;
-  /// Patch the standing solution per churn event with a
-  /// te::OnlineAllocator (rebased on every full publish) and publish the
-  /// patched routes; without it churn only moves the offered traffic and
-  /// the boundary solves go stale against it. The allocator plans
-  /// against the same derated (kSolveHeadroom) capacities as the solver,
-  /// so patched routes keep the mixed-state safety argument, and on the
-  /// same tunnel set, whose hop budget keeps the plan/encap contract.
+  /// Also patch the standing plan per churn event with that allocator
+  /// and publish the patched routes; without it churn only moves the
+  /// offered traffic and the boundary solves go stale against it. The
+  /// allocator plans on the solver's derated capacities and tunnel set,
+  /// so patched routes keep the mixed-state safety argument and the hop
+  /// budget.
   bool online_patch = false;
   /// Drift fraction (of solve-time demand) that triggers an early full
   /// re-solve when online_patch is on (te::OnlineOptions threshold).
@@ -131,9 +119,10 @@ struct ChaosOptions {
   double capacity_tolerance = 1e-6;
 
   // --- observability ------------------------------------------------------
-  /// Optional metrics registry. During the run it receives the solver's
-  /// spans/histograms, the agents' pull-latency histogram and per-interval
-  /// chaos histograms; on completion the KvStore and ControlCounters
+  /// Optional metrics registry. During the run it receives the driver's
+  /// ctrl.iteration layer spans (the solver's among them), the agents'
+  /// pull-latency histogram and per-interval chaos histograms; on
+  /// completion the KvStore and ControlCounters
   /// totals are frozen into it (the live objects die with run_chaos's
   /// frame, so their exported names are re-bound to final values).
   /// Metrics never feed the report fingerprint — determinism is untouched.
@@ -146,7 +135,7 @@ struct IntervalStats {
   ctrl::Version version = 0;        ///< TE-db version at interval end
   std::size_t resolves = 0;         ///< solves this interval (>=1)
   double satisfied_ratio = 0.0;     ///< of the last solve this interval
-  double max_link_utilization = 0.0;  ///< of the last published solution
+  double max_link_utilization = 0.0;  ///< of the last solved plan
   /// Worst utilization implied by the agents' installed tables over the
   /// interval's ticks — the mixed old/new data-plane view.
   double installed_max_utilization = 0.0;

@@ -5,23 +5,24 @@
 // single-threaded loop calls advance_to(now) with monotonically
 // increasing times; events whose start passed are activated (shard taken
 // down, duplex link failed, drop/stale window opened) and events whose
-// end passed are reverted. Side effects go through the bound components'
-// public APIs — KvStore::set_shard_up, Graph::set_link_state — and
-// through the ctrl::FaultHooks interface for per-pull decisions, so
-// production code carries no chaos-specific branches beyond the hook seam.
+// end passed are reverted. Side effects go through the bound shard
+// callback, Graph::set_link_state and, for per-pull decisions, the
+// ctrl::FaultHooks interface, so production code carries no
+// chaos-specific branches beyond the hook seam.
 //
 // Determinism: activation order is fixed by the plan's sort; per-pull
 // drop decisions come from an Rng forked off the plan seed and are drawn
 // in agent-iteration order, which the chaos loop keeps deterministic. The
 // textual event log is therefore identical across runs of the same seed.
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "megate/ctrl/fault_hooks.h"
 #include "megate/ctrl/telemetry.h"
-#include "megate/ctrl/transport.h"
 #include "megate/fault/fault_plan.h"
 #include "megate/topo/graph.h"
 #include "megate/util/rng.h"
@@ -33,8 +34,9 @@ class FaultInjector final : public ctrl::FaultHooks {
   struct Bindings {
     /// Shard crashes land here: KvStore::set_shard_up in process, an
     /// admin frame or a real process kill/restart over TCP — whatever
-    /// the bound transport maps the fault seam onto.
-    ctrl::KvTransport* store = nullptr;
+    /// the caller maps the fault onto. The plan's shard targets must be
+    /// shards it accepts. Unbound: crashes are logged as skipped.
+    std::function<void(std::size_t shard, bool up)> set_shard_up;
     topo::Graph* graph = nullptr;                ///< link failures
     ctrl::ControlCounters* counters = nullptr;  ///< stale-read counts
   };

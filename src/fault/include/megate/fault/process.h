@@ -6,6 +6,8 @@
 
 #include <sys/types.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -51,5 +53,18 @@ class ChildProcess {
   int stdout_fd_ = -1;
   std::string line_buf_;
 };
+
+/// One spawned megate_shardd child and the port it announced.
+struct Shardd {
+  ChildProcess proc;
+  std::uint16_t port = 0;
+};
+
+/// Spawns `binary` as shard daemon `shard` on `port` (0 = kernel-assigned;
+/// `recover` adds --recover) and reads its "LISTENING <port>" line. False
+/// when the spawn fails, no line arrives within 15 s, or the line is not
+/// "LISTENING " followed by exactly a port in 1..65535. Never throws.
+bool spawn_shardd(const std::string& binary, std::uint16_t port,
+                  bool recover, std::size_t shard, Shardd* out);
 
 }  // namespace megate::fault

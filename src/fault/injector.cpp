@@ -50,12 +50,11 @@ void FaultInjector::activate(const FaultEvent& e) {
   a.event = e;
   switch (e.kind) {
     case FaultKind::kShardCrash:
-      if (bind_.store == nullptr ||
-          e.target >= bind_.store->num_shards()) {
+      if (!bind_.set_shard_up) {
         log_event("skipped (no store)", e);
         return;
       }
-      bind_.store->set_shard_up(static_cast<std::size_t>(e.target), false);
+      bind_.set_shard_up(static_cast<std::size_t>(e.target), false);
       break;
     case FaultKind::kLinkFailure: {
       if (bind_.graph == nullptr || duplex_.empty()) {
@@ -105,9 +104,8 @@ void FaultInjector::deactivate(const Active& a) {
             return other.event.kind == FaultKind::kShardCrash &&
                    other.event.target == a.event.target;
           });
-      if (!still_down && bind_.store != nullptr) {
-        bind_.store->set_shard_up(static_cast<std::size_t>(a.event.target),
-                                  true);
+      if (!still_down) {
+        bind_.set_shard_up(static_cast<std::size_t>(a.event.target), true);
       }
       break;
     }

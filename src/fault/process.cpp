@@ -8,8 +8,10 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstring>
+#include <string_view>
 #include <utility>
 
 namespace megate::fault {
@@ -151,6 +153,27 @@ bool ChildProcess::wait_exit(int timeout_ms, int* status) {
     if (std::chrono::steady_clock::now() >= deadline) return false;
     ::usleep(2000);
   }
+}
+
+bool spawn_shardd(const std::string& binary, std::uint16_t port,
+                  bool recover, std::size_t shard, Shardd* out) {
+  // A sanitized daemon can take seconds to start listening.
+  constexpr int kAnnounceTimeoutMs = 15000;
+  std::vector<std::string> args = {"--port", std::to_string(port), "--name",
+                                   "shardd" + std::to_string(shard)};
+  if (recover) args.push_back("--recover");
+  if (!out->proc.spawn(binary, args)) return false;
+  std::string line;
+  if (!out->proc.read_line(&line, kAnnounceTimeoutMs)) return false;
+  constexpr std::string_view kTag = "LISTENING ";
+  if (!line.starts_with(kTag)) return false;
+  const char* last = line.data() + line.size();
+  std::uint16_t parsed = 0;
+  const auto [end, ec] =
+      std::from_chars(line.data() + kTag.size(), last, parsed);
+  if (ec != std::errc() || end != last || parsed == 0) return false;
+  out->port = parsed;
+  return true;
 }
 
 }  // namespace megate::fault

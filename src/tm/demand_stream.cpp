@@ -412,18 +412,13 @@ std::uint64_t DemandStream::fingerprint(const TrafficMatrix& m) {
   // hashed order-sensitively through tm::fingerprint_flows.
   std::uint64_t acc = 0;
   for (const auto& [pair, flows] : m.pairs()) {
-    std::uint64_t h = 0xCBF29CE484222325ULL;
-    auto mix = [&h](std::uint64_t v) {
-      for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xFF;
-        h *= 0x100000001B3ULL;
-      }
-    };
-    mix(pair.src);
-    mix(pair.dst);
     const PairFingerprint fp = fingerprint_flows(flows);
-    mix(fp.hash);
-    mix(fp.num_flows);
+    std::uint64_t h = util::kFnv1aBasis;
+    for (const std::uint64_t w : {std::uint64_t{pair.src},
+                                  std::uint64_t{pair.dst}, fp.hash,
+                                  fp.num_flows}) {
+      h = util::fnv1a(h, w);
+    }
     acc += h;  // wrapping add: order-insensitive
   }
   return acc;

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <string_view>
 
 namespace megate::util {
 
@@ -24,6 +25,23 @@ constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
   x *= 0x94D049BB133111EBULL;
   x ^= x >> 31;
   return x;
+}
+
+/// Byte-wise 64-bit FNV-1a continuing from `h` (kFnv1aBasis to start):
+/// the digest of a run's text and words (chaos and demand fingerprints).
+/// A word is hashed as its 8 bytes, least significant first.
+inline constexpr std::uint64_t kFnv1aBasis = 0xCBF29CE484222325ULL;
+constexpr std::uint64_t fnv1a(std::uint64_t h, std::string_view bytes) {
+  for (const char c : bytes) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001B3ULL;
+  }
+  return h;
+}
+constexpr std::uint64_t fnv1a(std::uint64_t h, std::uint64_t word) {
+  for (int shift = 0; shift < 64; shift += 8) {
+    h = (h ^ ((word >> shift) & 0xFF)) * 0x100000001B3ULL;
+  }
+  return h;
 }
 
 /// xoshiro256** deterministic random engine.

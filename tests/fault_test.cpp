@@ -261,7 +261,9 @@ TEST(FaultInjectorTest, DeterministicEventLogAndShardLifecycle) {
     const auto plan =
         fault::FaultPlan::generate(opt, 4, s->graph.num_links() / 2);
     fault::FaultInjector::Bindings bind;
-    bind.store = &db;
+    bind.set_shard_up = [&](std::size_t shard, bool up) {
+      db.set_shard_up(shard, up);
+    };
     bind.graph = &s->graph;
     fault::FaultInjector injector(plan, bind);
     bool saw_shard_down = false;

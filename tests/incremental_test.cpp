@@ -467,7 +467,9 @@ TEST(IncrementalFaultReplay, ShardCrashAndRecoveryKeepTheCache) {
   ctrl::KvStore kv(4);
   ctrl::InProcessTransport db(&kv);
   fault::FaultInjector::Bindings bind;
-  bind.store = &db;
+  bind.set_shard_up = [&](std::size_t shard, bool up) {
+    db.set_shard_up(shard, up);
+  };
   bind.graph = &s->graph;
   fault::FaultInjector injector(plan, bind);
 

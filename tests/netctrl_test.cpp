@@ -16,11 +16,13 @@
 // MEGATE_AGENTD_BIN override.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -82,25 +84,7 @@ bool executable_exists(const std::string& path) {
 
 // --- child helpers ----------------------------------------------------------
 
-struct Shardd {
-  fault::ChildProcess proc;
-  std::uint16_t port = 0;
-};
-
-bool spawn_shardd(std::uint16_t port, bool recover, int idx, Shardd* out) {
-  std::vector<std::string> args = {"--port", std::to_string(port), "--name",
-                                   "shardd" + std::to_string(idx)};
-  if (recover) args.push_back("--recover");
-  if (!out->proc.spawn(shardd_path(), args)) return false;
-  std::string line;
-  if (!out->proc.read_line(&line, 15000)) return false;
-  constexpr const char kTag[] = "LISTENING ";
-  if (line.rfind(kTag, 0) != 0) return false;
-  const unsigned long parsed = std::stoul(line.substr(sizeof(kTag) - 1));
-  if (parsed == 0 || parsed > 0xFFFF) return false;
-  out->port = static_cast<std::uint16_t>(parsed);
-  return true;
-}
+using fault::Shardd;
 
 net::TcpTransportOptions controller_options(
     const std::vector<std::uint16_t>& ports) {
@@ -114,11 +98,45 @@ net::TcpTransportOptions controller_options(
 
 // --- process-level kill / restart ------------------------------------------
 
+// A daemon whose announcement is not "LISTENING <port>" is refused with
+// false, never an exception: the stand-in is a shell script that prints
+// the line under test and ignores the daemon flags.
+TEST(NetctrlProcessTest, SpawnRefusesMalformedListeningLines) {
+  std::string dir_template =
+      (std::filesystem::temp_directory_path() / "megate-spawn-XXXXXX")
+          .string();
+  const char* dir = ::mkdtemp(dir_template.data());
+  ASSERT_NE(dir, nullptr);
+  const std::string script = std::string(dir) + "/fake_shardd.sh";
+  const auto announce = [&](const std::string& line, Shardd* out) {
+    {
+      std::ofstream f(script, std::ios::trunc);
+      f << "#!/bin/sh\necho '" << line << "'\n";
+    }
+    ::chmod(script.c_str(), 0755);
+    return fault::spawn_shardd(script, 0, false, 0, out);
+  };
+  for (const std::string bad :
+       {"LISTENING abc", "LISTENING 1234567890123456789012345",
+        "LISTENING 0", "LISTENING 70000", "LISTENING 80x", "LISTENING -1",
+        "LISTENING ", "HELLO 80"}) {
+    Shardd out;
+    bool ok = true;
+    EXPECT_NO_THROW(ok = announce(bad, &out)) << bad;
+    EXPECT_FALSE(ok) << bad;
+  }
+  Shardd good;
+  EXPECT_TRUE(announce("LISTENING 4242", &good));
+  EXPECT_EQ(good.port, 4242);
+  std::remove(script.c_str());
+  ::rmdir(dir);
+}
+
 TEST(NetctrlProcessTest, KillRestartMidPublishReplaysStateOverSnapshot) {
   REQUIRE_DAEMON(shardd_path());
   Shardd s0, s1;
-  ASSERT_TRUE(spawn_shardd(0, false, 0, &s0));
-  ASSERT_TRUE(spawn_shardd(0, false, 1, &s1));
+  ASSERT_TRUE(fault::spawn_shardd(shardd_path(), 0, false, 0, &s0));
+  ASSERT_TRUE(fault::spawn_shardd(shardd_path(), 0, false, 1, &s1));
 
   net::TcpKvTransport db(controller_options({s0.port, s1.port}));
 
@@ -144,7 +162,8 @@ TEST(NetctrlProcessTest, KillRestartMidPublishReplaysStateOverSnapshot) {
   // an agent sees shard 0's keys as unavailable — the --recover flag
   // closes the stale-read window a restarted-empty server would open.
   Shardd fresh;
-  ASSERT_TRUE(spawn_shardd(s0.port, /*recover=*/true, 0, &fresh));
+  ASSERT_TRUE(fault::spawn_shardd(shardd_path(), s0.port, /*recover=*/true,
+                                  0, &fresh));
   net::TcpTransportOptions agent_opts = controller_options({fresh.port, s1.port});
   agent_opts.role = net::HelloMsg::kRoleAgent;
   agent_opts.peer_name = "probe-agent";
@@ -313,8 +332,8 @@ struct TcpRig {
   std::unique_ptr<net::TcpKvTransport> db;
 
   bool start() {
-    if (!spawn_shardd(0, false, 0, &s0)) return false;
-    if (!spawn_shardd(0, false, 1, &s1)) return false;
+    if (!fault::spawn_shardd(shardd_path(), 0, false, 0, &s0)) return false;
+    if (!fault::spawn_shardd(shardd_path(), 0, false, 1, &s1)) return false;
     db = std::make_unique<net::TcpKvTransport>(
         controller_options({s0.port, s1.port}));
     return true;
@@ -431,8 +450,8 @@ TEST(NetctrlAcceptanceTest, TwoShardsFourAgentsSurviveKillAndPartition) {
   REQUIRE_DAEMON(agentd_path());
 
   Shardd s0, s1;
-  ASSERT_TRUE(spawn_shardd(0, false, 0, &s0));
-  ASSERT_TRUE(spawn_shardd(0, false, 1, &s1));
+  ASSERT_TRUE(fault::spawn_shardd(shardd_path(), 0, false, 0, &s0));
+  ASSERT_TRUE(fault::spawn_shardd(shardd_path(), 0, false, 1, &s1));
   net::TcpKvTransport db(controller_options({s0.port, s1.port}));
 
   // Generation 1 is live before any agent starts.
@@ -466,7 +485,8 @@ TEST(NetctrlAcceptanceTest, TwoShardsFourAgentsSurviveKillAndPartition) {
   s0.proc.terminate();
   publish_generation(db, 2);
   Shardd fresh0;
-  ASSERT_TRUE(spawn_shardd(s0.port, /*recover=*/true, 0, &fresh0));
+  ASSERT_TRUE(fault::spawn_shardd(shardd_path(), s0.port, /*recover=*/true,
+                                  0, &fresh0));
   ASSERT_TRUE(db.resync_shard(0));
 
   // Phase 2 — network partition: shard 1 freezes (SIGSTOP: alive but

@@ -66,6 +66,16 @@ TEST(DemandStreamTest, SameSeedReplaysBitwiseIdentically) {
             tm::DemandStream::fingerprint(s->traffic));
 }
 
+/// DemandStream::fingerprint of a fixed scenario, recorded at the commit
+/// before the fingerprint moved onto util::fnv1a.
+constexpr std::uint64_t kPinnedDemandFingerprint = 0xc91866ebe6ac7b84ULL;
+
+TEST(DemandStreamPinned, FingerprintMatchesParent) {
+  auto s = testing::make_scenario(8, 12, 3, 0.2, 31);
+  const std::uint64_t fp = tm::DemandStream::fingerprint(s->traffic);
+  EXPECT_EQ(fp, kPinnedDemandFingerprint) << std::hex << "got 0x" << fp;
+}
+
 TEST(DemandStreamTest, DifferentSeedsDiverge) {
   auto s = testing::make_scenario(6, 10, 3);
   const tm::DemandStream a =

@@ -477,6 +477,56 @@ std::vector<std::string> check_ablation_prediction(
   return violations;
 }
 
+/// Contract check for `megate_cli chaos`, whose every iteration runs
+/// through ctrl::ControlIteration:
+///   - span.ctrl.iteration, each layer's span under it
+///     (topo.repair_tunnels, te.solve, te.check_solution,
+///     ctrl.publish_solution, and te.online.rebase when the run rebased)
+///     and ctrl.iteration.unattributed_s exist with one count per
+///     iteration, and
+///   - the layers' summed seconds are at most the iterations' (the spans
+///     nest, so the slack only absorbs rounding).
+std::vector<std::string> check_chaos(const megate::obs::Json& histograms) {
+  const std::string iteration = "span.ctrl.iteration";
+  std::vector<std::string> violations;
+  auto field = [&](const std::string& name, const char* f) -> double {
+    const auto* h = histograms.find(name);
+    return h != nullptr ? h->find(f)->as_number() : -1.0;
+  };
+  const double count = field(iteration, "count");
+  const std::string per_iteration =
+      " must exist with the count of " + iteration + " (" +
+      std::to_string(static_cast<long long>(count)) + ")";
+  if (count <= 0.0) {
+    return {"missing or empty histogram " + iteration +
+            " (no iteration ran through the driver)"};
+  }
+  double layers_s = 0.0;
+  for (const char* layer :
+       {"/topo.repair_tunnels", "/te.solve", "/te.check_solution",
+        "/ctrl.publish_solution", "/te.online.rebase"}) {
+    const std::string name = iteration + layer;
+    const double n = field(name, "count");
+    // Only a run with demand churn binds an allocator to rebase.
+    if (n < 0.0 && name.ends_with("/te.online.rebase")) continue;
+    if (n != count) {
+      violations.push_back(name + per_iteration);
+      continue;
+    }
+    layers_s += field(name, "sum");
+  }
+  if (field("ctrl.iteration.unattributed_s", "count") != count) {
+    violations.push_back("ctrl.iteration.unattributed_s" + per_iteration);
+  }
+  const double iteration_s = field(iteration, "sum");
+  if (layers_s > iteration_s * (1.0 + 1e-9)) {
+    violations.push_back("layer spans sum to " + std::to_string(layers_s) +
+                         " s, more than " + iteration + "'s " +
+                         std::to_string(iteration_s) + " s");
+  }
+  return violations;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -519,6 +569,8 @@ int main(int argc, char** argv) {
         violations = check_micro_lp(gauges);
       } else if (source->as_string() == "bench/fig12_failures") {
         violations = check_fig12(gauges);
+      } else if (source->as_string() == "megate_cli chaos") {
+        violations = check_chaos(*doc->find("histograms"));
       }
     }
     if (!violations.empty()) {
